@@ -22,11 +22,10 @@ directory when one is configured.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..harness.parallel import Unit, run_units
-from ..harness.shard import StreamWriter, build_meta, resolve_shard
+from ..harness.experiment import Experiment, run_experiment
 from ..obs import resolve_tracer
 from ..runtime import (
     InvalidSpecError,
@@ -34,6 +33,7 @@ from ..runtime import (
     SolverTimeout,
     faults,
 )
+from ..runtime.isolation import Outcome
 from ..solvers import get_solver, list_solvers
 from .corpus import entry_for_finding, minimize_case, save_entry
 from .generators import (
@@ -91,16 +91,12 @@ class FuzzConfig:
         """The campaign identity for shard/stream meta blocks —
         everything that shapes the case list and its classification
         (not the host-local knobs: jobs, corpus, shard, stream)."""
-        return {
-            "solver": self.solver,
-            "generators": list(self.resolved_generators()),
-            "max_examples": self.max_examples,
-            "seed": self.seed,
-            "scale": self.scale,
-            "timeout": self.timeout,
-            "harden": self.harden,
-            "cosim_steps": self.cosim_steps,
+        data = {
+            k: v for k, v in asdict(self).items()
+            if k not in ("jobs", "corpus", "shard", "stream")
         }
+        data["generators"] = list(self.resolved_generators())
+        return data
 
     def check(self) -> None:
         """Raise :class:`InvalidSpecError` on a bad configuration."""
@@ -125,13 +121,116 @@ class FuzzConfig:
                 )
 
 
+# ----------------------------------------------------------------------
+# worker side (module-level: picklable for the process pool)
+# ----------------------------------------------------------------------
+def _harden_case(
+    case: FuzzCase, config: FuzzConfig, outcome: CaseOutcome
+) -> None:
+    """Re-run ``case`` with faults armed at the seams; annotate."""
+    problems: List[str] = []
+    for site, _kind, exc, expected in _HARDEN_EXPECT:
+        # a seam deeper than where the baseline run already stopped
+        # (infeasible / out of budget before verification) never trips,
+        # so the baseline classification is also acceptable there
+        if outcome.classification not in (OK, VIOLATION):
+            expected = expected + (outcome.classification,)
+        with faults.inject(site, exc):
+            try:
+                hardened = run_case(
+                    case, config.solver,
+                    timeout=config.timeout,
+                    oracle_seed=config.seed,
+                    cosim_steps=config.cosim_steps,
+                )
+            except (KeyboardInterrupt, SystemExit):
+                raise
+            except BaseException as hexc:  # repro: noqa[RPA003] -- an exception escaping the oracle under injection is exactly the hardening failure being hunted
+                problems.append(
+                    f"{site}: escaped the oracle with "
+                    f"{type(hexc).__name__}: {hexc}"
+                )
+                continue
+        if hardened.classification not in expected:
+            problems.append(
+                f"{site}: armed {exc.__name__} classified as "
+                f"{hardened.classification}, expected "
+                f"{'/'.join(expected)}"
+            )
+    outcome.hardened = not problems
+    outcome.hardened_detail = "; ".join(problems)
+
+
+def _finding(
+    key: str, solver: str, classification: str, detail: str,
+    seconds: float = 0.0,
+) -> Dict[str, Any]:
+    """The payload of a case the oracle never got to classify."""
+    family, case_seed = key.rsplit(":", 1)
+    return CaseOutcome(
+        key=key, family=family, seed=int(case_seed), solver=solver,
+        classification=classification, detail=detail, seconds=seconds,
+    ).to_dict()
+
+
+def _fuzz_unit(key: str, **params: Any) -> Dict[str, Any]:
+    """Generate + classify one case (runs inside pool workers)."""
+    config = FuzzConfig(**params)
+    family, case_seed = key.rsplit(":", 1)
+    try:
+        case = generate_case(family, int(case_seed), config.scale)
+    except (KeyboardInterrupt, SystemExit):
+        raise
+    except BaseException as exc:  # repro: noqa[RPA003] -- a generator crash is a campaign finding, not a harness abort
+        return _finding(
+            key, config.solver, CRASH,
+            f"generator: {type(exc).__name__}: {exc}",
+        )
+    outcome = run_case(
+        case, config.solver,
+        timeout=config.timeout,
+        oracle_seed=config.seed,
+        cosim_steps=config.cosim_steps,
+    )
+    if config.harden:
+        _harden_case(case, config, outcome)
+    if outcome.is_finding:
+        outcome.case_data = case.to_dict()
+    return outcome.to_dict()
+
+
 @dataclass
-class FuzzReport:
+class FuzzReport(Experiment):
     """Campaign summary: per-case outcomes plus aggregate counts."""
 
     config: FuzzConfig
     outcomes: List[CaseOutcome] = field(default_factory=list)
     corpus_files: List[str] = field(default_factory=list)
+
+    tag = "fuzz"
+    unit = staticmethod(_fuzz_unit)
+
+    @classmethod
+    def start(cls, params: Dict[str, Any], keys: List[str]) -> "FuzzReport":
+        return cls(config=FuzzConfig(**params))
+
+    @staticmethod
+    def failure(key: str, result: Outcome, params: Dict) -> Dict[str, Any]:
+        # the oracle never raises, so a failed unit means the harness
+        # itself broke in the worker — a finding
+        timed_out = result.status in ("timeout", "budget")
+        return _finding(
+            key, params["solver"], TIMEOUT if timed_out else CRASH,
+            f"harness: {result.error}", result.seconds,
+        )
+
+    @staticmethod
+    def progress(key: str, payload: Dict[str, Any]) -> Optional[str]:
+        outcome = CaseOutcome.from_dict(payload)
+        return "  " + outcome.line() if outcome.is_finding else None
+
+    def fold(self, key: str, payload: Dict[str, Any]) -> None:
+        self.outcomes.append(CaseOutcome.from_dict(payload))
 
     @property
     def counts(self) -> Dict[str, int]:
@@ -151,6 +250,9 @@ class FuzzReport:
     @property
     def n_findings(self) -> int:
         return len(self.findings)
+
+    #: findings are what fails a campaign's exit code
+    n_failed = n_findings
 
     def render(self) -> str:
         lines = [
@@ -197,75 +299,8 @@ class FuzzReport:
             "cases": [o.to_dict() for o in self.outcomes],
         }
 
-
-# ----------------------------------------------------------------------
-# worker side (module-level: picklable for the process pool)
-# ----------------------------------------------------------------------
-def _harden_case(
-    case: FuzzCase, config: FuzzConfig, outcome: CaseOutcome
-) -> None:
-    """Re-run ``case`` with faults armed at the seams; annotate."""
-    problems: List[str] = []
-    for site, _kind, exc, expected in _HARDEN_EXPECT:
-        # a seam deeper than where the baseline run already stopped
-        # (infeasible / out of budget before verification) never trips,
-        # so the baseline classification is also acceptable there
-        if outcome.classification not in (OK, VIOLATION):
-            expected = expected + (outcome.classification,)
-        with faults.inject(site, exc):
-            try:
-                hardened = run_case(
-                    case, config.solver,
-                    timeout=config.timeout,
-                    oracle_seed=config.seed,
-                    cosim_steps=config.cosim_steps,
-                )
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except BaseException as hexc:  # repro: noqa[RPA003] -- an exception escaping the oracle under injection is exactly the hardening failure being hunted
-                problems.append(
-                    f"{site}: escaped the oracle with "
-                    f"{type(hexc).__name__}: {hexc}"
-                )
-                continue
-        if hardened.classification not in expected:
-            problems.append(
-                f"{site}: armed {exc.__name__} classified as "
-                f"{hardened.classification}, expected "
-                f"{'/'.join(expected)}"
-            )
-    outcome.hardened = not problems
-    outcome.hardened_detail = "; ".join(problems)
-
-
-def _fuzz_unit(
-    family: str, case_seed: int, config: FuzzConfig
-) -> CaseOutcome:
-    """Generate + classify one case (runs inside pool workers)."""
-    try:
-        case = generate_case(family, case_seed, config.scale)
-    except (KeyboardInterrupt, SystemExit):
-        raise
-    except BaseException as exc:  # repro: noqa[RPA003] -- a generator crash is a campaign finding, not a harness abort
-        return CaseOutcome(
-            key=f"{family}:{case_seed}",
-            family=family,
-            seed=case_seed,
-            solver=config.solver,
-            classification=CRASH,
-            detail=f"generator: {type(exc).__name__}: {exc}",
-        )
-    outcome = run_case(
-        case, config.solver,
-        timeout=config.timeout,
-        oracle_seed=config.seed,
-        cosim_steps=config.cosim_steps,
-    )
-    if config.harden:
-        _harden_case(case, config, outcome)
-    if outcome.is_finding:
-        outcome.case_data = case.to_dict()
-    return outcome
+    def to_dict(self) -> Dict[str, Any]:
+        return dict({"experiment": "fuzz"}, **self.as_dict())
 
 
 # ----------------------------------------------------------------------
@@ -318,62 +353,21 @@ def run_fuzz(
     """
     config.check()
     tracer = resolve_tracer(tracer)
-    spec = resolve_shard(config.shard)
     families = config.resolved_generators()
-    units = []
-    for i in range(config.max_examples):
-        family = families[i % len(families)]
-        case_seed = config.seed + _SEED_STRIDE * (i // len(families))
-        units.append(
-            Unit(
-                key=f"{family}:{case_seed}",
-                fn=_fuzz_unit,
-                args=(family, case_seed, config),
-            )
-        )
-    writer: Optional[StreamWriter] = None
-    if spec is not None or config.stream is not None:
-        meta = build_meta(
-            "fuzz", [u.key for u in units], config.params(), spec
-        )
-        if config.stream is not None:
-            writer = StreamWriter(config.stream, meta)
-    if spec is not None:
-        units = [u for i, u in enumerate(units) if spec.owns(i)]
-    report = FuzzReport(config=config)
+    keys = [
+        f"{families[i % len(families)]}:"
+        f"{config.seed + _SEED_STRIDE * (i // len(families))}"
+        for i in range(config.max_examples)
+    ]
     with tracer.span(
         "fuzz/campaign", solver=config.solver, seed=config.seed,
         examples=config.max_examples,
     ):
-        try:
-            for unit, result in zip(
-                units, run_units(units, jobs=config.jobs, tracer=tracer)
-            ):
-                if result.ok:
-                    outcome = result.value
-                else:
-                    # the oracle never raises, so a failed unit means
-                    # the harness itself broke in the worker — a finding
-                    outcome = CaseOutcome(
-                        key=unit.key,
-                        family=unit.args[0],
-                        seed=unit.args[1],
-                        solver=config.solver,
-                        classification=(
-                            TIMEOUT
-                            if result.status in ("timeout", "budget")
-                            else CRASH
-                        ),
-                        detail=f"harness: {result.error}",
-                        seconds=result.seconds,
-                    )
-                report.outcomes.append(outcome)
-                if writer is not None:
-                    writer.emit_cell(unit.key, outcome.to_dict())
-                if verbose and outcome.is_finding:
-                    print("  " + outcome.line())
-        finally:
-            if writer is not None:
-                writer.close()
+        report = run_experiment(
+            FuzzReport, keys, config.params(), jobs=config.jobs,
+            shard=config.shard, stream=config.stream, verbose=verbose,
+            tracer=tracer,
+        )
+        report.config = config  # with the host-local knobs (corpus)
         _distill(report, tracer, verbose)
     return report

@@ -27,11 +27,11 @@ from ..core import PicolaOptions
 from ..encoding import derive_face_constraints, evaluate_encoding
 from ..fsm import load_benchmark
 from ..runtime import Budget, BudgetExceeded, Checkpoint, SolverTimeout, faults
-from ..runtime.checkpoint import payload_failed, resumable
+from ..runtime.checkpoint import payload_failed
 from ..solvers import get_solver
-from .parallel import Unit, run_units
+from .experiment import Experiment, run_experiment
 from .report import render_table
-from .shard import ShardSpec, StreamWriter, build_meta, resolve_shard
+from .shard import ShardSpec
 from .table1 import QUICK_FSMS
 
 __all__ = ["ABLATION_VARIANTS", "AblationReport", "run_ablation"]
@@ -49,9 +49,55 @@ ABLATION_VARIANTS: Dict[str, PicolaOptions] = {
 #: the optimality-reference pseudo-variant (not a PicolaOptions)
 EXACT_VARIANT = "exact"
 
+#: the per-FSM, per-variant value grids (payload and report alike)
+_GRIDS = ("cubes", "satisfied", "seconds", "nodes")
+
+
+def _ablation_cells(
+    name: str,
+    *,
+    variants: Sequence[str],
+    timeout: Optional[float],
+    exact_nodes: int,
+) -> Dict[str, Dict[str, Any]]:
+    """All variant cells for one FSM (runs inside the fault boundary)."""
+    faults.trip("ablation.fsm", key=name)
+    fsm = load_benchmark(name)
+    cset = derive_face_constraints(fsm)
+    cells: Dict[str, Dict[str, Any]] = {
+        "cubes": {}, "satisfied": {}, "status": {},
+        "seconds": {}, "nodes": {},
+    }
+    for variant in variants:
+        if variant == EXACT_VARIANT:
+            solver = get_solver("exact")
+            options: Dict[str, Any] = {"strict": True}
+            budget = Budget(max_nodes=exact_nodes, seconds=timeout)
+        else:
+            solver = get_solver("picola")
+            options = {
+                "picola_options": ABLATION_VARIANTS[variant],
+            }
+            budget = Budget(seconds=timeout)
+        try:
+            result = solver.solve(cset, options=options, budget=budget)
+        except (SolverTimeout, BudgetExceeded) as exc:
+            for grid in _GRIDS:
+                cells[grid][variant] = None
+            cells["status"][variant] = (
+                "timeout" if isinstance(exc, SolverTimeout) else "budget"
+            )
+            continue
+        evaluation = evaluate_encoding(result.encoding, cset)
+        cells["cubes"][variant] = evaluation.total_cubes
+        cells["satisfied"][variant] = evaluation.n_satisfied
+        cells["seconds"][variant] = result.seconds
+        cells["nodes"][variant] = result.nodes
+    return cells
+
 
 @dataclass
-class AblationReport:
+class AblationReport(Experiment):
     variants: List[str]
     cubes: Dict[str, Dict[str, Optional[int]]] = field(
         default_factory=dict
@@ -71,6 +117,27 @@ class AblationReport:
     cell_status: Dict[str, Dict[str, str]] = field(default_factory=dict)
     #: whole-FSM failures, fsm -> reason
     failures: Dict[str, str] = field(default_factory=dict)
+
+    tag = "ablation"
+    unit = staticmethod(_ablation_cells)
+
+    @classmethod
+    def start(cls, params: Dict, keys: List[str]) -> "AblationReport":
+        return cls(variants=list(params["variants"]))
+
+    @staticmethod
+    def progress(key: str, payload: Dict[str, Any]) -> str:
+        return f"{key}: {payload['cubes']}"
+
+    def fold(self, key: str, payload: Dict[str, Any]) -> None:
+        if payload_failed(payload):
+            self.failures[key] = payload.get("reason") or payload["status"]
+            return
+        for grid in _GRIDS:
+            getattr(self, grid)[key] = dict(payload.get(grid, {}))
+        status = dict(payload.get("status", {}))
+        if status:
+            self.cell_status[key] = status
 
     @property
     def n_failed(self) -> int:
@@ -133,55 +200,17 @@ class AblationReport:
             table += f"\n{self.n_failed} benchmark(s) failed: {failed}"
         return table
 
-
-def _ablation_cells(
-    name: str,
-    variants: Sequence[str],
-    *,
-    timeout: Optional[float],
-    exact_nodes: int,
-) -> Dict[str, Dict[str, Any]]:
-    """All variant cells for one FSM (runs inside the fault boundary)."""
-    faults.trip("ablation.fsm", key=name)
-    fsm = load_benchmark(name)
-    cset = derive_face_constraints(fsm)
-    cells: Dict[str, Dict[str, Any]] = {
-        "cubes": {}, "satisfied": {}, "status": {},
-        "seconds": {}, "nodes": {},
-    }
-    for variant in variants:
-        if variant == EXACT_VARIANT:
-            solver = get_solver("exact")
-            options: Dict[str, Any] = {"strict": True}
-            budget = Budget(max_nodes=exact_nodes, seconds=timeout)
-        else:
-            solver = get_solver("picola")
-            options = {
-                "picola_options": ABLATION_VARIANTS[variant],
-            }
-            budget = Budget(seconds=timeout)
-        try:
-            result = solver.solve(cset, options=options, budget=budget)
-        except SolverTimeout:
-            cells["cubes"][variant] = None
-            cells["satisfied"][variant] = None
-            cells["seconds"][variant] = None
-            cells["nodes"][variant] = None
-            cells["status"][variant] = "timeout"
-            continue
-        except BudgetExceeded:
-            cells["cubes"][variant] = None
-            cells["satisfied"][variant] = None
-            cells["seconds"][variant] = None
-            cells["nodes"][variant] = None
-            cells["status"][variant] = "budget"
-            continue
-        evaluation = evaluate_encoding(result.encoding, cset)
-        cells["cubes"][variant] = evaluation.total_cubes
-        cells["satisfied"][variant] = evaluation.n_satisfied
-        cells["seconds"][variant] = result.seconds
-        cells["nodes"][variant] = result.nodes
-    return cells
+    def to_dict(self) -> Dict[str, Any]:
+        return {
+            "experiment": "ablation",
+            "variants": list(self.variants),
+            **{
+                grid: {f: dict(v) for f, v in getattr(self, grid).items()}
+                for grid in _GRIDS + ("cell_status",)
+            },
+            "failures": dict(self.failures),
+            "totals": {v: self.total(v) for v in self.variants},
+        }
 
 
 def run_ablation(
@@ -205,105 +234,12 @@ def run_ablation(
     variants = list(variants)
     if include_exact and EXACT_VARIANT not in variants:
         variants.append(EXACT_VARIANT)
-    spec = resolve_shard(shard)
-    all_names = list(fsms)
-    meta: Optional[Dict[str, Any]] = None
-    if spec is not None or stream is not None:
-        meta = build_meta(
-            "ablation", all_names,
-            {
-                "variants": variants, "timeout": timeout,
-                "exact_nodes": exact_nodes,
-            },
-            spec,
-        )
-    names = spec.partition(all_names) if spec is not None else all_names
-    ckpt: Optional[Checkpoint] = None
-    if checkpoint is not None:
-        ckpt = (
-            checkpoint if isinstance(checkpoint, Checkpoint)
-            else Checkpoint(
-                checkpoint, experiment="ablation",
-                meta=meta if spec is not None else None,
-            )
-        )
-    writer = (
-        StreamWriter(stream, meta) if stream is not None else None
+    return run_experiment(
+        AblationReport, fsms,
+        {
+            "variants": variants, "timeout": timeout,
+            "exact_nodes": exact_nodes,
+        },
+        checkpoint=checkpoint, jobs=jobs, retry_failed=retry_failed,
+        shard=shard, stream=stream, verbose=verbose,
     )
-    report = AblationReport(variants=variants)
-    resumed: Dict[str, Dict[str, Any]] = {}
-    units: List[Unit] = []
-    for name in names:
-        payload = resumable(ckpt, name, retry_failed)
-        if payload is not None:
-            resumed[name] = payload
-        else:
-            units.append(Unit(
-                key=name, fn=_ablation_cells, args=(name, variants),
-                kwargs=dict(timeout=timeout, exact_nodes=exact_nodes),
-            ))
-    outcomes = run_units(units, jobs=jobs)
-    try:
-        for name in names:
-            if name in resumed:
-                payload = resumed[name]
-                if writer is not None:
-                    writer.emit_cell(name, payload, resumed=True)
-                if payload_failed(payload):
-                    reason = payload.get("reason") or payload["status"]
-                    report.failures[name] = reason
-                    if verbose:
-                        print(
-                            f"{name}: FAILED ({reason}, resumed from "
-                            "checkpoint)",
-                            flush=True,
-                        )
-                    continue
-                report.cubes[name] = dict(payload.get("cubes", {}))
-                report.satisfied[name] = dict(
-                    payload.get("satisfied", {})
-                )
-                report.seconds[name] = dict(payload.get("seconds", {}))
-                report.nodes[name] = dict(payload.get("nodes", {}))
-                status = dict(payload.get("status", {}))
-                if status:
-                    report.cell_status[name] = status
-                if verbose:
-                    print(
-                        f"{name}: resumed from checkpoint", flush=True
-                    )
-                continue
-            outcome = next(outcomes)
-            if not outcome.ok:
-                failure = {
-                    "status": outcome.status,
-                    "reason": outcome.reason,
-                    "error": outcome.error,
-                }
-                report.failures[name] = outcome.reason
-                if ckpt is not None:
-                    ckpt.mark_done(name, failure)
-                if writer is not None:
-                    writer.emit_cell(name, failure)
-                if verbose:
-                    print(
-                        f"{name}: FAILED ({outcome.reason})", flush=True
-                    )
-                continue
-            cells = outcome.value
-            report.cubes[name] = cells["cubes"]
-            report.satisfied[name] = cells["satisfied"]
-            report.seconds[name] = cells["seconds"]
-            report.nodes[name] = cells["nodes"]
-            if cells["status"]:
-                report.cell_status[name] = cells["status"]
-            if ckpt is not None:
-                ckpt.mark_done(name, cells)
-            if writer is not None:
-                writer.emit_cell(name, cells)
-            if verbose:
-                print(f"{name}: {report.cubes[name]}", flush=True)
-    finally:
-        if writer is not None:
-            writer.close()
-    return report

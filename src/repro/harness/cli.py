@@ -515,7 +515,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         _maybe_json(report, args.json)
         return 1 if report.n_findings else 0
     elif args.command == "merge":
-        from .merge import merge_files, report_failures
+        from .merge import merge_files
 
         report, experiment = merge_files(
             args.files, from_stream=args.from_stream
@@ -523,7 +523,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(f"merged {len(args.files)} shard file(s): {experiment}")
         print(report.render())
         _maybe_json(report, args.json)
-        return 1 if report_failures(report) else 0
+        return 1 if report.n_failed else 0
     elif args.command == "serve":
         from ..service import ServerConfig, serve
 

@@ -10,10 +10,11 @@ have produced:
   merging refuses mismatched tags, disagreeing unit universes or
   params, duplicate or missing shards, cells outside a shard's
   partition, and incomplete shards — each with a one-line diagnostic;
-* the combined cells replay through the drivers' own resume loops
-  (via an in-memory :class:`~repro.runtime.Checkpoint`), so failed
-  cells keep their ``payload_failed`` semantics and the rendered
-  table is **byte-identical** to the unsharded run;
+* the combined cells replay through the one experiment driver,
+  :func:`~repro.harness.experiment.run_experiment`, with an in-memory
+  :class:`~repro.runtime.Checkpoint` and the params from the files'
+  meta block, so failed cells keep their ``payload_failed`` semantics
+  and the rendered table is **byte-identical** to the unsharded run;
 * stream files (``--from-stream``, or auto-detected) carry the same
   meta in their header line and merge the same way — a report can be
   rebuilt purely from the JSONL progress feed.
@@ -27,9 +28,10 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Sequence, Tuple, Union
 
 from ..runtime import Checkpoint, CheckpointError
+from .experiment import get_experiment, run_experiment
 from .shard import SCHEMA_VERSION, ShardSpec, read_stream
 
-__all__ = ["merge_files", "report_failures"]
+__all__ = ["merge_files"]
 
 
 @dataclass
@@ -160,62 +162,6 @@ def _validate(files: List[_ShardFile]) -> None:
             )
 
 
-def _rebuild(
-    experiment: str,
-    meta: Dict[str, Any],
-    completed: Dict[str, Any],
-) -> Any:
-    """Replay the combined cells through the driver resume loops."""
-    units: List[str] = list(meta.get("units") or [])
-    params: Dict[str, Any] = dict(meta.get("params") or {})
-    ckpt = Checkpoint.in_memory(experiment, completed)
-    if experiment == "table1":
-        from .table1 import run_table1
-
-        return run_table1(units, checkpoint=ckpt)
-    if experiment == "table2":
-        from .table2 import run_table2
-
-        return run_table2(units, checkpoint=ckpt)
-    if experiment == "ablation":
-        from .ablation import run_ablation
-
-        return run_ablation(
-            units, variants=params.get("variants"), checkpoint=ckpt
-        )
-    if experiment == "sweep":
-        from .sweep import run_seed_sweep
-
-        return run_seed_sweep(
-            params["fsms"], seeds=tuple(params["seeds"]),
-            nova_seed=params.get("nova_seed", 1),
-            checkpoint=ckpt,
-        )
-    if experiment == "fuzz":
-        from ..fuzz.oracle import CaseOutcome
-        from ..fuzz.runner import FuzzConfig, FuzzReport
-
-        config = FuzzConfig(
-            solver=params["solver"],
-            generators=tuple(params.get("generators") or ()),
-            max_examples=params["max_examples"],
-            seed=params["seed"],
-            scale=params["scale"],
-            timeout=params.get("timeout"),
-            harden=params.get("harden", True),
-            cosim_steps=params.get("cosim_steps", 128),
-        )
-        report = FuzzReport(config=config)
-        for key in units:
-            report.outcomes.append(
-                CaseOutcome.from_dict(completed[key])
-            )
-        return report
-    raise CheckpointError(
-        f"cannot rebuild a report for experiment {experiment!r}"
-    )
-
-
 def merge_files(
     paths: Sequence[Union[str, pathlib.Path]],
     *,
@@ -235,14 +181,10 @@ def merge_files(
     combined: Dict[str, Any] = {}
     for f in sorted(files, key=lambda f: f.spec.index):
         combined.update(f.completed)
-    experiment = files[0].experiment
-    report = _rebuild(experiment, files[0].meta, combined)
-    return report, experiment
-
-
-def report_failures(report: Any) -> int:
-    """Failure count for the CLI exit code, across report shapes."""
-    n = getattr(report, "n_failed", None)
-    if n is None:
-        n = getattr(report, "n_findings", 0)
-    return int(n)
+    tag, meta = files[0].experiment, files[0].meta
+    report = run_experiment(
+        get_experiment(tag), meta.get("units") or [],
+        dict(meta.get("params") or {}),
+        checkpoint=Checkpoint.in_memory(tag, combined),
+    )
+    return report, tag

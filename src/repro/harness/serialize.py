@@ -1,9 +1,11 @@
 """Machine-readable serialization of the experiment reports.
 
-``to_dict``/``to_json`` for the Table I / Table II / ablation / sweep
-reports, so downstream tooling (plots, regression tracking) can
-consume runs without scraping the rendered text tables.  The CLI
-exposes it as ``--json <path>`` on each experiment command.
+``to_dict``/``to_json`` for every experiment report (Table I / Table
+II / ablation / sweep / fuzz), so downstream tooling (plots,
+regression tracking) can consume runs without scraping the rendered
+text tables.  The CLI exposes it as ``--json <path>`` on each
+experiment command.  Each report class defines its own JSON form
+(:meth:`~repro.harness.experiment.Experiment.to_dict`).
 
 Partial runs serialize faithfully: failed rows carry their ``status``
 and ``error`` fields, degraded cells stay ``null``, and the summary
@@ -16,118 +18,16 @@ from __future__ import annotations
 import json
 from typing import Any, Dict
 
-from .ablation import AblationReport
-from .sweep import SeedSweepReport
-from .table1 import Table1Report
-from .table2 import Table2Report
+from .experiment import Experiment
 
 __all__ = ["to_dict", "to_json"]
 
 
-def _table1(report: Table1Report) -> Dict[str, Any]:
-    return {
-        "experiment": "table1",
-        "rows": [r.to_dict() for r in report.rows],
-        "summary": {
-            "picola_wins": report.picola_wins,
-            "nova_wins": report.nova_wins,
-            "ties": report.ties,
-            "nova_overhead": report.nova_overhead,
-            "failed": report.n_failed,
-        },
-    }
-
-
-def _table2(report: Table2Report) -> Dict[str, Any]:
-    return {
-        "experiment": "table2",
-        "rows": [
-            dict(
-                r.to_dict(),
-                time_ratios={m: r.time_ratio(m) for m in r.sizes},
-            )
-            for r in report.rows
-        ],
-        "summary": {
-            # the union of methods over every ok row, in first-seen
-            # order — the first ok row alone can have TIMEOUT holes
-            # or (in a shard) lack methods other rows report
-            "totals": {
-                m: report.total_size(m)
-                for m in dict.fromkeys(
-                    m for r in report.rows if r.ok for m in r.sizes
-                )
-            },
-            "failed": report.n_failed,
-        },
-    }
-
-
-def _ablation(report: AblationReport) -> Dict[str, Any]:
-    return {
-        "experiment": "ablation",
-        "variants": list(report.variants),
-        "cubes": {f: dict(v) for f, v in report.cubes.items()},
-        "satisfied": {
-            f: dict(v) for f, v in report.satisfied.items()
-        },
-        "seconds": {
-            f: dict(v) for f, v in report.seconds.items()
-        },
-        "nodes": {f: dict(v) for f, v in report.nodes.items()},
-        "cell_status": {
-            f: dict(v) for f, v in report.cell_status.items()
-        },
-        "failures": dict(report.failures),
-        "totals": {v: report.total(v) for v in report.variants},
-    }
-
-
-def _sweep(report: SeedSweepReport) -> Dict[str, Any]:
-    return {
-        "experiment": "sweep",
-        "fsms": list(report.fsms),
-        "outcomes": [
-            {
-                "seed": o.seed,
-                "total_picola": o.total_picola,
-                "total_nova": o.total_nova,
-                "picola_wins": o.picola_wins,
-                "nova_wins": o.nova_wins,
-                "ties": o.ties,
-                "nova_overhead": o.nova_overhead,
-            }
-            for o in report.outcomes
-        ],
-        "failures": {
-            f"{seed}/{fsm}": reason
-            for (seed, fsm), reason in report.failures.items()
-        },
-        "skipped_seeds": list(report.skipped_seeds),
-        "summary": {
-            "mean_overhead": report.mean_overhead(),
-            "overhead_stddev": report.overhead_stddev(),
-            "failed": report.n_failed,
-            "skipped_seeds": len(report.skipped_seeds),
-        },
-    }
-
-
 def to_dict(report: Any) -> Dict[str, Any]:
-    """Dispatch on report type."""
-    from ..fuzz.runner import FuzzReport  # late: avoids a package cycle
-
-    if isinstance(report, FuzzReport):
-        return dict({"experiment": "fuzz"}, **report.as_dict())
-    if isinstance(report, Table1Report):
-        return _table1(report)
-    if isinstance(report, Table2Report):
-        return _table2(report)
-    if isinstance(report, AblationReport):
-        return _ablation(report)
-    if isinstance(report, SeedSweepReport):
-        return _sweep(report)
-    raise TypeError(f"unknown report type {type(report).__name__}")
+    """The JSON form of any experiment report."""
+    if not isinstance(report, Experiment):
+        raise TypeError(f"unknown report type {type(report).__name__}")
+    return report.to_dict()
 
 
 def to_json(report: Any, indent: int = 2) -> str:

@@ -18,17 +18,18 @@ from __future__ import annotations
 
 import math
 import pathlib
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..encoding import derive_face_constraints, evaluate_encoding
 from ..fsm import BENCHMARKS, load_benchmark
 from ..runtime import Budget, Checkpoint, faults
-from ..runtime.checkpoint import payload_failed, resumable
+from ..runtime.checkpoint import payload_failed
 from ..solvers import get_solver
-from .parallel import Unit, run_units
+from .experiment import Experiment, run_experiment
 from .report import render_table
-from .shard import ShardSpec, StreamWriter, build_meta, resolve_shard
+from .shard import ShardSpec
 from .table1 import QUICK_FSMS
 
 __all__ = ["SeedSweepReport", "run_seed_sweep"]
@@ -52,8 +53,40 @@ class SeedOutcome:
         ) / self.total_picola
 
 
+def _split(key: str) -> Tuple[int, str]:
+    seed, name = key.split("/", 1)
+    return int(seed), name
+
+
+def _sweep_cell(
+    key: str,
+    *,
+    fsms: Sequence[str],
+    seeds: Sequence[int],
+    nova_seed: int,
+    timeout: Optional[float],
+) -> Dict[str, int]:
+    """One ``seed/fsm`` comparison (runs inside the fault boundary);
+    ``fsms``/``seeds`` span the grid, a cell only needs its key."""
+    faults.trip("sweep.benchmark", key=key)
+    seed, name = _split(key)
+    fsm = load_benchmark(name, seed=seed)
+    cset = derive_face_constraints(fsm)
+    pic = get_solver("picola").solve(
+        cset, budget=Budget(seconds=timeout)
+    )
+    nov = get_solver("nova").solve(
+        cset, options={"seed": nova_seed},
+        budget=Budget(seconds=timeout),
+    )
+    return {
+        "picola": evaluate_encoding(pic.encoding, cset).total_cubes,
+        "nova": evaluate_encoding(nov.encoding, cset).total_cubes,
+    }
+
+
 @dataclass
-class SeedSweepReport:
+class SeedSweepReport(Experiment):
     fsms: List[str]
     outcomes: List[SeedOutcome] = field(default_factory=list)
     #: benchmarks that failed, as (seed, fsm) -> reason
@@ -62,6 +95,52 @@ class SeedSweepReport:
     #: aggregating them would inject fake 0-cube totals (and a fake
     #: 0.0 overhead) into the mean/stddev statistics
     skipped_seeds: List[int] = field(default_factory=list)
+    #: while the sweep runs: cells still to fold per seed, and the
+    #: (picola, nova) cubes of each seed's completed cells so far
+    pending: Counter = field(default_factory=Counter, repr=False)
+    completed: Dict[int, list] = field(default_factory=dict, repr=False)
+
+    tag = "sweep"
+    unit = staticmethod(_sweep_cell)
+
+    @classmethod
+    def start(cls, params: Dict, keys: List[str]) -> "SeedSweepReport":
+        return cls(
+            fsms=list(params["fsms"]),
+            pending=Counter(_split(key)[0] for key in keys),
+        )
+
+    def fold(self, key: str, payload: Dict[str, Any]) -> Optional[str]:
+        """Add one cell; once a seed's last cell is in, aggregate it."""
+        seed, name = _split(key)
+        cells = self.completed.setdefault(seed, [])
+        if payload_failed(payload):
+            reason = payload.get("reason") or payload["status"]
+            self.failures[(seed, name)] = reason
+        else:
+            cells.append((payload["picola"], payload["nova"]))
+        self.pending[seed] -= 1
+        if self.pending[seed]:
+            return None
+        if not cells:
+            # every cell of this seed failed: an all-zero SeedOutcome
+            # would smuggle a fake 0.0 nova_overhead into
+            # mean_overhead()/overhead_stddev()
+            self.skipped_seeds.append(seed)
+            return f"seed {seed}: skipped (no completed cells)"
+        outcome = SeedOutcome(
+            seed=seed,
+            total_picola=sum(p for p, _ in cells),
+            total_nova=sum(n for _, n in cells),
+            picola_wins=sum(p < n for p, n in cells),
+            nova_wins=sum(n < p for p, n in cells),
+            ties=sum(p == n for p, n in cells),
+        )
+        self.outcomes.append(outcome)
+        return (
+            f"seed {seed}: picola={outcome.total_picola} "
+            f"nova={outcome.total_nova}"
+        )
 
     @property
     def n_failed(self) -> int:
@@ -134,28 +213,26 @@ class SeedSweepReport:
             )
         return table + summary
 
-
-def _sweep_cell(
-    name: str,
-    seed: int,
-    nova_seed: int,
-    timeout: Optional[float],
-) -> Dict[str, int]:
-    """One (seed, fsm) comparison (runs inside the fault boundary)."""
-    faults.trip("sweep.benchmark", key=f"{seed}/{name}")
-    fsm = load_benchmark(name, seed=seed)
-    cset = derive_face_constraints(fsm)
-    pic = get_solver("picola").solve(
-        cset, budget=Budget(seconds=timeout)
-    )
-    nov = get_solver("nova").solve(
-        cset, options={"seed": nova_seed},
-        budget=Budget(seconds=timeout),
-    )
-    return {
-        "picola": evaluate_encoding(pic.encoding, cset).total_cubes,
-        "nova": evaluate_encoding(nov.encoding, cset).total_cubes,
-    }
+    def to_dict(self) -> Dict[str, Any]:
+        return {
+            "experiment": "sweep",
+            "fsms": list(self.fsms),
+            "outcomes": [
+                dict(asdict(o), nova_overhead=o.nova_overhead)
+                for o in self.outcomes
+            ],
+            "failures": {
+                f"{seed}/{fsm}": reason
+                for (seed, fsm), reason in self.failures.items()
+            },
+            "skipped_seeds": list(self.skipped_seeds),
+            "summary": {
+                "mean_overhead": self.mean_overhead(),
+                "overhead_stddev": self.overhead_stddev(),
+                "failed": self.n_failed,
+                "skipped_seeds": len(self.skipped_seeds),
+            },
+        }
 
 
 def run_seed_sweep(
@@ -192,142 +269,12 @@ def run_seed_sweep(
     """
     if fsms is None:
         fsms = [f for f in QUICK_FSMS if BENCHMARKS[f].source != "file"]
-    spec = resolve_shard(shard)
-    all_keys = [
-        f"{seed}/{name}" for seed in seeds for name in fsms
-    ]
-    meta: Optional[Dict[str, Any]] = None
-    if spec is not None or stream is not None:
-        meta = build_meta(
-            "sweep", all_keys,
-            {
-                "fsms": list(fsms), "seeds": list(seeds),
-                "nova_seed": nova_seed, "timeout": timeout,
-            },
-            spec,
-        )
-    selected = (
-        set(spec.partition(all_keys)) if spec is not None
-        else set(all_keys)
+    return run_experiment(
+        SeedSweepReport, [f"{seed}/{name}" for seed in seeds for name in fsms],
+        {
+            "fsms": list(fsms), "seeds": list(seeds),
+            "nova_seed": nova_seed, "timeout": timeout,
+        },
+        checkpoint=checkpoint, jobs=jobs, retry_failed=retry_failed,
+        shard=shard, stream=stream, verbose=verbose,
     )
-    ckpt: Optional[Checkpoint] = None
-    if checkpoint is not None:
-        ckpt = (
-            checkpoint if isinstance(checkpoint, Checkpoint)
-            else Checkpoint(
-                checkpoint, experiment="sweep",
-                meta=meta if spec is not None else None,
-            )
-        )
-    writer = (
-        StreamWriter(stream, meta) if stream is not None else None
-    )
-    report = SeedSweepReport(fsms=list(fsms))
-    resumed: Dict[str, Dict] = {}
-    units: List[Unit] = []
-    for seed in seeds:
-        for name in fsms:
-            key = f"{seed}/{name}"
-            if key not in selected:
-                continue
-            payload = resumable(ckpt, key, retry_failed)
-            if payload is not None:
-                resumed[key] = payload
-            else:
-                units.append(Unit(
-                    key=key, fn=_sweep_cell,
-                    args=(name, seed, nova_seed, timeout),
-                ))
-    outcomes = run_units(units, jobs=jobs)
-    try:
-        for seed in seeds:
-            total_p = total_n = wins_p = wins_n = ties = 0
-            attempted = completed = 0
-            for name in fsms:
-                key = f"{seed}/{name}"
-                if key not in selected:
-                    continue
-                attempted += 1
-                if key in resumed:
-                    cell = resumed[key]
-                    if writer is not None:
-                        writer.emit_cell(key, cell, resumed=True)
-                    if payload_failed(cell):
-                        reason = cell.get("reason") or cell["status"]
-                        report.failures[(seed, name)] = reason
-                        if verbose:
-                            print(
-                                f"{key}: FAILED ({reason}, resumed "
-                                "from checkpoint)",
-                                flush=True,
-                            )
-                        continue
-                    if verbose:
-                        print(
-                            f"{key}: resumed from checkpoint",
-                            flush=True,
-                        )
-                else:
-                    outcome = next(outcomes)
-                    if not outcome.ok:
-                        failure = {
-                            "status": outcome.status,
-                            "reason": outcome.reason,
-                            "error": outcome.error,
-                        }
-                        report.failures[(seed, name)] = outcome.reason
-                        if ckpt is not None:
-                            ckpt.mark_done(key, failure)
-                        if writer is not None:
-                            writer.emit_cell(key, failure)
-                        if verbose:
-                            print(
-                                f"{key}: FAILED ({outcome.reason})",
-                                flush=True,
-                            )
-                        continue
-                    cell = outcome.value
-                    if ckpt is not None:
-                        ckpt.mark_done(key, cell)
-                    if writer is not None:
-                        writer.emit_cell(key, cell)
-                cubes_p = cell["picola"]
-                cubes_n = cell["nova"]
-                total_p += cubes_p
-                total_n += cubes_n
-                wins_p += cubes_p < cubes_n
-                wins_n += cubes_n < cubes_p
-                ties += cubes_p == cubes_n
-                completed += 1
-            if attempted == 0:
-                # every cell of this seed belongs to another shard
-                continue
-            if completed == 0:
-                # every attempted cell failed: an all-zero SeedOutcome
-                # would smuggle a fake 0.0 nova_overhead into
-                # mean_overhead()/overhead_stddev()
-                report.skipped_seeds.append(seed)
-                if verbose:
-                    print(
-                        f"seed {seed}: skipped (no completed cells)",
-                        flush=True,
-                    )
-                continue
-            outcome_row = SeedOutcome(
-                seed=seed,
-                total_picola=total_p,
-                total_nova=total_n,
-                picola_wins=wins_p,
-                nova_wins=wins_n,
-                ties=ties,
-            )
-            report.outcomes.append(outcome_row)
-            if verbose:
-                print(
-                    f"seed {seed}: picola={total_p} nova={total_n}",
-                    flush=True,
-                )
-    finally:
-        if writer is not None:
-            writer.close()
-    return report

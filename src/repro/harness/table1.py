@@ -25,17 +25,17 @@ from __future__ import annotations
 
 import pathlib
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Union
+from dataclasses import dataclass, field, fields
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..encoding import derive_face_constraints, evaluate_encoding
 from ..fsm import BENCHMARKS, TABLE1_FSMS, load_benchmark
 from ..runtime import Budget, BudgetExceeded, Checkpoint, SolverTimeout, faults
-from ..runtime.checkpoint import resumable
+from ..runtime.isolation import Outcome, failure_reason
 from ..solvers import get_solver
-from .parallel import Unit, run_units
+from .experiment import Experiment, run_experiment
 from .report import render_table
-from .shard import ShardSpec, StreamWriter, build_meta, resolve_shard
+from .shard import ShardSpec
 
 __all__ = ["Table1Row", "Table1Report", "run_table1", "QUICK_FSMS"]
 
@@ -81,67 +81,109 @@ class Table1Row:
 
     @property
     def failure_reason(self) -> str:
-        if self.status in ("timeout", "budget"):
-            return self.status
-        return (self.error or "error").split(":", 1)[0]
+        return failure_reason(self.status, self.error)
 
-    # -- checkpoint / JSON payload -------------------------------------
+    # -- checkpoint / JSON payload (missing keys take the defaults) ---
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "fsm": self.fsm,
-            "constraints": self.n_constraints,
-            "cubes": {
-                "nova": self.cubes_nova,
-                "enc": self.cubes_enc,
-                "picola": self.cubes_picola,
-            },
-            "enc_attempted": self.enc_attempted,
-            "seconds": {
-                "nova": self.seconds_nova,
-                "enc": self.seconds_enc,
-                "picola": self.seconds_picola,
-            },
-            "nodes": {
-                "nova": self.nodes_nova,
-                "enc": self.nodes_enc,
-                "picola": self.nodes_picola,
-            },
-            "paper": {
-                "constraints": self.paper_constraints,
-                "nova": self.paper_nova,
-                "picola": self.paper_picola,
-            },
-            "status": self.status,
-            "error": self.error,
-            "enc_status": self.enc_status,
-        }
+        data: Dict[str, Any] = {}
+        for f in fields(self):
+            group, key = _wire(f.name)
+            target = data.setdefault(group, {}) if group else data
+            target[key] = getattr(self, f.name)
+        return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Table1Row":
-        cubes = data.get("cubes", {})
-        seconds = data.get("seconds", {})
-        nodes = data.get("nodes", {})
-        paper = data.get("paper", {})
-        return cls(
-            fsm=data["fsm"],
-            n_constraints=data.get("constraints", 0),
-            cubes_nova=cubes.get("nova"),
-            cubes_enc=cubes.get("enc"),
-            enc_attempted=data.get("enc_attempted", False),
-            cubes_picola=cubes.get("picola"),
-            seconds_nova=seconds.get("nova"),
-            seconds_enc=seconds.get("enc"),
-            seconds_picola=seconds.get("picola"),
-            nodes_nova=nodes.get("nova"),
-            nodes_enc=nodes.get("enc"),
-            nodes_picola=nodes.get("picola"),
-            paper_constraints=paper.get("constraints"),
-            paper_nova=paper.get("nova"),
-            paper_picola=paper.get("picola"),
-            status=data.get("status", "ok"),
-            error=data.get("error"),
-            enc_status=data.get("enc_status"),
-        )
+        kwargs = {}
+        for f in fields(cls):
+            group, key = _wire(f.name)
+            source = data.get(group, {}) if group else data
+            if key in source:
+                kwargs[f.name] = source[key]
+        return cls(**kwargs)
+
+
+def _wire(name: str) -> Tuple[Optional[str], str]:
+    """``(group, key)`` of :class:`Table1Row` field ``name`` in the
+    payload: ``cubes_nova`` is ``cubes.nova`` (likewise ``seconds_``,
+    ``nodes_``, ``paper_``), ``n_constraints`` is ``constraints``."""
+    group, _, leaf = name.partition("_")
+    if group in ("cubes", "seconds", "nodes", "paper"):
+        return group, leaf
+    return None, "constraints" if name == "n_constraints" else name
+
+
+def _table1_row(
+    name: str,
+    *,
+    include_enc: bool,
+    enc_budget: int,
+    seed: int,
+    timeout: Optional[float],
+) -> Dict[str, Any]:
+    """Compute one Table I row payload (runs inside the fault boundary)."""
+    faults.trip("table1.row", key=name)
+    fsm = load_benchmark(name)
+    cset = derive_face_constraints(fsm)
+    spec = BENCHMARKS.get(name)
+
+    picola = get_solver("picola").solve(
+        cset, budget=Budget(seconds=timeout)
+    )
+    cubes_picola = evaluate_encoding(
+        picola.encoding, cset
+    ).total_cubes
+
+    nova = get_solver("nova").solve(
+        cset, options={"seed": seed}, budget=Budget(seconds=timeout)
+    )
+    cubes_nova = evaluate_encoding(nova.encoding, cset).total_cubes
+
+    cubes_enc: Optional[int] = None
+    t_enc: Optional[float] = None
+    nodes_enc: Optional[int] = None
+    enc_status: Optional[str] = None
+    enc_attempted = include_enc
+    if include_enc and name not in ENC_SKIP:
+        t0 = time.perf_counter()
+        try:
+            enc = get_solver("enc").solve(
+                cset,
+                options={
+                    "seed": seed, "max_minimizations": enc_budget,
+                },
+                budget=Budget(seconds=timeout),
+            )
+        except SolverTimeout:
+            enc_status = "timeout"
+        except BudgetExceeded:
+            enc_status = "budget"
+        else:
+            nodes_enc = enc.nodes
+            if enc.stats["converged"]:
+                cubes_enc = evaluate_encoding(
+                    enc.encoding, cset
+                ).total_cubes
+        t_enc = time.perf_counter() - t0
+
+    return Table1Row(
+        fsm=name,
+        n_constraints=len(cset.nontrivial()),
+        cubes_nova=cubes_nova,
+        cubes_enc=cubes_enc,
+        enc_attempted=enc_attempted,
+        cubes_picola=cubes_picola,
+        seconds_nova=nova.seconds,
+        seconds_enc=t_enc,
+        seconds_picola=picola.seconds,
+        nodes_nova=nova.nodes,
+        nodes_enc=nodes_enc,
+        nodes_picola=picola.nodes,
+        paper_constraints=spec.paper_constraints if spec else None,
+        paper_nova=spec.paper_cubes_nova if spec else None,
+        paper_picola=spec.paper_cubes_picola if spec else None,
+        enc_status=enc_status,
+    ).to_dict()
 
 
 def _comparable(rows: Sequence[Table1Row]) -> List[Table1Row]:
@@ -153,8 +195,29 @@ def _comparable(rows: Sequence[Table1Row]) -> List[Table1Row]:
 
 
 @dataclass
-class Table1Report:
+class Table1Report(Experiment):
     rows: List[Table1Row] = field(default_factory=list)
+
+    tag = "table1"
+    unit = staticmethod(_table1_row)
+
+    @staticmethod
+    def failure(key: str, outcome: Outcome, params: Dict) -> Dict[str, Any]:
+        return Table1Row(
+            fsm=key, status=outcome.status, error=outcome.error
+        ).to_dict()
+
+    @staticmethod
+    def progress(key: str, payload: Dict[str, Any]) -> str:
+        cubes = payload["cubes"]
+        return (
+            f"{key}: const={payload['constraints']} "
+            f"nova={cubes['nova']} enc={cubes['enc']} "
+            f"picola={cubes['picola']}"
+        )
+
+    def fold(self, key: str, payload: Dict[str, Any]) -> None:
+        self.rows.append(Table1Row.from_dict(payload))
 
     # -- summary statistics the paper quotes ---------------------------
     @property
@@ -274,78 +337,18 @@ class Table1Report:
             summary += f"\n{self.n_failed} benchmark(s) failed: {failed}"
         return table + summary
 
-
-def _table1_row(
-    name: str,
-    *,
-    include_enc: bool,
-    enc_budget: int,
-    seed: int,
-    timeout: Optional[float],
-) -> Table1Row:
-    """Compute one Table I row (runs inside the fault boundary)."""
-    faults.trip("table1.row", key=name)
-    fsm = load_benchmark(name)
-    cset = derive_face_constraints(fsm)
-    spec = BENCHMARKS.get(name)
-
-    picola = get_solver("picola").solve(
-        cset, budget=Budget(seconds=timeout)
-    )
-    cubes_picola = evaluate_encoding(
-        picola.encoding, cset
-    ).total_cubes
-
-    nova = get_solver("nova").solve(
-        cset, options={"seed": seed}, budget=Budget(seconds=timeout)
-    )
-    cubes_nova = evaluate_encoding(nova.encoding, cset).total_cubes
-
-    cubes_enc: Optional[int] = None
-    t_enc: Optional[float] = None
-    nodes_enc: Optional[int] = None
-    enc_status: Optional[str] = None
-    enc_attempted = include_enc
-    if include_enc and name not in ENC_SKIP:
-        t0 = time.perf_counter()
-        try:
-            enc = get_solver("enc").solve(
-                cset,
-                options={
-                    "seed": seed, "max_minimizations": enc_budget,
-                },
-                budget=Budget(seconds=timeout),
-            )
-        except SolverTimeout:
-            enc_status = "timeout"
-        except BudgetExceeded:
-            enc_status = "budget"
-        else:
-            nodes_enc = enc.nodes
-            if enc.stats["converged"]:
-                cubes_enc = evaluate_encoding(
-                    enc.encoding, cset
-                ).total_cubes
-        t_enc = time.perf_counter() - t0
-
-    return Table1Row(
-        fsm=name,
-        n_constraints=len(cset.nontrivial()),
-        cubes_nova=cubes_nova,
-        cubes_enc=cubes_enc,
-        enc_attempted=enc_attempted,
-        cubes_picola=cubes_picola,
-        seconds_nova=nova.seconds,
-        seconds_enc=t_enc,
-        seconds_picola=picola.seconds,
-        nodes_nova=nova.nodes,
-        nodes_enc=nodes_enc,
-        nodes_picola=picola.nodes,
-        paper_constraints=spec.paper_constraints if spec else None,
-        paper_nova=spec.paper_cubes_nova if spec else None,
-        paper_picola=spec.paper_cubes_picola if spec else None,
-        enc_status=enc_status,
-    )
+    def to_dict(self) -> Dict[str, Any]:
+        return {
+            "experiment": "table1",
+            "rows": [r.to_dict() for r in self.rows],
+            "summary": {
+                "picola_wins": self.picola_wins,
+                "nova_wins": self.nova_wins,
+                "ties": self.ties,
+                "nova_overhead": self.nova_overhead,
+                "failed": self.n_failed,
+            },
+        }
 
 
 def run_table1(
@@ -381,86 +384,12 @@ def run_table1(
     report.  ``stream`` appends one JSON line per completed row to a
     results file as it finishes.
     """
-    if fsms is None:
-        fsms = TABLE1_FSMS
-    spec = resolve_shard(shard)
-    all_names = list(fsms)
-    meta: Optional[Dict[str, Any]] = None
-    if spec is not None or stream is not None:
-        meta = build_meta(
-            "table1", all_names,
-            {
-                "include_enc": include_enc, "enc_budget": enc_budget,
-                "seed": seed, "timeout": timeout,
-            },
-            spec,
-        )
-    names = spec.partition(all_names) if spec is not None else all_names
-    ckpt: Optional[Checkpoint] = None
-    if checkpoint is not None:
-        ckpt = (
-            checkpoint if isinstance(checkpoint, Checkpoint)
-            else Checkpoint(
-                checkpoint, experiment="table1",
-                meta=meta if spec is not None else None,
-            )
-        )
-    writer = (
-        StreamWriter(stream, meta) if stream is not None else None
+    return run_experiment(
+        Table1Report, TABLE1_FSMS if fsms is None else fsms,
+        {
+            "include_enc": include_enc, "enc_budget": enc_budget,
+            "seed": seed, "timeout": timeout,
+        },
+        checkpoint=checkpoint, jobs=jobs, retry_failed=retry_failed,
+        shard=shard, stream=stream, verbose=verbose,
     )
-    report = Table1Report()
-    resumed: Dict[str, Any] = {}
-    units: List[Unit] = []
-    for name in names:
-        payload = resumable(ckpt, name, retry_failed)
-        if payload is not None:
-            resumed[name] = payload
-        else:
-            units.append(Unit(
-                key=name, fn=_table1_row, args=(name,),
-                kwargs=dict(
-                    include_enc=include_enc, enc_budget=enc_budget,
-                    seed=seed, timeout=timeout,
-                ),
-            ))
-    outcomes = run_units(units, jobs=jobs)
-    try:
-        for name in names:
-            if name in resumed:
-                row = Table1Row.from_dict(resumed[name])
-                report.rows.append(row)
-                if writer is not None:
-                    writer.emit_cell(name, row.to_dict(), resumed=True)
-                if verbose:
-                    print(
-                        f"{name}: resumed from checkpoint", flush=True
-                    )
-                continue
-            outcome = next(outcomes)
-            if outcome.ok:
-                row = outcome.value
-            else:
-                row = Table1Row(
-                    fsm=name, status=outcome.status, error=outcome.error
-                )
-            report.rows.append(row)
-            if ckpt is not None:
-                ckpt.mark_done(name, row.to_dict())
-            if writer is not None:
-                writer.emit_cell(name, row.to_dict())
-            if verbose:
-                if row.ok:
-                    print(
-                        f"{name}: const={row.n_constraints} "
-                        f"nova={row.cubes_nova} enc={row.cubes_enc} "
-                        f"picola={row.cubes_picola}", flush=True,
-                    )
-                else:
-                    print(
-                        f"{name}: FAILED ({row.failure_reason})",
-                        flush=True,
-                    )
-    finally:
-        if writer is not None:
-            writer.close()
-    return report

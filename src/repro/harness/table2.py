@@ -16,17 +16,17 @@ the optional per-method ``timeout`` renders a ``TIMEOUT`` cell, and a
 from __future__ import annotations
 
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from ..encoding import derive_face_constraints
 from ..fsm import TABLE2_FSMS, load_benchmark
 from ..runtime import Budget, BudgetExceeded, Checkpoint, SolverTimeout, faults
-from ..runtime.checkpoint import resumable
+from ..runtime.isolation import Outcome, failure_reason
 from ..stateassign import assign_states
-from .parallel import Unit, run_units
+from .experiment import Experiment, run_experiment
 from .report import render_table
-from .shard import ShardSpec, StreamWriter, build_meta, resolve_shard
+from .shard import ShardSpec
 
 __all__ = ["Table2Row", "Table2Report", "run_table2", "QUICK_FSMS2"]
 
@@ -56,9 +56,7 @@ class Table2Row:
 
     @property
     def failure_reason(self) -> str:
-        if self.status in ("timeout", "budget"):
-            return self.status
-        return (self.error or "error").split(":", 1)[0]
+        return failure_reason(self.status, self.error)
 
     def time_ratio(self, method: str) -> Optional[float]:
         base = self.seconds.get("nova_ih")
@@ -67,34 +65,65 @@ class Table2Row:
             return None
         return seconds / base
 
-    # -- checkpoint / JSON payload -------------------------------------
+    # -- checkpoint / JSON payload (missing keys take the defaults) ---
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "fsm": self.fsm,
-            "sizes": dict(self.sizes),
-            "seconds": dict(self.seconds),
-            "nodes": dict(self.nodes),
-            "status": self.status,
-            "error": self.error,
-            "method_status": dict(self.method_status),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Table2Row":
-        return cls(
-            fsm=data["fsm"],
-            sizes=dict(data.get("sizes", {})),
-            seconds=dict(data.get("seconds", {})),
-            nodes=dict(data.get("nodes", {})),
-            status=data.get("status", "ok"),
-            error=data.get("error"),
-            method_status=dict(data.get("method_status", {})),
-        )
+        return cls(**data)
+
+
+def _table2_row(
+    name: str, *, seed: int, timeout: Optional[float]
+) -> Dict[str, Any]:
+    """Compute one Table II row payload (runs inside the fault boundary)."""
+    faults.trip("table2.row", key=name)
+    fsm = load_benchmark(name)
+    # all methods see the identical input-encoding problem
+    cset = derive_face_constraints(fsm)
+    row = Table2Row(fsm=name)
+    for method in TABLE2_METHODS:
+        try:
+            result = assign_states(
+                fsm, method, seed=seed, constraints=cset,
+                budget=Budget(seconds=timeout),
+            )
+        except (SolverTimeout, BudgetExceeded) as exc:
+            for cells in (row.sizes, row.seconds, row.nodes):
+                cells[method] = None
+            row.method_status[method] = (
+                "timeout" if isinstance(exc, SolverTimeout) else "budget"
+            )
+        else:
+            row.sizes[method] = result.size
+            row.seconds[method] = result.encode_seconds
+            row.nodes[method] = result.extra.get("encode_nodes")
+    return row.to_dict()
 
 
 @dataclass
-class Table2Report:
+class Table2Report(Experiment):
     rows: List[Table2Row] = field(default_factory=list)
+
+    tag = "table2"
+    unit = staticmethod(_table2_row)
+
+    @staticmethod
+    def failure(key: str, outcome: Outcome, params: Dict) -> Dict[str, Any]:
+        return Table2Row(
+            fsm=key, status=outcome.status, error=outcome.error
+        ).to_dict()
+
+    @staticmethod
+    def progress(key: str, payload: Dict[str, Any]) -> str:
+        sizes = payload["sizes"]
+        return f"{key}: " + " ".join(
+            f"{m}={sizes.get(m)}" for m in TABLE2_METHODS
+        )
+
+    def fold(self, key: str, payload: Dict[str, Any]) -> None:
+        self.rows.append(Table2Row.from_dict(payload))
 
     def total_size(self, method: str) -> int:
         return sum(
@@ -184,37 +213,29 @@ class Table2Report:
             summary += f"\n{self.n_failed} benchmark(s) failed: {failed}"
         return table + summary
 
-
-def _table2_row(
-    name: str, *, seed: int, timeout: Optional[float]
-) -> Table2Row:
-    """Compute one Table II row (runs inside the fault boundary)."""
-    faults.trip("table2.row", key=name)
-    fsm = load_benchmark(name)
-    # all methods see the identical input-encoding problem
-    cset = derive_face_constraints(fsm)
-    row = Table2Row(fsm=name)
-    for method in TABLE2_METHODS:
-        try:
-            result = assign_states(
-                fsm, method, seed=seed, constraints=cset,
-                budget=Budget(seconds=timeout),
-            )
-        except SolverTimeout:
-            row.sizes[method] = None
-            row.seconds[method] = None
-            row.nodes[method] = None
-            row.method_status[method] = "timeout"
-        except BudgetExceeded:
-            row.sizes[method] = None
-            row.seconds[method] = None
-            row.nodes[method] = None
-            row.method_status[method] = "budget"
-        else:
-            row.sizes[method] = result.size
-            row.seconds[method] = result.encode_seconds
-            row.nodes[method] = result.extra.get("encode_nodes")
-    return row
+    def to_dict(self) -> Dict[str, Any]:
+        return {
+            "experiment": "table2",
+            "rows": [
+                dict(
+                    r.to_dict(),
+                    time_ratios={m: r.time_ratio(m) for m in r.sizes},
+                )
+                for r in self.rows
+            ],
+            "summary": {
+                # the union of methods over every ok row, in first-seen
+                # order — the first ok row alone can have TIMEOUT holes
+                # or (in a shard) lack methods other rows report
+                "totals": {
+                    m: self.total_size(m)
+                    for m in dict.fromkeys(
+                        m for r in self.rows if r.ok for m in r.sizes
+                    )
+                },
+                "failed": self.n_failed,
+            },
+        }
 
 
 def run_table2(
@@ -240,82 +261,9 @@ def run_table2(
     checkpoint with a shard meta block for ``picola merge``;
     ``stream`` appends one JSON line per completed row.
     """
-    if fsms is None:
-        fsms = TABLE2_FSMS
-    spec = resolve_shard(shard)
-    all_names = list(fsms)
-    meta: Optional[Dict[str, Any]] = None
-    if spec is not None or stream is not None:
-        meta = build_meta(
-            "table2", all_names,
-            {"seed": seed, "timeout": timeout},
-            spec,
-        )
-    names = spec.partition(all_names) if spec is not None else all_names
-    ckpt: Optional[Checkpoint] = None
-    if checkpoint is not None:
-        ckpt = (
-            checkpoint if isinstance(checkpoint, Checkpoint)
-            else Checkpoint(
-                checkpoint, experiment="table2",
-                meta=meta if spec is not None else None,
-            )
-        )
-    writer = (
-        StreamWriter(stream, meta) if stream is not None else None
+    return run_experiment(
+        Table2Report, TABLE2_FSMS if fsms is None else fsms,
+        {"seed": seed, "timeout": timeout},
+        checkpoint=checkpoint, jobs=jobs, retry_failed=retry_failed,
+        shard=shard, stream=stream, verbose=verbose,
     )
-    report = Table2Report()
-    resumed: Dict[str, Any] = {}
-    units: List[Unit] = []
-    for name in names:
-        payload = resumable(ckpt, name, retry_failed)
-        if payload is not None:
-            resumed[name] = payload
-        else:
-            units.append(Unit(
-                key=name, fn=_table2_row, args=(name,),
-                kwargs=dict(seed=seed, timeout=timeout),
-            ))
-    outcomes = run_units(units, jobs=jobs)
-    try:
-        for name in names:
-            if name in resumed:
-                row = Table2Row.from_dict(resumed[name])
-                report.rows.append(row)
-                if writer is not None:
-                    writer.emit_cell(name, row.to_dict(), resumed=True)
-                if verbose:
-                    print(
-                        f"{name}: resumed from checkpoint", flush=True
-                    )
-                continue
-            outcome = next(outcomes)
-            if outcome.ok:
-                row = outcome.value
-            else:
-                row = Table2Row(
-                    fsm=name, status=outcome.status, error=outcome.error
-                )
-            report.rows.append(row)
-            if ckpt is not None:
-                ckpt.mark_done(name, row.to_dict())
-            if writer is not None:
-                writer.emit_cell(name, row.to_dict())
-            if verbose:
-                if row.ok:
-                    print(
-                        f"{name}: " + " ".join(
-                            f"{m}={row.sizes.get(m)}"
-                            for m in TABLE2_METHODS
-                        ),
-                        flush=True,
-                    )
-                else:
-                    print(
-                        f"{name}: FAILED ({row.failure_reason})",
-                        flush=True,
-                    )
-    finally:
-        if writer is not None:
-            writer.close()
-    return report

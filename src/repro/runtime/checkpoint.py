@@ -67,7 +67,7 @@ class Checkpoint:
     ) -> "Checkpoint":
         """A read-only checkpoint that never touches disk — the merge
         path uses it to replay combined shard results through the
-        drivers' resume loops."""
+        experiment driver."""
         ckpt = cls.__new__(cls)
         ckpt.path = None
         ckpt.experiment = experiment

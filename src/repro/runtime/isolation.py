@@ -21,7 +21,15 @@ from typing import Any, Callable, Optional, Tuple
 
 from .errors import BudgetExceeded, SolverTimeout
 
-__all__ = ["Outcome", "run_isolated", "classify_failure"]
+__all__ = ["Outcome", "run_isolated", "classify_failure", "failure_reason"]
+
+
+def failure_reason(status: str, error: Optional[str]) -> str:
+    """Short human label of a failure: "timeout", "budget" or the
+    error type."""
+    if status in ("timeout", "budget"):
+        return status
+    return (error or "error").split(":", 1)[0]
 
 
 @dataclass
@@ -41,9 +49,7 @@ class Outcome:
     @property
     def reason(self) -> str:
         """Short human label: "timeout", "budget" or the error type."""
-        if self.status in ("timeout", "budget"):
-            return self.status
-        return (self.error or "error").split(":", 1)[0]
+        return failure_reason(self.status, self.error)
 
 
 def classify_failure(exc: BaseException) -> Tuple[str, str]:

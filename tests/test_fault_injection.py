@@ -361,6 +361,21 @@ class TestCliAcceptance:
         ]) == 0
         assert "resumed from checkpoint" in capsys.readouterr().out
 
+        # a resumed failure is reported as one, not as a success
+        failed_path = tmp_path / "failed.ckpt"
+        args = [
+            "table1", "--fsm", "lion9", "--no-enc",
+            "--resume", str(failed_path),
+        ]
+        with faults.inject("table1.row", SolverTimeout, key="lion9"):
+            assert main(args) == 1
+        capsys.readouterr()
+        assert main(args) == 1
+        assert (
+            "lion9: FAILED (timeout, resumed from checkpoint)"
+            in capsys.readouterr().out
+        )
+
     def test_timeout_flag_accepted(self, capsys):
         assert main([
             "table1", "--fsm", "lion9", "--no-enc",
