@@ -45,25 +45,89 @@ class EncResult:
     converged: bool
 
 
-def _total_cubes(
-    enc: Encoding,
-    cset: ConstraintSet,
-    counter: List[int],
-    max_minimizations: int,
-    budget: Optional[Budget],
-) -> int:
-    faults.trip("enc.minimize")
-    total = 0
-    for c in cset.nontrivial():
-        counter[0] += 1
-        if counter[0] > max_minimizations:
-            raise EncBudgetExceeded(
-                f"exceeded {max_minimizations} constraint minimizations"
+class _Scorer:
+    """Per-run constraint scoring for ENC's search.
+
+    Every score is a *logical* evaluation: it counts against
+    ``max_minimizations``, ticks the external budget and, once per
+    scored encoding, trips the ``enc.minimize`` fault site, in the
+    order a plain loop over the constraints would.  Only the real
+    minimizations are saved: each constraint is looked up in a memo
+    keyed by its function exactly as :func:`constraint_function` hands
+    it to the minimizer.  The key packs, into one ``int``, a leading 1
+    (the length sentinel), the onset codes in sorted-symbol order and
+    the bitmask of unused codes.  Order matters: espresso's result can
+    depend on it, so two onsets holding the same codes in a different
+    order are minimized apart.
+    """
+
+    def __init__(
+        self,
+        symbols: List[str],
+        cset: ConstraintSet,
+        nv: int,
+        max_minimizations: int,
+        budget: Optional[Budget],
+    ) -> None:
+        self.symbols = symbols
+        self.nv = nv
+        self.constraints = [
+            (c, tuple(sorted(c.symbols))) for c in cset.nontrivial()
+        ]
+        self.max_minimizations = max_minimizations
+        self.budget = budget
+        self.memo: Dict[int, int] = {}
+        self.minimizations = 0
+        self.hits = 0
+        self.misses = 0
+
+    def _cubes(self, i: int, codes: Dict[str, int], unused: int) -> int:
+        constraint, members = self.constraints[i]
+        key = 1
+        for s in members:
+            key = (key << self.nv) | codes[s]
+        key = (key << (1 << self.nv)) | unused
+        cubes = self.memo.get(key)
+        if cubes is None:
+            self.misses += 1
+            trial = Encoding(self.symbols, codes, self.nv)
+            cubes = self.memo[key] = cubes_for_constraint(
+                trial, constraint
             )
-        if budget is not None:
-            budget.tick(where="enc_encode")
-        total += cubes_for_constraint(enc, c)
-    return total
+        else:
+            self.hits += 1
+        return cubes
+
+    def _unused_mask(self, codes: Dict[str, int]) -> int:
+        used = 0
+        for code in codes.values():
+            used |= 1 << code
+        return ((1 << (1 << self.nv)) - 1) & ~used
+
+    def score(self, codes: Dict[str, int]) -> int:
+        """Total cubes of ``codes``, one logical evaluation each."""
+        faults.trip("enc.minimize")
+        unused = self._unused_mask(codes)
+        total = 0
+        for i in range(len(self.constraints)):
+            self.minimizations += 1
+            if self.minimizations > self.max_minimizations:
+                raise EncBudgetExceeded(
+                    f"exceeded {self.max_minimizations} constraint "
+                    "minimizations"
+                )
+            if self.budget is not None:
+                self.budget.tick(where="enc_encode")
+            total += self._cubes(i, codes, unused)
+        return total
+
+    def uncounted(self, codes: Dict[str, int]) -> int:
+        """Total cubes of ``codes``, outside the budget."""
+        unused = self._unused_mask(codes)
+        return sum(
+            self._cubes(i, codes, unused)
+            for i in range(len(self.constraints))
+        )
 
 
 def enc_encode(
@@ -92,18 +156,18 @@ def enc_encode(
     if nv is None:
         nv = cset.min_code_length()
     rng = random.Random(seed)
-    counter = [0]
-    enc = natural_encoding(symbols, nv)
-    codes: Dict[str, int] = dict(enc.codes)
+    scorer = _Scorer(symbols, cset, nv, max_minimizations, budget)
+    # the best encoding found and its total; a move changes them only
+    # once it is fully scored and accepted
+    codes: Dict[str, int] = dict(natural_encoding(symbols, nv).codes)
+    best: Optional[int] = None
     passes = 0
 
     try:
         with tracer.span(
             "enc/encode", symbols=len(symbols), nv=nv
         ):
-            best_total = _total_cubes(
-                enc, cset, counter, max_minimizations, budget
-            )
+            best = scorer.score(codes)
             for _ in range(max_passes):
                 passes += 1
                 improved = False
@@ -121,25 +185,17 @@ def enc_encode(
                             moves.append((a, None, free))
                 rng.shuffle(moves)
                 for a, b, free in moves:
-                    old_a = codes[a]
-                    old_b = codes[b] if b is not None else None
+                    trial = dict(codes)
                     if b is not None:
-                        codes[a], codes[b] = old_b, old_a
+                        trial[a], trial[b] = codes[b], codes[a]
                     else:
-                        if free in set(codes.values()):
+                        if free in trial.values():
                             continue
-                        codes[a] = free
-                    trial = Encoding(symbols, codes, nv)
-                    total = _total_cubes(
-                        trial, cset, counter, max_minimizations, budget
-                    )
-                    if total < best_total:
-                        best_total = total
+                        trial[a] = free
+                    total = scorer.score(trial)
+                    if total < best:
+                        codes, best = trial, total
                         improved = True
-                    else:
-                        codes[a] = old_a
-                        if b is not None:
-                            codes[b] = old_b
                 if not improved:
                     break
         converged = True
@@ -148,16 +204,16 @@ def enc_encode(
             raise
         converged = False
     finally:
-        tracer.count("enc.minimizations", counter[0])
+        tracer.count("enc.minimizations", scorer.minimizations)
         tracer.count("enc.passes", passes)
+        tracer.count("enc.memo.hits", scorer.hits)
+        tracer.count("enc.memo.misses", scorer.misses)
 
-    final = Encoding(symbols, codes, nv)
-    total = sum(
-        cubes_for_constraint(final, c) for c in cset.nontrivial()
-    )
+    if best is None:  # the budget ran out on the seed encoding
+        best = scorer.uncounted(codes)
     return EncResult(
-        encoding=final,
-        total_cubes=total,
-        minimizations=counter[0],
+        encoding=Encoding(symbols, codes, nv),
+        total_cubes=best,
+        minimizations=scorer.minimizations,
         converged=converged,
     )

@@ -1,5 +1,7 @@
 """Tests for the NOVA-, ENC-style and trivial baseline encoders."""
 
+import random
+
 import pytest
 
 from repro.baselines import (
@@ -12,8 +14,17 @@ from repro.baselines import (
     random_encoding,
     state_affinity,
 )
-from repro.encoding import ConstraintSet, FaceConstraint
-from repro.fsm import parse_kiss
+from repro.baselines import enc as enc_module
+from repro.encoding import (
+    ConstraintSet,
+    Encoding,
+    FaceConstraint,
+    cubes_for_constraint,
+    evaluate_encoding,
+)
+from repro.encoding import derive_face_constraints
+from repro.fsm import load_benchmark, parse_kiss
+from repro.obs import Tracer
 
 
 def cset_of(n, groups):
@@ -107,6 +118,19 @@ class TestEnc:
         assert not result.converged
         assert result.encoding.is_injective()
 
+    def test_budget_out_on_seed_encoding(self):
+        # too small to score the seed encoding once: the natural
+        # encoding comes back, with its full score
+        cs = cset_of(10, [[0, 1, 2], [3, 4, 5], [6, 7, 8]])
+        result = enc_encode(cs, max_minimizations=2)
+        assert not result.converged
+        assert result.encoding.codes == natural_encoding(
+            list(cs.symbols), 4
+        ).codes
+        assert result.total_cubes == evaluate_encoding(
+            result.encoding, cs
+        ).total_cubes
+
     def test_budget_failure_strict_raises(self):
         cs = cset_of(10, [[0, 1, 2], [3, 4, 5], [6, 7, 8]])
         with pytest.raises(EncBudgetExceeded):
@@ -116,6 +140,149 @@ class TestEnc:
         cs = cset_of(4, [[0, 1]])
         result = enc_encode(cs)
         assert result.minimizations > 0
+
+
+def plain_enc(cset, *, seed, max_minimizations, max_passes=8):
+    """ENC's search as a plain loop, the reference for ``enc_encode``.
+
+    Every move re-minimizes every nontrivial constraint: no memo.  The
+    codes change only when a move is accepted.  Returns the final
+    codes, the logical minimization count, whether the search
+    converged, and every fully scored total in order.
+    """
+    symbols = list(cset.symbols)
+    nv = cset.min_code_length()
+    rng = random.Random(seed)
+    constraints = cset.nontrivial()
+    count = 0
+    totals = []
+
+    def score(codes):
+        nonlocal count
+        enc = Encoding(symbols, codes, nv)
+        total = 0
+        for c in constraints:
+            count += 1
+            if count > max_minimizations:
+                raise EncBudgetExceeded("budget")
+            total += cubes_for_constraint(enc, c)
+        totals.append(total)
+        return total
+
+    codes = dict(natural_encoding(symbols, nv).codes)
+    converged = False
+    try:
+        best = score(codes)
+        for _ in range(max_passes):
+            improved = False
+            moves = [
+                (a, b, -1)
+                for i, a in enumerate(symbols)
+                for b in symbols[i + 1 :]
+            ]
+            used = set(codes.values())
+            moves += [
+                (a, None, free)
+                for a in symbols
+                for free in range(1 << nv)
+                if free not in used
+            ]
+            rng.shuffle(moves)
+            for a, b, free in moves:
+                trial = dict(codes)
+                if b is not None:
+                    trial[a], trial[b] = codes[b], codes[a]
+                elif free in trial.values():
+                    continue
+                else:
+                    trial[a] = free
+                total = score(trial)
+                if total < best:
+                    codes, best, improved = trial, total, True
+            if not improved:
+                break
+        converged = True
+    except EncBudgetExceeded:
+        pass
+    return codes, count, converged, totals
+
+
+def reference_cset(name):
+    return derive_face_constraints(load_benchmark(name, seed=0))
+
+
+class TestEncMemo:
+    """The memoized scorer against the plain loop."""
+
+    # (FSM, budget): nv = 3, 4, 5, 5; the two nv = 5 runs stop on
+    # their budget mid-search.  On donfile, a swap of two symbols of
+    # one constraint reorders its onset and changes espresso's count,
+    # so reusing such a constraint's score across the swap, or a memo
+    # key that ignores the onset order, changes the encoding returned.
+    CASES = [("s27", 6000), ("bbara", 6000), ("dk16", 1500),
+             ("donfile", 600)]
+
+    @pytest.mark.parametrize("name,budget", CASES)
+    def test_identical_to_plain_loop(self, name, budget):
+        cset = reference_cset(name)
+        codes, count, converged, _ = plain_enc(
+            cset, seed=1, max_minimizations=budget
+        )
+        result = enc_encode(cset, seed=1, max_minimizations=budget)
+        assert result.encoding.codes == codes
+        assert result.minimizations == count
+        assert result.converged == converged
+        assert result.total_cubes == evaluate_encoding(
+            Encoding(list(cset.symbols), codes), cset
+        ).total_cubes
+
+    @pytest.mark.parametrize("name,budget", [("s27", 150), ("bbara", 600)])
+    def test_budget_blowout_returns_best_scored(self, name, budget):
+        # the budget trips in the middle of a move; the half-scored
+        # trial must not be returned
+        cset = reference_cset(name)
+        _, _, converged, totals = plain_enc(
+            cset, seed=1, max_minimizations=budget
+        )
+        assert not converged
+        result = enc_encode(cset, seed=1, max_minimizations=budget)
+        assert not result.converged
+        assert result.total_cubes == min(totals)
+        assert evaluate_encoding(
+            result.encoding, cset
+        ).total_cubes == min(totals)
+
+    def test_misses_count_real_minimizations(self, monkeypatch):
+        calls = []
+        real = enc_module.cubes_for_constraint
+
+        def counting(encoding, constraint):
+            calls.append(constraint)
+            return real(encoding, constraint)
+
+        monkeypatch.setattr(enc_module, "cubes_for_constraint", counting)
+        tracer = Tracer()
+        result = enc_encode(
+            reference_cset("bbara"), seed=1, max_minimizations=6000,
+            tracer=tracer,
+        )
+        counters = tracer.counters()
+        assert counters["enc.memo.misses"] == len(calls)
+        assert counters["enc.memo.hits"] > 0
+        assert (counters["enc.memo.hits"] + counters["enc.memo.misses"]
+                == result.minimizations)
+
+    @pytest.mark.parametrize("name,minimizations",
+                             [("bbara", 2532), ("ex3", 1212)])
+    def test_logical_minimizations_unchanged(self, name, minimizations):
+        tracer = Tracer()
+        result = enc_encode(
+            reference_cset(name), seed=1, max_minimizations=6000,
+            tracer=tracer,
+        )
+        assert result.converged
+        assert result.minimizations == minimizations
+        assert tracer.counters()["enc.minimizations"] == minimizations
 
 
 class TestStateAffinity:

@@ -11,7 +11,7 @@ import pathlib
 
 import pytest
 
-from repro.harness import run_table1
+from repro.harness import QUICK_FSMS, run_table1
 from repro.harness.regression import (
     GOLDEN_DIR,
     Drift,
@@ -20,6 +20,9 @@ from repro.harness.regression import (
 )
 
 GOLDEN = GOLDEN_DIR / "table1_quick.json"
+# table1_quick.json is recorded with --no-enc; this one pins the ENC
+# column (cubes, minimizations, fails) of the same quick run
+GOLDEN_ENC = GOLDEN_DIR / "table1_quick_enc.json"
 
 # keep the gate fast: a 4-FSM slice of the golden record's machines
 SLICE = ["bbara", "lion9", "opus", "dk16"]
@@ -42,6 +45,10 @@ class TestGoldenRecord:
             assert row.n_constraints == want["constraints"], row.fsm
             assert row.cubes_picola == want["cubes"]["picola"], row.fsm
             assert row.cubes_nova == want["cubes"]["nova"], row.fsm
+
+    def test_quick_run_with_enc_reproduces_golden(self):
+        drifts = compare_to_golden(run_table1(QUICK_FSMS), GOLDEN_ENC)
+        assert not drifts, "\n".join(map(str, drifts))
 
 
 class TestComparator:
