@@ -19,8 +19,8 @@ Since 1.1.0 every encoder is also reachable through the unified
 solver registry (:mod:`repro.solvers`) and instrumented with the
 zero-dependency observability layer (:mod:`repro.obs`).  Since 1.2.0
 the conventions those layers rely on — budget threading, span
-hygiene, the error taxonomy, determinism, registry conformance — are
-enforced by a built-in static analyzer (:mod:`repro.analysis`,
+hygiene, the error taxonomy, determinism — are enforced by a
+built-in static analyzer (:mod:`repro.analysis`,
 ``picola lint``).
 
 Quickstart::

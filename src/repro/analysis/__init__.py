@@ -11,8 +11,6 @@ RPA002  ``tracer.span(...)`` only as a ``with`` context manager
 RPA003  no broad ``except`` that swallows failures
 RPA004  solver modules raise the taxonomy, not builtin exceptions
 RPA005  no unseeded randomness / wall clocks / bare-set iteration
-RPA006  every public ``*_encode`` sits behind ``repro.solvers``
-RPA007  no internal callers of the deprecated positional ``nv``
 RPA008  bulk-kernel modules stay on the packed (no-wrapper) API
 RPA009  the service layer speaks EncodeRequest/EncodeResponse
 RPA010  shared mutable state on a thread path is lock-guarded
@@ -26,20 +24,19 @@ RPA010–RPA014 are *flow* rules: :mod:`repro.analysis.callgraph`
 builds a whole-program symbol table + call graph with per-function
 escape summaries (mutations, lock depths, blocking calls, thread and
 pool spawns), and :mod:`repro.analysis.flow` proves the concurrency /
-fork-safety invariants over the thread-reachable closure.
+fork-safety invariants over the thread-reachable closure.  Registry
+conformance of the ``*_encode`` entry points is a runtime test
+(``tests/test_solvers.py``), not a lint rule.
 
 Entry points: ``picola lint`` and ``python -m repro.analysis`` (same
-flags; ``--no-flow`` skips the whole-program pass, ``--jobs N`` fans
-the per-file scan over the harness pool, ``--graph json`` dumps the
-call graph, ``--format github`` emits CI annotations).  Suppress one
-line with ``# repro: noqa[RPA001] -- why``, a whole file with
-``# repro: noqa-file[...]``, or record accepted debt in a committed
-baseline (``--baseline`` / ``--update-baseline``).  Everything is
-pure ``ast``/``tokenize`` — linting never imports the code under
-analysis.
+flags; ``--graph json`` dumps the call graph, ``--format json`` /
+``--format github`` pick the report).  Suppress one line with
+``# repro: noqa[RPA001] -- why`` or a whole file with
+``# repro: noqa-file[...]``; a suppression that suppresses nothing
+fails the run.  Everything is pure ``ast``/``tokenize`` — linting
+never imports the code under analysis.
 """
 
-from .baseline import Baseline, BaselineEntry, split_by_baseline
 from .callgraph import Program, build_program
 from .cli import main, run_lint
 from .engine import (
@@ -48,28 +45,22 @@ from .engine import (
     Finding,
     ProjectRule,
     Rule,
-    ScanResult,
     Suppression,
     analyze,
-    scan_file,
 )
 from .flow import program_for, thread_roots
-from .report import LintResult, render_github, render_json, render_text
+from .report import render_github, render_json, render_text
 from .rules import DEFAULT_RULES, RULE_CLASSES, rules_by_id
 
 __all__ = [
     "AnalysisReport",
-    "Baseline",
-    "BaselineEntry",
     "DEFAULT_RULES",
     "FileContext",
     "Finding",
-    "LintResult",
     "Program",
     "ProjectRule",
     "RULE_CLASSES",
     "Rule",
-    "ScanResult",
     "Suppression",
     "analyze",
     "build_program",
@@ -80,7 +71,5 @@ __all__ = [
     "render_text",
     "rules_by_id",
     "run_lint",
-    "scan_file",
-    "split_by_baseline",
     "thread_roots",
 ]

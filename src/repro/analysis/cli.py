@@ -1,8 +1,7 @@
 """Command-line front end: ``picola lint`` / ``python -m repro.analysis``.
 
-Exit codes: 0 clean, 1 violations (with ``--strict`` also stale
-baseline entries and unused suppressions), 2 usage errors (bad path,
-unreadable baseline).
+Exit codes: 0 clean, 1 violations or unused suppressions, 2 usage
+errors (bad path).
 """
 
 from __future__ import annotations
@@ -12,23 +11,18 @@ import ast
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from .baseline import Baseline, split_by_baseline
 from .engine import (
     FileContext,
-    Rule,
-    ScanResult,
+    _relative_path,
     analyze,
     iter_python_files,
-    scan_file,
 )
-from .report import LintResult, render_github, render_json, render_text
+from .report import render_github, render_json, render_text
 from .rules import DEFAULT_RULES, RULE_CLASSES
 
 __all__ = ["add_lint_arguments", "main", "run_lint"]
-
-DEFAULT_BASELINE_NAME = "lint-baseline.json"
 
 
 def _package_root() -> Path:
@@ -46,80 +40,25 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "(default: the installed repro package)",
     )
     parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="also fail on stale baseline entries and unused "
-        "suppressions",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        dest="as_json",
-        help="emit the machine-readable JSON report on stdout",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="baseline file of accepted findings "
-        f"(default: ./{DEFAULT_BASELINE_NAME} when present)",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline from the current findings "
-        "(justifications of kept entries are preserved) and exit 0",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalog and exit",
     )
     parser.add_argument(
-        "--no-flow",
-        action="store_true",
-        help="skip the whole-program flow rules (RPA010-RPA014); "
-        "per-file rules only",
-    )
-    parser.add_argument(
         "--graph",
-        choices=("json", "text"),
+        choices=("json",),
         default=None,
-        metavar="FORMAT",
-        help="dump the whole-program call graph (json or text) "
-        "instead of linting",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="fan the per-file scan out over N worker processes "
-        "(0 = all cores); findings are byte-identical to serial",
+        help="dump the whole-program call graph as JSON instead of "
+        "linting",
     )
     parser.add_argument(
         "--format",
         choices=("text", "json", "github"),
         default="text",
-        dest="format",
         help="report format (github emits ::error workflow commands "
-        "for inline PR annotations)",
+        "for inline PR annotations, with paths relative to the "
+        "working directory)",
     )
-    parser.add_argument(
-        "--github-prefix",
-        default=None,
-        metavar="DIR/",
-        help="path prefix mapping finding paths onto repo-relative "
-        "ones for --format github (default: derived from the scan "
-        "root, e.g. src/)",
-    )
-
-
-def _resolve_baseline_path(arg: Optional[str]) -> Optional[Path]:
-    if arg is not None:
-        return Path(arg)
-    default = Path.cwd() / DEFAULT_BASELINE_NAME
-    return default if default.exists() else None
 
 
 def _list_rules() -> str:
@@ -132,54 +71,8 @@ def _list_rules() -> str:
     return "\n".join(lines)
 
 
-def _scan_unit(path_str: str, rel: str) -> ScanResult:
-    """Worker-side per-file scan for ``picola lint --jobs N``.
-
-    Rebuilds the per-file rules in the worker (rule instances do not
-    cross the fork) and strips the parse tree before pickling the
-    result back; the parent re-parses lazily for the project-rule
-    phase.  Flow rules are ProjectRules, so leaving them out here
-    changes nothing — their per-file ``check`` yields no findings.
-    """
-    rules = DEFAULT_RULES(flow=False)
-    return scan_file(Path(path_str), rel, rules).strip_tree()
-
-
-def _parallel_scanner(jobs: int):
-    """An ``analyze`` scanner running per-file scans on the pool.
-
-    Results come back in submission order (the engine contract), so
-    findings are byte-identical to the serial walk; a failed worker
-    degrades that one file to an inline scan.
-    """
-    # imported lazily: the analysis engine itself must stay importable
-    # without the harness (and lintable on broken trees)
-    from ..harness.parallel import Unit, run_units
-
-    def scanner(
-        files: Sequence[Tuple[Path, str]], rules: Sequence[Rule]
-    ) -> List[ScanResult]:
-        units = [
-            Unit(key=f"lint/{rel}", fn=_scan_unit, args=(str(fp), rel))
-            for fp, rel in files
-        ]
-        results: List[ScanResult] = []
-        for (fp, rel), outcome in zip(
-            files, run_units(units, jobs=jobs)
-        ):
-            if outcome.ok and isinstance(outcome.value, ScanResult):
-                results.append(outcome.value)
-            else:
-                results.append(scan_file(fp, rel, rules))
-        return results
-
-    return scanner
-
-
 def _load_contexts(roots: Sequence[Path]) -> List[FileContext]:
     """Parse every file under ``roots`` for a ``--graph`` dump."""
-    from .engine import _relative_path
-
     contexts: List[FileContext] = []
     for root in roots:
         for fp in iter_python_files(root):
@@ -193,32 +86,16 @@ def _load_contexts(roots: Sequence[Path]) -> List[FileContext]:
     return contexts
 
 
-def _dump_graph(roots: Sequence[Path], fmt: str) -> int:
+def _dump_graph(roots: Sequence[Path]) -> int:
     from .callgraph import build_program
 
     program = build_program(_load_contexts(roots))
-    if fmt == "json":
-        print(json.dumps(program.to_dict(), indent=2, sort_keys=True))
-        return 0
-    doc = program.to_dict()
-    print(
-        f"{len(doc['modules'])} modules, "
-        f"{len(doc['functions'])} functions, "
-        f"{len(doc['classes'])} classes, "
-        f"{len(doc['edges'])} call edges "
-        f"({doc['unresolved_calls']} unresolved)"
-    )
-    for edge in doc["edges"]:
-        callee = edge["callee"] or f"?{edge['label']}"
-        held = " [lock held]" if edge["lock_depth"] else ""
-        print(f"{edge['caller']}:{edge['line']} -> {callee}{held}")
+    print(json.dumps(program.to_dict(), indent=2, sort_keys=True))
     return 0
 
 
-def _github_prefix(arg: Optional[str], roots: Sequence[Path]) -> str:
+def _github_prefix(roots: Sequence[Path]) -> str:
     """Repo-relative prefix for annotation paths (e.g. ``src/``)."""
-    if arg is not None:
-        return arg
     root = roots[0]
     base = (root if root.is_dir() else root.parent).parent
     try:
@@ -247,78 +124,25 @@ def run_lint(args: argparse.Namespace) -> int:
     else:
         roots = [_package_root()]
 
-    if getattr(args, "graph", None):
-        return _dump_graph(roots, args.graph)
+    if args.graph:
+        return _dump_graph(roots)
 
-    baseline_path = _resolve_baseline_path(args.baseline)
-    baseline: Optional[Baseline] = None
-    if baseline_path is not None and baseline_path.exists():
-        try:
-            baseline = Baseline.load(baseline_path)
-        except ValueError as exc:
-            print(f"picola lint: {exc}", file=sys.stderr)
-            return 2
+    rules = DEFAULT_RULES()
+    report = analyze(roots[0], rules)
+    for root in roots[1:]:
+        part = analyze(root, rules)
+        report.findings.extend(part.findings)
+        report.suppressed.extend(part.suppressed)
+        report.unused_suppressions.extend(part.unused_suppressions)
+        report.files_checked += part.files_checked
 
-    rules = DEFAULT_RULES(flow=not getattr(args, "no_flow", False))
-    scanner = None
-    if getattr(args, "jobs", 1) != 1:
-        scanner = _parallel_scanner(args.jobs)
-    report = None
-    for root in roots:
-        part = analyze(root, rules, scanner=scanner)
-        if report is None:
-            report = part
-        else:
-            report.findings.extend(part.findings)
-            report.suppressed.extend(part.suppressed)
-            report.unused_suppressions.extend(
-                part.unused_suppressions
-            )
-            report.files_checked += part.files_checked
-    assert report is not None
-
-    if args.update_baseline:
-        target = baseline_path or Path.cwd() / DEFAULT_BASELINE_NAME
-        fresh = Baseline.from_findings(report.findings)
-        if baseline is not None:
-            # keep hand-written justifications of surviving entries
-            kept = {
-                (e.rule, e.path, e.fingerprint): e.justification
-                for e in baseline.entries
-            }
-            for entry in fresh.entries:
-                key = (entry.rule, entry.path, entry.fingerprint)
-                if key in kept:
-                    entry.justification = kept[key]
-        fresh.save(target)
-        print(
-            f"wrote {target} ({len(fresh.entries)} entries); edit the "
-            "justification fields before committing"
-        )
-        return 0
-
-    new, matched, stale = split_by_baseline(report.findings, baseline)
-    result = LintResult(
-        report=report,
-        new_findings=new,
-        baselined=matched,
-        stale_baseline=stale,
-        strict=args.strict,
-        baseline_path=(
-            str(baseline_path) if baseline is not None else None
-        ),
-    )
-    fmt = "json" if args.as_json else getattr(args, "format", "text")
-    if fmt == "json":
-        print(render_json(result))
-    elif fmt == "github":
-        prefix = _github_prefix(
-            getattr(args, "github_prefix", None), roots
-        )
-        print(render_github(result, prefix))
+    if args.format == "json":
+        print(render_json(report))
+    elif args.format == "github":
+        print(render_github(report, _github_prefix(roots)))
     else:
-        print(render_text(result))
-    return result.exit_code
+        print(render_text(report))
+    return report.exit_code
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -326,9 +150,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="python -m repro.analysis",
         description=(
             "Project-aware static analysis: budget threading, span "
-            "hygiene, the error taxonomy, determinism, registry "
-            "conformance and the whole-program concurrency/fork-"
-            "safety flow rules (rules RPA001-RPA014)"
+            "hygiene, the error taxonomy, determinism, bulk kernels, "
+            "the service boundary and the whole-program concurrency/"
+            "fork-safety flow rules (rules RPA001-RPA014)"
         ),
     )
     add_lint_arguments(parser)

@@ -8,11 +8,10 @@ fails to parse becomes an ``RPA000`` finding instead of a crash.
 Vocabulary
 ----------
 * a :class:`Finding` is one violation at ``path:line:col`` with a
-  stable rule ID and a content *fingerprint* (rule + path + source
-  line, independent of the line number) used by the baseline;
+  stable rule ID;
 * a :class:`Rule` inspects one parsed file; a :class:`ProjectRule`
-  additionally sees every file at the end of the walk (cross-file
-  invariants such as registry conformance);
+  additionally sees every file at the end of the walk (the
+  whole-program flow rules);
 * a suppression is the comment ``# repro: noqa[RPA001]`` (that line),
   ``# repro: noqa`` (that line, all rules) or
   ``# repro: noqa-file[RPA001]`` (whole file); everything after
@@ -23,23 +22,12 @@ Vocabulary
 from __future__ import annotations
 
 import ast
-import hashlib
 import io
 import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "AnalysisReport",
@@ -47,11 +35,9 @@ __all__ = [
     "Finding",
     "ProjectRule",
     "Rule",
-    "ScanResult",
     "Suppression",
     "analyze",
     "iter_python_files",
-    "scan_file",
 ]
 
 #: rule ID reserved for files the engine itself cannot process
@@ -73,22 +59,6 @@ class Finding:
     line: int
     col: int
     message: str
-    snippet: str = ""  # the stripped source line, for fingerprinting
-
-    @property
-    def fingerprint(self) -> str:
-        """Content hash that survives pure line-number drift."""
-        digest = hashlib.sha1(
-            f"{self.rule}:{self.path}:{self.snippet}".encode()
-        )
-        return digest.hexdigest()[:16]
-
-    @property
-    def content_fingerprint(self) -> str:
-        """Path-free hash: pairs a moved file's findings with the
-        baseline entries that excused them at the old path."""
-        digest = hashlib.sha1(f"{self.rule}:{self.snippet}".encode())
-        return digest.hexdigest()[:16]
 
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col}"
@@ -100,7 +70,6 @@ class Finding:
             "line": self.line,
             "col": self.col,
             "message": self.message,
-            "fingerprint": self.fingerprint,
         }
 
 
@@ -138,26 +107,17 @@ class FileContext:
     def __init__(self, path: str, source: str, tree: ast.AST) -> None:
         self.path = path
         self.source = source
-        self.lines = source.splitlines()
         self.tree = tree
-
-    def line_text(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1].strip()
-        return ""
 
     def finding(
         self, rule: "Rule", node: ast.AST, message: str
     ) -> Finding:
-        line = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
         return Finding(
             rule=rule.rule_id,
             path=self.path,
-            line=line,
-            col=col + 1,
+            line=getattr(node, "lineno", 1),
+            col=getattr(node, "col_offset", 0) + 1,
             message=message,
-            snippet=self.line_text(line),
         )
 
 
@@ -203,6 +163,10 @@ class ProjectRule(Rule):
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         return iter(())
 
+    def see_everything(self, contexts: Sequence[FileContext]) -> None:
+        """Receive every parsed file; ``finalize`` gets only the
+        in-scope ones."""
+
     def finalize(
         self, contexts: Sequence[FileContext]
     ) -> Iterator[Finding]:
@@ -211,7 +175,7 @@ class ProjectRule(Rule):
 
 @dataclass
 class AnalysisReport:
-    """Outcome of one engine run, before baseline filtering."""
+    """Outcome of one engine run."""
 
     findings: List[Finding] = field(default_factory=list)
     suppressed: List[Tuple[Finding, Suppression]] = field(
@@ -223,82 +187,10 @@ class AnalysisReport:
     def findings_for(self, rule_id: str) -> List[Finding]:
         return [f for f in self.findings if f.rule == rule_id]
 
-
-@dataclass
-class ScanResult:
-    """The per-file half of one engine run.
-
-    Produced by :func:`scan_file` — either inline or in a worker
-    process (everything here pickles; the parsed ``tree`` is dropped
-    before crossing a process boundary and re-parsed lazily by
-    :meth:`context`).  ``analyze`` merges these in file order, so a
-    parallel scanner that preserves submission order is byte-identical
-    to the serial walk.
-    """
-
-    rel: str
-    findings: List[Finding] = field(default_factory=list)
-    suppressions: List[Suppression] = field(default_factory=list)
-    source: Optional[str] = None
-    checked: bool = False
-    tree: Optional[ast.AST] = None
-
-    def context(self) -> Optional[FileContext]:
-        """The file's context for the project-rule phase, if parsable."""
-        if self.source is None or not self.checked:
-            return None
-        if self.tree is None:
-            try:
-                self.tree = ast.parse(self.source, filename=self.rel)
-            except SyntaxError:  # already reported as RPA000
-                return None
-        return FileContext(self.rel, self.source, self.tree)
-
-    def strip_tree(self) -> "ScanResult":
-        """Drop the parse tree (cheap to rebuild, costly to pickle)."""
-        self.tree = None
-        return self
-
-
-def scan_file(
-    file_path: Path, rel: str, rules: Sequence[Rule]
-) -> ScanResult:
-    """Read, parse and run the per-file rules over one file.
-
-    ``ProjectRule`` instances are harmless to include (their per-file
-    ``check`` yields nothing); the cross-file phase belongs to
-    :func:`analyze`.
-    """
-    result = ScanResult(rel=rel)
-    try:
-        source = file_path.read_text()
-    except OSError as exc:
-        result.findings.append(
-            Finding(SYNTAX_RULE_ID, rel, 1, 1, f"unreadable: {exc}")
-        )
-        return result
-    result.source = source
-    result.checked = True
-    try:
-        tree = ast.parse(source, filename=str(file_path))
-    except SyntaxError as exc:
-        result.findings.append(
-            Finding(
-                SYNTAX_RULE_ID,
-                rel,
-                exc.lineno or 1,
-                (exc.offset or 0) + 1,
-                f"syntax error: {exc.msg}",
-            )
-        )
-        return result
-    result.tree = tree
-    ctx = FileContext(rel, source, tree)
-    result.suppressions = _parse_suppressions(rel, source)
-    for rule in rules:
-        if rule.applies_to(rel):
-            result.findings.extend(rule.check(ctx))
-    return result
+    @property
+    def exit_code(self) -> int:
+        """0 clean; 1 on any finding or unused suppression."""
+        return 1 if self.findings or self.unused_suppressions else 0
 
 
 def _parse_suppressions(path: str, source: str) -> List[Suppression]:
@@ -340,14 +232,6 @@ def iter_python_files(root: Path) -> Iterator[Path]:
     yield from sorted(root.rglob("*.py"))
 
 
-#: the injectable per-file half of :func:`analyze`:
-#: ``scanner(jobs, rules) -> [ScanResult, ...]`` in submission order
-Scanner = Callable[
-    [Sequence[Tuple[Path, str]], Sequence[Rule]],
-    Sequence[ScanResult],
-]
-
-
 def _relative_path(file_path: Path, root: Path) -> str:
     """Package-relative posix path, e.g. ``repro/core/picola.py``."""
     base = root if root.is_dir() else root.parent
@@ -358,56 +242,52 @@ def _relative_path(file_path: Path, root: Path) -> str:
     return rel.as_posix()
 
 
-def analyze(
-    root: Path,
-    rules: Sequence[Rule],
-    *,
-    paths: Optional[Sequence[Path]] = None,
-    scanner: Optional[
-        "Scanner"
-    ] = None,
-) -> AnalysisReport:
+
+
+def analyze(root: Path, rules: Sequence[Rule]) -> AnalysisReport:
     """Run ``rules`` over every Python file under ``root``.
 
-    ``paths`` restricts the walk to an explicit file list (still
-    resolved relative to ``root`` for stable finding paths).  Findings
-    matching a ``# repro: noqa`` suppression are moved aside; unused
-    suppressions are reported so stale ones fail ``--strict`` runs.
-
-    ``scanner`` overrides the per-file half of the walk: it receives
-    the ordered ``[(file_path, rel), ...]`` list plus the rules and
-    must return one :class:`ScanResult` per file *in the same order*
-    (``picola lint --jobs N`` injects a process-pool scanner here).
-    The cross-file :class:`ProjectRule` phase always runs in-process,
-    after the scan.
+    Findings matching a ``# repro: noqa`` suppression are moved aside;
+    unused suppressions are reported so stale ones fail the run.
     """
     report = AnalysisReport()
     contexts: List[FileContext] = []
     suppressions: List[Suppression] = []
     raw: List[Finding] = []
 
-    files = list(paths) if paths is not None else list(
-        iter_python_files(root)
-    )
-    jobs = [(fp, _relative_path(fp, root)) for fp in files]
-    if scanner is not None:
-        results = list(scanner(jobs, rules))
-    else:
-        results = [scan_file(fp, rel, rules) for fp, rel in jobs]
-    for scanned in results:
-        raw.extend(scanned.findings)
-        suppressions.extend(scanned.suppressions)
-        if scanned.checked:
-            report.files_checked += 1
-        ctx = scanned.context()
-        if ctx is not None:
-            contexts.append(ctx)
+    for file_path in iter_python_files(root):
+        rel = _relative_path(file_path, root)
+        try:
+            source = file_path.read_text()
+        except OSError as exc:
+            raw.append(
+                Finding(SYNTAX_RULE_ID, rel, 1, 1, f"unreadable: {exc}")
+            )
+            continue
+        report.files_checked += 1
+        try:
+            tree = ast.parse(source, filename=str(file_path))
+        except SyntaxError as exc:
+            raw.append(
+                Finding(
+                    SYNTAX_RULE_ID,
+                    rel,
+                    exc.lineno or 1,
+                    (exc.offset or 0) + 1,
+                    f"syntax error: {exc.msg}",
+                )
+            )
+            continue
+        ctx = FileContext(rel, source, tree)
+        contexts.append(ctx)
+        suppressions.extend(_parse_suppressions(rel, source))
+        for rule in rules:
+            if rule.applies_to(rel):
+                raw.extend(rule.check(ctx))
 
     for rule in rules:
         if isinstance(rule, ProjectRule):
-            see = getattr(rule, "see_everything", None)
-            if see is not None:
-                see(contexts)  # cross-file rules may need out-of-scope files
+            rule.see_everything(contexts)
             scoped = [
                 c for c in contexts if rule.applies_to(c.path)
             ]
@@ -423,13 +303,5 @@ def analyze(
             report.suppressed.append((finding, hit))
         else:
             report.findings.append(finding)
-    # a suppression naming only rules that did not run this pass
-    # (e.g. ``noqa[RPA010]`` under ``--no-flow``) is dormant, not
-    # stale — it must not fail --strict
-    active = {getattr(rule, "rule_id", None) for rule in rules}
-    report.unused_suppressions = [
-        s for s in suppressions
-        if not s.used
-        and (s.rules is None or any(r in active for r in s.rules))
-    ]
+    report.unused_suppressions = [s for s in suppressions if not s.used]
     return report

@@ -4,7 +4,7 @@ whole-program on the :mod:`repro.analysis.callgraph` layer.
 Each rule is a :class:`~repro.analysis.engine.ProjectRule`: the engine
 hands it every scanned file, one :class:`~repro.analysis.callgraph.Program`
 is built (and shared — the builder caches on the context list), and
-findings come out anchored to real source locations, so baselines and
+findings come out anchored to real source locations, so
 ``# repro: noqa`` suppressions work exactly as for the per-file rules.
 
 The rules are deliberately conservative: an unresolved call is never

@@ -1,4 +1,4 @@
-"""Text and JSON reporters for lint runs.
+"""Text, JSON and GitHub-annotation reporters for lint runs.
 
 The JSON document is the machine interface CI consumes; its shape is
 pinned by ``tests/test_analysis.py`` (schema assertions), so treat key
@@ -8,82 +8,43 @@ removals as breaking changes and bump ``JSON_SCHEMA_VERSION``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from .baseline import BaselineEntry
-from .engine import AnalysisReport, Finding, Suppression
+from .engine import AnalysisReport
 
-__all__ = ["LintResult", "render_text", "render_json", "render_github"]
+__all__ = ["render_text", "render_json", "render_github"]
 
-JSON_SCHEMA_VERSION = 1
+JSON_SCHEMA_VERSION = 2
 
 
-@dataclass
-class LintResult:
-    """Everything one lint run decided, ready for a reporter."""
-
-    report: AnalysisReport
-    new_findings: List[Finding]
-    baselined: List[Finding]
-    stale_baseline: List[BaselineEntry] = field(default_factory=list)
-    strict: bool = False
-    baseline_path: Optional[str] = None
-
-    @property
-    def unused_suppressions(self) -> List[Suppression]:
-        return self.report.unused_suppressions
-
-    @property
-    def exit_code(self) -> int:
-        """0 clean; 1 violations (strict adds hygiene failures)."""
-        if self.new_findings:
-            return 1
-        if self.strict and (
-            self.stale_baseline or self.unused_suppressions
-        ):
-            return 1
-        return 0
+def _summary(report: AnalysisReport) -> str:
+    n = len(report.findings)
+    return (
+        f"{report.files_checked} files checked: "
+        f"{n} finding{'s' if n != 1 else ''}"
+    )
 
 
-def render_text(result: LintResult) -> str:
+def render_text(report: AnalysisReport) -> str:
     lines: List[str] = []
-    for finding in result.new_findings:
+    for finding in report.findings:
         lines.append(
             f"{finding.location()}: {finding.rule} {finding.message}"
         )
-    if result.stale_baseline:
-        for entry in result.stale_baseline:
-            lines.append(
-                f"{entry.path}: stale baseline entry {entry.rule} "
-                f"({entry.fingerprint}) — the finding it excused is "
-                "gone; delete it"
-            )
-    if result.unused_suppressions:
-        for sup in result.unused_suppressions:
-            which = ",".join(sup.rules) if sup.rules else "all"
-            lines.append(
-                f"{sup.path}:{sup.line}: unused suppression "
-                f"(# repro: noqa[{which}]) — nothing to suppress; "
-                "delete it"
-            )
-    n = len(result.new_findings)
-    summary = (
-        f"{result.report.files_checked} files checked: "
-        f"{n} finding{'s' if n != 1 else ''}"
-    )
-    extras = []
-    if result.baselined:
-        extras.append(f"{len(result.baselined)} baselined")
-    if result.report.suppressed:
-        extras.append(f"{len(result.report.suppressed)} suppressed")
-    if result.stale_baseline:
-        extras.append(
-            f"{len(result.stale_baseline)} stale baseline entries"
+    for sup in report.unused_suppressions:
+        which = ",".join(sup.rules) if sup.rules else "all"
+        lines.append(
+            f"{sup.path}:{sup.line}: unused suppression "
+            f"(# repro: noqa[{which}]) — nothing to suppress; "
+            "delete it"
         )
-    if result.unused_suppressions:
+    summary = _summary(report)
+    extras = []
+    if report.suppressed:
+        extras.append(f"{len(report.suppressed)} suppressed")
+    if report.unused_suppressions:
         extras.append(
-            f"{len(result.unused_suppressions)} unused suppressions"
+            f"{len(report.unused_suppressions)} unused suppressions"
         )
     if extras:
         summary += " (" + ", ".join(extras) + ")"
@@ -111,7 +72,7 @@ def _escape_data(value: str) -> str:
     )
 
 
-def render_github(result: LintResult, prefix: str = "") -> str:
+def render_github(report: AnalysisReport, prefix: str = "") -> str:
     """GitHub Actions ``::error`` annotations, one per finding.
 
     ``prefix`` maps package-relative finding paths onto repo-relative
@@ -121,61 +82,40 @@ def render_github(result: LintResult, prefix: str = "") -> str:
     in the job log body.
     """
     lines: List[str] = []
-    for finding in result.new_findings:
+    for finding in report.findings:
         lines.append(
             f"::error file={_escape_property(prefix + finding.path)},"
             f"line={finding.line},col={finding.col},"
             f"title={_escape_property(finding.rule)}::"
             f"{_escape_data(finding.message)}"
         )
-    if result.strict:
-        for entry in result.stale_baseline:
-            lines.append(
-                f"::error file={_escape_property(prefix + entry.path)},"
-                f"line={entry.line or 1},"
-                f"title={_escape_property(entry.rule + ' baseline')}::"
-                + _escape_data(
-                    f"stale baseline entry {entry.fingerprint}; the "
-                    "finding it excused is gone — delete it"
-                )
+    for sup in report.unused_suppressions:
+        which = ",".join(sup.rules) if sup.rules else "all"
+        lines.append(
+            f"::error file={_escape_property(prefix + sup.path)},"
+            f"line={sup.line},"
+            f"title={_escape_property('unused suppression')}::"
+            + _escape_data(
+                f"# repro: noqa[{which}] suppresses nothing; "
+                "delete it"
             )
-        for sup in result.unused_suppressions:
-            which = ",".join(sup.rules) if sup.rules else "all"
-            lines.append(
-                f"::error file={_escape_property(prefix + sup.path)},"
-                f"line={sup.line},"
-                f"title={_escape_property('unused suppression')}::"
-                + _escape_data(
-                    f"# repro: noqa[{which}] suppresses nothing; "
-                    "delete it"
-                )
-            )
-    n = len(result.new_findings)
-    lines.append(
-        f"{result.report.files_checked} files checked: "
-        f"{n} finding{'s' if n != 1 else ''}"
-    )
+        )
+    lines.append(_summary(report))
     return "\n".join(lines)
 
 
-def render_json(result: LintResult) -> str:
+def render_json(report: AnalysisReport) -> str:
     doc: Dict[str, object] = {
         "schema_version": JSON_SCHEMA_VERSION,
-        "strict": result.strict,
-        "files_checked": result.report.files_checked,
-        "baseline": result.baseline_path,
-        "findings": [f.to_dict() for f in result.new_findings],
-        "baselined": [f.to_dict() for f in result.baselined],
+        "files_checked": report.files_checked,
+        "findings": [f.to_dict() for f in report.findings],
         "suppressed": [
             {"finding": f.to_dict(), "suppression": s.to_dict()}
-            for f, s in result.report.suppressed
-        ],
-        "stale_baseline_entries": [
-            e.to_dict() for e in result.stale_baseline
+            for f, s in report.suppressed
         ],
         "unused_suppressions": [
-            s.to_dict() for s in result.unused_suppressions
+            s.to_dict() for s in report.unused_suppressions
         ],
-        "exit_code": result.exit_code,
+        "exit_code": report.exit_code,
     }
     return json.dumps(doc, indent=2)

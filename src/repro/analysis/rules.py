@@ -2,7 +2,7 @@
 
 Each rule encodes one convention PRs 1-3 threaded through the solvers
 (cooperative budgets, span hygiene, the :mod:`repro.runtime.errors`
-taxonomy, determinism, registry conformance).  Nothing here imports
+taxonomy, determinism).  Nothing here imports
 solver code — the rules inspect the AST only, so they run on trees
 that do not import.
 
@@ -13,9 +13,9 @@ The catalog with rationales is rendered by ``picola lint
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from .engine import FileContext, Finding, ProjectRule, Rule
+from .engine import FileContext, Finding, Rule
 from .flow import FLOW_RULE_CLASSES
 
 __all__ = ["DEFAULT_RULES", "RULE_CLASSES", "rules_by_id"]
@@ -394,110 +394,6 @@ class DeterminismRule(Rule):
             )
 
 
-class RegistryConformanceRule(ProjectRule):
-    """RPA006 — every public ``*_encode`` is behind the registry."""
-
-    rule_id = "RPA006"
-    title = "registry conformance: encoder missing from repro.solvers"
-    rationale = """
-        The harness, assign_states and the CLI dispatch through
-        repro.solvers; an encoder not registered there (or without the
-        uniform keyword-only budget=/tracer= seam) silently escapes
-        budgets, tracing and the option-validation contract.
-    """
-    scope = ("repro/core/", "repro/encoding/", "repro/baselines/")
-
-    _REGISTRY_PATH = "repro/solvers.py"
-
-    def finalize(
-        self, contexts: Sequence[FileContext]
-    ) -> Iterator[Finding]:
-        encoders: List[Tuple[FileContext, ast.FunctionDef]] = []
-        for ctx in contexts:
-            for node in ctx.tree.body:
-                if (
-                    isinstance(node, ast.FunctionDef)
-                    and node.name.endswith("_encode")
-                    and not node.name.startswith("_")
-                ):
-                    encoders.append((ctx, node))
-
-        for ctx, fn in encoders:
-            kwonly = {a.arg for a in fn.args.kwonlyargs}
-            missing = {"budget", "tracer"} - kwonly
-            if missing:
-                yield ctx.finding(
-                    self,
-                    fn,
-                    f"{fn.name}() lacks keyword-only "
-                    f"{sorted(missing)}; every registered encoder "
-                    "must accept budget= and tracer=",
-                )
-
-        registry = self._registry_names()
-        if registry is None:
-            return  # partial scan without solvers.py: skip the check
-        for ctx, fn in encoders:
-            if fn.name not in registry:
-                yield ctx.finding(
-                    self,
-                    fn,
-                    f"{fn.name}() is not referenced by repro.solvers; "
-                    "register it (or its adapter) so the harness can "
-                    "dispatch to it uniformly",
-                )
-
-    def __init__(self) -> None:
-        self._all_contexts: Sequence[FileContext] = ()
-
-    # finalize() only receives in-scope contexts; the engine hands the
-    # registry file over via this hook before finalizing.
-    def see_everything(
-        self, contexts: Sequence[FileContext]
-    ) -> None:
-        self._all_contexts = contexts
-
-    def _registry_names(self) -> Optional[Set[str]]:
-        for ctx in self._all_contexts:
-            if ctx.path == self._REGISTRY_PATH:
-                return {
-                    node.id
-                    for node in ast.walk(ctx.tree)
-                    if isinstance(node, ast.Name)
-                }
-        return None
-
-
-class DeprecatedPositionalNvRule(Rule):
-    """RPA007 — no internal callers of the deprecated positional nv."""
-
-    rule_id = "RPA007"
-    title = "removed call: positional nv to exact_encode/nova_encode"
-    rationale = """
-        Positional nv on exact_encode/nova_encode was deprecated in
-        1.1.0 and raises TypeError since 1.6.0; internal code must
-        pass nv= by keyword (or go through the registry), so any
-        remaining positional call is a guaranteed runtime crash.
-    """
-
-    _TARGETS = ("exact_encode", "nova_encode")
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if (
-                isinstance(node, ast.Call)
-                and _call_name(node) in self._TARGETS
-                and len(node.args) >= 2
-            ):
-                yield ctx.finding(
-                    self,
-                    node,
-                    f"{_call_name(node)}() called with positional nv "
-                    "(deprecated since 1.1.0); pass nv=... or use "
-                    "get_solver(...)",
-                )
-
-
 class BulkKernelRule(Rule):
     """RPA008 — bulk-kernel modules stay columnar."""
 
@@ -699,32 +595,22 @@ class ServicePayloadRule(Rule):
                 )
 
 
-#: per-file rules (safe to run file-by-file, in-process or in workers)
-FILE_RULE_CLASSES: Tuple[type, ...] = (
+#: the full pack: per-file rules plus the whole-program flow rules
+#: (RPA010-RPA014, built on the repro.analysis.callgraph layer)
+RULE_CLASSES: Tuple[type, ...] = (
     BudgetThreadingRule,
     SpanHygieneRule,
     ExceptHygieneRule,
     RaiseTaxonomyRule,
     DeterminismRule,
-    RegistryConformanceRule,
-    DeprecatedPositionalNvRule,
     BulkKernelRule,
     ServicePayloadRule,
-)
-
-#: the full pack: per-file rules plus the whole-program flow rules
-#: (RPA010-RPA014, built on the repro.analysis.callgraph layer)
-RULE_CLASSES: Tuple[type, ...] = FILE_RULE_CLASSES + FLOW_RULE_CLASSES
+) + FLOW_RULE_CLASSES
 
 
-def DEFAULT_RULES(*, flow: bool = True) -> List[Rule]:
-    """Fresh instances of the rule pack.
-
-    ``flow=False`` drops the whole-program rules (the ``picola lint
-    --no-flow`` escape hatch for quick per-file runs).
-    """
-    classes = RULE_CLASSES if flow else FILE_RULE_CLASSES
-    return [cls() for cls in classes]
+def DEFAULT_RULES() -> List[Rule]:
+    """Fresh instances of the rule pack."""
+    return [cls() for cls in RULE_CLASSES]
 
 
 def rules_by_id() -> Dict[str, type]:

@@ -44,7 +44,7 @@ class NovaResult:
 
 def nova_encode(
     cset: ConstraintSet,
-    *args: int,
+    *,
     nv: Optional[int] = None,
     variant: str = "i_hybrid",
     affinity: Optional[Mapping[Tuple[str, str], float]] = None,
@@ -53,20 +53,7 @@ def nova_encode(
     budget: Optional[Budget] = None,
     tracer=None,
 ) -> NovaResult:
-    """Encode with the NOVA-style objective; deterministic per seed.
-
-    ``nv`` is keyword-only: passing it positionally was deprecated in
-    1.1.0 and raises :class:`TypeError` since 1.6.0 — use
-    ``nova_encode(cset, nv=...)`` or
-    ``get_solver('nova').solve(...)``.
-    """
-    if args:
-        raise TypeError(
-            "nova_encode() no longer accepts positional nv "
-            "(deprecated since 1.1.0, removed in 1.6.0); use "
-            "nova_encode(cset, nv=...) or "
-            "get_solver('nova').solve(...)"
-        )
+    """Encode with the NOVA-style objective; deterministic per seed."""
     if variant not in ("i_greedy", "i_hybrid", "io_hybrid"):
         raise InvalidSpecError(f"unknown NOVA variant {variant!r}")
     if variant == "io_hybrid" and affinity is None:

@@ -125,7 +125,6 @@ class ConstraintSet:
         if len(set(symbols)) != len(symbols):
             raise InvalidSpecError("duplicate symbols")
         self.symbols: Tuple[str, ...] = tuple(symbols)
-        self._index = {s: i for i, s in enumerate(self.symbols)}
         self.constraints: List[FaceConstraint] = []
         for c in constraints:
             self.add(c)
@@ -136,9 +135,6 @@ class ConstraintSet:
         if unknown:
             raise InvalidSpecError(f"constraint mentions unknown symbols {unknown}")
         self.constraints.append(constraint)
-
-    def index_of(self, symbol: str) -> int:
-        return self._index[symbol]
 
     @property
     def n_symbols(self) -> int:

@@ -77,7 +77,7 @@ def _constraint_possible(
 
 def exact_encode(
     cset: ConstraintSet,
-    *args: int,
+    *,
     nv: Optional[int] = None,
     max_nodes: int = 2_000_000,
     strict: bool = False,
@@ -93,19 +93,7 @@ def exact_encode(
     every search node; in non-strict mode its exhaustion also degrades
     to best-so-far once a complete assignment exists.  ``tracer``
     records a ``exact/search`` span and the node count.
-
-    ``nv`` is keyword-only: passing it positionally was deprecated in
-    1.1.0 and raises :class:`TypeError` since 1.6.0 — use
-    ``exact_encode(cset, nv=...)`` or
-    ``get_solver('exact').solve(...)``.
     """
-    if args:
-        raise TypeError(
-            "exact_encode() no longer accepts positional nv "
-            "(deprecated since 1.1.0, removed in 1.6.0); use "
-            "exact_encode(cset, nv=...) or "
-            "get_solver('exact').solve(...)"
-        )
     tracer = resolve_tracer(tracer)
     symbols = list(cset.symbols)
     n = len(symbols)

@@ -101,9 +101,6 @@ class ConstraintMatrix:
     def original_rows(self) -> List[ConstraintRow]:
         return [r for r in self.rows if not r.constraint.is_guide()]
 
-    def guide_rows(self) -> List[ConstraintRow]:
-        return [r for r in self.rows if r.constraint.is_guide()]
-
     # ------------------------------------------------------------------
     def record_column(self, column: Mapping[str, int]) -> None:
         """Update all marks after generating one code column."""

@@ -16,7 +16,6 @@ whole assign/encode/minimize pipeline preserves behaviour.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -115,23 +114,17 @@ def _resolve_rng(
 ) -> random.Random:
     """One explicit randomness source: ``rng`` wins, then ``seed``.
 
-    Passing neither is deprecated — verification runs must be
-    replayable from their recorded seed, so the implicit default
-    (seed 0) now warns before falling back.
+    Passing neither is an error: verification runs must be replayable
+    from their recorded seed.
     """
     if rng is not None:
         if seed is not None:
             raise InvalidSpecError(f"{where}: pass seed or rng, not both")
         return rng
     if seed is None:
-        warnings.warn(
-            f"{where}: calling without seed= or rng= is deprecated; "
-            "pass an explicit seed so the run is reproducible "
-            "(falling back to seed 0)",
-            DeprecationWarning,
-            stacklevel=3,
+        raise InvalidSpecError(
+            f"{where}: pass seed= or rng= so the run is reproducible"
         )
-        seed = 0
     return random.Random(seed)
 
 

@@ -352,7 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "lint",
         help="check the source tree against the repo's static "
              "invariants (budget threading, span hygiene, error "
-             "taxonomy, determinism, registry conformance)",
+             "taxonomy, determinism, thread safety)",
     )
     add_lint_arguments(p10)
     return parser

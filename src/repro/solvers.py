@@ -30,9 +30,8 @@ do not silently change an experiment.
 
 The adapters *delegate* to the historical entry points
 (:func:`picola_encode`, :func:`exact_encode`, ...) — those remain the
-implementation and stay importable; positional ``nv`` on
-``exact_encode``/``nova_encode`` (deprecated in 1.1.0) raises
-``TypeError`` since 1.6.0 in favour of ``options={"nv": ...}`` here.
+implementation and stay importable, with ``nv`` keyword-only
+(``options={"nv": ...}`` here).
 """
 
 from __future__ import annotations

@@ -73,17 +73,8 @@ class TestAnalyzeResult:
 
 import json
 import warnings
-from pathlib import Path
 
-import repro
-from repro.analysis import (
-    Baseline,
-    DEFAULT_RULES,
-    Finding,
-    analyze,
-    rules_by_id,
-    split_by_baseline,
-)
+from repro.analysis import DEFAULT_RULES, analyze, rules_by_id
 from repro.analysis.cli import main as lint_main
 from repro.analysis.report import JSON_SCHEMA_VERSION
 
@@ -211,49 +202,6 @@ class TestRuleFixtures:
         )
         report = _lint(tmp_path, {"baselines/b.py": good})
         assert report.findings_for("RPA005") == []
-
-    def test_registry_conformance_true_positive(self, tmp_path):
-        bad = "def rogue_encode(cset, nv):\n    return None\n"
-        report = _lint(tmp_path, {"baselines/rogue.py": bad})
-        findings = report.findings_for("RPA006")
-        assert findings and "budget" in findings[0].message
-
-    def test_registry_conformance_unregistered(self, tmp_path):
-        files = {
-            "baselines/rogue.py": (
-                "def rogue_encode(cset, *, budget=None, tracer=None):\n"
-                "    return None\n"
-            ),
-            "solvers.py": "REGISTRY = {}\n",
-        }
-        report = _lint(tmp_path, files)
-        (finding,) = report.findings_for("RPA006")
-        assert "not referenced" in finding.message
-
-    def test_registry_conformance_clean(self, tmp_path):
-        files = {
-            "baselines/rogue.py": (
-                "def rogue_encode(cset, *, budget=None, tracer=None):\n"
-                "    return None\n"
-            ),
-            "solvers.py": (
-                "from .baselines.rogue import rogue_encode\n"
-                "REGISTRY = {'rogue': rogue_encode}\n"
-            ),
-        }
-        report = _lint(tmp_path, files)
-        assert report.findings_for("RPA006") == []
-
-    def test_deprecated_positional_nv_true_positive(self, tmp_path):
-        bad = "def f(cset):\n    return exact_encode(cset, 3)\n"
-        report = _lint(tmp_path, {"harness/x.py": bad})
-        (finding,) = report.findings_for("RPA007")
-        assert "positional nv" in finding.message
-
-    def test_deprecated_positional_nv_keyword_clean(self, tmp_path):
-        good = "def f(cset):\n    return exact_encode(cset, nv=3)\n"
-        report = _lint(tmp_path, {"harness/x.py": good})
-        assert report.findings_for("RPA007") == []
 
     def test_service_payload_direct_encode_call(self, tmp_path):
         bad = (
@@ -412,54 +360,6 @@ class TestSuppressions:
         assert sup.rules == ("RPA004",)
 
 
-class TestBaseline:
-    def _bad_report(self, tmp_path):
-        return _lint(tmp_path, {"fsm/m.py": "raise ValueError('x')\n"})
-
-    def test_round_trip(self, tmp_path):
-        report = self._bad_report(tmp_path)
-        baseline = Baseline.from_findings(report.findings)
-        target = tmp_path / "baseline.json"
-        baseline.save(target)
-        loaded = Baseline.load(target)
-        new, matched, stale = split_by_baseline(
-            report.findings, loaded
-        )
-        assert new == [] and stale == []
-        assert len(matched) == len(report.findings) == 1
-
-    def test_fingerprint_survives_line_drift(self, tmp_path):
-        report = self._bad_report(tmp_path)
-        baseline = Baseline.from_findings(report.findings)
-        drifted = _lint(
-            tmp_path,
-            {"fsm/m.py": "# a new leading comment\n\nraise ValueError('x')\n"},
-        )
-        new, matched, stale = split_by_baseline(
-            drifted.findings, baseline
-        )
-        assert new == [] and stale == []
-        assert len(matched) == 1
-
-    def test_fixed_finding_goes_stale(self, tmp_path):
-        report = self._bad_report(tmp_path)
-        baseline = Baseline.from_findings(report.findings)
-        fixed = _lint(
-            tmp_path, {"fsm/m.py": "raise InvalidSpecError('x')\n"}
-        )
-        new, matched, stale = split_by_baseline(
-            fixed.findings, baseline
-        )
-        assert new == [] and matched == []
-        assert len(stale) == 1
-
-    def test_load_rejects_unknown_version(self, tmp_path):
-        target = tmp_path / "baseline.json"
-        target.write_text('{"version": 99, "entries": []}')
-        with pytest.raises(ValueError, match="version"):
-            Baseline.load(target)
-
-
 class TestLintCli:
     def test_bad_tree_exits_1_with_rule_ids(self, tmp_path, capsys):
         root = _tree(tmp_path, {"fsm/m.py": "raise ValueError('x')\n"})
@@ -473,71 +373,35 @@ class TestLintCli:
         code = lint_main([str(tmp_path / "nope")])
         assert code == 2
 
-    def test_unreadable_baseline_exits_2(self, tmp_path, capsys):
-        root = _tree(tmp_path, {"fsm/m.py": "X = 1\n"})
-        bad = tmp_path / "b.json"
-        bad.write_text("{not json")
-        code = lint_main([str(root), "--baseline", str(bad)])
-        assert code == 2
-
     def test_json_report_schema(self, tmp_path, capsys):
         root = _tree(tmp_path, {"fsm/m.py": "raise ValueError('x')\n"})
-        code = lint_main([str(root), "--json"])
+        code = lint_main([str(root), "--format", "json"])
         doc = json.loads(capsys.readouterr().out)
         assert code == 1
         assert doc["schema_version"] == JSON_SCHEMA_VERSION
         assert set(doc) == {
             "schema_version",
-            "strict",
             "files_checked",
-            "baseline",
             "findings",
-            "baselined",
             "suppressed",
-            "stale_baseline_entries",
             "unused_suppressions",
             "exit_code",
         }
         (finding,) = doc["findings"]
-        assert set(finding) == {
-            "rule", "path", "line", "col", "message", "fingerprint",
-        }
+        assert set(finding) == {"rule", "path", "line", "col", "message"}
         assert finding["rule"] == "RPA004"
         assert doc["exit_code"] == 1
 
-    def test_update_baseline_then_clean(self, tmp_path, capsys):
-        root = _tree(tmp_path, {"fsm/m.py": "raise ValueError('x')\n"})
-        baseline = tmp_path / "b.json"
-        assert lint_main(
-            [str(root), "--baseline", str(baseline), "--update-baseline"]
-        ) == 0
-        capsys.readouterr()
-        assert lint_main(
-            [str(root), "--baseline", str(baseline), "--strict"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "1 baselined" in out
+    def test_unused_suppression_fails_plain_lint(self, tmp_path, capsys):
+        from repro.harness.cli import main as picola_main
 
-    def test_strict_fails_on_stale_baseline(self, tmp_path, capsys):
-        root = _tree(tmp_path, {"fsm/m.py": "raise ValueError('x')\n"})
-        baseline = tmp_path / "b.json"
-        lint_main(
-            [str(root), "--baseline", str(baseline), "--update-baseline"]
-        )
-        (root / "fsm" / "m.py").write_text("X = 1\n")
-        assert lint_main(
-            [str(root), "--baseline", str(baseline)]
-        ) == 0  # stale debt tolerated by default
-        assert lint_main(
-            [str(root), "--baseline", str(baseline), "--strict"]
-        ) == 1
-
-    def test_strict_fails_on_unused_suppression(self, tmp_path, capsys):
         root = _tree(
             tmp_path, {"fsm/m.py": "X = 1  # repro: noqa[RPA004]\n"}
         )
-        assert lint_main([str(root)]) == 0
-        assert lint_main([str(root), "--strict"]) == 1
+        assert picola_main(["lint", str(root)]) == 1
+        out = capsys.readouterr().out
+        assert "repro/fsm/m.py:1: unused suppression" in out
+        assert "0 findings (1 unused suppressions)" in out
 
     def test_list_rules_covers_catalog(self, capsys):
         assert lint_main(["--list-rules"]) == 0
@@ -555,9 +419,8 @@ class TestLintCli:
 class TestSelfCheck:
     """The shipped tree must hold its own invariants."""
 
-    def test_package_is_strict_clean(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)  # ignore any cwd baseline
-        assert lint_main(["--strict"]) == 0
+    def test_package_is_strict_clean(self, capsys):
+        assert lint_main([]) == 0
         out = capsys.readouterr().out
         assert "0 findings" in out
 
@@ -567,16 +430,8 @@ class TestSelfCheck:
             entry = cls.catalog_entry()
             assert entry["title"] and entry["rationale"]
 
-    def test_finding_fingerprint_is_stable(self):
-        a = Finding("RPA004", "repro/x.py", 3, 1, "m", "raise ValueError")
-        b = Finding("RPA004", "repro/x.py", 9, 1, "m", "raise ValueError")
-        c = Finding("RPA004", "repro/x.py", 3, 1, "m", "raise KeyError")
-        assert a.fingerprint == b.fingerprint != c.fingerprint
-
-
 class TestPositionalNvRemoved:
-    """Positional nv is gone (1.6.0): the old DeprecationWarning became
-    a TypeError whose message names the migration path."""
+    """``nv`` is keyword-only on exact_encode/nova_encode."""
 
     def _cset(self):
         syms = [f"s{i}" for i in range(4)]
@@ -584,23 +439,17 @@ class TestPositionalNvRemoved:
             syms, [FaceConstraint({"s0", "s1"})]
         )
 
-    def test_exact_encode_raises_with_migration(self):
+    def test_exact_encode_rejects_positional_nv(self):
         from repro.encoding.exact import exact_encode
 
-        with pytest.raises(TypeError) as exc_info:
+        with pytest.raises(TypeError):
             exact_encode(self._cset(), 2)
-        message = str(exc_info.value)
-        assert "removed in 1.6.0" in message
-        assert "nv=..." in message
 
-    def test_nova_encode_raises_with_migration(self):
+    def test_nova_encode_rejects_positional_nv(self):
         from repro.baselines.nova import nova_encode
 
-        with pytest.raises(TypeError) as exc_info:
+        with pytest.raises(TypeError):
             nova_encode(self._cset(), 2)
-        message = str(exc_info.value)
-        assert "removed in 1.6.0" in message
-        assert "get_solver('nova')" in message
 
     def test_no_deprecation_warning_machinery_left(self):
         with warnings.catch_warnings():

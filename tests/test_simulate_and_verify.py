@@ -216,11 +216,11 @@ class TestSeededRandomness:
                 3, 10, seed=1, rng=_random.Random(1)
             )
 
-    def test_implicit_default_warns(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            seq = random_input_sequence(2, 10)
-        # the fallback is seed 0, so old call sites stay reproducible
-        assert seq == random_input_sequence(2, 10, seed=0)
+    def test_implicit_default_rejected(self):
+        from repro.runtime import InvalidSpecError
+
+        with pytest.raises(InvalidSpecError, match="seed= or rng="):
+            random_input_sequence(2, 10)
 
     def test_cosimulate_generates_seeded_sequence(self):
         from repro.fsm import load_benchmark
