@@ -111,7 +111,7 @@ class CaseOutcome:
             f"{self.classification:<10}{extra}{hard}"
         )
 
-    # -- wire codec (shard streams, campaign JSON) ---------------------
+    # -- wire codec (run logs, campaign JSON) -------------------------
     def to_dict(self) -> Dict[str, Any]:
         data: Dict[str, Any] = {
             "key": self.key,

@@ -81,19 +81,19 @@ class FuzzConfig:
     cosim_steps: int = 128
     #: ``"K/N"`` — run only this host's slice of the case list
     shard: Optional[str] = None
-    #: JSONL results file, one line per classified case
-    stream: Optional[str] = None
+    #: ``--resume`` run log, one line per classified case
+    checkpoint: Optional[str] = None
 
     def resolved_generators(self) -> Tuple[str, ...]:
         return tuple(self.generators) or list_generators()
 
     def params(self) -> Dict[str, Any]:
-        """The campaign identity for shard/stream meta blocks —
-        everything that shapes the case list and its classification
-        (not the host-local knobs: jobs, corpus, shard, stream)."""
+        """The campaign identity for the run log's header — everything
+        that shapes the case list and its classification (not the
+        host-local knobs: jobs, corpus, shard, checkpoint)."""
         data = {
             k: v for k, v in asdict(self).items()
-            if k not in ("jobs", "corpus", "shard", "stream")
+            if k not in ("jobs", "corpus", "shard", "checkpoint")
         }
         data["generators"] = list(self.resolved_generators())
         return data
@@ -347,9 +347,10 @@ def run_fuzz(
     """Run one campaign; deterministic for a fixed config.
 
     With ``config.shard`` (``K/N``) only this host's deterministic
-    slice of the case list runs; ``config.stream`` appends one JSON
-    line per classified case so progress can be tailed and ``picola
-    merge --from-stream`` can rebuild the combined campaign report.
+    slice of the case list runs; ``config.checkpoint`` is the run log
+    that appends one line per classified case, so progress can be
+    tailed, a killed campaign resumes, and ``picola merge`` rebuilds
+    the combined campaign report from the shard logs.
     """
     config.check()
     tracer = resolve_tracer(tracer)
@@ -365,8 +366,8 @@ def run_fuzz(
     ):
         report = run_experiment(
             FuzzReport, keys, config.params(), jobs=config.jobs,
-            shard=config.shard, stream=config.stream, verbose=verbose,
-            tracer=tracer,
+            shard=config.shard, checkpoint=config.checkpoint,
+            verbose=verbose, tracer=tracer,
         )
         report.config = config  # with the host-local knobs (corpus)
         _distill(report, tracer, verbose)

@@ -225,7 +225,6 @@ def run_ablation(
     jobs: int = 1,
     retry_failed: bool = False,
     shard: Optional[Union[str, ShardSpec]] = None,
-    stream: Optional[Union[str, pathlib.Path]] = None,
 ) -> AblationReport:
     if fsms is None:
         fsms = QUICK_FSMS
@@ -241,5 +240,5 @@ def run_ablation(
             "exact_nodes": exact_nodes,
         },
         checkpoint=checkpoint, jobs=jobs, retry_failed=retry_failed,
-        shard=shard, stream=stream, verbose=verbose,
+        shard=shard, verbose=verbose,
     )

@@ -22,21 +22,21 @@ Commands
   an HTTP/JSON front end with a content-addressed result cache,
   micro-batching over the process pool and bounded-queue
   backpressure.
-* ``merge`` — combine the shard checkpoint/stream files written by
-  ``--shard K/N`` runs on independent hosts into the full report
+* ``merge`` — combine the run logs written by ``--shard K/N
+  --resume PATH`` runs on independent hosts into the full report
   (:mod:`repro.harness.merge`), byte-identical to an unsharded run.
 
 Robustness: the experiment commands take ``--timeout SECONDS`` (per
-solver), ``--resume PATH`` (JSON checkpoint; created on first use,
-reused to skip completed benchmarks — failed ones included, unless
-``--retry-failed``) and ``--jobs N`` (process-pool parallelism over
-benchmark units, ``0`` = all cores, with deterministic
+solver), ``--resume PATH`` (an append-only JSON-lines run log: a
+header line, then one line per finished unit as it finishes, so it
+can be tailed; reused to skip completed units — failed ones included,
+unless ``--retry-failed``) and ``--jobs N`` (process-pool parallelism
+over benchmark units, ``0`` = all cores, with deterministic
 submission-order merging so output matches a serial run
-byte-for-byte).  Multi-host: ``--shard K/N`` deterministically
-restricts a run to every Kth benchmark of N (stamping the checkpoint
-with a self-describing shard meta block) and ``--stream PATH``
-appends one JSON line per completed cell; ``picola merge`` recombines
-either kind of file.  Structured failures
+byte-for-byte).  ``fuzz`` takes ``--resume`` and ``--jobs`` too.
+Multi-host: ``--shard K/N`` deterministically restricts a run to
+every Kth unit of N (recording the shard in the run log's header);
+``picola merge`` recombines the N logs.  Structured failures
 (:class:`~repro.runtime.ReproError`) and I/O errors print a one-line
 diagnostic and exit with code 2; an experiment that completes but
 contains failed rows exits with code 1.
@@ -53,6 +53,7 @@ time/nodes columns).  Both install a process-wide
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import List, Optional
 
@@ -98,11 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
                  "degrade to TIMEOUT/FAILED cells",
         )
         p.add_argument(
-            "--resume", default=None, metavar="PATH",
-            help="JSON checkpoint file; completed benchmarks "
-                 "(failed ones included) are skipped on re-runs",
-        )
-        p.add_argument(
             "--retry-failed", action="store_true",
             help="with --resume: re-run benchmarks whose "
                  "checkpointed outcome was a failure",
@@ -121,14 +117,14 @@ def _build_parser() -> argparse.ArgumentParser:
             "--shard", default=None, metavar="K/N",
             help="run only this host's deterministic 1-based slice "
                  "of the benchmark list (every Kth unit of N); "
-                 "combine the per-shard --resume checkpoints or "
-                 "--stream files with 'picola merge'",
+                 "combine the per-shard --resume logs with 'picola "
+                 "merge'",
         )
         p.add_argument(
-            "--stream", default=None, metavar="PATH",
-            help="append one JSON line per completed benchmark to "
-                 "PATH as it finishes (tail-able progress; 'picola "
-                 "merge --from-stream' rebuilds the report from it)",
+            "--resume", default=None, metavar="PATH",
+            help="append-only JSON-lines run log, one line per "
+                 "finished unit (tail-able); completed units (failed "
+                 "ones included) are skipped on re-runs",
         )
 
     def add_json_flag(p: argparse.ArgumentParser) -> None:
@@ -287,18 +283,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p13 = sub.add_parser(
         "merge",
-        help="combine shard checkpoint/stream files (from --shard "
-             "K/N runs) into the full report, byte-identical to an "
-             "unsharded run",
+        help="combine the run logs of --shard K/N runs into the "
+             "full report, byte-identical to an unsharded run",
     )
     p13.add_argument(
         "files", nargs="+", metavar="FILE",
-        help="one shard checkpoint (--resume) or stream (--stream) "
-             "file per shard; container format is auto-detected",
-    )
-    p13.add_argument(
-        "--from-stream", action="store_true",
-        help="force JSONL stream parsing instead of auto-detection",
+        help="one --resume run log per shard",
     )
     add_json_flag(p13)
 
@@ -370,10 +360,8 @@ def _load_target(target: str):
 def _maybe_json(report, path: Optional[str]) -> None:
     if path is None:
         return
-    from .serialize import to_json
-
     with open(path, "w") as handle:
-        handle.write(to_json(report))
+        handle.write(json.dumps(report.to_dict(), indent=2))
     print(f"wrote {path}")
 
 
@@ -389,7 +377,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             fsms, include_enc=not args.no_enc, verbose=True,
             timeout=args.timeout, checkpoint=args.resume,
             jobs=args.jobs, retry_failed=args.retry_failed,
-            shard=args.shard, stream=args.stream,
+            shard=args.shard,
         )
         print(report.render(profile=profile))
         _maybe_json(report, args.json)
@@ -400,7 +388,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             fsms, verbose=True,
             timeout=args.timeout, checkpoint=args.resume,
             jobs=args.jobs, retry_failed=args.retry_failed,
-            shard=args.shard, stream=args.stream,
+            shard=args.shard,
         )
         print(report.render(profile=profile))
         _maybe_json(report, args.json)
@@ -410,7 +398,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             args.fsm, verbose=True, include_exact=args.exact,
             timeout=args.timeout, checkpoint=args.resume,
             jobs=args.jobs, retry_failed=args.retry_failed,
-            shard=args.shard, stream=args.stream,
+            shard=args.shard,
         )
         print(report.render(profile=profile))
         _maybe_json(report, args.json)
@@ -473,7 +461,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             args.fsm, seeds=tuple(args.seeds), verbose=True,
             timeout=args.timeout, checkpoint=args.resume,
             jobs=args.jobs, retry_failed=args.retry_failed,
-            shard=args.shard, stream=args.stream,
+            shard=args.shard,
         )
         print(report.render())
         _maybe_json(report, args.json)
@@ -508,7 +496,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             harden=not args.no_harden,
             corpus=args.corpus,
             shard=args.shard,
-            stream=args.stream,
+            checkpoint=args.resume,
         )
         report = run_fuzz(config)
         print(report.render())
@@ -517,9 +505,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     elif args.command == "merge":
         from .merge import merge_files
 
-        report, experiment = merge_files(
-            args.files, from_stream=args.from_stream
-        )
+        report, experiment = merge_files(args.files)
         print(f"merged {len(args.files)} shard file(s): {experiment}")
         print(report.render())
         _maybe_json(report, args.json)

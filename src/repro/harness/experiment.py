@@ -2,10 +2,10 @@
 
 Table I/II, the ablation, the seed sweep and the fuzz campaign are each
 a list of independent *units* (a benchmark row, a ``seed/fsm`` cell, a
-fuzz case).  :func:`run_experiment` owns their shared loop: shard and
-meta block, checkpoint and resume, ``--stream``, the process pool, and
-the in-order walk that folds each unit's *payload* (the JSON-safe dict
-it produced, fresh, resumed or merged alike) into the report.
+fuzz case).  :func:`run_experiment` owns their shared loop: the shard
+slice, the ``--resume`` run log, the process pool, and the in-order
+walk that folds each unit's *payload* (the JSON-safe dict it produced,
+fresh, resumed or merged alike) into the report.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from ..runtime import Checkpoint, CheckpointError
 from ..runtime.checkpoint import payload_failed, resumable
 from ..runtime.isolation import Outcome, failure_reason
 from .parallel import Unit, run_units
-from .shard import ShardSpec, StreamWriter, build_meta, resolve_shard
+from .shard import ShardSpec, build_meta, resolve_shard
 
 __all__ = ["Experiment", "run_experiment", "get_experiment"]
 
@@ -82,31 +82,26 @@ def run_experiment(
     jobs: int = 1,
     retry_failed: bool = False,
     shard: Optional[Union[str, ShardSpec]] = None,
-    stream: Optional[Union[str, pathlib.Path]] = None,
     verbose: bool = False,
     tracer: Optional[Any] = None,
 ) -> Any:
     """Run ``experiment`` (a report class) over its ordered unit
     ``keys``; the filled report.
 
-    ``params`` go to every unit and into shard/stream meta blocks, so
-    a merge can rebuild the report from the files alone.  Checkpointed
+    ``params`` go to every unit and into the run log's header, so a
+    merge can rebuild the report from the shard logs alone.  Logged
     units (failed ones too, unless ``retry_failed``) are resumed; the
     rest run over ``jobs`` workers and fold back in key order.
     """
     spec = resolve_shard(shard)
     keys = list(keys)
-    meta: Optional[Dict[str, Any]] = None
-    if spec is not None or stream is not None:
-        meta = build_meta(experiment.tag, keys, params, spec)
     owned = spec.partition(keys) if spec is not None else keys
     ckpt = checkpoint
     if checkpoint is not None and not isinstance(checkpoint, Checkpoint):
         ckpt = Checkpoint(
             checkpoint, experiment=experiment.tag,
-            meta=meta if spec is not None else None,
+            meta=build_meta(keys, params, spec),
         )
-    writer = StreamWriter(stream, meta) if stream is not None else None
     report = experiment.start(params, owned)
     resumed = {key: resumable(ckpt, key, retry_failed) for key in owned}
     outcomes = run_units(
@@ -116,37 +111,31 @@ def run_experiment(
         ],
         jobs=jobs, tracer=tracer,
     )
-    try:
-        for key in owned:
-            payload = resumed[key]
-            fresh = payload is None
-            if fresh:
-                outcome = next(outcomes)
-                payload = (
-                    outcome.value if outcome.ok
-                    else experiment.failure(key, outcome, params)
-                )
-                if ckpt is not None:
-                    ckpt.mark_done(key, payload)
-            if writer is not None:
-                writer.emit_cell(key, payload, resumed=not fresh)
-            after = report.fold(key, payload)
-            if not verbose:
-                continue
-            if payload_failed(payload):
-                reason = failure_reason(
-                    payload["status"], payload.get("error")
-                )
-                suffix = "" if fresh else ", resumed from checkpoint"
-                line = f"{key}: FAILED ({reason}{suffix})"
-            elif not fresh:
-                line = f"{key}: resumed from checkpoint"
-            else:
-                line = experiment.progress(key, payload)
-            for text in (line, after):
-                if text is not None:
-                    print(text, flush=True)
-    finally:
-        if writer is not None:
-            writer.close()
+    for key in owned:
+        payload = resumed[key]
+        fresh = payload is None
+        if fresh:
+            outcome = next(outcomes)
+            payload = (
+                outcome.value if outcome.ok
+                else experiment.failure(key, outcome, params)
+            )
+            if ckpt is not None:
+                ckpt.mark_done(key, payload)
+        after = report.fold(key, payload)
+        if not verbose:
+            continue
+        if payload_failed(payload):
+            reason = failure_reason(
+                payload["status"], payload.get("error")
+            )
+            suffix = "" if fresh else ", resumed from checkpoint"
+            line = f"{key}: FAILED ({reason}{suffix})"
+        elif not fresh:
+            line = f"{key}: resumed from checkpoint"
+        else:
+            line = experiment.progress(key, payload)
+        for text in (line, after):
+            if text is not None:
+                print(text, flush=True)
     return report

@@ -25,7 +25,6 @@ import pathlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Union
 
-from .serialize import to_dict
 from .table1 import Table1Report
 
 __all__ = ["Drift", "compare_to_golden", "write_golden"]
@@ -67,7 +66,7 @@ def write_golden(report: Any, path: Union[str, pathlib.Path]) -> None:
     """Record a run as the new golden reference."""
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    data = to_dict(report)
+    data = report.to_dict()
     _strip_timings(data)
     path.write_text(json.dumps(data, indent=2, sort_keys=True))
 
@@ -96,7 +95,7 @@ def compare_to_golden(
     """
     path = pathlib.Path(path)
     golden = json.loads(path.read_text())
-    measured = to_dict(report)
+    measured = report.to_dict()
     _strip_timings(golden)
     _strip_timings(measured)
     flat_g: Dict[str, Any] = {}

@@ -1,4 +1,4 @@
-"""Deterministic sharding + streaming results for multi-host sweeps.
+"""Deterministic sharding for multi-host sweeps.
 
 The experiment drivers are embarrassingly parallel over their unit
 lists (Table I/II rows, sweep ``seed/fsm`` cells, ablation FSMs, fuzz
@@ -10,49 +10,22 @@ cases); this module splits that list across *machines* the way
   unit list satisfies ``i % N == K - 1``.  Round-robin by position,
   so heterogeneous unit costs spread evenly and the N shards cover
   every unit exactly once with no coordination.
-* :func:`build_meta` — the self-describing run descriptor stamped
-  into shard checkpoints and stream headers: schema version,
-  experiment tag, shard spec, the full ordered unit universe and the
-  experiment parameters.  ``picola merge`` validates these against
-  each other before combining results.
-* :class:`StreamWriter` / :func:`read_stream` — the ``--stream
-  results.jsonl`` sink: one header line describing the run, then one
-  JSON line per completed cell *as it finishes* (reusing the
-  :class:`~repro.obs.JsonlSink` machinery), then an ``end`` marker.
-  CI or a dashboard can ``tail -f`` progress; ``picola merge
-  --from-stream`` rebuilds the same report from the lines.
+* :func:`build_meta` — the run descriptor stamped into the header of
+  every ``--resume`` run log: shard spec (or ``null``), the full
+  ordered unit universe and the experiment parameters.  ``picola
+  merge`` validates these against each other before combining the
+  shard logs.
 """
 
 from __future__ import annotations
 
 import json
-import pathlib
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Dict, List, Optional, Sequence, Union
 
-from ..obs import JsonlSink
-from ..runtime import CheckpointError, InvalidSpecError
+from ..runtime import InvalidSpecError
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "ShardSpec",
-    "parse_shard",
-    "resolve_shard",
-    "build_meta",
-    "StreamWriter",
-    "read_stream",
-]
-
-#: bump when the shard checkpoint / stream cell payload shape changes
-SCHEMA_VERSION = 1
+__all__ = ["ShardSpec", "parse_shard", "resolve_shard", "build_meta"]
 
 
 @dataclass(frozen=True)
@@ -120,12 +93,11 @@ def resolve_shard(
 
 
 def build_meta(
-    experiment: str,
     units: Sequence[str],
     params: Dict[str, Any],
     shard: Optional[ShardSpec],
 ) -> Dict[str, Any]:
-    """The self-describing run descriptor for checkpoints/streams.
+    """The run descriptor for a run log's header.
 
     ``units`` is the *full* ordered unit universe of the unsharded
     run — every shard of one campaign records the identical list, so
@@ -134,128 +106,7 @@ def build_meta(
     and lists compare equal across processes.
     """
     return {
-        "schema": SCHEMA_VERSION,
-        "experiment": experiment,
         "shard": shard.to_dict() if shard is not None else None,
         "units": list(units),
         "params": json.loads(json.dumps(params)),
     }
-
-
-class StreamWriter:
-    """Append one JSON line per completed cell to a results file.
-
-    Line shapes::
-
-        {"type": "header", "schema": 1, "experiment": ..., "shard":
-         {"index": K, "total": N} | null, "units": [...], "params": {...}}
-        {"type": "cell", "key": "<unit key>", "resumed": bool,
-         "payload": {...}}
-        {"type": "end", "cells": <count>}
-
-    The ``header`` carries the same meta a shard checkpoint does, so
-    stream files are self-describing and mergeable on their own.
-    """
-
-    def __init__(
-        self, path: Union[str, pathlib.Path], meta: Dict[str, Any]
-    ) -> None:
-        self.path = pathlib.Path(path)
-        self._sink = JsonlSink(self.path)
-        self._cells = 0
-        self._closed = False
-        self._sink.emit(dict({"type": "header"}, **meta))
-        self._flush()
-
-    def _flush(self) -> None:
-        # a dashboard tailing the file must see each cell as it
-        # finishes, not when the run ends
-        self._sink.flush()
-
-    def emit_cell(
-        self, key: str, payload: Any, *, resumed: bool = False
-    ) -> None:
-        self._sink.emit(
-            {
-                "type": "cell",
-                "key": key,
-                "resumed": resumed,
-                "payload": payload,
-            }
-        )
-        self._cells += 1
-        self._flush()
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._sink.emit({"type": "end", "cells": self._cells})
-        self._sink.close()
-
-
-def read_stream(
-    path: Union[str, pathlib.Path]
-) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-    """Parse one stream file back into ``(meta, completed)``.
-
-    The first line must be the header; later lines are cells (last
-    write wins, matching a resumed run re-emitting its cells).  A
-    truncated *final* line — the run was killed mid-append — is
-    dropped silently; a malformed line anywhere else is an error.
-    An ``end`` marker is optional but, when present, must agree with
-    the number of cells read.
-    """
-    path = pathlib.Path(path)
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise CheckpointError(
-            f"unreadable stream file {path}: {exc}"
-        ) from exc
-    meta: Optional[Dict[str, Any]] = None
-    completed: Dict[str, Any] = {}
-    declared_cells: Optional[int] = None
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            event = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if lineno == len(lines):
-                break  # torn final write of a killed run
-            raise CheckpointError(
-                f"{path}:{lineno}: malformed stream line: {exc}"
-            ) from exc
-        kind = event.get("type") if isinstance(event, dict) else None
-        if meta is None:
-            if kind != "header":
-                raise CheckpointError(
-                    f"{path}: not a results stream (first line is "
-                    f"{kind!r}, expected a 'header')"
-                )
-            meta = {k: v for k, v in event.items() if k != "type"}
-        elif kind == "cell":
-            completed[event["key"]] = event["payload"]
-        elif kind == "end":
-            declared_cells = event.get("cells")
-        elif kind == "header":
-            raise CheckpointError(
-                f"{path}:{lineno}: duplicate stream header"
-            )
-        else:
-            raise CheckpointError(
-                f"{path}:{lineno}: unknown stream line type {kind!r}"
-            )
-    if meta is None:
-        raise CheckpointError(f"{path}: empty stream file")
-    if declared_cells is not None and declared_cells != len(completed):
-        # duplicate keys (resumed re-emits) make the marker count an
-        # upper bound; fewer *distinct* cells than declared is fine,
-        # more means the file was corrupted
-        if len(completed) > declared_cells:
-            raise CheckpointError(
-                f"{path}: stream records {len(completed)} cells but "
-                f"the end marker declares {declared_cells}"
-            )
-    return meta, completed

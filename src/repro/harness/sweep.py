@@ -246,7 +246,6 @@ def run_seed_sweep(
     jobs: int = 1,
     retry_failed: bool = False,
     shard: Optional[Union[str, ShardSpec]] = None,
-    stream: Optional[Union[str, pathlib.Path]] = None,
 ) -> SeedSweepReport:
     """Re-run the quick Table I comparison for several FSM draws.
 
@@ -265,7 +264,6 @@ def run_seed_sweep(
     ``seed/fsm`` cell grid; a seed whose cells are split across
     shards reports provisional per-shard totals — ``picola merge``
     over all N shard checkpoints rebuilds the exact unsharded table.
-    ``stream`` appends one JSON line per completed cell.
     """
     if fsms is None:
         fsms = [f for f in QUICK_FSMS if BENCHMARKS[f].source != "file"]
@@ -276,5 +274,5 @@ def run_seed_sweep(
             "nova_seed": nova_seed, "timeout": timeout,
         },
         checkpoint=checkpoint, jobs=jobs, retry_failed=retry_failed,
-        shard=shard, stream=stream, verbose=verbose,
+        shard=shard, verbose=verbose,
     )

@@ -363,7 +363,6 @@ def run_table1(
     jobs: int = 1,
     retry_failed: bool = False,
     shard: Optional[Union[str, ShardSpec]] = None,
-    stream: Optional[Union[str, pathlib.Path]] = None,
 ) -> Table1Report:
     """Regenerate Table I over the given FSM list (default: all rows).
 
@@ -379,10 +378,8 @@ def run_table1(
 
     ``shard`` (``"K/N"`` or a :class:`ShardSpec`) restricts the run to
     its deterministic slice of the row list so N hosts can split one
-    table; the checkpoint then carries a self-describing shard meta
-    block and ``picola merge`` recombines the N files into the full
-    report.  ``stream`` appends one JSON line per completed row to a
-    results file as it finishes.
+    table; ``picola merge`` recombines the N shard checkpoints (run
+    logs whose header describes the shard) into the full report.
     """
     return run_experiment(
         Table1Report, TABLE1_FSMS if fsms is None else fsms,
@@ -391,5 +388,5 @@ def run_table1(
             "seed": seed, "timeout": timeout,
         },
         checkpoint=checkpoint, jobs=jobs, retry_failed=retry_failed,
-        shard=shard, stream=stream, verbose=verbose,
+        shard=shard, verbose=verbose,
     )

@@ -248,7 +248,6 @@ def run_table2(
     jobs: int = 1,
     retry_failed: bool = False,
     shard: Optional[Union[str, ShardSpec]] = None,
-    stream: Optional[Union[str, pathlib.Path]] = None,
 ) -> Table2Report:
     """Regenerate Table II over the given FSM list (default: all rows).
 
@@ -258,12 +257,11 @@ def run_table2(
     re-runs them).  ``jobs`` parallelizes rows over worker processes
     with deterministic submission-order merging.  ``shard`` (``K/N``)
     runs only this host's slice of the row list, stamping the
-    checkpoint with a shard meta block for ``picola merge``;
-    ``stream`` appends one JSON line per completed row.
+    checkpoint's header with the shard for ``picola merge``.
     """
     return run_experiment(
         Table2Report, TABLE2_FSMS if fsms is None else fsms,
         {"seed": seed, "timeout": timeout},
         checkpoint=checkpoint, jobs=jobs, retry_failed=retry_failed,
-        shard=shard, stream=stream, verbose=verbose,
+        shard=shard, verbose=verbose,
     )

@@ -94,12 +94,6 @@ class JsonlSink(Sink):
     def emit(self, event: Dict[str, Any]) -> None:
         self._handle.write(json.dumps(event, default=str) + "\n")
 
-    def flush(self) -> None:
-        """Push buffered lines to the file — streaming consumers
-        (``tail -f`` on a ``--stream`` results file) need each line
-        visible as soon as it is emitted, not at close."""
-        self._handle.flush()
-
     def close(self) -> None:
         self._handle.flush()
         if self._owns_handle:

@@ -8,8 +8,8 @@ Every solver and harness entry point runs through this subsystem:
   :class:`Deadline` objects checked at solver loop heads;
 * :mod:`repro.runtime.isolation` — :func:`run_isolated`, the
   per-benchmark fault boundary used by the table/sweep drivers;
-* :mod:`repro.runtime.checkpoint` — JSON :class:`Checkpoint` files
-  behind the CLI's ``--resume``;
+* :mod:`repro.runtime.checkpoint` — the append-only run logs
+  (:class:`Checkpoint`) behind ``--resume`` and ``picola merge``;
 * :mod:`repro.runtime.faults` — deterministic fault injection used by
   the robustness test-suite (and ``REPRO_FAULTS`` for operators).
 

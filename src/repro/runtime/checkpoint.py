@@ -1,31 +1,32 @@
-"""JSON checkpoint/resume for long experiment runs.
+"""Append-only run logs: checkpoint/resume for long experiment runs.
 
-A :class:`Checkpoint` is a small JSON file mapping completed unit keys
-(benchmark names, ``seed/fsm`` cells) to their serialized results.
-The harness marks each unit done as soon as it finishes, with an
-atomic write (temp file + ``os.replace``), so a killed run — crash,
-Ctrl-C, cluster preemption — restarts from the last completed
-benchmark instead of from scratch: ``picola table1 --resume run.ckpt``.
+A :class:`Checkpoint` is a JSON-lines file.  Line 1 is the header: the
+log ``format``, the ``experiment`` tag and the run descriptor the
+harness stamps (``shard`` spec or ``null``, the full ordered ``units``
+list, the experiment ``params``).  The header is written atomically
+when the file is created; after that every finished unit appends one
+``{"key", "payload"}`` line and flushes it.  A killed run — crash,
+Ctrl-C, cluster preemption — restarts from the last completed unit
+(``picola table1 --resume run.log``), ``tail -f`` follows progress, and
+``picola merge`` rebuilds the report from the logs of a sharded run.
+A key logged twice reads back as its last line.
 
-The file carries an ``experiment`` tag; resuming a ``table2`` run from
-a ``table1`` checkpoint raises :class:`CheckpointError` rather than
-silently mixing result shapes.  The tag is stamped on the first write
-— an untagged instance refuses to flush — and an on-disk file missing
-the tag is rejected at load time, so the mismatch check can never be
-bypassed by a file that simply omits the field.
+A kill during an append leaves a torn final line (no trailing
+newline).  Readers drop it, and the next append first truncates the
+file to its last complete line; a malformed *complete* line is an
+error.
 
-Failed units are checkpointed too (their payload records a non-``ok``
+Resume policy: the experiment tag is always checked, so resuming a
+``table2`` run from a ``table1`` log raises :class:`CheckpointError`
+rather than silently mixing result shapes, and a log without a tag is
+refused.  The run descriptor is checked only when the run or the log
+is sharded: an unsharded run still resumes with different knobs, but
+two hosts cannot mix incompatible shard specs.
+
+Failed units are logged too (their payload records a non-``ok``
 ``status``), so a deterministically failing benchmark is not re-run on
 every ``--resume``; :func:`resumable` implements the shared
 skip-or-rerun decision, including the opt-in ``--retry-failed`` path.
-
-Sharded runs (``--shard K/N``) additionally stamp a ``meta`` object —
-schema version, shard spec, the full ordered unit universe and the
-experiment parameters — making the file *self-describing*: ``picola
-merge`` can validate that independent shard checkpoints belong to the
-same experiment run and rebuild the combined report from them.  A
-resume whose freshly computed meta disagrees with the on-disk one is
-refused, so two hosts cannot silently mix incompatible shard specs.
 """
 
 from __future__ import annotations
@@ -39,11 +40,18 @@ from .errors import CheckpointError
 
 __all__ = ["Checkpoint", "payload_failed", "resumable"]
 
-_FORMAT = "repro-checkpoint-v1"
+#: the header's ``format`` field; bump when the log or payload shape changes
+_FORMAT = "repro-run-log-v2"
 
 
 class Checkpoint:
-    """Durable record of completed experiment units."""
+    """Durable, append-only record of completed experiment units.
+
+    ``meta`` is the run descriptor (``shard``/``units``/``params``)
+    written into a new log's header and checked against an existing
+    one's.  A tagged instance creates its file at once, so even a run
+    that finishes no unit leaves a header behind.
+    """
 
     def __init__(
         self,
@@ -53,17 +61,19 @@ class Checkpoint:
     ) -> None:
         self.path: Optional[pathlib.Path] = pathlib.Path(path)
         self.experiment = experiment
-        self.meta = meta
+        self._header = dict(
+            {"format": _FORMAT, "experiment": experiment}, **(meta or {})
+        )
         self._completed: Dict[str, Any] = {}
+        self._end = 0  # byte length of the header + complete lines
         if self.path.exists():
-            self._load()
+            self._load(meta)
+        elif experiment is not None:
+            self._create()
 
     @classmethod
     def in_memory(
-        cls,
-        experiment: str,
-        completed: Dict[str, Any],
-        meta: Optional[Dict[str, Any]] = None,
+        cls, experiment: str, completed: Dict[str, Any]
     ) -> "Checkpoint":
         """A read-only checkpoint that never touches disk — the merge
         path uses it to replay combined shard results through the
@@ -71,62 +81,81 @@ class Checkpoint:
         ckpt = cls.__new__(cls)
         ckpt.path = None
         ckpt.experiment = experiment
-        ckpt.meta = meta
+        ckpt._header = {"format": _FORMAT, "experiment": experiment}
         ckpt._completed = dict(completed)
         return ckpt
 
-    def _load(self) -> None:
+    def _create(self) -> None:
+        data = (json.dumps(self._header) + "\n").encode()
+        tmp = self.path.with_name(self.path.name + ".tmp")
+        tmp.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_bytes(data)
+        os.replace(tmp, self.path)
+        self._end = len(data)
+
+    def _load(self, meta: Optional[Dict[str, Any]]) -> None:
         try:
-            data = json.loads(self.path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            data = self.path.read_bytes()
+        except OSError as exc:
             raise CheckpointError(
                 f"unreadable checkpoint {self.path}: {exc}"
             ) from exc
-        if not isinstance(data, dict) or data.get("format") != _FORMAT:
+        *lines, torn = data.split(b"\n")
+        try:
+            header = json.loads(lines[0]) if lines else None
+        except ValueError:
+            header = None
+        if not isinstance(header, dict) or header.get("format") != _FORMAT:
             raise CheckpointError(
-                f"{self.path} is not a {_FORMAT} file"
+                f"unreadable checkpoint {self.path}: line 1 is not a "
+                f"{_FORMAT} header"
             )
-        recorded = data.get("experiment")
+        recorded = header.get("experiment")
         if recorded is None:
             raise CheckpointError(
                 f"{self.path} has no experiment tag; refusing to "
                 "resume from an untagged checkpoint"
             )
-        if (
-            self.experiment is not None
-            and recorded != self.experiment
-        ):
+        if self.experiment is not None and recorded != self.experiment:
             raise CheckpointError(
                 f"{self.path} belongs to experiment {recorded!r}, "
                 f"not {self.experiment!r}"
             )
-        if self.experiment is None:
-            self.experiment = recorded
-        recorded_meta = data.get("meta")
-        if recorded_meta is not None and not isinstance(
-            recorded_meta, dict
+        self.experiment = recorded
+        if meta is not None and (
+            meta.get("shard") is not None
+            or header.get("shard") is not None
         ):
-            raise CheckpointError(f"{self.path}: bad 'meta' object")
-        if self.meta is not None and recorded_meta is not None:
-            if self.meta != recorded_meta:
+            recorded_meta = {
+                k: v for k, v in header.items()
+                if k not in ("format", "experiment")
+            }
+            if meta != recorded_meta:
                 raise CheckpointError(
                     f"{self.path} was written for a different run "
                     "spec (shard/units/params differ); refusing to "
-                    "mix incompatible shard checkpoints"
+                    "mix incompatible shard logs"
                 )
-        elif self.meta is not None and recorded_meta is None:
-            raise CheckpointError(
-                f"{self.path} is not a shard checkpoint (no meta); "
-                "refusing to resume a sharded run from it"
-            )
-        elif recorded_meta is not None:
-            self.meta = recorded_meta
-        completed = data.get("completed", {})
-        if not isinstance(completed, dict):
-            raise CheckpointError(f"{self.path}: bad 'completed' map")
-        self._completed = completed
+        self._header = header
+        for lineno, line in enumerate(lines[1:], start=2):
+            try:
+                entry = json.loads(line)
+                self._completed[entry["key"]] = entry["payload"]
+            except (ValueError, TypeError, KeyError) as exc:
+                raise CheckpointError(
+                    f"{self.path}:{lineno}: malformed log line: {exc}"
+                ) from exc
+        self._end = len(data) - len(torn)
 
     # -- queries -------------------------------------------------------
+    @property
+    def meta(self) -> Optional[Dict[str, Any]]:
+        """The run descriptor (``experiment``, ``shard``, ``units``,
+        ``params``) of a sharded log; ``None`` for an unsharded one."""
+        if self._header.get("shard") is None:
+            return None
+        return {k: v for k, v in self._header.items() if k != "format"}
+
     @property
     def completed(self) -> Dict[str, Any]:
         return dict(self._completed)
@@ -145,16 +174,7 @@ class Checkpoint:
 
     # -- updates -------------------------------------------------------
     def mark_done(self, key: str, payload: Any) -> None:
-        """Record one finished unit and flush atomically."""
-        self._completed[key] = payload
-        self._flush()
-
-    def clear(self) -> None:
-        self._completed.clear()
-        if self.path is not None and self.path.exists():
-            self.path.unlink()
-
-    def _flush(self) -> None:
+        """Record one finished unit: append its line and flush it."""
         if self.path is None:
             raise CheckpointError(
                 "in-memory checkpoint is read-only (merge replay)"
@@ -165,17 +185,12 @@ class Checkpoint:
                 "experiment tag (pass experiment=... so later "
                 "resumes can verify it)"
             )
-        data = {
-            "format": _FORMAT,
-            "experiment": self.experiment,
-            "completed": self._completed,
-        }
-        if self.meta is not None:
-            data["meta"] = self.meta
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        tmp.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(json.dumps(data, indent=2, sort_keys=True))
-        os.replace(tmp, self.path)
+        line = (json.dumps({"key": key, "payload": payload}) + "\n").encode()
+        with open(self.path, "ab") as handle:
+            handle.truncate(self._end)  # a torn tail from a killed append
+            handle.write(line)
+        self._end += len(line)
+        self._completed[key] = payload
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,8 @@ users never see a raw traceback for a missing or malformed input
 file.
 """
 
+import json
+
 import pytest
 
 from repro.harness.cli import main
@@ -44,6 +46,25 @@ class TestCliErrors:
         empty.write_text(".i 1\n.o 1\n.e\n")
         assert main(["encode", str(empty)]) == 2
         assert "no transitions" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["table1", "--fsm", "lion9", "--no-enc", "--resume"],
+        ["merge"],
+    ])
+    def test_v1_checkpoint_refused(self, tmp_path, capsys, command):
+        """A whole-file JSON checkpoint of the old format is refused
+        with a one-line diagnostic naming the run-log format."""
+        v1 = tmp_path / "run.ckpt"
+        v1.write_text(json.dumps(
+            {"format": "repro-checkpoint-v1", "experiment": "table1",
+             "completed": {}},
+            indent=2, sort_keys=True,
+        ))
+        assert main(command + [str(v1)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("picola: error:")
+        assert "repro-run-log-v2" in err
+        assert "\n" not in err.strip()  # one-line diagnostic
 
     def test_encode_with_method(self, tmp_path, capsys):
         kiss = tmp_path / "m.kiss2"

@@ -12,8 +12,6 @@ import pytest
 
 from repro.harness.ablation import run_ablation
 from repro.harness.experiment import get_experiment
-from repro.harness.serialize import to_dict
-from repro.harness.shard import read_stream
 from repro.harness.sweep import run_seed_sweep
 from repro.harness.table1 import Table1Report, run_table1
 from repro.harness.table2 import run_table2
@@ -42,46 +40,32 @@ def scrub(obj):
     return obj
 
 
-def cells(stream):
-    """The ``(key, payload)`` cells of a stream file, in order."""
-    events = [json.loads(line) for line in stream.read_text().splitlines()]
-    return [
-        (e["key"], scrub(e["payload"]))
-        for e in events if e["type"] == "cell"
-    ]
+def cells(log):
+    """The ``(key, payload)`` cells of a run log, in order."""
+    entries = [json.loads(line) for line in log.read_text().splitlines()[1:]]
+    return [(e["key"], scrub(e["payload"])) for e in entries]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_resume_is_equivalent_to_uninterrupted_run(name, tmp_path):
     run, kwargs = CASES[name]
-    full_ckpt, full_stream = tmp_path / "full.ckpt", tmp_path / "full.jsonl"
-    full = run(**kwargs, checkpoint=full_ckpt, stream=full_stream)
+    full_log = tmp_path / "full.log"
+    full = run(**kwargs, checkpoint=full_log)
 
-    # keep the first half of the units (in run order) in the checkpoint
-    _, completed = read_stream(full_stream)
-    keys = list(completed)
-    assert len(keys) >= 2
-    data = json.loads(full_ckpt.read_text())
-    for key in keys[len(keys) // 2:]:
-        del data["completed"][key]
-    half_ckpt = tmp_path / "half.ckpt"
-    half_ckpt.write_text(json.dumps(data))
-    half_stream = tmp_path / "half.jsonl"
-    resumed = run(**kwargs, checkpoint=half_ckpt, stream=half_stream)
+    # keep the header and the first half of the cells (in run order)
+    header, *lines = full_log.read_text().splitlines(keepends=True)
+    assert len(lines) >= 2
+    half_log = tmp_path / "half.log"
+    half_log.write_text(header + "".join(lines[: len(lines) // 2]))
+    resumed = run(**kwargs, checkpoint=half_log)
 
     def text(report):  # Table II renders wall-clock time ratios
         out = report.render()
         return re.sub(r"\d+\.\d+", "#", out) if name == "table2" else out
 
     assert text(resumed) == text(full)
-    assert scrub(to_dict(resumed)) == scrub(to_dict(full))
-    assert cells(half_stream) == cells(full_stream)
-    flags = [
-        json.loads(line)["resumed"]
-        for line in half_stream.read_text().splitlines()[1:-1]
-    ]
-    half = len(keys) // 2
-    assert flags == [True] * half + [False] * (len(keys) - half)
+    assert scrub(resumed.to_dict()) == scrub(full.to_dict())
+    assert cells(half_log) == cells(full_log)
 
 
 class TestExperimentLookup:

@@ -14,7 +14,6 @@ import pytest
 
 from repro.harness.ablation import run_ablation
 from repro.harness.cli import main
-from repro.harness.serialize import to_json
 from repro.harness.sweep import run_seed_sweep
 from repro.harness.table1 import run_table1
 from repro.harness.table2 import run_table2
@@ -52,7 +51,7 @@ class TestTable1Degradation:
         assert clean.enc_status is None
         assert "TIMEOUT" in report.render()
         # partial report serializes
-        data = json.loads(to_json(report))
+        data = json.loads(json.dumps(report.to_dict()))
         assert data["rows"][0]["enc_status"] == "timeout"
         assert data["summary"]["failed"] == 0
 
@@ -68,7 +67,7 @@ class TestTable1Degradation:
         assert (
             report.picola_wins + report.nova_wins + report.ties == 1
         )
-        data = json.loads(to_json(report))
+        data = json.loads(json.dumps(report.to_dict()))
         assert data["rows"][1]["status"] == "timeout"
         assert data["summary"]["failed"] == 1
 
@@ -90,7 +89,7 @@ class TestTable2Degradation:
         assert report.n_failed == 1
         assert report.rows[0].status == "timeout"
         assert "FAILED (timeout)" in report.render()
-        data = json.loads(to_json(report))
+        data = json.loads(json.dumps(report.to_dict()))
         assert data["rows"][0]["status"] == "timeout"
         assert data["summary"]["failed"] == 1
 
@@ -108,7 +107,7 @@ class TestAblationDegradation:
         assert report.cubes["lion9"]["exact"] is None
         assert report.cell_status["lion9"]["exact"] == "budget"
         assert "BUDGET" in report.render()
-        data = json.loads(to_json(report))
+        data = json.loads(json.dumps(report.to_dict()))
         assert data["cell_status"]["lion9"]["exact"] == "budget"
         # totals skip the degraded cell instead of crashing on None
         assert data["totals"]["exact"] == 0
@@ -121,7 +120,7 @@ class TestAblationDegradation:
         assert report.failures == {"lion9": "ReproError"}
         assert report.cubes["ex3"]["full"] is not None
         assert "FAILED (ReproError)" in report.render()
-        json.loads(to_json(report))
+        json.loads(json.dumps(report.to_dict()))
 
 
 class TestSweepDegradation:
@@ -134,7 +133,7 @@ class TestSweepDegradation:
         assert len(report.outcomes) == 1
         assert report.outcomes[0].total_picola > 0
         assert "failed" in report.render()
-        data = json.loads(to_json(report))
+        data = json.loads(json.dumps(report.to_dict()))
         assert data["failures"] == {"0/ex3": "timeout"}
 
     def test_seed_with_no_completed_cells_is_excluded(self):
@@ -156,7 +155,7 @@ class TestSweepDegradation:
         assert report.mean_overhead() == pytest.approx(good)
         assert report.overhead_stddev() == 0.0  # one sample, no spread
         assert "excluded from the aggregate" in report.render()
-        data = json.loads(to_json(report))
+        data = json.loads(json.dumps(report.to_dict()))
         assert data["skipped_seeds"] == [0]
         assert data["summary"]["skipped_seeds"] == 1
 

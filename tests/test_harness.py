@@ -151,21 +151,19 @@ class TestSerialize:
         import json
 
         from repro.harness import run_table1
-        from repro.harness.serialize import to_dict, to_json
 
         report = run_table1(["opus"], include_enc=False)
-        data = to_dict(report)
+        data = report.to_dict()
         assert data["experiment"] == "table1"
         assert data["rows"][0]["fsm"] == "opus"
         assert "picola_wins" in data["summary"]
-        json.loads(to_json(report))  # valid JSON
+        json.loads(json.dumps(data))  # valid JSON
 
     def test_table2_json(self):
         from repro.harness import run_table2
-        from repro.harness.serialize import to_dict
 
         report = run_table2(["dk16"])
-        data = to_dict(report)
+        data = report.to_dict()
         assert data["rows"][0]["sizes"]["picola"] > 0
         assert "totals" in data["summary"]
 
@@ -174,7 +172,6 @@ class TestSerialize:
         from only the *first* ok row, so methods that row lacked
         (degraded resume payloads, sharded slices) vanished from the
         totals even when later rows reported them."""
-        from repro.harness.serialize import to_dict
         from repro.harness.table2 import Table2Report, Table2Row
 
         report = Table2Report(rows=[
@@ -184,24 +181,15 @@ class TestSerialize:
                 sizes={"nova_ih": 5, "nova_ioh": 7, "picola": 4},
             ),
         ])
-        totals = to_dict(report)["summary"]["totals"]
+        totals = report.to_dict()["summary"]["totals"]
         assert totals == {"nova_ih": 15, "nova_ioh": 7, "picola": 4}
 
     def test_ablation_json(self):
         from repro.harness import run_ablation
-        from repro.harness.serialize import to_dict
 
         report = run_ablation(["opus"], ["full"])
-        data = to_dict(report)
+        data = report.to_dict()
         assert data["totals"]["full"] >= 0
-
-    def test_unknown_type_rejected(self):
-        import pytest as _pytest
-
-        from repro.harness.serialize import to_dict
-
-        with _pytest.raises(TypeError):
-            to_dict(42)
 
     def test_cli_json_flag(self, tmp_path, capsys):
         out = tmp_path / "t1.json"

@@ -15,7 +15,6 @@ import pytest
 from repro.harness import Unit, resolve_jobs, run_units
 from repro.harness.ablation import run_ablation
 from repro.harness.parallel import UNIT_SPAN
-from repro.harness.serialize import to_dict
 from repro.harness.sweep import run_seed_sweep
 from repro.harness.table1 import run_table1
 from repro.harness.table2 import run_table2
@@ -135,8 +134,8 @@ class TestDeterminism:
         serial = run_table1(FSMS, include_enc=False)
         par = run_table1(FSMS, include_enc=False, jobs=2)
         assert par.render() == serial.render()
-        assert scrub_seconds(to_dict(par)) == scrub_seconds(
-            to_dict(serial)
+        assert scrub_seconds(par.to_dict()) == scrub_seconds(
+            serial.to_dict()
         )
 
     def test_table2_parallel_matches_serial(self):
@@ -145,8 +144,8 @@ class TestDeterminism:
         # form with seconds/ratios scrubbed instead of render() bytes.
         serial = run_table2(["lion9", "ex3"])
         par = run_table2(["lion9", "ex3"], jobs=2)
-        assert scrub_seconds(to_dict(par)) == scrub_seconds(
-            to_dict(serial)
+        assert scrub_seconds(par.to_dict()) == scrub_seconds(
+            serial.to_dict()
         )
         assert [r.sizes for r in par.rows] == [
             r.sizes for r in serial.rows
@@ -156,15 +155,15 @@ class TestDeterminism:
         serial = run_seed_sweep(["lion9", "ex3"], seeds=(0, 1))
         par = run_seed_sweep(["lion9", "ex3"], seeds=(0, 1), jobs=2)
         assert par.render() == serial.render()
-        assert to_dict(par) == to_dict(serial)
+        assert par.to_dict() == serial.to_dict()
 
     def test_ablation_parallel_matches_serial(self):
         variants = ["full", "no_guides"]
         serial = run_ablation(["lion9", "ex3"], variants)
         par = run_ablation(["lion9", "ex3"], variants, jobs=2)
         assert par.render() == serial.render()
-        assert scrub_seconds(to_dict(par)) == scrub_seconds(
-            to_dict(serial)
+        assert scrub_seconds(par.to_dict()) == scrub_seconds(
+            serial.to_dict()
         )
 
 

@@ -251,12 +251,37 @@ class TestCheckpoint:
         assert sorted(again.keys()) == ["bbara", "lion9"]
 
     def test_atomic_file_is_valid_json(self, tmp_path):
+        """The header is written when the file is created; each unit
+        then appends one complete line, and every line is JSON."""
         path = tmp_path / "run.ckpt"
         ckpt = Checkpoint(path, experiment="sweep")
+        assert len(path.read_text().splitlines()) == 1
         ckpt.mark_done("0/lion9", {"picola": 7, "nova": 8})
-        data = json.loads(path.read_text())
-        assert data["experiment"] == "sweep"
-        assert "0/lion9" in data["completed"]
+        ckpt.mark_done("0/ex3", {"picola": 9, "nova": 9})
+        text = path.read_text()
+        assert text.endswith("\n")
+        header, *cells = [json.loads(line) for line in text.splitlines()]
+        assert header["experiment"] == "sweep"
+        assert cells[0] == {
+            "key": "0/lion9", "payload": {"picola": 7, "nova": 8},
+        }
+        assert [c["key"] for c in cells] == ["0/lion9", "0/ex3"]
+
+    def test_last_line_wins(self, tmp_path):
+        path = tmp_path / "run.ckpt"
+        ckpt = Checkpoint(path, experiment="table1")
+        ckpt.mark_done("a", {"v": 1})
+        ckpt.mark_done("a", {"v": 2})
+        assert Checkpoint(path).completed == {"a": {"v": 2}}
+
+    def test_malformed_complete_line_rejected(self, tmp_path):
+        """Only the *final*, unterminated line may be torn."""
+        path = tmp_path / "run.ckpt"
+        Checkpoint(path, experiment="table1").mark_done("a", 1)
+        with open(path, "a") as handle:
+            handle.write('{"key": "b", "pay\n{"key": "c", "payload": 3}\n')
+        with pytest.raises(CheckpointError, match=":3: malformed"):
+            Checkpoint(path)
 
     def test_experiment_mismatch(self, tmp_path):
         path = tmp_path / "run.ckpt"
@@ -272,18 +297,20 @@ class TestCheckpoint:
 
     def test_foreign_json_rejected(self, tmp_path):
         path = tmp_path / "run.ckpt"
-        path.write_text('{"some": "other file"}')
-        with pytest.raises(CheckpointError):
-            Checkpoint(path)
-
-    def test_clear(self, tmp_path):
-        path = tmp_path / "run.ckpt"
-        ckpt = Checkpoint(path, experiment="table1")
-        ckpt.mark_done("a", 1)
-        assert path.exists()
-        ckpt.clear()
-        assert not path.exists()
-        assert not ckpt.is_done("a")
+        v1 = {"format": "repro-checkpoint-v1", "experiment": "table1",
+              "completed": {"lion9": {"status": "ok"}}}
+        for text in (
+            '{"some": "other file"}',
+            '{"key": "x", "payload": {}}\n',  # a log line, no header
+            "",
+            json.dumps(v1),
+            json.dumps(v1, indent=2, sort_keys=True),  # as v1 wrote it
+        ):
+            path.write_text(text)
+            with pytest.raises(CheckpointError) as info:
+                Checkpoint(path, experiment="table1")
+            assert "repro-run-log-v2 header" in str(info.value)
+            assert "\n" not in str(info.value)
 
     def test_untagged_write_rejected(self, tmp_path):
         path = tmp_path / "run.ckpt"
@@ -294,9 +321,7 @@ class TestCheckpoint:
 
     def test_untagged_file_rejected_on_resume(self, tmp_path):
         path = tmp_path / "run.ckpt"
-        path.write_text(
-            '{"format": "repro-checkpoint-v1", "completed": {"a": 1}}'
-        )
+        path.write_text('{"format": "repro-run-log-v2"}\n')
         with pytest.raises(CheckpointError, match="untagged"):
             Checkpoint(path, experiment="table1")
 

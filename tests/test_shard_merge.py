@@ -1,12 +1,13 @@
-"""Sharded multi-host runs (``--shard K/N``), streaming results
-(``--stream``) and ``picola merge``.
+"""Sharded multi-host runs (``--shard K/N``), their ``--resume`` run
+logs and ``picola merge``.
 
 Covers the protocol invariants: the deterministic partition (N shards
-cover every unit exactly once), self-describing shard checkpoints,
-kill-one-shard-and-resume, merge validation (tag/spec/params
-mismatches, duplicate/missing shards, foreign or missing cells), and
-the headline guarantee — a merged report renders **byte-identical**
-to an unsharded run, for all four experiments and for stream files.
+cover every unit exactly once), self-describing shard logs,
+kill-one-shard-and-resume (a torn final line included), merge
+validation (tag/spec/params mismatches, duplicate/missing shards,
+foreign or missing cells), and the headline guarantee — a merged
+report renders **byte-identical** to an unsharded run, for every
+experiment.
 """
 
 import json
@@ -16,13 +17,7 @@ import pytest
 from repro.harness.ablation import run_ablation
 from repro.harness.cli import main
 from repro.harness.merge import merge_files
-from repro.harness.shard import (
-    ShardSpec,
-    StreamWriter,
-    build_meta,
-    parse_shard,
-    read_stream,
-)
+from repro.harness.shard import ShardSpec, parse_shard
 from repro.harness.sweep import run_seed_sweep
 from repro.harness.table1 import run_table1
 from repro.harness.table2 import run_table2
@@ -116,6 +111,17 @@ class TestShardCheckpointMeta:
                 checkpoint=path, shard="1/1",
             )
 
+    def test_unsharded_resume_refuses_shard_log(self, tmp_path):
+        """The converse: a shard's log must not collect the cells of
+        an unsharded run, or its merge would see foreign cells."""
+        path = tmp_path / "s1.json"
+        run_table1(
+            ["lion9", "ex3"], include_enc=False,
+            checkpoint=path, shard="1/2",
+        )
+        with pytest.raises(CheckpointError, match="different run"):
+            run_table1(["lion9", "ex3"], include_enc=False, checkpoint=path)
+
     def test_unsharded_resume_still_ignores_params(self, tmp_path):
         """Legacy behavior is preserved: without --shard no meta is
         stamped, so resuming with different knobs keeps working."""
@@ -162,6 +168,47 @@ class TestKillAndResumeShard:
         merged, experiment = merge_files([s1, s2])
         assert experiment == "table1"
         unsharded = run_table1(fsms, include_enc=False)
+        assert merged.render() == unsharded.render()
+
+    def test_torn_tail_is_truncated_on_resume(self, tmp_path):
+        """A kill during an append leaves half a line; the resume
+        recomputes that cell after cutting the file back to its last
+        complete line, so the log stays readable and mergeable."""
+        fsms = ["lion9", "ex3", "opus"]
+        s1, s2 = tmp_path / "s1.json", tmp_path / "s2.json"
+        run_table1(fsms, include_enc=False, checkpoint=s1, shard="1/2")
+        run_table1(fsms, include_enc=False, checkpoint=s2, shard="2/2")
+        lines = s1.read_text().splitlines()
+        assert json.loads(lines[-1])["key"] == "opus"
+        s1.write_text(
+            "\n".join(lines[:-1]) + "\n" + lines[-1][: len(lines[-1]) // 2]
+        )
+        assert Checkpoint(s1).keys() == ["lion9"]  # torn line dropped
+
+        with faults.inject(
+            "table1.row", SolverTimeout, key="lion9"
+        ) as fault:
+            run_table1(
+                fsms, include_enc=False, checkpoint=s1, shard="1/2"
+            )
+            assert fault.fired == 0  # only the torn cell re-ran
+        relogged = s1.read_text().splitlines()
+        assert [json.loads(line).get("key") for line in relogged] == [
+            None, "lion9", "opus",
+        ]
+        merged, _ = merge_files([s1, s2])
+        unsharded = run_table1(fsms, include_enc=False)
+        assert merged.render() == unsharded.render()
+
+    def test_shard_owning_no_units_still_merges(self, tmp_path):
+        """A shard whose slice is empty still writes its log (the
+        header is written before any unit runs), so the merge finds
+        every shard."""
+        s1, s2 = tmp_path / "s1.json", tmp_path / "s2.json"
+        run_table1(["lion9"], include_enc=False, shard="1/2", checkpoint=s1)
+        run_table1(["lion9"], include_enc=False, shard="2/2", checkpoint=s2)
+        merged, _ = merge_files([s1, s2])
+        unsharded = run_table1(["lion9"], include_enc=False)
         assert merged.render() == unsharded.render()
 
 
@@ -251,9 +298,9 @@ class TestMergeValidation:
         """A cell outside the shard's own partition means the files
         overlap or were tampered with."""
         s1, s2 = self._two_shards(tmp_path)
-        data = json.loads(s1.read_text())
-        data["completed"]["ex3"] = data["completed"]["lion9"]
-        s1.write_text(json.dumps(data))
+        lion9 = json.loads(s1.read_text().splitlines()[1])
+        with open(s1, "a") as handle:
+            handle.write(json.dumps(dict(lion9, key="ex3")) + "\n")
         with pytest.raises(CheckpointError, match="outside shard"):
             merge_files([s1, s2])
 
@@ -267,10 +314,10 @@ class TestMergeValidation:
 
     def test_rejects_unknown_schema(self, tmp_path):
         s1, s2 = self._two_shards(tmp_path)
-        data = json.loads(s1.read_text())
-        data["meta"]["schema"] = 99
-        s1.write_text(json.dumps(data))
-        with pytest.raises(CheckpointError, match="schema"):
+        header, *cells = s1.read_text().splitlines()
+        header = dict(json.loads(header), format="repro-run-log-v99")
+        s1.write_text("\n".join([json.dumps(header)] + cells) + "\n")
+        with pytest.raises(CheckpointError, match="repro-run-log-v2"):
             merge_files([s1, s2])
 
 
@@ -333,15 +380,13 @@ class TestMergedRendersByteIdentical:
             unsharded.render()
         )
         # JSON too, modulo the wall-clock fields
-        from repro.harness.serialize import to_dict
-
         def scrub(data):
             for row in data["rows"]:
                 row["seconds"] = None
                 row["time_ratios"] = None
             return data
 
-        assert scrub(to_dict(merged)) == scrub(to_dict(unsharded))
+        assert scrub(merged.to_dict()) == scrub(unsharded.to_dict())
 
     def test_ablation(self, tmp_path):
         fsms = ["lion9", "ex3", "opus"]
@@ -372,76 +417,39 @@ class TestMergedRendersByteIdentical:
         assert merged.render() == unsharded.render()
 
 
-class TestStreaming:
-    def test_stream_file_round_trips(self, tmp_path):
-        stream = tmp_path / "run.jsonl"
+class TestRunLog:
+    def test_log_round_trips(self, tmp_path):
+        """Header first, then one line per unit in run order; an
+        unsharded log records its units too."""
+        log = tmp_path / "run.log"
         report = run_table1(
-            ["lion9", "ex3"], include_enc=False, stream=stream
+            ["lion9", "ex3"], include_enc=False, checkpoint=log
         )
-        lines = [
-            json.loads(line)
-            for line in stream.read_text().splitlines()
+        header, *cells = [
+            json.loads(line) for line in log.read_text().splitlines()
         ]
-        assert [e["type"] for e in lines] == [
-            "header", "cell", "cell", "end",
-        ]
-        assert lines[0]["experiment"] == "table1"
-        assert lines[0]["shard"] is None
-        assert lines[-1]["cells"] == 2
-        meta, completed = read_stream(stream)
-        assert sorted(completed) == ["ex3", "lion9"]
-        # an unsharded stream merges on its own, as shard 1/1
-        merged, _ = merge_files([stream], from_stream=True)
-        assert merged.render() == report.render()
-
-    def test_stream_tolerates_torn_final_line(self, tmp_path):
-        stream = tmp_path / "run.jsonl"
-        run_table1(
-            ["lion9", "ex3"], include_enc=False, stream=stream
+        assert header["experiment"] == "table1"
+        assert header["shard"] is None
+        assert header["units"] == ["lion9", "ex3"]
+        assert [c["key"] for c in cells] == ["lion9", "ex3"]
+        resumed = run_table1(
+            ["lion9", "ex3"], include_enc=False, checkpoint=log
         )
-        text = stream.read_text().splitlines()
-        # drop the end marker and tear the last cell mid-JSON
-        torn = "\n".join(text[:-2] + [text[-2][: len(text[-2]) // 2]])
-        stream.write_text(torn)
-        meta, completed = read_stream(stream)
-        assert list(completed) == ["lion9"]
+        assert resumed.render() == report.render()
+        assert len(log.read_text().splitlines()) == 3  # nothing re-ran
 
+
+class TestStreaming:
     def test_stream_rejects_non_stream_files(self, tmp_path):
-        bad = tmp_path / "nope.jsonl"
-        bad.write_text('{"type":"cell","key":"x","payload":{}}\n')
-        with pytest.raises(CheckpointError, match="header"):
-            read_stream(bad)
-        empty = tmp_path / "empty.jsonl"
+        """``merge`` refuses a headerless or empty log rather than
+        replaying it as a run with no units."""
+        bad = tmp_path / "nope.log"
+        bad.write_text('{"key": "x", "payload": {}}\n')
+        empty = tmp_path / "empty.log"
         empty.write_text("")
-        with pytest.raises(CheckpointError, match="empty"):
-            read_stream(empty)
-
-    def test_stream_last_write_wins(self, tmp_path):
-        meta = build_meta("table1", ["a"], {}, None)
-        stream = tmp_path / "dup.jsonl"
-        writer = StreamWriter(stream, meta)
-        writer.emit_cell("a", {"v": 1})
-        writer.emit_cell("a", {"v": 2}, resumed=True)
-        writer.close()
-        _, completed = read_stream(stream)
-        assert completed == {"a": {"v": 2}}
-
-    def test_sharded_streams_merge_like_checkpoints(self, tmp_path):
-        fsms = ["lion9", "ex3", "opus"]
-        streams = []
-        for k in (1, 2):
-            path = tmp_path / f"s{k}.jsonl"
-            run_table1(
-                fsms, include_enc=False,
-                stream=path, shard=f"{k}/2",
-            )
-            streams.append(path)
-        merged, _ = merge_files(streams, from_stream=True)
-        # auto-detection handles stream files without the flag too
-        detected, _ = merge_files(streams)
-        unsharded = run_table1(fsms, include_enc=False)
-        assert merged.render() == unsharded.render()
-        assert detected.render() == unsharded.render()
+        for path in (bad, empty):
+            with pytest.raises(CheckpointError, match="header"):
+                merge_files([path])
 
 
 class TestFuzzSharding:
@@ -452,16 +460,16 @@ class TestFuzzSharding:
             solver="picola", generators=("random",),
             max_examples=6, seed=3, scale=8, timeout=10.0,
         )
-        streams = []
+        logs = []
         for k in (1, 2):
-            path = tmp_path / f"f{k}.jsonl"
+            path = tmp_path / f"f{k}.log"
             config = FuzzConfig(
-                **base, shard=f"{k}/2", stream=str(path)
+                **base, shard=f"{k}/2", checkpoint=str(path)
             )
             report = run_fuzz(config)
             assert len(report.outcomes) == 3  # this shard's half
-            streams.append(path)
-        merged, experiment = merge_files(streams, from_stream=True)
+            logs.append(path)
+        merged, experiment = merge_files(logs)
         assert experiment == "fuzz"
         unsharded = run_fuzz(FuzzConfig(**base))
         assert merged.render() == unsharded.render()
@@ -489,10 +497,8 @@ class TestCliEndToEnd:
         shard_files = []
         for k in (1, 2):
             ckpt = tmp_path / f"s{k}.json"
-            stream = tmp_path / f"s{k}.jsonl"
             assert main(args + [
-                "--shard", f"{k}/2",
-                "--resume", str(ckpt), "--stream", str(stream),
+                "--shard", f"{k}/2", "--resume", str(ckpt),
             ]) == 0
             shard_files.append(ckpt)
         capsys.readouterr()
@@ -503,10 +509,6 @@ class TestCliEndToEnd:
         merged_out = capsys.readouterr().out
         assert "merged 2 shard file(s): table1" in merged_out
         assert self._table_of(merged_out) == unsharded
-
-        streams = [str(tmp_path / f"s{k}.jsonl") for k in (1, 2)]
-        assert main(["merge", "--from-stream"] + streams) == 0
-        assert self._table_of(capsys.readouterr().out) == unsharded
 
     def test_merge_json_flag(self, tmp_path, capsys):
         for k in (1, 2):
