@@ -56,6 +56,7 @@ KERNEL_CALLS = frozenset(
         "irredundant",
         "complement",
         "tautology",
+        "cubes_for_codes",
         "cubes_for_constraint",
         "candidate_columns",
         "classify",

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..encoding.codes import Encoding
 from ..encoding.constraints import ConstraintSet
-from ..encoding.evaluate import cubes_for_constraint
+from ..encoding.evaluate import cubes_for_codes
 from ..obs import resolve_tracer
 from ..runtime import Budget, BudgetExceeded, faults
 from .simple import natural_encoding
@@ -53,46 +53,45 @@ class _Scorer:
     scored encoding, trips the ``enc.minimize`` fault site, in the
     order a plain loop over the constraints would.  Only the real
     minimizations are saved: each constraint is looked up in a memo
-    keyed by its function exactly as :func:`constraint_function` hands
-    it to the minimizer.  The key packs, into one ``int``, a leading 1
-    (the length sentinel), the onset codes in sorted-symbol order and
-    the bitmask of unused codes.  Order matters: espresso's result can
-    depend on it, so two onsets holding the same codes in a different
-    order are minimized apart.
+    keyed by its function exactly as :func:`cubes_for_codes` takes
+    it.  The key packs, into one ``int``, a leading 1 (the length
+    sentinel), the onset codes in sorted-symbol order and the bitmask
+    of unused codes.  Order matters: espresso's result can depend on
+    it, so two onsets holding the same codes in a different order are
+    minimized apart.
     """
 
     def __init__(
         self,
-        symbols: List[str],
         cset: ConstraintSet,
         nv: int,
         max_minimizations: int,
         budget: Optional[Budget],
+        tracer,
     ) -> None:
-        self.symbols = symbols
         self.nv = nv
         self.constraints = [
-            (c, tuple(sorted(c.symbols))) for c in cset.nontrivial()
+            tuple(sorted(c.symbols)) for c in cset.nontrivial()
         ]
         self.max_minimizations = max_minimizations
         self.budget = budget
+        self.tracer = tracer
         self.memo: Dict[int, int] = {}
         self.minimizations = 0
         self.hits = 0
         self.misses = 0
 
     def _cubes(self, i: int, codes: Dict[str, int], unused: int) -> int:
-        constraint, members = self.constraints[i]
+        onset = [codes[s] for s in self.constraints[i]]
         key = 1
-        for s in members:
-            key = (key << self.nv) | codes[s]
+        for code in onset:
+            key = (key << self.nv) | code
         key = (key << (1 << self.nv)) | unused
         cubes = self.memo.get(key)
         if cubes is None:
             self.misses += 1
-            trial = Encoding(self.symbols, codes, self.nv)
-            cubes = self.memo[key] = cubes_for_constraint(
-                trial, constraint
+            cubes = self.memo[key] = cubes_for_codes(
+                self.nv, onset, unused, tracer=self.tracer
             )
         else:
             self.hits += 1
@@ -156,7 +155,7 @@ def enc_encode(
     if nv is None:
         nv = cset.min_code_length()
     rng = random.Random(seed)
-    scorer = _Scorer(symbols, cset, nv, max_minimizations, budget)
+    scorer = _Scorer(cset, nv, max_minimizations, budget, tracer)
     # the best encoding found and its total; a move changes them only
     # once it is fully scored and accepted
     codes: Dict[str, int] = dict(natural_encoding(symbols, nv).codes)
@@ -208,6 +207,11 @@ def enc_encode(
         tracer.count("enc.passes", passes)
         tracer.count("enc.memo.hits", scorer.hits)
         tracer.count("enc.memo.misses", scorer.misses)
+        if scorer.hits + scorer.misses:
+            tracer.gauge(
+                "enc.memo.hit_rate",
+                scorer.hits / (scorer.hits + scorer.misses),
+            )
 
     if best is None:  # the budget ran out on the seed encoding
         best = scorer.uncounted(codes)

@@ -16,10 +16,12 @@ bench measures its contribution.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
-from ..encoding.codes import Encoding, face_of
-from ..encoding.constraints import ConstraintSet, FaceConstraint
+from ..cubes.bulk import bit_count
+from ..encoding.codes import Encoding
+from ..encoding.constraints import ConstraintSet
+from ..runtime import InvalidSpecError
 from .weights import WeightPolicy
 
 __all__ = ["polish_encoding", "satisfaction_cost_score"]
@@ -30,12 +32,45 @@ _PARTIAL = 0.3
 _COST = 0.12
 
 
+class _CodeSpace:
+    """Faces of the ``nv``-bit code space on code bitmasks.
+
+    A set of codes is one ``int`` whose bit ``c`` stands for code
+    ``c``; faces, intruders and occupancy are then bitwise operations.
+    """
+
+    def __init__(self, nv: int) -> None:
+        size = 1 << nv
+        self.full = (1 << size) - 1
+        #: (code bit, codes with that bit 1, codes with it 0), per bit
+        self.bits = []
+        for b in range(nv):
+            ones = sum(1 << c for c in range(size) if c >> b & 1)
+            self.bits.append((1 << b, ones, self.full & ~ones))
+
+    def face(self, codes: int) -> Tuple[int, int]:
+        """``face_of`` the codes in ``codes`` as ``(fixed_mask, codes
+        on the face)``."""
+        mask = 0
+        on = self.full
+        for bit, ones, zeros in self.bits:
+            if not codes & zeros:
+                mask |= bit
+                on &= ones
+            elif not codes & ones:
+                mask |= bit
+                on &= zeros
+        return mask, on
+
+
 def _constraint_score(
-    members_idx: Sequence[int],
-    codes: Sequence[int],
-    nv: int,
+    space: _CodeSpace,
+    face: Tuple[int, int],
+    members: int,
+    occupied: int,
+    n_members: int,
+    n_outsiders: int,
     weight: float,
-    member_mask: Sequence[bool],
 ) -> float:
     """Satisfaction first, estimated implementation cost as tie-break.
 
@@ -46,46 +81,52 @@ def _constraint_score(
     intruders' supercube avoids the members, a pessimistic
     per-intruder count otherwise.  Maximizing this both chases
     satisfied faces (NOVA's objective) and keeps violated constraints
-    cheap to implement (PICOLA's).
+    cheap to implement (PICOLA's).  ``members`` and ``occupied`` are
+    the code sets of the members and of every symbol, ``face`` is
+    ``space.face(members)``.
     """
-    mask, value = face_of((codes[i] for i in members_idx), nv)
-    intruder_codes = [
-        code
-        for i, code in enumerate(codes)
-        if not member_mask[i] and not (code ^ value) & mask
-    ]
-    outsiders = len(codes) - len(members_idx)
-    if not intruder_codes:
+    mask, on = face
+    intruders = on & occupied & ~members
+    if not intruders:
         return weight * (1.0 - _COST)
-    dim_l = nv - bin(mask).count("1")
-    mask_i, value_i = face_of(intruder_codes, nv)
-    hits_member = any(
-        not (codes[i] ^ value_i) & mask_i for i in members_idx
-    )
-    if hits_member:
-        estimate = min(1 + len(intruder_codes), len(members_idx))
+    n_intruders = bit_count(intruders)
+    mask_i, on_i = space.face(intruders)
+    if on_i & members:
+        estimate = min(1 + n_intruders, n_members)
     else:
-        dim_i = nv - bin(mask_i).count("1")
-        estimate = max(dim_l - dim_i, 1)
-    partial = _PARTIAL * (1.0 - len(intruder_codes) / max(outsiders, 1))
+        # dim_l - dim_i, with dim = nv - fixed bits
+        estimate = max(bit_count(mask_i) - bit_count(mask), 1)
+    partial = _PARTIAL * (1.0 - n_intruders / max(n_outsiders, 1))
     return weight * (partial - _COST * estimate)
+
+
+def _code_set(codes: Iterable[int]) -> int:
+    out = 0
+    for code in codes:
+        out |= 1 << code
+    return out
+
+
+def _injective_codes(encoding: Encoding) -> List[int]:
+    if not encoding.is_injective():
+        raise InvalidSpecError("the encoding gives two symbols one code")
+    return [encoding.code_of(s) for s in encoding.symbols]
 
 
 def satisfaction_cost_score(
     encoding: Encoding, cset: ConstraintSet
 ) -> float:
-    """Total :func:`_constraint_score` of an encoding (higher = better)."""
-    symbols = list(encoding.symbols)
-    index = {s: i for i, s in enumerate(symbols)}
-    codes = [encoding.code_of(s) for s in symbols]
+    """Total :func:`_constraint_score` of an injective encoding
+    (higher = better)."""
+    codes = dict(zip(encoding.symbols, _injective_codes(encoding)))
+    space = _CodeSpace(encoding.n_bits)
+    occupied = _code_set(codes.values())
     total = 0.0
     for c in cset.nontrivial():
-        members_idx = [index[s] for s in c.symbols]
-        mask = [False] * len(symbols)
-        for s in c.symbols:
-            mask[index[s]] = True
+        members = _code_set(codes[s] for s in c.symbols)
         total += _constraint_score(
-            members_idx, codes, encoding.n_bits, c.weight, mask
+            space, space.face(members), members, occupied,
+            len(c.symbols), len(codes) - len(c.symbols), c.weight,
         )
     return total
 
@@ -96,14 +137,15 @@ def polish_encoding(
     policy: Optional[WeightPolicy] = None,
     max_sweeps: int = 4,
 ) -> Encoding:
-    """Hill-climb over code swaps/moves; returns a (possibly) new
-    encoding with at least the same weighted satisfaction score."""
+    """Hill-climb over code swaps/moves of an injective encoding;
+    returns a (possibly) new encoding with at least the same weighted
+    satisfaction score."""
     if policy is None:
         policy = WeightPolicy()
     symbols = list(encoding.symbols)
     index = {s: i for i, s in enumerate(symbols)}
     nv = encoding.n_bits
-    codes: List[int] = [encoding.code_of(s) for s in symbols]
+    codes = _injective_codes(encoding)
     constraints = cset.nontrivial()
     if not constraints:
         return encoding
@@ -111,28 +153,28 @@ def polish_encoding(
     members_idx = [
         [index[s] for s in c.symbols] for c in constraints
     ]
-    member_mask = []
-    for c in constraints:
-        mask = [False] * len(symbols)
-        for s in c.symbols:
-            mask[index[s]] = True
-        member_mask.append(mask)
     weights = [c.weight for c in constraints]
     touching: List[List[int]] = [[] for _ in symbols]
     for k, idxs in enumerate(members_idx):
         for i in idxs:
             touching[i].append(k)
+    space = _CodeSpace(nv)
+    occupied = _code_set(codes)
 
-    def score_all() -> List[float]:
-        return [
-            _constraint_score(
-                members_idx[k], codes, nv, weights[k], member_mask[k]
-            )
-            for k in range(len(constraints))
-        ]
+    def score(k: int) -> Tuple[int, float]:
+        """(codes on constraint ``k``'s face, its score) at ``codes``."""
+        members = 0  # _code_set, inlined on the hot path
+        for m in members_idx[k]:
+            members |= 1 << codes[m]
+        face = space.face(members)
+        n_members = len(members_idx[k])
+        return face[1], _constraint_score(
+            space, face, members, occupied, n_members,
+            len(codes) - n_members, weights[k],
+        )
 
-    scores = score_all()
-    unused = [c for c in range(1 << nv) if c not in set(codes)]
+    faces, scores = map(list, zip(*map(score, range(len(constraints)))))
+    unused = [c for c in range(1 << nv) if not occupied >> c & 1]
 
     def affected(i: int, j: Optional[int], old_codes: Tuple[int, ...]
                  ) -> List[int]:
@@ -141,20 +183,29 @@ def polish_encoding(
         if j is not None:
             ks.update(touching[j])
         # constraints whose face currently contains a moved code can
-        # gain/lose an intruder even when neither symbol is a member
-        moved = set(old_codes)
-        moved.add(codes[i])
+        # gain/lose an intruder even when neither symbol is a member;
+        # their members did not move, so their face is still faces[k]
+        moved = _code_set(old_codes) | 1 << codes[i]
         if j is not None:
-            moved.add(codes[j])
+            moved |= 1 << codes[j]
         for k in range(len(constraints)):
-            if k in ks:
-                continue
-            mask, value = face_of(
-                (codes[m] for m in members_idx[k]), nv
-            )
-            if any(not (c ^ value) & mask for c in moved):
+            if k not in ks and faces[k] & moved:
                 ks.add(k)
         return sorted(ks)
+
+    def try_move(ks: List[int]) -> bool:
+        """Score the moved codes on ``ks``; keep the move if it gains."""
+        delta = 0.0
+        new = {}
+        for k in ks:
+            new[k] = score(k)
+            delta += new[k][1] - scores[k]
+        if delta <= 1e-9:
+            return False
+        for k, (face, score_k) in new.items():
+            faces[k] = face
+            scores[k] = score_k
+        return True
 
     n = len(symbols)
     for _ in range(max_sweeps):
@@ -166,18 +217,7 @@ def polish_encoding(
                     continue
                 old = (codes[i], codes[j])
                 codes[i], codes[j] = codes[j], codes[i]
-                ks = affected(i, j, old)
-                delta = 0.0
-                new_scores = {}
-                for k in ks:
-                    new_scores[k] = _constraint_score(
-                        members_idx[k], codes, nv, weights[k],
-                        member_mask[k],
-                    )
-                    delta += new_scores[k] - scores[k]
-                if delta > 1e-9:
-                    for k, v in new_scores.items():
-                        scores[k] = v
+                if try_move(affected(i, j, old)):
                     improved = True
                 else:
                     codes[i], codes[j] = old
@@ -188,22 +228,13 @@ def polish_encoding(
             for slot in range(len(unused)):
                 old_code = codes[i]
                 codes[i] = unused[slot]
-                ks = affected(i, None, (old_code,))
-                delta = 0.0
-                new_scores = {}
-                for k in ks:
-                    new_scores[k] = _constraint_score(
-                        members_idx[k], codes, nv, weights[k],
-                        member_mask[k],
-                    )
-                    delta += new_scores[k] - scores[k]
-                if delta > 1e-9:
+                occupied ^= 1 << old_code | 1 << codes[i]
+                if try_move(affected(i, None, (old_code,))):
                     unused[slot] = old_code
-                    for k, v in new_scores.items():
-                        scores[k] = v
                     improved = True
                 else:
                     codes[i] = old_code
+                    occupied ^= 1 << old_code | 1 << unused[slot]
         if not improved:
             break
     return Encoding.from_code_list(symbols, codes, nv)

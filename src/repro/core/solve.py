@@ -23,6 +23,7 @@ strategy competitive.
 
 from __future__ import annotations
 
+import copy
 import random
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -161,7 +162,7 @@ class _RowState:
 
     __slots__ = (
         "row", "weight", "beta", "n_members",
-        "member_ones", "out_ones", "n_out", "agree_budget",
+        "member_ones", "out_ones", "n_out", "agree_budget", "current",
     )
 
     def __init__(self, row: ConstraintRow, weight: float, beta: float,
@@ -176,6 +177,8 @@ class _RowState:
         self.out_ones = sum(column[s] for s in unmarked)
         allowed_agree = nv - row.constraint.min_dimension()
         self.agree_budget = allowed_agree - len(row.agree_columns)
+        #: ``_score`` at the current counters, kept by ``_ColumnBuilder``
+        self.current = self._score(self.member_ones, self.out_ones)
 
     def _score(self, member_ones: int, out_ones: int) -> float:
         out_zeros = self.n_out - out_ones
@@ -194,12 +197,13 @@ class _RowState:
         return self.weight * self.beta * self.n_out
 
     def score(self) -> float:
-        return self._score(self.member_ones, self.out_ones)
+        return self.current
 
-    def gain(self, member_delta: int, out_delta: int) -> float:
-        return self._score(
-            self.member_ones + member_delta, self.out_ones + out_delta
-        ) - self.score()
+    def copy(self) -> "_RowState":
+        twin = _RowState.__new__(_RowState)
+        for name in _RowState.__slots__:
+            setattr(twin, name, getattr(self, name))
+        return twin
 
     def newly_satisfied(self) -> int:
         """Unmarked dichotomies this column actually satisfies."""
@@ -242,18 +246,19 @@ class _ColumnBuilder:
             self.states.append(
                 _RowState(r, weight, beta, self.column, matrix.nv)
             )
-        self.member_rows: Dict[str, List[_RowState]] = {
+        #: per symbol, the states of the rows it is a member / an
+        #: unmarked outsider of, as indices into ``states``
+        self._member_of: Dict[str, List[int]] = {s: [] for s in self.symbols}
+        self._outsider_of: Dict[str, List[int]] = {
             s: [] for s in self.symbols
         }
-        self.outsider_rows: Dict[str, List[_RowState]] = {
-            s: [] for s in self.symbols
-        }
-        for st in self.states:
+        for k, st in enumerate(self.states):
             for s in st.row.members:
-                self.member_rows[s].append(st)
+                self._member_of[s].append(k)
             for s, m in st.row.marks.items():
                 if m == 0:
-                    self.outsider_rows[s].append(st)
+                    self._outsider_of[s].append(k)
+        self._link()
         self.gid: Dict[str, int] = {
             s: groups.group_index(s) for s in self.symbols
         }
@@ -261,6 +266,26 @@ class _ColumnBuilder:
             groups.group_size(g) for g in range(groups.n_groups)
         ]
         self.zero_count: List[int] = [0] * groups.n_groups
+
+    def _link(self) -> None:
+        states = self.states
+        self.member_rows: Dict[str, List[_RowState]] = {
+            s: [states[k] for k in ks] for s, ks in self._member_of.items()
+        }
+        self.outsider_rows: Dict[str, List[_RowState]] = {
+            s: [states[k] for k in ks] for s, ks in self._outsider_of.items()
+        }
+
+    def clone(self) -> "_ColumnBuilder":
+        """An independent builder in the same state; the row tables
+        that never change are shared."""
+        twin = copy.copy(self)
+        twin.column = dict(self.column)
+        twin.states = [st.copy() for st in self.states]
+        twin._link()
+        twin.one_count = list(self.one_count)
+        twin.zero_count = list(self.zero_count)
+        return twin
 
     # ------------------------------------------------------------------
     def overfull(self) -> bool:
@@ -276,9 +301,9 @@ class _ColumnBuilder:
         delta = -1 if self.column[s] == 1 else 1
         gain = 0.0
         for st in self.member_rows[s]:
-            gain += st.gain(delta, 0)
+            gain += st._score(st.member_ones + delta, st.out_ones) - st.current
         for st in self.outsider_rows[s]:
-            gain += st.gain(0, delta)
+            gain += st._score(st.member_ones, st.out_ones + delta) - st.current
         return gain
 
     def toggle(self, s: str) -> None:
@@ -289,8 +314,10 @@ class _ColumnBuilder:
         self.zero_count[gid] -= delta
         for st in self.member_rows[s]:
             st.member_ones += delta
+            st.current = st._score(st.member_ones, st.out_ones)
         for st in self.outsider_rows[s]:
             st.out_ones += delta
+            st.current = st._score(st.member_ones, st.out_ones)
 
     def total_score(self) -> float:
         return sum(st.score() for st in self.states)
@@ -369,10 +396,12 @@ def candidate_columns(
     remaining_after = groups.nv - groups.columns_done - 1
     beta = policy.future_discount * remaining_after / max(1, groups.nv)
 
+    start = _ColumnBuilder(matrix, groups, policy, beta)
+
     def build(
         seed: Optional[int],
     ) -> Tuple[float, Dict[str, int], _ColumnBuilder]:
-        builder = _ColumnBuilder(matrix, groups, policy, beta)
+        builder = start.clone()
         if seed is None:
             builder.make_valid()
         else:

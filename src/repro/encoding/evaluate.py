@@ -24,12 +24,14 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..cubes import Space, contains
 from ..espresso import ExactLimitError, espresso, exact_minimize
+from ..espresso.truthtable import MAX_VARS, cover_size
 from ..runtime import InvalidSpecError
 from .codes import Encoding
 from .constraints import ConstraintSet, FaceConstraint, SeedDichotomy
 
 __all__ = [
     "constraint_function",
+    "cubes_for_codes",
     "cubes_for_constraint",
     "evaluate_encoding",
     "EvaluationReport",
@@ -37,25 +39,66 @@ __all__ = [
 ]
 
 
-def _code_minterm(space: Space, code: int, n_bits: int) -> int:
-    values = [(code >> (n_bits - 1 - b)) & 1 for b in range(n_bits)]
-    return space.minterm(values)
+def _constraint_codes(
+    encoding: Encoding, constraint: FaceConstraint
+) -> Tuple[List[int], int]:
+    """(member codes in sorted-symbol order, unused-code bitmask)."""
+    unused = 0
+    for code in encoding.unused_codes():
+        unused |= 1 << code
+    onset = [encoding.code_of(s) for s in sorted(constraint.symbols)]
+    return onset, unused
+
+
+def _code_function(
+    nv: int, onset: Sequence[int], unused: int
+) -> Tuple[Space, List[int], List[int]]:
+    """(space, onset, dcset) of a function given by its codes."""
+    space = Space.binary(nv)
+
+    def minterm(code: int) -> int:
+        return space.minterm([(code >> (nv - 1 - b)) & 1 for b in range(nv)])
+
+    dcset = [minterm(code) for code in range(1 << nv) if unused >> code & 1]
+    return space, [minterm(code) for code in onset], dcset
 
 
 def constraint_function(
     encoding: Encoding, constraint: FaceConstraint
 ) -> Tuple[Space, List[int], List[int]]:
     """(space, onset, dcset) of the constraint's Boolean function."""
-    nv = encoding.n_bits
-    space = Space.binary(nv)
-    onset = [
-        _code_minterm(space, encoding.code_of(s), nv)
-        for s in sorted(constraint.symbols)
-    ]
-    dcset = [
-        _code_minterm(space, code, nv) for code in encoding.unused_codes()
-    ]
-    return space, onset, dcset
+    return _code_function(
+        encoding.n_bits, *_constraint_codes(encoding, constraint)
+    )
+
+
+def cubes_for_codes(
+    nv: int,
+    onset: Sequence[int],
+    unused: int,
+    *,
+    exact: Optional[bool] = None,
+    tracer=None,
+) -> int:
+    """Minimized product-term count of one constraint function.
+
+    ``onset`` holds the member codes in sorted-symbol order and
+    ``unused`` is the bitmask of unused codes (the don't-cares).  The
+    exact minimizer is the default for ``nv <= 4``, espresso above.
+    Code spaces of up to :data:`~repro.espresso.truthtable.MAX_VARS`
+    bits are minimized on truth tables, with the same counts.
+    """
+    if exact is None:
+        exact = nv <= 4
+    if nv <= MAX_VARS:
+        return cover_size(nv, onset, unused, exact=exact, tracer=tracer)
+    space, on, dc = _code_function(nv, onset, unused)
+    if exact:
+        try:
+            return len(exact_minimize(space, on, dc))
+        except ExactLimitError:
+            pass
+    return len(espresso(space, on, dc, use_lastgasp=False, tracer=tracer))
 
 
 def cubes_for_constraint(
@@ -64,20 +107,13 @@ def cubes_for_constraint(
     *,
     exact: Optional[bool] = None,
 ) -> int:
-    """Minimized product-term count for one constraint.
-
-    Uses the exact minimizer on small code spaces (the default for
-    ``nv <= 4``) and the espresso heuristic otherwise.
-    """
-    space, onset, dcset = constraint_function(encoding, constraint)
-    if exact is None:
-        exact = encoding.n_bits <= 4
-    if exact:
-        try:
-            return len(exact_minimize(space, onset, dcset))
-        except ExactLimitError:
-            pass
-    return len(espresso(space, onset, dcset, use_lastgasp=False))
+    """Minimized product-term count for one constraint
+    (:func:`cubes_for_codes` of its :func:`constraint_function`)."""
+    return cubes_for_codes(
+        encoding.n_bits,
+        *_constraint_codes(encoding, constraint),
+        exact=exact,
+    )
 
 
 @dataclass

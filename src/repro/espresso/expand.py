@@ -19,16 +19,19 @@ the same critical set the incremental updates maintained.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Callable, List, Sequence
 
 from ..cubes import Space
 from ..cubes.bulk import active_kernel
 from ..obs import resolve_tracer
 
-__all__ = ["expand", "expand_cube"]
+__all__ = ["expand", "expand_cube", "expand_with"]
 
 #: lint marker: this module is a bulk-kernel hot path (RPA008)
 __bulk_kernel__ = True
+
+#: ``blocked(cube)``: the raise bits of ``cube`` that hit the off-set
+Blocked = Callable[[int], int]
 
 
 def expand_cube(
@@ -42,19 +45,22 @@ def expand_cube(
     ``others`` (remaining on-set cubes) only steer the raise order.
     """
     kernel = active_kernel()
+    off_packed = kernel.pack(space, off)
     return _expand_cube_packed(
         space,
         kernel,
         cube,
-        kernel.pack(space, off),
+        lambda c: kernel.blocked_raises(space, off_packed, c),
         kernel.pack(space, others),
     )
 
 
-def _expand_cube_packed(space: Space, kernel, cube: int, off, others) -> int:
+def _expand_cube_packed(
+    space: Space, kernel, cube: int, blocked: Blocked, others
+) -> int:
     free_bits = space.universe & ~cube
     while free_bits:
-        candidates = free_bits & ~kernel.blocked_raises(space, off, cube)
+        candidates = free_bits & ~blocked(cube)
         best_bit = kernel.best_raise(space, others, cube, candidates)
         if not best_bit:
             break
@@ -78,8 +84,26 @@ def expand(
     """
     resolve_tracer(tracer).count("espresso.expand.cubes", len(onset))
     kernel = active_kernel()
-    onset_packed = kernel.pack(space, onset)
     off_packed = kernel.pack(space, off)
+    return expand_with(
+        space,
+        kernel,
+        onset,
+        lambda cube: kernel.blocked_raises(space, off_packed, cube),
+    )
+
+
+def expand_with(
+    space: Space, kernel, onset: List[int], blocked: Blocked
+) -> List[int]:
+    """EXPAND's cube-list pass with the off-set behind ``blocked``.
+
+    ``blocked(cube)`` returns the raise bits of ``cube`` that would make
+    it hit the off-set; everything else (visit order, raise choice,
+    swallowed cubes, the final dedup) runs on ``kernel``.  Truth-table
+    scoring (:mod:`repro.espresso.truthtable`) shares this pass.
+    """
+    onset_packed = kernel.pack(space, onset)
     weights = kernel.popcounts(space, onset_packed)
     order = sorted(range(len(onset)), key=weights.__getitem__)
     covered = [False] * len(onset)
@@ -94,7 +118,7 @@ def expand(
         )
         prime = _expand_cube_packed(
             space, kernel, kernel.row(space, onset_packed, idx),
-            off_packed, others,
+            blocked, others,
         )
         swallowed = kernel.contained_rows(space, onset_packed, prime)
         for j in order:

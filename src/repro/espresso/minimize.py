@@ -29,6 +29,9 @@ from .reduce import reduce_cover, reduce_cube
 
 __all__ = ["espresso", "espresso_pla", "EspressoStats", "cover_cost"]
 
+#: the default cap on REDUCE -> EXPAND -> IRREDUNDANT rounds
+MAX_ITERATIONS = 20
+
 
 @dataclass
 class EspressoStats:
@@ -60,7 +63,7 @@ def espresso(
     *,
     use_essentials: bool = True,
     use_lastgasp: bool = True,
-    max_iterations: int = 20,
+    max_iterations: int = MAX_ITERATIONS,
     stats: Optional[EspressoStats] = None,
     budget: Optional[Budget] = None,
     tracer=None,

@@ -254,13 +254,13 @@ class TestEncMemo:
 
     def test_misses_count_real_minimizations(self, monkeypatch):
         calls = []
-        real = enc_module.cubes_for_constraint
+        real = enc_module.cubes_for_codes
 
-        def counting(encoding, constraint):
-            calls.append(constraint)
-            return real(encoding, constraint)
+        def counting(nv, onset, unused, **kwargs):
+            calls.append(onset)
+            return real(nv, onset, unused, **kwargs)
 
-        monkeypatch.setattr(enc_module, "cubes_for_constraint", counting)
+        monkeypatch.setattr(enc_module, "cubes_for_codes", counting)
         tracer = Tracer()
         result = enc_encode(
             reference_cset("bbara"), seed=1, max_minimizations=6000,
@@ -271,6 +271,21 @@ class TestEncMemo:
         assert counters["enc.memo.hits"] > 0
         assert (counters["enc.memo.hits"] + counters["enc.memo.misses"]
                 == result.minimizations)
+
+    def test_hit_rate_gauge_and_truthtable_counter(self):
+        tracer = Tracer()
+        enc_encode(
+            reference_cset("bbara"), seed=1, max_minimizations=6000,
+            tracer=tracer,
+        )
+        counters = tracer.counters()
+        hits = counters["enc.memo.hits"]
+        misses = counters["enc.memo.misses"]
+        rate = tracer.gauges()["enc.memo.hit_rate"]
+        assert rate["n"] == 1
+        assert rate["last"] == pytest.approx(hits / (hits + misses))
+        # bbara's nv = 4: every real minimization is a truth-table one
+        assert counters["truthtable.minimizations"] == misses
 
     @pytest.mark.parametrize("name,minimizations",
                              [("bbara", 2532), ("ex3", 1212)])

@@ -121,6 +121,26 @@ class TestEncClaims:
         t_enc = time.perf_counter() - t0
         assert t_picola < t_enc
 
+    def test_picola_makes_no_minimizations(self):
+        """The same claim in work units: PICOLA's encode runs no
+        minimizer at all; ENC minimizes every constraint of every
+        move until its budget blows."""
+        from repro.obs import Tracer, set_tracer
+
+        cset = derive_face_constraints(load_benchmark("dk16"))
+        tracer = set_tracer(Tracer())
+        try:
+            picola_encode(cset)
+            picola = tracer.counters()
+            enc = enc_encode(cset, max_minimizations=2000)
+            enc_counts = tracer.counters()
+        finally:
+            set_tracer(None)
+        assert picola.get("truthtable.minimizations", 0) == 0
+        assert "espresso/minimize" not in tracer.timings()
+        assert enc.minimizations > 2000  # the budget blew
+        assert enc_counts["truthtable.minimizations"] > 1000
+
 
 class TestGuideClaims:
     def test_guides_do_not_hurt(self, suite):

@@ -25,6 +25,7 @@ from repro.encoding import (
     FaceConstraint,
     evaluate_encoding,
 )
+from repro.runtime import InvalidSpecError
 
 
 def cset_of(n, groups):
@@ -337,6 +338,12 @@ class TestRepair:
         )
         assert after >= before
         assert polished.is_injective()
+
+    def test_polish_rejects_shared_codes(self):
+        cs = cset_of(4, [[0, 1]])
+        enc = Encoding.from_code_list(cs.symbols, [0, 1, 1, 2], 2)
+        with pytest.raises(InvalidSpecError, match="one code"):
+            polish_encoding(enc, cs)
 
     def test_polish_without_constraints_is_identity(self):
         cs = ConstraintSet(["a", "b"])

@@ -1,0 +1,136 @@
+"""Differential tests: truth-table scoring against :mod:`repro.espresso`.
+
+``repro.espresso.truthtable.cover_size`` must return exactly the cube
+count the general minimizers give for the same single-output function:
+``len(exact_minimize(...))`` on the exact path and ``len(espresso(...,
+use_lastgasp=False))`` on the heuristic one.  Part (a) draws random
+functions of 1-7 variables, with random onset order and random
+don't-cares, under every available cube kernel.  Part (b) replays every
+distinct function that quick Table I's ENC minimizes.
+"""
+
+import random
+
+import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+
+from repro.baselines import enc as enc_module
+from repro.cubes import Space
+from repro.cubes.bulk import available_kernels, use_kernel
+from repro.encoding.evaluate import cubes_for_codes
+from repro.espresso import espresso, exact_minimize
+from repro.espresso.truthtable import MAX_VARS, cover_size
+from repro.harness import QUICK_FSMS, run_table1
+from repro.runtime import InvalidSpecError
+
+#: exact_minimize's consensus gets slow beyond this many variables on
+#: random functions; fixed cases below pin 6 and 7
+EXACT_REFERENCE_VARS = 5
+
+#: shrinking a drawn Random only replays the search for minutes
+SETTINGS = settings(
+    max_examples=150,
+    deadline=None,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate),
+)
+
+
+def reference(nv, onset, dc, exact):
+    """The cube count of the general minimizer on the same function."""
+    space = Space.binary(nv)
+
+    def minterm(code):
+        return space.minterm([code >> (nv - 1 - b) & 1 for b in range(nv)])
+
+    on = [minterm(code) for code in onset]
+    dcset = [minterm(code) for code in range(1 << nv) if dc >> code & 1]
+    if exact:
+        return len(exact_minimize(space, on, dcset))
+    return len(espresso(space, on, dcset, use_lastgasp=False))
+
+
+@st.composite
+def functions(draw, max_vars=MAX_VARS):
+    """(nv, onset codes in a random order, don't-care mask)."""
+    nv = draw(st.integers(min_value=1, max_value=max_vars))
+    # hypothesis shrinks integers and lists towards small ones; a drawn
+    # Random gives functions of every density at every size
+    rnd = draw(st.randoms(use_true_random=False))
+    size = 1 << nv
+    onset = rnd.sample(range(size), rnd.randint(0, size))
+    density = rnd.random()
+    dc = sum(1 << c for c in range(size) if rnd.random() < density)
+    if rnd.random() < 0.5:  # constraint functions: dc = unused codes
+        for code in onset:
+            dc &= ~(1 << code)
+    return nv, onset, dc
+
+
+@pytest.mark.parametrize("kernel", available_kernels())
+@SETTINGS
+@given(function=functions())
+def test_heuristic_matches_espresso(kernel, function):
+    nv, onset, dc = function
+    with use_kernel(kernel):
+        want = reference(nv, onset, dc, exact=False)
+    assert cover_size(nv, onset, dc, exact=False) == want
+
+
+@SETTINGS
+@given(function=functions(max_vars=EXACT_REFERENCE_VARS))
+def test_exact_matches_exact_minimize(function):
+    nv, onset, dc = function
+    want = reference(nv, onset, dc, exact=True)
+    assert cover_size(nv, onset, dc, exact=True) == want
+
+
+@pytest.mark.parametrize(
+    "nv, seed", [(6, 3), (6, 6), (6, 32), (7, 1), (7, 2), (7, 3)]
+)
+def test_exact_matches_exact_minimize_above_reference_vars(nv, seed):
+    """Fixed functions of 6 and 7 variables, each one where espresso
+    finds more cubes than the minimum, so the exact path is pinned
+    up to ``MAX_VARS`` too."""
+    rnd = random.Random(seed)
+    size = 1 << nv
+    onset = rnd.sample(range(size), size // 3)
+    dc = sum(
+        1 << c for c in range(size) if c not in onset and rnd.random() < 0.3
+    )
+    want = reference(nv, onset, dc, exact=True)
+    assert want < reference(nv, onset, dc, exact=False)
+    assert cover_size(nv, onset, dc, exact=True) == want
+
+
+def test_codes_beyond_truth_tables_use_espresso():
+    nv = MAX_VARS + 1
+    onset = [3, 200, 17, 129, 64, 250]
+    unused = sum(1 << code for code in range(100, 180))
+    assert cubes_for_codes(nv, onset, unused) == reference(
+        nv, onset, unused, exact=False
+    )
+    with pytest.raises(InvalidSpecError):
+        cover_size(nv, onset, unused, exact=False)
+
+
+def test_quick_table1_enc_functions(monkeypatch):
+    seen = {}
+    real = enc_module.cubes_for_codes
+
+    def recording(nv, onset, unused, **kwargs):
+        cubes = real(nv, onset, unused, **kwargs)
+        seen[nv, tuple(onset), unused] = cubes
+        return cubes
+
+    monkeypatch.setattr(enc_module, "cubes_for_codes", recording)
+    run_table1(QUICK_FSMS)
+    assert len(seen) > 10000
+    # the python kernel is the faster one on covers this small
+    with use_kernel("python"):
+        wrong = [
+            (key, cubes)
+            for key, cubes in seen.items()
+            if reference(*key, exact=key[0] <= 4) != cubes
+        ]
+    assert not wrong, wrong[:5]
