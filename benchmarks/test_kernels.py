@@ -1,49 +1,47 @@
-"""Micro-benchmarks of the substrates: bulk cube kernel, espresso, PICOLA.
+"""Micro-benchmarks of the bulk cube kernel, gated as host-independent ratios.
+
+Four workloads run the bulk primitives the tautology/complement/expand
+hot paths are built from, at representative cover sizes.  Each
+workload's time is recorded as a ratio to the pipeline benchmark's
+host-speed probe (:func:`pipeline.speed.probe_work`), timed in the
+same process between the workload's repeats, so a slower or busier
+host scales both and the ratio stays put.  The gate fails when a
+workload's ratio rises more than ``TOLERANCE`` above its recorded
+value.
 
 All timing goes through :class:`repro.obs.Tracer` spans and their
-per-name histograms — the same seam ``--profile`` reports — so the
-committed ``BENCH_kernel.json`` and a profiling run agree on what was
-measured.
-
-Two layers:
-
-* *kernel workloads* run the bulk primitives the tautology/complement/
-  expand hot paths are built from, at representative cover sizes,
-  under BOTH backends; the python/numpy speedup per workload is the
-  number the regression gate defends (>20% drop fails).
-* *end-to-end smokes* time espresso and the PICOLA pipeline under the
-  active kernel; recorded for context, not gated (they are dominated
-  by small-cover recursion where both backends intentionally run the
-  same scalar code).
+per-name histograms — the same seam ``--profile`` reports — and each
+figure is the fastest repeat, which a busy spell on the host cannot
+make faster.
 
 Run:  python benchmarks/test_kernels.py --update   # rewrite BENCH_kernel.json
-      python benchmarks/test_kernels.py --check    # fail on >20% regression
+      python benchmarks/test_kernels.py --check    # fail on a >20% regression
       pytest benchmarks/test_kernels.py            # smoke the workloads once
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import random
 import sys
 from pathlib import Path
 
+from pipeline.speed import PROBE_WORK, probe_work
 from repro.cubes import Space
-from repro.cubes.bulk import active_kernel, available_kernels, get_kernel
-from repro.encoding import derive_face_constraints
-from repro.espresso import espresso
-from repro.fsm import load_benchmark
+from repro.cubes.bulk import active_kernel
 from repro.obs import Tracer
-from repro.stateassign import assign_states
 
 BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
 
-#: a kernel workload may lose this fraction of its recorded speedup
-#: before --check fails (ratios, so the gate is machine-independent)
+#: a workload's probe ratio may rise by this fraction of its recorded
+#: value before --check fails
 TOLERANCE = 0.20
 
-_REPEATS = 5
+_REPEATS = 15
+#: probe samples timed before each workload repeat
+_PROBES = 3
 
 
 def _random_cover(space, n_cubes, seed, dash=0.5):
@@ -62,7 +60,7 @@ def _random_cover(space, n_cubes, seed, dash=0.5):
 
 
 # ----------------------------------------------------------------------
-# kernel workloads: (space, cover) fixtures + a per-kernel body
+# kernel workloads: (cover, body) fixtures over one space
 # ----------------------------------------------------------------------
 
 _SPACE = Space.binary(16, 8)
@@ -104,66 +102,36 @@ KERNEL_WORKLOADS = {
 
 
 def time_kernel_workloads(tracer=None, repeats=_REPEATS):
-    """Mean seconds per workload per backend, via tracer histograms."""
+    """Per workload: its fastest repeat in seconds, and that time over
+    the fastest probe timed between its repeats.  The garbage collector
+    is off while timing, as in the probe's own sampler."""
     tracer = tracer if tracer is not None else Tracer()
-    for name, (cover, body) in KERNEL_WORKLOADS.items():
-        for backend in available_kernels():
-            kernel = get_kernel(backend)
+    kernel = active_kernel()
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for name, (cover, body) in KERNEL_WORKLOADS.items():
             packed = kernel.pack(_SPACE, cover)
-            body(kernel, packed)  # warmup: materialize cached forms
+            body(kernel, packed)  # warmup
             for _ in range(repeats):
-                with tracer.span(f"bench.{name}.{backend}"):
+                for _ in range(_PROBES):
+                    with tracer.span(f"bench.{name}.probe"):
+                        probe_work(PROBE_WORK)
+                with tracer.span(f"bench.{name}"):
                     body(kernel, packed)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     timings = tracer.timings()
     results = {}
     for name in KERNEL_WORKLOADS:
+        seconds = timings[f"bench.{name}"].minimum
+        probe_s = timings[f"bench.{name}.probe"].minimum
         results[name] = {
-            backend: timings[f"bench.{name}.{backend}"].mean
-            for backend in available_kernels()
+            "seconds": seconds,
+            "probe_ratio": round(seconds / probe_s, 2),
         }
-        if "numpy" in results[name]:
-            results[name]["speedup"] = round(
-                results[name]["python"] / results[name]["numpy"], 2
-            )
     return results
-
-
-# ----------------------------------------------------------------------
-# end-to-end smokes (active kernel; recorded, not gated)
-# ----------------------------------------------------------------------
-
-def _espresso_medium():
-    space = Space.binary(10, 6)
-    cover = _random_cover(space, 60, seed=5, dash=0.3)
-    assert len(espresso(space, cover)) <= 60
-
-
-def _symbolic_keyb():
-    assert len(derive_face_constraints(load_benchmark("keyb")).nontrivial())
-
-
-def _assignment_bbara():
-    assert assign_states(load_benchmark("bbara"), "picola").size > 0
-
-
-END_TO_END = {
-    "espresso_medium": _espresso_medium,
-    "symbolic_keyb": _symbolic_keyb,
-    "assignment_bbara": _assignment_bbara,
-}
-
-
-def time_end_to_end(tracer=None, repeats=2):
-    tracer = tracer if tracer is not None else Tracer()
-    for name, body in END_TO_END.items():
-        for _ in range(repeats):
-            with tracer.span(f"bench.{name}"):
-                body()
-    timings = tracer.timings()
-    return {
-        name: {"mean": timings[f"bench.{name}"].mean, "kernel": active_kernel().name}
-        for name in END_TO_END
-    }
 
 
 # ----------------------------------------------------------------------
@@ -175,23 +143,21 @@ def test_kernel_workloads_record_histograms():
     results = time_kernel_workloads(tracer, repeats=1)
     assert set(results) == set(KERNEL_WORKLOADS)
     for name in KERNEL_WORKLOADS:
-        for backend in available_kernels():
-            assert tracer.timings()[f"bench.{name}.{backend}"].n == 1
-
-
-def test_end_to_end_record_histograms():
-    tracer = Tracer()
-    results = time_end_to_end(tracer, repeats=1)
-    assert set(results) == set(END_TO_END)
+        assert tracer.timings()[f"bench.{name}"].n == 1
+        assert tracer.timings()[f"bench.{name}.probe"].n == _PROBES
+        assert results[name]["probe_ratio"] > 0
 
 
 def test_committed_bench_file_is_consistent():
-    if not BENCH_FILE.exists():
-        return
     data = json.loads(BENCH_FILE.read_text())
+    assert set(data) == {"kernel", "probe_work", "workloads", "tolerance"}
+    assert data["kernel"] == active_kernel().name
+    assert data["probe_work"] == PROBE_WORK
+    assert data["tolerance"] == TOLERANCE
     assert set(data["workloads"]) == set(KERNEL_WORKLOADS)
-    for name in ("tautology_node", "complement_absorb"):
-        assert data["workloads"][name]["speedup"] >= 5.0
+    for entry in data["workloads"].values():
+        assert set(entry) == {"seconds", "probe_ratio"}
+        assert entry["seconds"] > 0 and entry["probe_ratio"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -207,41 +173,36 @@ def main(argv=None) -> int:
     mode.add_argument(
         "--check",
         action="store_true",
-        help="re-measure and fail on a >20%% speedup regression",
+        help="re-measure and fail on a >20%% probe-ratio regression",
     )
     args = parser.parse_args(argv)
 
     current = {
+        "kernel": active_kernel().name,
+        "probe_work": PROBE_WORK,
         "workloads": time_kernel_workloads(),
-        "end_to_end": time_end_to_end(),
         "tolerance": TOLERANCE,
     }
-    for name, entry in current["workloads"].items():
-        speedup = entry.get("speedup", "n/a (numpy unavailable)")
-        print(f"{name:20s} speedup={speedup}")
 
     if args.update:
+        for name, entry in current["workloads"].items():
+            print(f"{name:20s} ratio={entry['probe_ratio']:8.2f}")
         BENCH_FILE.write_text(json.dumps(current, indent=2) + "\n")
         print(f"wrote {BENCH_FILE}")
         return 0
 
-    if not BENCH_FILE.exists():
-        print(f"missing {BENCH_FILE}; run with --update first")
-        return 1
     recorded = json.loads(BENCH_FILE.read_text())
     failures = []
     for name, entry in recorded["workloads"].items():
-        want = entry.get("speedup")
-        got = current["workloads"].get(name, {}).get("speedup")
-        if want is None or got is None:
-            continue  # numpy unavailable here or there: nothing to gate
-        floor = want * (1.0 - TOLERANCE)
-        status = "ok" if got >= floor else "REGRESSED"
-        print(f"{name:20s} recorded={want:6.2f}x now={got:6.2f}x  {status}")
-        if got < floor:
+        want = entry["probe_ratio"]
+        got = current["workloads"][name]["probe_ratio"]
+        ceiling = want * (1.0 + TOLERANCE)
+        status = "ok" if got <= ceiling else "REGRESSED"
+        print(f"{name:20s} recorded={want:8.2f} now={got:8.2f}  {status}")
+        if got > ceiling:
             failures.append(name)
     if failures:
-        print(f"kernel speedup regression in: {', '.join(failures)}")
+        print(f"kernel regression in: {', '.join(failures)}")
         return 1
     print("kernel bench within tolerance")
     return 0

@@ -402,13 +402,12 @@ class BulkKernelRule(Rule):
     title = "bulk kernel: per-cube Python loop or wrapper allocation"
     rationale = """
         Modules marked ``__bulk_kernel__ = True`` are the hot paths
-        rewritten onto the packed word-matrix kernel (PR 6): their
-        whole speedup comes from replacing per-cube Python loops with
-        single bulk primitives.  A `for cube in cover:` loop or a
-        Cover()/Cube() wrapper allocation sneaking back in silently
-        reverts the module to scalar speed on both backends.  Loop
-        over index lists (`for idx in order:`) or call a kernel
-        primitive instead.
+        written on the packed cube kernel: they touch a cover only
+        through whole-cover primitives, never cube by cube.  A
+        `for cube in cover:` loop or a Cover()/Cube() wrapper
+        allocation sneaking back in costs speed, not results, so every
+        correctness test still passes.  Loop over index lists
+        (`for idx in order:`) or call a kernel primitive instead.
     """
 
     _WRAPPERS = ("Cover", "Cube")

@@ -1,99 +1,23 @@
-"""Packed word-matrix covers: the columnar bulk cube kernel.
+"""Packed covers: the columnar bulk cube kernel.
 
-A *packed cover* is a whole cover held as a matrix of fixed-width
-machine words — each cube one row of 64-bit limbs over the
-:class:`~repro.cubes.space.Space` layout — manipulated through bulk,
-whole-cover primitives (containment matrices, supercube folds,
-cofactors against a pivot, single-call absorption, bulk minterm
-counting).  Two interchangeable backends implement one interface:
-
-* ``python`` — pure-Python int rows, always available
-  (:class:`~repro.cubes.bulk.pybackend.PythonKernel`);
-* ``numpy``  — uint64 limb matrices, selected automatically at import
-  when numpy >= 2.0 is importable (``np.bitwise_count`` is required)
-  (:class:`~repro.cubes.bulk.npbackend.NumpyKernel`).
-
-Selection is overridable with the environment variable
-``REPRO_KERNEL=python|numpy`` (checked once at import; requesting an
-unavailable backend raises) and, for tests, in-process via
-:func:`set_kernel`/:func:`use_kernel`.
-
-Both backends are bit-exact: solver output is byte-identical whichever
-one is active.  The differential suite in
-``tests/test_bulk_kernel.py`` pins this down primitive by primitive.
+A *packed cover* is a whole cover handled through bulk, whole-cover
+primitives (containment masks, supercube folds, cofactors against a
+pivot, single-call absorption, bulk minterm counting) instead of
+per-cube loops in the algorithm layer.  The one implementation is
+:class:`~repro.cubes.bulk.pybackend.PythonKernel`, whose packed cover
+is a list of int rows over the :class:`~repro.cubes.space.Space`
+layout; :func:`active_kernel` returns it.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Dict, Iterator, Tuple
-
-from ...runtime import InvalidSpecError
 from .pybackend import PythonKernel, bit_count
 
-__all__ = [
-    "active_kernel",
-    "available_kernels",
-    "bit_count",
-    "get_kernel",
-    "set_kernel",
-    "use_kernel",
-]
+__all__ = ["active_kernel", "bit_count"]
 
-_KERNELS: Dict[str, object] = {"python": PythonKernel()}
-
-try:
-    from .npbackend import NumpyKernel
-except ImportError:  # numpy missing or < 2.0: pure-Python fallback
-    NumpyKernel = None  # type: ignore[assignment,misc]
-else:
-    _KERNELS["numpy"] = NumpyKernel()
+_KERNEL = PythonKernel()
 
 
-def available_kernels() -> Tuple[str, ...]:
-    """Names of the backends importable in this environment."""
-    return tuple(sorted(_KERNELS))
-
-
-def get_kernel(name: str):
-    """The backend instance registered under ``name``."""
-    try:
-        return _KERNELS[name]
-    except KeyError:
-        raise InvalidSpecError(
-            f"unknown cube kernel {name!r}; available: "
-            f"{', '.join(available_kernels())} "
-            "(the numpy backend needs numpy >= 2.0 importable)"
-        ) from None
-
-
-_requested = os.environ.get("REPRO_KERNEL", "").strip().lower()
-_active = (
-    get_kernel(_requested)
-    if _requested
-    else _KERNELS.get("numpy", _KERNELS["python"])
-)
-
-
-def active_kernel():
-    """The backend the algorithm layer is currently routed through."""
-    return _active
-
-
-def set_kernel(name: str) -> str:
-    """Switch the active backend; returns the previous backend name."""
-    global _active
-    previous = _active.name
-    _active = get_kernel(name)
-    return previous
-
-
-@contextmanager
-def use_kernel(name: str) -> Iterator[object]:
-    """Temporarily switch backends (differential tests use this)."""
-    previous = set_kernel(name)
-    try:
-        yield _active
-    finally:
-        set_kernel(previous)
+def active_kernel() -> PythonKernel:
+    """The kernel the algorithm layer runs on."""
+    return _KERNEL

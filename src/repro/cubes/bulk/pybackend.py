@@ -1,8 +1,6 @@
-"""Pure-Python bulk kernel: a packed cover is a list of int rows.
+"""The bulk cube kernel: a packed cover is a list of int rows.
 
-This backend carries the *interface contract* for every kernel (the
-numpy backend in :mod:`repro.cubes.bulk.npbackend` mirrors it limb for
-limb).  A *packed cover* is an opaque, immutable-by-convention value:
+A *packed cover* is an opaque, immutable-by-convention value:
 algorithm code must only manipulate it through kernel primitives and
 convert to/from ``List[int]`` cubes with :meth:`pack`/:meth:`unpack`
 at the ``Cover`` boundary.
@@ -14,8 +12,9 @@ feed them back to :meth:`select`.
 Every primitive is defined so that, composed as the algorithm layer
 does, it reproduces the legacy per-cube int loops **exactly** —
 including tie-breaking (first strict maximum), stable sort orders and
-the greedy absorption result — which is what keeps solver output
-byte-identical across backends.
+the greedy absorption result — so solver output is the same as with
+the per-cube functions in :mod:`repro.cubes.cube`, which
+``tests/test_bulk_kernel.py`` pins down.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ with base cases for the empty cover (universe), a universe row (empty)
 and a single cube (De Morgan).  Results are absorbed (single-cube
 containment) on the way up to keep intermediate covers small.
 
-The recursion runs entirely on packed word-matrix covers
+The recursion runs entirely on packed covers
 (:mod:`repro.cubes.bulk`): branch cofactors, the per-value selector
 AND, absorption and the part merge are all single bulk-kernel calls.
 Conversion to/from the legacy int-list form happens only at the public

@@ -3,7 +3,7 @@
 Hot paths inside the minimizer work on bare ``List[int]``; :class:`Cover`
 is the friendly public face used by examples, tests and the higher-level
 encoding code.  Set-level operations (intersection, union, absorption,
-minterm counting) route through the packed word-matrix kernel
+minterm counting) route through the packed cube kernel
 (:mod:`repro.cubes.bulk`).
 
 Comparison caching: ``__eq__``/``__hash__`` compare a *canonical*

@@ -17,7 +17,7 @@ The same routine powers cover containment: ``F`` contains a cube ``c``
 iff the cofactor of ``F`` against ``c`` is a tautology.
 
 The per-node work (union folds, unateness, binate selection, value
-cofactors) runs on the packed word-matrix kernel
+cofactors) runs on the packed cube kernel
 (:mod:`repro.cubes.bulk`); covers are packed once at the public
 boundary and stay packed down the whole recursion.
 """

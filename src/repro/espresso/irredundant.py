@@ -5,7 +5,7 @@ on-set; everything else is redundant relative to the current cover and
 is removed greedily (largest cubes are kept preferentially, mirroring
 ESPRESSO's minimal irredundant-cover heuristic).
 
-Containment checks run on packed word-matrix covers via the tautology
+Containment checks run on packed covers via the tautology
 seam (:func:`repro.cubes.tautology.cover_contains_cube_packed`); the
 working cover is kept packed and shrunk row-wise as redundant cubes
 are dropped.

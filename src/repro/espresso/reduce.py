@@ -10,7 +10,7 @@ i.e. the smallest cube containing the part of ``c`` that no other cube
 EXPAND pass room to move to a *different* prime, which is how the
 espresso loop escapes local minima.
 
-The pass stays on packed word-matrix covers throughout
+The pass stays on packed covers throughout
 (:mod:`repro.cubes.bulk`): the cofactor-against-pivot, the recursive
 complement and the supercube fold are each one kernel call, and the
 working cover is updated row-wise between reductions.

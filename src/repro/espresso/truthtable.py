@@ -21,7 +21,7 @@ and ``len(espresso(..., use_lastgasp=False))`` otherwise, bit for bit:
   :mod:`repro.espresso.exact`'s own minimum-cover search.
 * The heuristic path runs espresso's passes in espresso's order.  Its
   cube-list steps (visit orders, raise choice, swallowed cubes, dedup,
-  cost) are the python kernel's and :mod:`repro.espresso.expand`'s own.
+  cost) are the cube kernel's and :mod:`repro.espresso.expand`'s own.
   The set-valued steps above depend only on the function, never on how
   a cover lists it.  Espresso's ESSENTIALS split and final IRREDUNDANT
   change nothing right after an IRREDUNDANT pass (every cube left is
@@ -36,7 +36,7 @@ from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 from ..cubes import Space, absorb
-from ..cubes.bulk import get_kernel
+from ..cubes.bulk import active_kernel
 from ..obs import resolve_tracer
 from ..runtime import InvalidSpecError
 from .exact import _min_cover
@@ -49,7 +49,7 @@ __all__ = ["MAX_VARS", "cover_size"]
 #: and 4**7 entries in the cube table
 MAX_VARS = 7
 
-_KERNEL = get_kernel("python")
+_KERNEL = active_kernel()
 
 
 class _Tables:

@@ -1,12 +1,9 @@
-"""Differential tests for the packed bulk cube kernel.
+"""Tests for the packed bulk cube kernel.
 
-Every bulk primitive runs under both backends (pure-Python int rows vs
-numpy uint64 limb matrices) on hypothesis-generated covers — including
-multi-limb spaces wider than 64 bits — and must return *identical*
-results.  The python backend is additionally pinned against the legacy
-per-cube int implementations in :mod:`repro.cubes.cube`, so the chain
-legacy == python == numpy keeps solver output byte-stable whichever
-kernel is active.
+The kernel's primitives are pinned against the legacy per-cube int
+implementations in :mod:`repro.cubes.cube` on hypothesis-generated
+covers, including spaces wider than one 64-bit word, so solver output
+stays byte-stable.
 """
 
 import itertools
@@ -14,27 +11,12 @@ import os
 import subprocess
 import sys
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cubes import Space
 from repro.cubes import cube as legacy
-from repro.cubes.bulk import (
-    available_kernels,
-    get_kernel,
-    use_kernel,
-)
-from repro.cubes.complement import complement
-from repro.cubes.tautology import cover_contains_cube, tautology
-from repro.espresso import espresso
-from repro.espresso.sparse import make_sparse
-from repro.runtime import InvalidSpecError
-
-HAS_NUMPY = "numpy" in available_kernels()
-needs_numpy = pytest.mark.skipif(
-    not HAS_NUMPY, reason="numpy backend unavailable"
-)
+from repro.cubes.bulk import active_kernel
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -48,7 +30,7 @@ def spaces(draw):
         )
     )
     if draw(st.booleans()):
-        sizes = sizes + [4] * 16  # > 64 bits: exercise multi-limb rows
+        sizes = sizes + [4] * 16  # > 64 bits: wider than one machine word
     return Space(sizes)
 
 
@@ -63,121 +45,23 @@ def _draw_cube(draw, space, allow_void):
 
 @st.composite
 def problems(draw):
-    """(space, cover, pivot cube, part, value) for the primitive diffs."""
+    """(space, cover, pivot cube) for the primitive checks."""
     space = draw(spaces())
     n = draw(st.integers(min_value=0, max_value=8))
     allow_void = draw(st.booleans())
     cover = [_draw_cube(draw, space, allow_void) for _ in range(n)]
     pivot = _draw_cube(draw, space, allow_void=False)
-    part = draw(st.integers(min_value=0, max_value=space.num_parts - 1))
-    value = draw(
-        st.integers(min_value=0, max_value=space.part_sizes[part] - 1)
-    )
-    return space, cover, pivot, part, value
-
-
-def _primitive_results(kernel, space, cover, pivot, part, value):
-    """One dict per backend holding every primitive's (unpacked) output."""
-    packed = kernel.pack(space, cover)
-    out = {
-        "roundtrip": kernel.unpack(space, packed),
-        "length": kernel.length(packed),
-        "or_fold": kernel.or_fold(space, packed),
-        "union_info": kernel.union_info(space, packed),
-        "popcounts": list(kernel.popcounts(space, packed)),
-        "nonfull_counts": list(kernel.nonfull_counts(space, packed)),
-        "is_unate": kernel.is_unate(space, packed),
-        "void_mask": list(kernel.void_mask(space, packed)),
-        "contains_rows": list(kernel.contains_rows(space, packed, pivot)),
-        "contained_rows": list(kernel.contained_rows(space, packed, pivot)),
-        "admits_rows": list(kernel.admits_rows(space, packed, pivot)),
-        "intersects_any": kernel.intersects_any(space, packed, pivot),
-        "cofactor_value": kernel.unpack(
-            space, kernel.cofactor_value(space, packed, part, value)
-        ),
-        "cofactor_cube": kernel.unpack(
-            space, kernel.cofactor_cube(space, packed, pivot)
-        ),
-        "and_rows": kernel.unpack(
-            space, kernel.and_rows(space, packed, pivot)
-        ),
-        "merge_part": kernel.unpack(
-            space, kernel.merge_part(space, packed, part)
-        ),
-        "absorb": kernel.unpack(space, kernel.absorb(space, packed)),
-        "dedup_keep_mask": list(kernel.dedup_keep_mask(space, packed)),
-        "cross_intersect": kernel.unpack(
-            space,
-            kernel.cross_intersect(
-                space, packed, kernel.pack(space, [pivot, space.universe])
-            ),
-        ),
-        "minterm_count": kernel.minterm_count(space, packed),
-        "blocked_raises": kernel.blocked_raises(space, packed, pivot),
-        "best_raise": kernel.best_raise(
-            space, packed, pivot, space.universe & ~pivot
-        ),
-        "concat": kernel.unpack(
-            space,
-            kernel.concat(space, packed, kernel.pack(space, [pivot])),
-        ),
-        "select": kernel.unpack(
-            space,
-            kernel.select(
-                space, packed, [i % 2 == 0 for i in range(len(cover))]
-            ),
-        ),
-        "gather": kernel.unpack(
-            space, kernel.gather(space, packed, list(range(len(cover)))[::-1])
-        ),
-    }
-    if cover:
-        out["binate_part"] = kernel.binate_part(space, packed)
-        out["row0"] = kernel.row(space, packed, 0)
-        out["delete_row"] = kernel.unpack(
-            space, kernel.delete_row(space, packed, 0)
-        )
-        out["with_row"] = kernel.unpack(
-            space, kernel.with_row(space, packed, 0, pivot)
-        )
-    return out
-
-
-@needs_numpy
-class TestBackendDifferential:
-    """python and numpy backends agree on every primitive, bit for bit."""
-
-    @SETTINGS
-    @given(problems())
-    def test_every_primitive_matches(self, problem):
-        from repro.cubes.bulk.npbackend import NumpyKernel
-
-        space, cover, pivot, part, value = problem
-        kernels = {
-            "python": get_kernel("python"),
-            "numpy": get_kernel("numpy"),
-            # cutoffs at zero force the vectorized paths even on the
-            # small covers hypothesis generates
-            "numpy-forced": NumpyKernel(linear_cutoff=0, quad_cutoff=0),
-        }
-        results = {
-            name: _primitive_results(
-                kernel, space, cover, pivot, part, value
-            )
-            for name, kernel in kernels.items()
-        }
-        assert results["python"] == results["numpy"]
-        assert results["python"] == results["numpy-forced"]
+    return space, cover, pivot
 
 
 class TestLegacyEquivalence:
-    """The python backend replicates the per-cube int implementations."""
+    """The kernel replicates the per-cube int implementations."""
 
     @SETTINGS
     @given(problems())
     def test_row_masks_match_cube_functions(self, problem):
-        space, cover, pivot, _, _ = problem
-        kernel = get_kernel("python")
+        space, cover, pivot = problem
+        kernel = active_kernel()
         packed = kernel.pack(space, cover)
         assert kernel.void_mask(space, packed) == [
             legacy.is_void(space, c) for c in cover
@@ -196,8 +80,8 @@ class TestLegacyEquivalence:
     @SETTINGS
     @given(problems())
     def test_cofactor_and_absorb_match(self, problem):
-        space, cover, pivot, _, _ = problem
-        kernel = get_kernel("python")
+        space, cover, pivot = problem
+        kernel = active_kernel()
         packed = kernel.pack(space, cover)
         lifted = space.universe & ~pivot
         assert kernel.cofactor_cube(space, packed, pivot) == [
@@ -210,13 +94,13 @@ class TestLegacyEquivalence:
     @SETTINGS
     @given(problems())
     def test_minterm_count_matches_enumeration(self, problem):
-        space, cover, _, _, _ = problem
+        space, cover, _ = problem
         total = 1
         for size in space.part_sizes:
             total *= size
         if total > 2048:
-            return  # enumeration too large; the differential still ran
-        kernel = get_kernel("python")
+            return  # enumeration too large
+        kernel = active_kernel()
         count = sum(
             1
             for values in itertools.product(
@@ -230,100 +114,23 @@ class TestLegacyEquivalence:
         assert kernel.minterm_count(space, kernel.pack(space, cover)) == count
 
 
-@needs_numpy
-class TestAlgorithmDifferential:
-    """Whole algorithms emit identical cube lists under both backends."""
-
-    @SETTINGS
-    @given(problems())
-    def test_complement_tautology_espresso(self, problem):
-        space, cover, pivot, _, _ = problem
-        nonvoid = [c for c in cover if not legacy.is_void(space, c)]
-        outputs = {}
-        for name in ("python", "numpy"):
-            with use_kernel(name):
-                outputs[name] = (
-                    complement(space, nonvoid),
-                    tautology(space, nonvoid),
-                    cover_contains_cube(space, nonvoid, pivot),
-                    espresso(space, list(nonvoid)),
-                    make_sparse(space, list(nonvoid)),
-                )
-        assert outputs["python"] == outputs["numpy"]
-
-    def test_large_cover_crosses_vectorized_cutoff(self):
-        """A cover big enough that the adaptive numpy kernel actually
-        takes its vectorized paths end to end."""
-        import random
-
-        space = Space.binary(10, 5)
-        rng = random.Random(11)
-        cover = []
-        for _ in range(150):
-            cube = 0
-            for size, offset in zip(space.part_sizes, space.offsets):
-                field = (
-                    (1 << size) - 1
-                    if rng.random() < 0.4
-                    else 1 << rng.randrange(size)
-                )
-                cube |= field << offset
-            cover.append(cube)
-        outputs = {}
-        for name in ("python", "numpy"):
-            with use_kernel(name):
-                outputs[name] = (
-                    complement(space, cover),
-                    espresso(space, list(cover)),
-                )
-        assert outputs["python"] == outputs["numpy"]
-
-
-class TestKernelSelection:
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(InvalidSpecError):
-            get_kernel("fortran")
-
-    def test_use_kernel_restores_previous(self):
-        from repro.cubes.bulk import active_kernel
-
-        before = active_kernel().name
-        with use_kernel("python"):
-            assert active_kernel().name == "python"
-        assert active_kernel().name == before
-
-    @needs_numpy
-    def test_npbackend_refuses_numpy_1x(self, monkeypatch):
-        # numpy < 2.0 lacks np.bitwise_count; the backend must raise
-        # ImportError at import so registration falls back to python
-        # instead of crashing later inside a vectorized primitive
-        import importlib
-
-        import numpy as np
-
-        import repro.cubes.bulk.npbackend as npbackend
-
-        monkeypatch.delattr(np, "bitwise_count")
-        with pytest.raises(ImportError, match="numpy >= 2.0"):
-            importlib.reload(npbackend)
-        # the guard fires before any definitions, so the previously
-        # loaded module (and the registered kernel) stay intact
-        assert npbackend.NumpyKernel is not None
-
-    @pytest.mark.parametrize("name", ["python"] + (["numpy"] if HAS_NUMPY else []))
-    def test_env_var_selects_backend(self, name):
-        env = dict(os.environ, REPRO_KERNEL=name)
-        env["PYTHONPATH"] = os.pathsep.join(sys.path)
-        out = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "from repro.cubes.bulk import active_kernel;"
-                "print(active_kernel().name)",
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        assert out.stdout.strip() == name
+def test_numpy_is_never_imported():
+    """The cube kernel is pure Python: a Table I row leaves numpy
+    unloaded, which keeps its start-up time and memory out of every
+    run."""
+    script = (
+        "import sys\n"
+        "import repro\n"
+        "from repro.harness import run_table1\n"
+        "run_table1(['lion9'])\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    assert out.stdout.splitlines()[-1] == "False"

@@ -1,5 +1,6 @@
 """Documentation consistency: the docs must not drift from the code."""
 
+import json
 import pathlib
 import re
 
@@ -63,6 +64,54 @@ class TestExperimentsDoc:
                 if cmd in ("bench",):  # prose, not a command
                     continue
                 assert cmd in known, f"{doc} mentions unknown {cmd!r}"
+
+
+class TestExperimentsNumbers:
+    """EXPERIMENTS.md quotes the same numbers as the committed results."""
+
+    @staticmethod
+    def _experiments():
+        return " ".join((ROOT / "EXPERIMENTS.md").read_text().split())
+
+    @staticmethod
+    def _quick_golden():
+        data = json.loads((ROOT / "expected" / "table1_quick.json").read_text())
+        picola = sum(row["cubes"]["picola"] for row in data["rows"])
+        nova = sum(row["cubes"]["nova"] for row in data["rows"])
+        return picola, nova, data["summary"]
+
+    def test_table1_claims_match_full_table(self):
+        table = (ROOT / ".table1_full.txt").read_text()
+        lines = table.splitlines()
+        header = next(line.split() for line in lines if line.startswith("FSM "))
+        total = next(line.split() for line in lines if line.startswith("total "))
+        nova = total[header.index("NOVA")]
+        picola = total[header.index("PICOLA")]
+        wins = re.search(
+            r"PICOLA wins (\d+), NOVA wins (\d+), ties (\d+)", table
+        ).groups()
+        overhead = re.search(r"NOVA overhead vs PICOLA: ([\d.]+%)", table).group(1)
+        text = self._experiments()
+        assert f"| PICOLA beats NOVA (rows) | 16 | **{wins[0]}** |" in text
+        assert f"| NOVA beats PICOLA (rows) | 7 | **{wins[1]}** |" in text
+        assert (
+            f"| global NOVA overhead vs PICOLA | ~11% | **{overhead}** "
+            f"({nova} vs {picola} cubes; {wins[2]} ties) |"
+        ) in text
+
+    def test_seed_sweep_row_0_matches_quick_golden(self):
+        picola, nova, summary = self._quick_golden()
+        row = f"| 0 | {picola} | {nova} | {summary['nova_overhead']:+.1%} |"
+        assert row in self._experiments()
+
+    def test_quick_subset_sentence_matches_quick_golden(self):
+        _, _, summary = self._quick_golden()
+        sentence = (
+            f"at seed 0 PICOLA wins {summary['picola_wins']}, "
+            f"NOVA {summary['nova_wins']}, ties {summary['ties']}, "
+            f"NOVA overhead {summary['nova_overhead']:.1%}"
+        )
+        assert sentence in self._experiments()
 
 
 class TestVersion:

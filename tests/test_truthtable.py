@@ -5,8 +5,8 @@ count the general minimizers give for the same single-output function:
 ``len(exact_minimize(...))`` on the exact path and ``len(espresso(...,
 use_lastgasp=False))`` on the heuristic one.  Part (a) draws random
 functions of 1-7 variables, with random onset order and random
-don't-cares, under every available cube kernel.  Part (b) replays every
-distinct function that quick Table I's ENC minimizes.
+don't-cares.  Part (b) replays every distinct function that quick
+Table I's ENC minimizes.
 """
 
 import random
@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.baselines import enc as enc_module
 from repro.cubes import Space
-from repro.cubes.bulk import available_kernels, use_kernel
 from repro.encoding.evaluate import cubes_for_codes
 from repro.espresso import espresso, exact_minimize
 from repro.espresso.truthtable import MAX_VARS, cover_size
@@ -67,13 +66,11 @@ def functions(draw, max_vars=MAX_VARS):
     return nv, onset, dc
 
 
-@pytest.mark.parametrize("kernel", available_kernels())
 @SETTINGS
 @given(function=functions())
-def test_heuristic_matches_espresso(kernel, function):
+def test_heuristic_matches_espresso(function):
     nv, onset, dc = function
-    with use_kernel(kernel):
-        want = reference(nv, onset, dc, exact=False)
+    want = reference(nv, onset, dc, exact=False)
     assert cover_size(nv, onset, dc, exact=False) == want
 
 
@@ -126,11 +123,9 @@ def test_quick_table1_enc_functions(monkeypatch):
     monkeypatch.setattr(enc_module, "cubes_for_codes", recording)
     run_table1(QUICK_FSMS)
     assert len(seen) > 10000
-    # the python kernel is the faster one on covers this small
-    with use_kernel("python"):
-        wrong = [
-            (key, cubes)
-            for key, cubes in seen.items()
-            if reference(*key, exact=key[0] <= 4) != cubes
-        ]
+    wrong = [
+        (key, cubes)
+        for key, cubes in seen.items()
+        if reference(*key, exact=key[0] <= 4) != cubes
+    ]
     assert not wrong, wrong[:5]
