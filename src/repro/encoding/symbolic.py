@@ -11,8 +11,9 @@ boolean domain.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
+from .. import obs
 from ..cubes import Space
 from ..cubes.bulk import active_kernel
 from ..cubes.tautology import cover_contains_cube_packed
@@ -57,22 +58,30 @@ def _fast_symbolic_merge(
 ) -> List[int]:
     """Coverage-preserving merge for very large state counts.
 
-    Two sound steps instead of the full espresso fixed point:
+    Above the state limit the off-set over the state part (121 values
+    for ``scf``) is intractable in pure Python, so two sound steps
+    replace the full espresso fixed point:
 
     1. rows identical outside the state part merge into one cube whose
        state literal is the union (exactly how groups of states with
        identical behaviour become multi-state implicants);
-    2. each cube's state literal is expanded value by value, accepting
-       a new state exactly when the grown cube is already covered by
-       the original cover (a tautology check instead of an off-set).
+    2. each cube's state literal grows by every state value ``v`` whose
+       slice — the cube with its state literal cut to ``v`` — lies
+       inside the care cover (cover plus don't-cares).  The slice test
+       is a containment check of the cube against ``care``'s cofactor
+       at ``v``, taken once per state value; the cofactor admits every
+       state, so the cube's own state literal does not matter.
+
+    Step 2 makes the same decision as growing the cube one value at a
+    time and testing the grown cube against ``care``: the grown cube is
+    the cube plus one slice, and the cube itself is always covered (a
+    merge of cover rows).  So each slice test is independent of the
+    values already accepted, and the accepted values are OR-ed in at
+    once.
 
     The result covers the same minterms as ``cover``; it is simply a
     shorter SOP with wider state literals — which is all the
     face-constraint derivation needs.
-
-    Both steps are bulk-kernel calls on the packed cover: the merge is
-    ``merge_part`` on the state part, and each acceptance test runs
-    through the packed tautology seam against a packed care set.
     """
     kernel = active_kernel()
     state_part = space.num_parts - 2
@@ -83,17 +92,24 @@ def _fast_symbolic_merge(
 
     offset = space.offsets[state_part]
     care = kernel.pack(space, list(cover) + list(dc))
+    slices = [
+        kernel.cofactor_value(space, care, state_part, value)
+        for value in range(n_states)
+    ]
     expanded: List[int] = []
+    checks = 0
     for idx in range(kernel.length(result)):
         cube = kernel.row(space, result, idx)
+        grown = cube
         for value in range(n_states):
             bit = 1 << (offset + value)
             if cube & bit:
                 continue
-            candidate = cube | bit
-            if cover_contains_cube_packed(space, kernel, care, candidate):
-                cube = candidate
-        expanded.append(cube)
+            checks += 1
+            if cover_contains_cube_packed(space, kernel, slices[value], cube):
+                grown |= bit
+        expanded.append(grown)
+    obs.count("symbolic.merge.checks", checks)
     return kernel.unpack(
         space, kernel.absorb(space, kernel.pack(space, expanded))
     )
@@ -133,5 +149,6 @@ def constraints_from_cover(
 
 def derive_face_constraints(fsm: Fsm) -> ConstraintSet:
     """FSM -> face constraints (the paper's Table I 'const' column)."""
-    space, minimized, states = minimize_symbolic_cover(fsm)
-    return constraints_from_cover(space, minimized, states)
+    with obs.span("symbolic/derive", fsm=fsm.name, states=fsm.n_states):
+        space, minimized, states = minimize_symbolic_cover(fsm)
+        return constraints_from_cover(space, minimized, states)

@@ -1,8 +1,13 @@
 """Tests for symbolic constraint derivation and encoding evaluation."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.cubes import Space
+from repro.cubes.bulk import active_kernel
+from repro.cubes.tautology import cover_contains_cube_packed
 from repro.encoding import (
     ConstraintSet,
     Encoding,
@@ -16,7 +21,13 @@ from repro.encoding import (
     satisfied_dichotomies,
 )
 from repro.encoding.symbolic import _fast_symbolic_merge
-from repro.fsm import fsm_to_symbolic_cover, load_benchmark, parse_kiss
+from repro.fsm import (
+    benchmark_names,
+    fsm_to_symbolic_cover,
+    load_benchmark,
+    parse_kiss,
+)
+from repro.obs import Tracer, set_tracer
 
 # two states behave identically on input 0- (both go to 'hub' with
 # output 1): symbolic minimization must merge them into one implicant,
@@ -81,6 +92,83 @@ class TestSymbolicDerivation:
         for name in ["bbara", "lion9", "keyb"]:
             cset = derive_face_constraints(load_benchmark(name))
             assert 1 <= len(cset.nontrivial()) <= 60
+
+
+def greedy_merge_reference(space, cover, n_states, dc):
+    """The merge's earlier whole-cube loop, kept as the oracle: grow
+    each merged cube's state literal one value at a time, accepting a
+    value when the grown cube is inside the whole care cover.  Returns
+    the cover and the number of containment checks it made."""
+    kernel = active_kernel()
+    state_part = space.num_parts - 2
+    result = kernel.absorb(
+        space,
+        kernel.merge_part(space, kernel.pack(space, cover), state_part),
+    )
+    offset = space.offsets[state_part]
+    care = kernel.pack(space, list(cover) + list(dc))
+    expanded = []
+    checks = 0
+    for idx in range(kernel.length(result)):
+        cube = kernel.row(space, result, idx)
+        for value in range(n_states):
+            bit = 1 << (offset + value)
+            if cube & bit:
+                continue
+            checks += 1
+            candidate = cube | bit
+            if cover_contains_cube_packed(space, kernel, care, candidate):
+                cube = candidate
+        expanded.append(cube)
+    merged = kernel.unpack(
+        space, kernel.absorb(space, kernel.pack(space, expanded))
+    )
+    return merged, checks
+
+
+def constraint_digest(cset):
+    text = json.dumps([
+        list(cset.symbols),
+        [[sorted(c.symbols), c.weight] for c in cset],
+    ])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.fixture
+def tracer():
+    yield set_tracer(Tracer())
+    set_tracer(None)
+
+
+class TestFastMergeDifferential:
+    """The per-state-value slice tests decide exactly what the
+    whole-cube greedy loop decided, on every library FSM."""
+
+    @pytest.mark.parametrize("name", benchmark_names())
+    def test_same_cover_as_greedy_loop(self, name, tracer):
+        space, cover, dc, states = fsm_to_symbolic_cover(
+            load_benchmark(name, seed=0), with_dc=True
+        )
+        expected, checks = greedy_merge_reference(
+            space, cover, len(states), dc
+        )
+        assert _fast_symbolic_merge(space, cover, len(states), dc) == expected
+        assert tracer.counter("symbolic.merge.checks") == checks
+
+    # recorded with the greedy loop, which needs ~3 s per scf draw
+    @pytest.mark.parametrize("draw,digest", [
+        (0, "744d84c4003a787f990dd4d345ef9bbc8555cecf52ef58bfc3f18b69208fb8f8"),
+        (1, "498dd900b9082cf42f5fb28bc6a1b38f2a36671c02f3637b47fe3ac1dc9bcd8c"),
+        (2, "984144725783a4636f7136ea0c589e2560a0b18ea13f896f1140ce3cee720ef7"),
+    ])
+    def test_scf_constraints_pinned(self, draw, digest):
+        cset = derive_face_constraints(load_benchmark("scf", seed=draw))
+        assert constraint_digest(cset) == digest
+
+    def test_derivation_is_spanned_and_counted(self, tracer):
+        derive_face_constraints(load_benchmark("scf", seed=0))
+        assert tracer.timings()["symbolic/derive"].n == 1
+        assert tracer.counter("symbolic.merge.checks") == 14717
 
 
 class TestConstraintFunction:
