@@ -40,8 +40,8 @@ or, uniformly across solvers::
     result = get_solver("picola").solve(symbols, constraints)
     print(result.encoding.as_table(), result.seconds, result.nodes)
 
-Since 1.6.0 the same encodes are available as a request/response
-service (:mod:`repro.api`, :mod:`repro.service`, ``picola serve``)::
+The same encodes are available through one typed request/response
+call (:mod:`repro.api`, :mod:`repro.service`)::
 
     from repro import EncodeRequest, encode
 
@@ -50,7 +50,7 @@ service (:mod:`repro.api`, :mod:`repro.service`, ``picola serve``)::
     print(response.status, response.n_bits)
 """
 
-from .api import EncodeRequest, EncodeResponse, encode, encode_many
+from .api import EncodeRequest, EncodeResponse, encode
 from .core import PicolaOptions, PicolaResult, picola_encode
 from .cubes import Cover, Space
 from .encoding import (
@@ -105,7 +105,6 @@ __all__ = [
     "EncodeRequest",
     "EncodeResponse",
     "encode",
-    "encode_many",
     "PicolaOptions",
     "PicolaResult",
     "picola_encode",

@@ -1,6 +1,6 @@
 """The stable programmatic surface of the repro.
 
-Two calls cover everything the paper's pipeline needs:
+One call covers everything the paper's pipeline needs:
 
 >>> import repro
 >>> request = repro.EncodeRequest.build(
@@ -12,35 +12,29 @@ Two calls cover everything the paper's pipeline needs:
 >>> response.ok, response.n_bits
 (True, 2)
 
-:func:`encode` serves one request, :func:`encode_many` a batch (with
-optional process-level parallelism and a shared result cache).  Both
-return :class:`~repro.service.EncodeResponse` objects whose
-``payload_bytes()`` is the canonical wire form served by
-``picola serve`` — an in-process call and an HTTP call to the daemon
-produce byte-identical payloads for the same request.
+:func:`encode` serves one request and returns a classified
+:class:`~repro.service.EncodeResponse`; a batch is
+``[repro.encode(r) for r in requests]``.
 
 This module is a thin facade over :mod:`repro.service`; it exists so
-callers depend on a two-function surface instead of the service
+callers depend on a one-function surface instead of the service
 internals.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence
+from typing import Any, Optional
 
 from .runtime import Budget
-from .service.batch import encode_many as _encode_many
-from .service.cache import ResultCache
 from .service.dispatch import execute as _execute
 from .service.request import EncodeRequest, EncodeResponse
 
-__all__ = ["encode", "encode_many", "EncodeRequest", "EncodeResponse"]
+__all__ = ["encode", "EncodeRequest", "EncodeResponse"]
 
 
 def encode(
     request: EncodeRequest,
     *,
-    cache: Optional[ResultCache] = None,
     budget: Optional[Budget] = None,
     tracer: Any = None,
     classify: bool = True,
@@ -55,24 +49,7 @@ def encode(
     """
     return _execute(
         request,
-        cache=cache,
         budget=budget,
         tracer=tracer,
         classify=classify,
     )
-
-
-def encode_many(
-    requests: Sequence[EncodeRequest],
-    *,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    tracer: Any = None,
-) -> List[EncodeResponse]:
-    """Serve a batch; results match input order and are identical to
-    a serial loop over :func:`encode` (modulo wall-clock ``seconds``).
-
-    ``jobs`` follows the engine convention: ``1`` serial, ``0`` all
-    cores, ``N`` a fixed process pool.
-    """
-    return _encode_many(requests, jobs=jobs, cache=cache, tracer=tracer)

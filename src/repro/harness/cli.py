@@ -18,10 +18,6 @@ Commands
   usage/configuration.
 * ``lint`` — run the project's static invariant checks
   (:mod:`repro.analysis`) over the source tree.
-* ``serve`` — run the encoding daemon (:mod:`repro.service.server`):
-  an HTTP/JSON front end with a content-addressed result cache,
-  micro-batching over the process pool and bounded-queue
-  backpressure.
 * ``merge`` — combine the run logs written by ``--shard K/N
   --resume PATH`` runs on independent hosts into the full report
   (:mod:`repro.harness.merge`), byte-identical to an unsharded run.
@@ -292,50 +288,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     add_json_flag(p13)
 
-    p12 = sub.add_parser(
-        "serve",
-        help="run the encoding daemon (HTTP/JSON, content-addressed "
-             "cache, micro-batching, backpressure)",
-    )
-    p12.add_argument(
-        "--host", default="127.0.0.1",
-        help="bind address (default 127.0.0.1)",
-    )
-    p12.add_argument(
-        "--port", type=nonneg_int, default=8787,
-        help="bind port (default 8787; 0 = ephemeral)",
-    )
-    p12.add_argument(
-        "--jobs", type=nonneg_int, default=1, metavar="N",
-        help="worker processes per micro-batch (default 1 = "
-             "in-process serial, 0 = all cores)",
-    )
-    p12.add_argument(
-        "--cache-size", type=nonneg_int, default=1024, metavar="N",
-        help="result-cache capacity in entries (default 1024, "
-             "0 disables caching)",
-    )
-    p12.add_argument(
-        "--queue-limit", type=int, default=64, metavar="N",
-        help="max queued+in-flight requests before 429s (default 64)",
-    )
-    p12.add_argument(
-        "--batch-wait", type=nonneg_seconds, default=0.01,
-        metavar="SECONDS",
-        help="micro-batch aggregation window (default 0.01)",
-    )
-    p12.add_argument(
-        "--batch-max", type=int, default=16, metavar="N",
-        help="max requests per micro-batch (default 16)",
-    )
-    p12.add_argument(
-        "--default-timeout", type=nonneg_seconds, default=None,
-        metavar="SECONDS",
-        help="QoS timeout applied to requests that carry none "
-             "(default: unlimited)",
-    )
-    add_obs_flags(p12)
-
     from ..analysis.cli import add_lint_arguments
 
     p10 = sub.add_parser(
@@ -510,21 +462,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(report.render())
         _maybe_json(report, args.json)
         return 1 if report.n_failed else 0
-    elif args.command == "serve":
-        from ..service import ServerConfig, serve
-
-        return serve(
-            ServerConfig(
-                host=args.host,
-                port=args.port,
-                jobs=args.jobs,
-                cache_size=args.cache_size,
-                queue_limit=args.queue_limit,
-                batch_wait=args.batch_wait,
-                batch_max=args.batch_max,
-                default_timeout=args.default_timeout,
-            )
-        )
     elif args.command == "bench-list":
         for name, spec in sorted(BENCHMARKS.items()):
             scaled = f"  [scaled from {spec.scaled_from}]" \

@@ -194,9 +194,8 @@ class Tracer:
     aggregates, so a sink-less ``Tracer()`` still supports
     :meth:`counters` / :meth:`timings` / profiling.
 
-    One tracer may be shared across threads — ``picola serve`` has its
-    handler threads and the batching thread count against the same
-    instance.  The aggregates (counters, gauges, histograms, sink
+    One tracer may be shared across threads: callers may count
+    against the same instance from several threads.  The aggregates (counters, gauges, histograms, sink
     emission, close) are guarded by one re-entrant lock; the span
     stack is **thread-local**, so concurrent spans nest per thread
     instead of corrupting each other's depth/parent chains.  The

@@ -111,11 +111,9 @@ class Budget:
         a tick in a hot inner loop stays a counter increment almost
         always.
         """
-        # Budget is request-scoped: every instance is built by the
-        # request/solve that owns it and never crosses a thread
-        # boundary, so tick() stays lock-free (a lock here would tax
-        # every kernel inner loop).
-        self.nodes += n  # repro: noqa[RPA010] -- request-scoped, thread-confined
+        # No lock: a Budget belongs to the one solve that owns it, and
+        # a lock here would tax every kernel inner loop.
+        self.nodes += n
         if self.max_nodes is not None and self.nodes > self.max_nodes:
             site = where or "solver"
             raise BudgetExceeded(

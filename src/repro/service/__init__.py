@@ -1,45 +1,26 @@
-"""Encoding-as-a-service: the request/response layer of the repro.
+"""The request/response layer of the repro.
 
 Everything that wants an encoding — the CLI, ``assign_states``, the
-``repro.api`` facade, the ``picola serve`` daemon — builds an
-:class:`EncodeRequest`, hands it to :func:`execute` (or
-:func:`encode_many` for a batch), and receives an
-:class:`EncodeResponse`.  One dispatch path means budgets, tracing,
-caching and failure classification cannot drift between interactive
-and batch use.
+``repro.api`` facade — builds an :class:`EncodeRequest`, hands it to
+:func:`execute` and receives an :class:`EncodeResponse`.  One dispatch
+path means budgets, tracing and failure classification cannot drift
+between callers.
 
 Layout:
 
-* :mod:`repro.service.request`  — the frozen request/response types
-  and their wire codec;
-* :mod:`repro.service.cache`    — the content-addressed result cache
-  (:func:`cache_key`, :class:`ResultCache`);
+* :mod:`repro.service.request`  — the frozen, validated
+  request/response types;
 * :mod:`repro.service.dispatch` — :func:`execute`, the single
-  request-to-response code path;
-* :mod:`repro.service.batch`    — :func:`encode_many`, batch dispatch
-  with serial-equivalent results;
-* :mod:`repro.service.server`   — the ``picola serve`` HTTP/JSON
-  daemon (:class:`ServerConfig`, :func:`make_server`, :func:`serve`).
+  request-to-response code path.
 """
 
-from .batch import encode_many
-from .cache import ResultCache, cache_key, canonical_payload
 from .dispatch import REQUEST_SPAN, SOLVE_SPAN, execute
 from .request import EncodeRequest, EncodeResponse
-from .server import PicolaServer, ServerConfig, make_server, serve
 
 __all__ = [
     "EncodeRequest",
     "EncodeResponse",
-    "ResultCache",
-    "cache_key",
-    "canonical_payload",
     "execute",
-    "encode_many",
     "REQUEST_SPAN",
     "SOLVE_SPAN",
-    "PicolaServer",
-    "ServerConfig",
-    "make_server",
-    "serve",
 ]

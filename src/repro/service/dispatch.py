@@ -2,56 +2,64 @@
 
 :func:`execute` is the *only* place in the tree where an
 :class:`~repro.service.EncodeRequest` meets the solver registry —
-the CLI, the ``repro.api`` facade, ``assign_states`` and the
-``picola serve`` daemon all funnel through it, so budgets, tracing,
-caching and failure classification behave identically for batch and
-interactive use.
+the CLI, the ``repro.api`` facade and ``assign_states`` all funnel
+through it, so budgets, tracing and failure classification behave
+identically everywhere.
 
 Observability contract (asserted by ``tests/test_service.py``):
 
 * every request bumps the ``service.requests`` counter and runs
   under a ``service/request`` span (its duration feeds the tracer's
   per-name latency histogram);
-* a cache hit bumps ``service.cache.hits`` and emits **no**
-  ``service/solve`` span — the solver never runs;
-* a miss bumps ``service.cache.misses`` and wraps the registry call
-  in a ``service/solve`` span;
+* the registry call runs under a nested ``service/solve`` span;
 * classified failures bump ``service.errors``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Mapping, Optional
 
 from ..obs import MemorySink, Tracer, resolve_tracer
-from ..runtime import Budget, InfeasibleError, ReproError
+from ..runtime import Budget, InfeasibleError, InvalidSpecError, ReproError
 from ..runtime.isolation import classify_failure
 from ..solvers import EncodeResult, get_solver
-from .cache import ResultCache, cache_key
-from .request import EncodeRequest, EncodeResponse, _encode_option
+from .request import EncodeRequest, EncodeResponse
 
-__all__ = ["execute", "solve_request", "REQUEST_SPAN", "SOLVE_SPAN"]
+__all__ = ["execute", "REQUEST_SPAN", "SOLVE_SPAN"]
 
-#: span wrapping every request (cache hits included)
+#: span wrapping every request
 REQUEST_SPAN = "service/request"
-#: span wrapping the registry solve (never emitted on a cache hit)
+#: span wrapping the registry solve
 SOLVE_SPAN = "service/solve"
 
 
+def _plain_value(value: Any) -> Any:
+    """``value`` as plain JSON-style data (raises on live objects)."""
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, (list, tuple)):
+        return [_plain_value(v) for v in value]
+    if isinstance(value, (set, frozenset)):
+        return sorted(_plain_value(v) for v in value)
+    if isinstance(value, Mapping):
+        return {str(k): _plain_value(v) for k, v in value.items()}
+    raise InvalidSpecError(
+        f"value of type {type(value).__name__} is not plain data"
+    )
+
+
 def _safe_stats(stats: Dict[str, Any]) -> Dict[str, Any]:
-    """Solver stats restricted to wire-safe values."""
+    """Solver stats restricted to plain values."""
     out: Dict[str, Any] = {}
     for key, value in stats.items():
         try:
-            out[key] = _encode_option(value)
+            out[key] = _plain_value(value)
         except ReproError:
             continue  # live objects stay solver-internal
     return out
 
 
 def _response_from_result(
-    request: EncodeRequest,
-    key: Optional[str],
     result: EncodeResult,
     trace: Optional[Dict[str, Any]],
 ) -> EncodeResponse:
@@ -59,7 +67,6 @@ def _response_from_result(
     return EncodeResponse(
         status="ok",
         solver=result.solver,
-        cache_key=key or "",
         symbols=encoding.symbols,
         codes=dict(encoding.codes),
         n_bits=encoding.n_bits,
@@ -71,7 +78,6 @@ def _response_from_result(
 
 def _response_from_error(
     request: EncodeRequest,
-    key: Optional[str],
     exc: BaseException,
     trace: Optional[Dict[str, Any]],
 ) -> EncodeResponse:
@@ -82,7 +88,6 @@ def _response_from_error(
     return EncodeResponse(
         status=status,
         solver=request.solver,
-        cache_key=key or "",
         symbols=request.symbols,
         error=message,
         error_type=type(exc).__name__,
@@ -100,52 +105,6 @@ def _trace_summary(tracer: Tracer) -> Dict[str, Any]:
     }
 
 
-def _solve(
-    request: EncodeRequest,
-    key: Optional[str],
-    budget: Optional[Budget],
-    tracer: Any,
-    classify: bool,
-) -> EncodeResponse:
-    """Run the registry solver; classify failures unless told not to."""
-    if budget is None:
-        budget = request.make_budget()
-    # per-request tracing: the solve runs under a private tracer whose
-    # aggregates ride back in the response; its events are adopted
-    # into the caller's live tracer so --trace/--profile stay whole
-    sink: Optional[MemorySink] = None
-    request_tracer: Optional[Tracer] = None
-    solve_tracer = tracer
-    if request.trace:
-        sink = MemorySink()
-        request_tracer = Tracer(sink)
-        solve_tracer = request_tracer
-    trace: Optional[Dict[str, Any]] = None
-    try:
-        with tracer.span(SOLVE_SPAN, solver=request.solver):
-            solver = get_solver(request.solver)
-            result = solver.solve(
-                request.constraint_set(),
-                options=request.solver_options(),
-                budget=budget,
-                tracer=solve_tracer,
-            )
-    except (ReproError, KeyError, TypeError) as exc:
-        # KeyError: unknown solver name; TypeError: unknown option
-        # keys — both are classified, like every solver failure
-        tracer.count("service.errors")
-        if not classify:
-            raise
-        if request_tracer is not None and sink is not None:
-            trace = _trace_summary(request_tracer)
-            _adopt(tracer, sink, request_tracer)
-        return _response_from_error(request, key, exc, trace)
-    if request_tracer is not None and sink is not None:
-        trace = _trace_summary(request_tracer)
-        _adopt(tracer, sink, request_tracer)
-    return _response_from_result(request, key, result, trace)
-
-
 def _adopt(tracer: Any, sink: MemorySink, private: Tracer) -> None:
     if getattr(tracer, "enabled", False):
         tracer.adopt(
@@ -155,37 +114,14 @@ def _adopt(tracer: Any, sink: MemorySink, private: Tracer) -> None:
         )
 
 
-def solve_request(
-    request: EncodeRequest,
-    *,
-    budget: Optional[Budget] = None,
-    tracer: Any = None,
-    classify: bool = True,
-) -> EncodeResponse:
-    """The solve-only entry: registry dispatch and classification
-    *without* the service accounting (no ``service.requests`` /
-    hit/miss counters, no ``service/request`` span).
-
-    The batch workers use this so that the parent-side merge in
-    :func:`repro.service.batch.encode_many` stays the single place
-    service-level counters are bumped — adopted worker counters would
-    otherwise double-count every request.
-    """
-    tracer = resolve_tracer(tracer)
-    return _solve(
-        request, cache_key(request), budget, tracer, classify
-    )
-
-
 def execute(
     request: EncodeRequest,
     *,
-    cache: Optional[ResultCache] = None,
     budget: Optional[Budget] = None,
     tracer: Any = None,
     classify: bool = True,
 ) -> EncodeResponse:
-    """Serve one request: cache lookup, registry solve, classification.
+    """Serve one request: registry solve plus classification.
 
     ``budget`` overrides the request's declarative QoS with an
     externally shared :class:`~repro.runtime.Budget` (the harness
@@ -196,19 +132,41 @@ def execute(
     """
     tracer = resolve_tracer(tracer)
     tracer.count("service.requests")
-    key = cache_key(request)
+    if budget is None:
+        budget = request.make_budget()
+    # per-request tracing: the solve runs under a private tracer whose
+    # aggregates ride back in the response; its events are adopted
+    # into the caller's live tracer so --trace/--profile stay whole
+    sink: Optional[MemorySink] = None
+    solve_tracer = tracer
+    if request.trace:
+        sink = MemorySink()
+        solve_tracer = Tracer(sink)
+    failure: Optional[BaseException] = None
     with tracer.span(
         REQUEST_SPAN,
         solver=request.solver,
         symbols=len(request.symbols),
     ):
-        if cache is not None:
-            hit = cache.get(key)
-            if hit is not None:
-                tracer.count("service.cache.hits")
-                return hit
-            tracer.count("service.cache.misses")
-        response = _solve(request, key, budget, tracer, classify)
-        if cache is not None:
-            cache.put(key, response)
-    return response
+        try:
+            with tracer.span(SOLVE_SPAN, solver=request.solver):
+                result = get_solver(request.solver).solve(
+                    request.constraint_set(),
+                    options=request.solver_options(),
+                    budget=budget,
+                    tracer=solve_tracer,
+                )
+        except (ReproError, KeyError, TypeError) as exc:
+            # KeyError: unknown solver name; TypeError: unknown option
+            # keys — both are classified, like every solver failure
+            tracer.count("service.errors")
+            if not classify:
+                raise
+            failure = exc
+        trace: Optional[Dict[str, Any]] = None
+        if sink is not None:
+            trace = _trace_summary(solve_tracer)
+            _adopt(tracer, sink, solve_tracer)
+        if failure is not None:
+            return _response_from_error(request, failure, trace)
+        return _response_from_result(result, trace)

@@ -1,19 +1,14 @@
-"""The request/response boundary: frozen, wire-serializable payloads.
+"""The request/response boundary: frozen, validated encode payloads.
 
-Every encode — interactive ``repro.api.encode`` call, harness
-``assign_states`` step, ``picola serve`` HTTP request — crosses this
-boundary as an :class:`EncodeRequest` and comes back as an
-:class:`EncodeResponse`.  Both are frozen dataclasses with a canonical
-dict form (:meth:`to_dict` / :meth:`from_dict`), so the same payload
-travels unchanged between the in-process facade, the process-pool
-batcher and the JSON daemon.
+Every encode — an interactive ``repro.api.encode`` call, a harness
+``assign_states`` step, a CLI command — crosses this boundary as an
+:class:`EncodeRequest` and comes back as an :class:`EncodeResponse`.
+Both are frozen dataclasses.
 
 Conventions:
 
 * the *symbol order* is significant (it is the row order of the
-  paper's constraint matrix); the *constraint order* and *option key
-  order* are not — the content-addressed cache canonicalizes both
-  (see :mod:`repro.service.cache`);
+  paper's constraint matrix);
 * QoS rides in the request: ``timeout`` (wall-clock seconds) and
   ``max_nodes`` map onto the cooperative
   :class:`~repro.runtime.Budget`/:class:`~repro.runtime.Deadline`
@@ -23,24 +18,19 @@ Conventions:
   (mirroring :mod:`repro.runtime.isolation`), with ``error`` /
   ``error_type`` carrying the diagnostic on the non-``ok`` statuses.
 
-Options that are live Python objects (a :class:`~repro.fsm.Fsm` for
-the mustang solver, a :class:`~repro.core.PicolaOptions`) are
-supported in-process and encoded on the wire as tagged dicts
-(``{"__kiss__": ...}`` / ``{"__picola_options__": {...}}``), so a
-batch worker process or an HTTP client can express every request the
-facade can.
+Options may be live Python objects (a :class:`~repro.fsm.Fsm` for
+the mustang solver, a :class:`~repro.core.PicolaOptions`); they are
+handed to the registry solver as they are.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import (
     Any,
     Dict,
     Iterable,
-    List,
     Mapping,
     Optional,
     Sequence,
@@ -62,84 +52,6 @@ __all__ = [
 RESPONSE_STATUSES = (
     "ok", "infeasible", "timeout", "budget", "failed",
 )
-
-
-# ----------------------------------------------------------------------
-# option-value wire codec (tagged dicts for the live-object options)
-# ----------------------------------------------------------------------
-_KISS_TAG = "__kiss__"
-_PICOLA_OPTIONS_TAG = "__picola_options__"
-
-
-def _encode_option(value: Any) -> Any:
-    """JSON-safe form of one option value (raises on exotic types)."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_encode_option(v) for v in value]
-    if isinstance(value, (set, frozenset)):
-        return sorted(_encode_option(v) for v in value)
-    if isinstance(value, Mapping):
-        return {str(k): _encode_option(v) for k, v in value.items()}
-    # live objects with a canonical text/dict form
-    from ..fsm.machine import Fsm
-
-    if isinstance(value, Fsm):
-        from ..fsm.kiss import format_kiss
-
-        return {_KISS_TAG: format_kiss(value)}
-    from ..core import PicolaOptions
-
-    if isinstance(value, PicolaOptions):
-        if not isinstance(value.weights, str):
-            raise InvalidSpecError(
-                "PicolaOptions with a custom WeightPolicy object is "
-                "not wire-serializable; use a preset name"
-            )
-        return {
-            _PICOLA_OPTIONS_TAG: {
-                "use_guides": value.use_guides,
-                "dynamic_classify": value.dynamic_classify,
-                "weights": value.weights,
-                "beam_width": value.beam_width,
-                "beam_candidates": value.beam_candidates,
-                "final_repair": value.final_repair,
-            }
-        }
-    raise InvalidSpecError(
-        f"option value of type {type(value).__name__} is not "
-        "wire-serializable"
-    )
-
-
-def _decode_option(value: Any) -> Any:
-    """Inverse of :func:`_encode_option` (tagged dicts come alive)."""
-    if isinstance(value, dict):
-        if set(value) == {_KISS_TAG}:
-            from ..fsm.kiss import parse_kiss
-
-            return parse_kiss(value[_KISS_TAG], name="request-fsm")
-        if set(value) == {_PICOLA_OPTIONS_TAG}:
-            from ..core import PicolaOptions
-
-            return PicolaOptions(**value[_PICOLA_OPTIONS_TAG])
-        return {k: _decode_option(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_decode_option(v) for v in value]
-    return value
-
-
-def _constraint_to_dict(constraint: FaceConstraint) -> Dict[str, Any]:
-    payload: Dict[str, Any] = {
-        "symbols": sorted(constraint.symbols),
-    }
-    if constraint.kind != "original":
-        payload["kind"] = constraint.kind
-    if constraint.parent is not None:
-        payload["parent"] = sorted(constraint.parent)
-    if constraint.weight != 1.0:
-        payload["weight"] = constraint.weight
-    return payload
 
 
 def _constraint_from_any(
@@ -168,9 +80,9 @@ class EncodeRequest:
 
     Construct with :meth:`build` (accepts a
     :class:`~repro.encoding.ConstraintSet`, ``FaceConstraint``
-    instances, plain symbol groups or wire dicts) or :meth:`from_dict`
-    for the JSON wire format.  Instances are frozen; derive variants
-    with :func:`dataclasses.replace`.
+    instances, plain symbol groups or ``{"symbols": [...]}`` dicts).
+    Instances are frozen; derive variants with
+    :func:`dataclasses.replace`.
     """
 
     symbols: Tuple[str, ...]
@@ -252,57 +164,6 @@ class EncodeRequest:
             trace=trace,
         )
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "EncodeRequest":
-        """Parse the JSON wire format (unknown keys are rejected)."""
-        if not isinstance(payload, Mapping):
-            raise InvalidSpecError(
-                "request payload must be a JSON object"
-            )
-        known = {f.name for f in fields(cls)}
-        unknown = set(payload) - known
-        if unknown:
-            raise InvalidSpecError(
-                f"request has unknown keys {sorted(unknown)}; "
-                f"known: {sorted(known)}"
-            )
-        if "symbols" not in payload:
-            raise InvalidSpecError("request is missing 'symbols'")
-        options = payload.get("options") or {}
-        if not isinstance(options, Mapping):
-            raise InvalidSpecError("'options' must be an object")
-        return cls(
-            symbols=tuple(payload["symbols"]),
-            constraints=tuple(payload.get("constraints") or ()),
-            solver=payload.get("solver", "picola"),
-            options={
-                str(k): _decode_option(v) for k, v in options.items()
-            },
-            nv=payload.get("nv"),
-            timeout=payload.get("timeout"),
-            max_nodes=payload.get("max_nodes"),
-            trace=bool(payload.get("trace", False)),
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        """The JSON wire format (round-trips through
-        :meth:`from_dict`; raises ``InvalidSpecError`` on options
-        that cannot cross a process boundary)."""
-        return {
-            "symbols": list(self.symbols),
-            "constraints": [
-                _constraint_to_dict(c) for c in self.constraints
-            ],
-            "solver": self.solver,
-            "options": {
-                k: _encode_option(v) for k, v in self.options.items()
-            },
-            "nv": self.nv,
-            "timeout": self.timeout,
-            "max_nodes": self.max_nodes,
-            "trace": self.trace,
-        }
-
     # ------------------------------------------------------------------
     def constraint_set(self) -> ConstraintSet:
         """The problem as the solvers' native :class:`ConstraintSet`."""
@@ -328,15 +189,12 @@ class EncodeResponse:
 
     ``codes``/``n_bits`` carry the encoding on ``status == "ok"``
     (reconstruct the rich object with :meth:`encoding`); ``stats``
-    mirrors :attr:`repro.solvers.EncodeResult.stats`.  ``cached``
-    marks a response served from the content-addressed cache — it is
-    *envelope metadata*: :meth:`payload_bytes` excludes it, so a
-    cache hit re-serves byte-identical result bytes.
+    mirrors :attr:`repro.solvers.EncodeResult.stats`, restricted to
+    plain values.
     """
 
     status: str
     solver: str
-    cache_key: str
     symbols: Tuple[str, ...] = ()
     codes: Optional[Mapping[str, int]] = None
     n_bits: Optional[int] = None
@@ -345,7 +203,6 @@ class EncodeResponse:
     error: Optional[str] = None
     error_type: Optional[str] = None
     trace: Optional[Mapping[str, Any]] = None
-    cached: bool = False
 
     def __post_init__(self) -> None:
         if self.status not in RESPONSE_STATUSES:
@@ -379,59 +236,3 @@ class EncodeResponse:
                 f"error={self.error!r})"
             )
         return Encoding(self.symbols, dict(self.codes), self.n_bits)
-
-    def with_cached(self, cached: bool = True) -> "EncodeResponse":
-        """A copy flagged as (not) served from the cache."""
-        return replace(self, cached=cached)
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """The result payload (everything except the ``cached``
-        envelope flag), JSON-safe and deterministic."""
-        return {
-            "status": self.status,
-            "solver": self.solver,
-            "cache_key": self.cache_key,
-            "symbols": list(self.symbols),
-            "codes": dict(self.codes) if self.codes is not None else None,
-            "n_bits": self.n_bits,
-            "seconds": self.seconds,
-            "stats": {
-                k: _encode_option(v) for k, v in self.stats.items()
-            },
-            "error": self.error,
-            "error_type": self.error_type,
-            "trace": dict(self.trace) if self.trace is not None else None,
-        }
-
-    @classmethod
-    def from_dict(
-        cls, payload: Mapping[str, Any], *, cached: bool = False
-    ) -> "EncodeResponse":
-        known = {f.name for f in fields(cls)} - {"cached"}
-        unknown = set(payload) - known
-        if unknown:
-            raise InvalidSpecError(
-                f"response has unknown keys {sorted(unknown)}"
-            )
-        return cls(
-            status=payload["status"],
-            solver=payload["solver"],
-            cache_key=payload["cache_key"],
-            symbols=tuple(payload.get("symbols") or ()),
-            codes=payload.get("codes"),
-            n_bits=payload.get("n_bits"),
-            seconds=payload.get("seconds", 0.0),
-            stats=payload.get("stats") or {},
-            error=payload.get("error"),
-            error_type=payload.get("error_type"),
-            trace=payload.get("trace"),
-            cached=cached,
-        )
-
-    def payload_bytes(self) -> bytes:
-        """Canonical JSON bytes of :meth:`to_dict` — the unit of the
-        byte-identical cache-hit guarantee."""
-        return json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")

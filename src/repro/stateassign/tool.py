@@ -131,10 +131,9 @@ def _encode(
         options["fsm"] = fsm
     if solver_name == "picola" and picola_options is not None:
         options["picola_options"] = picola_options
-    # through the service layer: same dispatch path as the facade and
-    # the daemon.  classify=False keeps the raw exception for the
-    # harness' per-benchmark fault isolation; no cache — Table II's
-    # timing column must measure real solves
+    # through the service layer: same dispatch path as the facade.
+    # classify=False keeps the raw exception for the harness'
+    # per-benchmark fault isolation
     request = EncodeRequest.build(
         cset, solver=solver_name, options=options
     )

@@ -57,13 +57,15 @@ class TestExperimentsDoc:
             if hasattr(a, "choices") and a.choices
         )
         known = set(sub.choices)
-        for doc in ["README.md", "EXPERIMENTS.md", "docs/benchmarking.md"]:
-            text = (ROOT / doc).read_text()
+        docs = [ROOT / "README.md", ROOT / "EXPERIMENTS.md",
+                ROOT / "DESIGN.md", *sorted((ROOT / "docs").glob("*.md"))]
+        for doc in docs:
+            text = doc.read_text()
             for match in re.finditer(r"picola ([a-z0-9-]+)", text):
                 cmd = match.group(1)
                 if cmd in ("bench",):  # prose, not a command
                     continue
-                assert cmd in known, f"{doc} mentions unknown {cmd!r}"
+                assert cmd in known, f"{doc.name} mentions unknown {cmd!r}"
 
 
 class TestExperimentsNumbers:

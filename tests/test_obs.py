@@ -314,9 +314,9 @@ class TestNullTracerOverhead:
 
 
 class TestTracerThreadSafety:
-    """Regression tests for the PR-9 Tracer data race: concurrent
-    count()/span()/gauge() calls from `picola serve` handler threads
-    lost updates before the aggregates were lock-guarded."""
+    """Regression tests for a Tracer data race: concurrent
+    count()/span()/gauge() calls from several threads lost updates
+    before the aggregates were lock-guarded."""
 
     THREADS = 8
     PER_THREAD = 2000

@@ -1,18 +1,20 @@
-"""Tests for the encoding service layer (PR: encoding-as-a-service).
+"""Tests for the encoding service layer.
 
 Covers the request/response boundary, the single dispatch path
-(:func:`repro.service.dispatch.execute`), the content-addressed cache
-contract (hit counter increments, no solver span on a hit,
-byte-identical payloads), batch dispatch equivalence with serial, the
-``repro.api`` facade, and the daemon's admission control.
+(:func:`repro.service.dispatch.execute`), its observability contract
+and the ``repro.api`` facade.
 """
 
 import dataclasses
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 import repro
-from repro.api import encode, encode_many
+from repro.api import encode
 from repro.core import PicolaOptions
 from repro.encoding import ConstraintSet, FaceConstraint
 from repro.fsm import load_benchmark
@@ -27,13 +29,9 @@ from repro.service import (
     EncodeRequest,
     EncodeResponse,
     REQUEST_SPAN,
-    ResultCache,
     SOLVE_SPAN,
-    ServerConfig,
-    cache_key,
     execute,
 )
-from repro.service.server import ServiceState
 
 
 def simple_request(solver="picola", **kwargs):
@@ -95,48 +93,21 @@ class TestEncodeRequest:
                 constraints=({"symbols": ["a", "zzz"]},),
             )
 
-    def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(InvalidSpecError, match="unknown keys"):
-            EncodeRequest.from_dict(
-                {"symbols": ["a"], "sovler": "picola"}
-            )
-
-    def test_wire_round_trip(self):
-        request = simple_request(
-            nv=2, timeout=1.5, max_nodes=100, trace=True
-        )
-        clone = EncodeRequest.from_dict(request.to_dict())
-        assert clone == request
-        assert cache_key(clone) == cache_key(request)
-
-    def test_live_fsm_option_round_trips(self):
+    def test_live_fsm_option_reaches_solver(self):
         fsm = load_benchmark("lion")
         request = EncodeRequest.build(
-            ["a", "b"], solver="mustang", options={"fsm": fsm}
+            list(fsm.states), solver="mustang", options={"fsm": fsm}
         )
-        clone = EncodeRequest.from_dict(request.to_dict())
-        assert clone.options["fsm"].n_states == fsm.n_states
-        assert cache_key(clone) == cache_key(request)
+        assert request.options["fsm"] is fsm
+        assert execute(request).ok
 
-    def test_picola_options_round_trip(self):
-        request = EncodeRequest.build(
-            ["a", "b"],
-            options={"picola_options": PicolaOptions(beam_width=3)},
-        )
-        clone = EncodeRequest.from_dict(request.to_dict())
-        assert clone.options["picola_options"].beam_width == 3
-
-    def test_custom_weight_policy_is_unserializable(self):
-        class Policy:
-            pass
-
-        options = PicolaOptions(weights=Policy())
+    def test_picola_options_reach_solver(self):
+        options = PicolaOptions(beam_width=3)
         request = EncodeRequest.build(
             ["a", "b"], options={"picola_options": options}
         )
-        with pytest.raises(InvalidSpecError):
-            request.to_dict()
-        assert cache_key(request) is None  # uncacheable, not an error
+        assert request.options["picola_options"] is options
+        assert execute(request).ok
 
     def test_make_budget(self):
         assert simple_request().make_budget() is None
@@ -154,19 +125,7 @@ class TestEncodeRequest:
 class TestEncodeResponse:
     def test_bad_status_rejected(self):
         with pytest.raises(InvalidSpecError):
-            EncodeResponse(status="weird", solver="x", cache_key="")
-
-    def test_payload_bytes_exclude_cached_flag(self):
-        response = execute(simple_request())
-        assert (
-            response.payload_bytes()
-            == response.with_cached(True).payload_bytes()
-        )
-
-    def test_round_trip(self):
-        response = execute(simple_request())
-        clone = EncodeResponse.from_dict(response.to_dict())
-        assert clone.payload_bytes() == response.payload_bytes()
+            EncodeResponse(status="weird", solver="x")
 
     def test_encoding_reconstruction(self):
         response = execute(simple_request())
@@ -176,7 +135,7 @@ class TestEncodeResponse:
 
     def test_encoding_raises_without_codes(self):
         response = EncodeResponse(
-            status="failed", solver="x", cache_key="", error="boom"
+            status="failed", solver="x", error="boom"
         )
         with pytest.raises(InvalidSpecError):
             response.encoding()
@@ -187,7 +146,6 @@ class TestExecute:
         response = execute(simple_request())
         assert response.ok and response.status == "ok"
         assert response.n_bits == 2
-        assert response.cache_key == cache_key(simple_request())
 
     def test_unknown_solver_classified(self):
         response = execute(simple_request(solver="nope"))
@@ -245,23 +203,6 @@ class TestObservabilityContract:
         assert SOLVE_SPAN in span_names(sink)
         assert tracer.counters()["service.requests"] == 1
 
-    def test_cache_hit_counts_and_skips_solver_span(self):
-        cache = ResultCache()
-        sink = MemorySink()
-        tracer = Tracer(sink)
-        execute(simple_request(), cache=cache, tracer=tracer)
-        assert tracer.counters()["service.cache.misses"] == 1
-        sink.clear()
-
-        hit = execute(simple_request(), cache=cache, tracer=tracer)
-        assert hit.cached
-        counters = tracer.counters()
-        assert counters["service.cache.hits"] == 1
-        assert counters["service.requests"] == 2
-        names = span_names(sink)
-        assert REQUEST_SPAN in names
-        assert SOLVE_SPAN not in names  # the solver never ran
-
     def test_latency_histogram_fed(self):
         tracer = Tracer(MemorySink())
         execute(simple_request(), tracer=tracer)
@@ -275,171 +216,9 @@ class TestObservabilityContract:
         assert tracer.counters()["service.errors"] == 1
 
 
-class TestResultCache:
-    def test_byte_identical_hit(self):
-        cache = ResultCache()
-        first = execute(simple_request(), cache=cache)
-        second = execute(simple_request(), cache=cache)
-        assert not first.cached and second.cached
-        assert second.payload_bytes() == first.payload_bytes()
-
-    def test_only_final_statuses_cached(self):
-        cache = ResultCache()
-        request = simple_request(solver="exact", max_nodes=1)
-        first = execute(request, cache=cache)
-        assert first.status in ("budget", "timeout")
-        assert len(cache) == 0  # a tighter-QoS verdict is not final
-
-    def test_infeasible_is_cached(self):
-        cache = ResultCache()
-        request = EncodeRequest.build(
-            [f"s{i}" for i in range(5)], solver="exact", nv=1
-        )
-        execute(request, cache=cache)
-        assert len(cache) == 1
-        assert execute(request, cache=cache).cached
-
-    def test_lru_eviction(self):
-        cache = ResultCache(capacity=2)
-        for i in range(3):
-            execute(
-                EncodeRequest.build([f"a{i}", f"b{i}"]), cache=cache
-            )
-        assert len(cache) == 2
-
-    def test_zero_capacity_disables(self):
-        cache = ResultCache(capacity=0)
-        execute(simple_request(), cache=cache)
-        assert len(cache) == 0
-        assert not execute(simple_request(), cache=cache).cached
-
-    def test_peek_does_not_count(self):
-        cache = ResultCache()
-        key = cache_key(simple_request())
-        execute(simple_request(), cache=cache)
-        before = cache.stats()
-        assert cache.peek(key) is not None
-        assert cache.peek("absent") is None
-        after = cache.stats()
-        assert (before["hits"], before["misses"]) == (
-            after["hits"], after["misses"],
-        )
-
-    def test_qos_fields_share_a_cache_line(self):
-        cache = ResultCache()
-        execute(simple_request(), cache=cache)
-        relaxed = execute(
-            simple_request(timeout=30.0, max_nodes=10**6),
-            cache=cache,
-        )
-        assert relaxed.cached
-
-
-def _mixed_requests():
-    lion = load_benchmark("lion")
-    return [
-        simple_request(),
-        simple_request(solver="exact"),
-        EncodeRequest.build(
-            [f"q{i}" for i in range(6)],
-            [{"symbols": ["q0", "q1", "q2"]}],
-            solver="nova",
-            options={"seed": 3},
-        ),
-        EncodeRequest.build(
-            ["a", "b", "c"],
-            solver="mustang",
-            options={"fsm": lion, "variant": "p"},
-        ),
-        simple_request(),  # duplicate of [0] — exercises in-batch dedup
-    ]
-
-
-def _strip_seconds(response):
-    payload = response.to_dict()
-    payload.pop("seconds")
-    return payload, response.cached
-
-
-class TestEncodeMany:
-    def test_matches_serial_without_cache(self):
-        requests = _mixed_requests()
-        serial = encode_many(requests, jobs=1)
-        batched = encode_many(requests, jobs=2)
-        assert [_strip_seconds(r) for r in serial] == [
-            _strip_seconds(r) for r in batched
-        ]
-
-    def test_matches_serial_with_cache(self):
-        requests = _mixed_requests()
-        serial = encode_many(requests, jobs=1, cache=ResultCache())
-        batched = encode_many(requests, jobs=2, cache=ResultCache())
-        assert [_strip_seconds(r) for r in serial] == [
-            _strip_seconds(r) for r in batched
-        ]
-        # the duplicate is a hit on both paths
-        assert serial[-1].cached and batched[-1].cached
-
-    def test_warm_cache_short_circuits(self):
-        cache = ResultCache()
-        requests = _mixed_requests()
-        encode_many(requests, jobs=1, cache=cache)
-        again = encode_many(requests, jobs=2, cache=cache)
-        assert all(r.cached for r in again if r.status == "ok")
-
-    def test_counters_match_serial(self):
-        requests = _mixed_requests()
-        serial_tracer = Tracer(MemorySink())
-        encode_many(
-            requests, jobs=1, cache=ResultCache(),
-            tracer=serial_tracer,
-        )
-        batch_tracer = Tracer(MemorySink())
-        encode_many(
-            requests, jobs=2, cache=ResultCache(),
-            tracer=batch_tracer,
-        )
-        s, b = serial_tracer.counters(), batch_tracer.counters()
-        for key in (
-            "service.requests",
-            "service.cache.hits",
-            "service.cache.misses",
-        ):
-            assert s.get(key) == b.get(key), key
-
-    def test_unserializable_degrades_to_serial(self):
-        from repro.core import WeightPolicy
-
-        requests = [
-            simple_request(),
-            EncodeRequest.build(
-                ["a", "b", "c", "d"],
-                [{"symbols": ["a", "b"]}],
-                options={
-                    "picola_options": PicolaOptions(
-                        weights=WeightPolicy(guide_factor=0.4)
-                    )
-                },
-            ),
-        ]
-        assert cache_key(requests[1]) is None  # cannot cross the wire
-        responses = encode_many(requests, jobs=2)
-        assert [r.status for r in responses] == ["ok", "ok"]
-
-    def test_failures_stay_classified(self):
-        requests = [simple_request(), simple_request(solver="nope")]
-        responses = encode_many(requests, jobs=2)
-        assert responses[0].ok
-        assert responses[1].status == "failed"
-
-    def test_empty_batch(self):
-        assert encode_many([], jobs=2) == []
-
-
 class TestApiFacade:
     def test_top_level_exports(self):
         assert repro.encode is encode
-        assert repro.encode_many is encode_many
         assert repro.EncodeRequest is EncodeRequest
         assert repro.EncodeResponse is EncodeResponse
 
@@ -450,7 +229,9 @@ class TestApiFacade:
     def test_facade_matches_dispatch(self):
         direct = execute(simple_request())
         via_api = encode(simple_request())
-        assert _strip_seconds(direct) == _strip_seconds(via_api)
+        assert dataclasses.replace(direct, seconds=0.0) == (
+            dataclasses.replace(via_api, seconds=0.0)
+        )
 
     def test_assign_states_routes_through_service(self):
         """The harness pipeline dispatches via the service layer."""
@@ -463,154 +244,21 @@ class TestApiFacade:
         assert REQUEST_SPAN in span_names(sink)
         assert SOLVE_SPAN in span_names(sink)
 
-
-class TestBackpressure:
-    def test_acquire_release(self):
-        state = ServiceState(ServerConfig(queue_limit=2))
-        assert state.try_acquire()
-        assert state.try_acquire()
-        assert not state.try_acquire()
-        state.release()
-        assert state.try_acquire()
-
-    def test_batch_admission_is_all_or_nothing(self):
-        state = ServiceState(ServerConfig(queue_limit=3))
-        assert state.try_acquire(2)
-        assert not state.try_acquire(2)  # only one slot left
-        assert state.try_acquire(1)
-
-    def test_rejections_counted(self):
-        tracer = Tracer(MemorySink())
-        state = ServiceState(
-            ServerConfig(queue_limit=1), tracer=tracer
+    def test_import_loads_no_harness_or_network_stack(self):
+        """``import repro`` stays in-process: no experiment harness,
+        HTTP server or process-pool modules come along."""
+        heavy = (
+            "repro.harness", "http.server", "socketserver",
+            "multiprocessing", "concurrent.futures",
         )
-        state.try_acquire()
-        state.try_acquire()
-        assert state.rejected == 1
-        assert tracer.counters()["service.rejected"] == 1
-        assert state.stats()["queue"]["rejected"] == 1
-
-    def test_config_validation(self):
-        with pytest.raises(InvalidSpecError):
-            ServerConfig(queue_limit=0)
-        with pytest.raises(InvalidSpecError):
-            ServerConfig(batch_max=0)
-        with pytest.raises(InvalidSpecError):
-            ServerConfig(batch_wait=-0.1)
-
-    def test_default_timeout_applied(self):
-        state = ServiceState(ServerConfig(default_timeout=5.0))
-        tightened = state.apply_qos(simple_request())
-        assert tightened.timeout == 5.0
-        explicit = state.apply_qos(simple_request(timeout=1.0))
-        assert explicit.timeout == 1.0
-
-
-class TestDaemonThreadHammer:
-    """Regression: the live daemon served handler threads against a
-    shared Tracer and ServiceState whose counters raced before PR 9
-    (lost `service.requests` increments, torn /v1/stats snapshots)."""
-
-    CLIENTS = 6
-    PER_CLIENT = 4
-
-    def _start_server(self, tracer):
-        import threading
-
-        from repro.service import make_server
-
-        server = make_server(
-            ServerConfig(
-                port=0,
-                queue_limit=256,
-                cache_size=0,  # every request does real work
-                batch_wait=0.0,
-            ),
-            tracer=tracer,
+        code = (
+            "import sys, repro\n"
+            f"print(sorted(m for m in {heavy!r} if m in sys.modules))"
         )
-        loop = threading.Thread(
-            target=server.serve_forever, daemon=True
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=src),
         )
-        loop.start()
-        return server, loop
-
-    def test_concurrent_encode_and_stats(self):
-        import http.client
-        import json as jsonlib
-        import threading
-
-        tracer = Tracer()
-        server, loop = self._start_server(tracer)
-        host, port = server.server_address[:2]
-        statuses = []
-        status_lock = threading.Lock()
-        failures = []
-
-        def client(i):
-            try:
-                for k in range(self.PER_CLIENT):
-                    tag = f"t{i}k{k}"
-                    body = jsonlib.dumps({
-                        "symbols": [f"{tag}s{j}" for j in range(4)],
-                        "constraints": [
-                            {"symbols": [f"{tag}s0", f"{tag}s1"]},
-                        ],
-                        "solver": "picola",
-                    }).encode()
-                    conn = http.client.HTTPConnection(
-                        host, port, timeout=60
-                    )
-                    conn.request(
-                        "POST", "/v1/encode", body,
-                        {"Content-Type": "application/json"},
-                    )
-                    resp = conn.getresponse()
-                    payload = jsonlib.loads(resp.read())
-                    conn.close()
-                    with status_lock:
-                        statuses.append(resp.status)
-                    if resp.status == 200:
-                        assert payload["result"]["status"] == "ok"
-            except Exception as exc:  # surfaced after join
-                failures.append(f"client {i}: {exc!r}")
-
-        def stats_reader():
-            try:
-                for _ in range(3 * self.PER_CLIENT):
-                    conn = http.client.HTTPConnection(
-                        host, port, timeout=60
-                    )
-                    conn.request("GET", "/v1/stats")
-                    resp = conn.getresponse()
-                    doc = jsonlib.loads(resp.read())
-                    conn.close()
-                    assert resp.status == 200
-                    queue = doc["queue"]
-                    # a torn snapshot can show in_flight below 0 or
-                    # past the limit; the locked one never does
-                    assert 0 <= queue["in_flight"] <= queue["limit"]
-                    assert queue["rejected"] >= 0
-            except Exception as exc:
-                failures.append(f"stats: {exc!r}")
-
-        threads = [
-            threading.Thread(target=client, args=(i,))
-            for i in range(self.CLIENTS)
-        ]
-        threads.append(threading.Thread(target=stats_reader))
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-        finally:
-            server.shutdown()
-            server.server_close()
-            loop.join(timeout=10)
-        assert failures == []
-        expected = self.CLIENTS * self.PER_CLIENT
-        assert statuses == [200] * expected
-        # every accepted request was counted exactly once: lost
-        # increments under concurrency were the PR-9 Tracer bug
-        assert tracer.counter("service.requests") == expected
-        assert tracer.counter("service.cache.misses") == expected
+        assert out.stdout.strip() == "[]"
