@@ -7,18 +7,11 @@ errors (bad path).
 from __future__ import annotations
 
 import argparse
-import ast
-import json
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from .engine import (
-    FileContext,
-    _relative_path,
-    analyze,
-    iter_python_files,
-)
+from .engine import analyze
 from .report import render_github, render_json, render_text
 from .rules import DEFAULT_RULES, RULE_CLASSES
 
@@ -45,13 +38,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="print the rule catalog and exit",
     )
     parser.add_argument(
-        "--graph",
-        choices=("json",),
-        default=None,
-        help="dump the whole-program call graph as JSON instead of "
-        "linting",
-    )
-    parser.add_argument(
         "--format",
         choices=("text", "json", "github"),
         default="text",
@@ -69,29 +55,6 @@ def _list_rules() -> str:
         lines.append(f"    scope: {', '.join(entry['scope'])}")
         lines.append(f"    {entry['rationale']}")
     return "\n".join(lines)
-
-
-def _load_contexts(roots: Sequence[Path]) -> List[FileContext]:
-    """Parse every file under ``roots`` for a ``--graph`` dump."""
-    contexts: List[FileContext] = []
-    for root in roots:
-        for fp in iter_python_files(root):
-            rel = _relative_path(fp, root)
-            try:
-                source = fp.read_text()
-                tree = ast.parse(source, filename=str(fp))
-            except (OSError, SyntaxError):
-                continue  # lint reports these; the graph just skips
-            contexts.append(FileContext(rel, source, tree))
-    return contexts
-
-
-def _dump_graph(roots: Sequence[Path]) -> int:
-    from .callgraph import build_program
-
-    program = build_program(_load_contexts(roots))
-    print(json.dumps(program.to_dict(), indent=2, sort_keys=True))
-    return 0
 
 
 def _github_prefix(roots: Sequence[Path]) -> str:
@@ -124,9 +87,6 @@ def run_lint(args: argparse.Namespace) -> int:
     else:
         roots = [_package_root()]
 
-    if args.graph:
-        return _dump_graph(roots)
-
     rules = DEFAULT_RULES()
     report = analyze(roots[0], rules)
     for root in roots[1:]:
@@ -150,9 +110,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="python -m repro.analysis",
         description=(
             "Project-aware static analysis: budget threading, span "
-            "hygiene, the error taxonomy, determinism, bulk kernels, "
-            "the service boundary and the whole-program concurrency/"
-            "fork-safety flow rules (rules RPA001-RPA014)"
+            "hygiene, the error taxonomy, determinism and bulk kernels "
+            "(rules RPA001-RPA005, RPA008)"
         ),
     )
     add_lint_arguments(parser)

@@ -9,9 +9,7 @@ Vocabulary
 ----------
 * a :class:`Finding` is one violation at ``path:line:col`` with a
   stable rule ID;
-* a :class:`Rule` inspects one parsed file; a :class:`ProjectRule`
-  additionally sees every file at the end of the walk (the
-  whole-program flow rules);
+* a :class:`Rule` inspects one parsed file;
 * a suppression is the comment ``# repro: noqa[RPA001]`` (that line),
   ``# repro: noqa`` (that line, all rules) or
   ``# repro: noqa-file[RPA001]`` (whole file); everything after
@@ -33,7 +31,6 @@ __all__ = [
     "AnalysisReport",
     "FileContext",
     "Finding",
-    "ProjectRule",
     "Rule",
     "Suppression",
     "analyze",
@@ -157,22 +154,6 @@ class Rule:
         }
 
 
-class ProjectRule(Rule):
-    """A rule that also runs once over the whole file set."""
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        return iter(())
-
-    def see_everything(self, contexts: Sequence[FileContext]) -> None:
-        """Receive every parsed file; ``finalize`` gets only the
-        in-scope ones."""
-
-    def finalize(
-        self, contexts: Sequence[FileContext]
-    ) -> Iterator[Finding]:
-        raise NotImplementedError
-
-
 @dataclass
 class AnalysisReport:
     """Outcome of one engine run."""
@@ -242,8 +223,6 @@ def _relative_path(file_path: Path, root: Path) -> str:
     return rel.as_posix()
 
 
-
-
 def analyze(root: Path, rules: Sequence[Rule]) -> AnalysisReport:
     """Run ``rules`` over every Python file under ``root``.
 
@@ -251,7 +230,6 @@ def analyze(root: Path, rules: Sequence[Rule]) -> AnalysisReport:
     unused suppressions are reported so stale ones fail the run.
     """
     report = AnalysisReport()
-    contexts: List[FileContext] = []
     suppressions: List[Suppression] = []
     raw: List[Finding] = []
 
@@ -279,19 +257,10 @@ def analyze(root: Path, rules: Sequence[Rule]) -> AnalysisReport:
             )
             continue
         ctx = FileContext(rel, source, tree)
-        contexts.append(ctx)
         suppressions.extend(_parse_suppressions(rel, source))
         for rule in rules:
             if rule.applies_to(rel):
                 raw.extend(rule.check(ctx))
-
-    for rule in rules:
-        if isinstance(rule, ProjectRule):
-            rule.see_everything(contexts)
-            scoped = [
-                c for c in contexts if rule.applies_to(c.path)
-            ]
-            raw.extend(rule.finalize(scoped))
 
     raw.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     for finding in raw:

@@ -16,7 +16,6 @@ import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .engine import FileContext, Finding, Rule
-from .flow import FLOW_RULE_CLASSES
 
 __all__ = ["DEFAULT_RULES", "RULE_CLASSES", "rules_by_id"]
 
@@ -532,71 +531,7 @@ class BulkKernelRule(Rule):
         return None
 
 
-class ServicePayloadRule(Rule):
-    """RPA009 — the service layer speaks EncodeRequest/EncodeResponse."""
-
-    rule_id = "RPA009"
-    title = "service layer: ad-hoc payload or direct *_encode call"
-    rationale = """
-        repro.service and repro.api exist so every encode crosses one
-        typed boundary: requests are EncodeRequest, results are
-        EncodeResponse, and solvers are reached through the registry.
-        A handler returning a hand-rolled dict payload, or a service
-        module calling picola_encode/nova_encode/... directly, forks
-        the wire format and skips the budget/tracing/classification
-        guarantees the boundary provides.
-    """
-
-    scope = ("repro/service", "repro/api.py")
-
-    #: function-name prefixes that produce request/response payloads;
-    #: these must build the dataclasses, never bare dict literals
-    _PAYLOAD_PREFIXES = (
-        "encode", "execute", "dispatch", "handle", "submit",
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Call):
-                name = _call_name(node)
-                # leading underscore = a module-private helper, not a
-                # legacy solver entry point (those are all public)
-                if (
-                    name
-                    and name.endswith("_encode")
-                    and not name.startswith("_")
-                ):
-                    yield ctx.finding(
-                        self,
-                        node,
-                        f"service code calls {name}() directly; go "
-                        "through get_solver(...).solve(...) via "
-                        "repro.service.dispatch.execute",
-                    )
-            elif isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ) and node.name.startswith(self._PAYLOAD_PREFIXES):
-                yield from self._check_returns(ctx, node)
-
-    def _check_returns(
-        self, ctx: FileContext, func: ast.AST
-    ) -> Iterator[Finding]:
-        for node in ast.walk(func):
-            if isinstance(node, ast.Return) and isinstance(
-                node.value, ast.Dict
-            ):
-                yield ctx.finding(
-                    self,
-                    node,
-                    f"{func.name}() returns an ad-hoc dict payload; "
-                    "construct an EncodeRequest/EncodeResponse (or "
-                    "call .to_dict() on one) so the wire format "
-                    "cannot fork",
-                )
-
-
-#: the full pack: per-file rules plus the whole-program flow rules
-#: (RPA010-RPA014, built on the repro.analysis.callgraph layer)
+#: the full pack, in catalog order
 RULE_CLASSES: Tuple[type, ...] = (
     BudgetThreadingRule,
     SpanHygieneRule,
@@ -604,8 +539,7 @@ RULE_CLASSES: Tuple[type, ...] = (
     RaiseTaxonomyRule,
     DeterminismRule,
     BulkKernelRule,
-    ServicePayloadRule,
-) + FLOW_RULE_CLASSES
+)
 
 
 def DEFAULT_RULES() -> List[Rule]:

@@ -64,7 +64,9 @@ def _mutator(name: str):
     return call
 
 
-for _name in (
+#: every ``list`` method that mutates in place; each is wrapped to
+#: invalidate the owning cover's caches first
+_MUTATORS = (
     "append",
     "extend",
     "insert",
@@ -77,7 +79,8 @@ for _name in (
     "__delitem__",
     "__iadd__",
     "__imul__",
-):
+)
+for _name in _MUTATORS:
     setattr(_CubeList, _name, _mutator(_name))
 del _name
 

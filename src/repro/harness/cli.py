@@ -294,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "lint",
         help="check the source tree against the repo's static "
              "invariants (budget threading, span hygiene, error "
-             "taxonomy, determinism, thread safety)",
+             "taxonomy, determinism, bulk kernels)",
     )
     add_lint_arguments(p10)
     return parser

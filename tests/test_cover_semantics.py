@@ -19,6 +19,7 @@ from repro.cubes import (
     sharp,
     tautology,
 )
+from repro.cubes import cover as _cover_module
 from repro.runtime import InvalidSpecError
 
 
@@ -255,6 +256,40 @@ class TestCoverClass:
         a.cubes.clear()
         assert a == Cover.empty(space)
         assert space.parse_cube("10") not in a
+
+    # one content-changing call per mutation path; sort and reverse
+    # keep the cube multiset, so for them the caches must stay valid
+    _MUTATIONS = {
+        "append": lambda cover, lst, c: lst.append(c),
+        "extend": lambda cover, lst, c: lst.extend([c]),
+        "insert": lambda cover, lst, c: lst.insert(0, c),
+        "remove": lambda cover, lst, c: lst.remove(lst[-1]),
+        "pop": lambda cover, lst, c: lst.pop(),
+        "clear": lambda cover, lst, c: lst.clear(),
+        "sort": lambda cover, lst, c: lst.sort(),
+        "reverse": lambda cover, lst, c: lst.reverse(),
+        "__setitem__": lambda cover, lst, c: lst.__setitem__(1, c),
+        "__delitem__": lambda cover, lst, c: lst.__delitem__(1),
+        "__iadd__": lambda cover, lst, c: lst.__iadd__([c]),
+        "__imul__": lambda cover, lst, c: lst.__imul__(0),
+        "cubes_setter": lambda cover, lst, c: setattr(cover, "cubes", [c]),
+        "add": lambda cover, lst, c: cover.add(c),
+    }
+
+    @pytest.mark.parametrize(
+        "how", list(_cover_module._MUTATORS) + ["cubes_setter", "add"]
+    )
+    def test_every_mutation_path_invalidates_caches(self, how):
+        space = Space.binary(2)
+        cover = Cover.from_strings(space, ["01", "10"])
+        everything = [space.parse_cube(r) for r in ("00", "01", "10", "11")]
+        # prime both caches
+        assert cover == Cover.from_strings(space, ["10", "01"])
+        assert [c in cover for c in everything] == [False, True, True, False]
+        self._MUTATIONS[how](cover, cover.cubes, space.parse_cube("11"))
+        now = list(cover.cubes)
+        assert cover == Cover(space, now)
+        assert [c in cover for c in everything] == [c in now for c in everything]
 
 
 class TestCoverOperators:

@@ -116,6 +116,17 @@ class TestExperimentsNumbers:
         assert sentence in self._experiments()
 
 
+class TestStaticAnalysisDoc:
+    def test_rule_table_matches_catalog(self):
+        """docs/static-analysis.md's rule table lists exactly the
+        shipped rules, plus the engine's RPA000."""
+        from repro.analysis import rules_by_id
+
+        text = (ROOT / "docs" / "static-analysis.md").read_text()
+        documented = set(re.findall(r"^\| (RPA\d{3}) \|", text, re.M))
+        assert documented == set(rules_by_id()) | {"RPA000"}
+
+
 class TestVersion:
     def test_version_consistent(self):
         text = (ROOT / "pyproject.toml").read_text()

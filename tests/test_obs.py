@@ -348,11 +348,20 @@ class TestTracerThreadSafety:
             for _ in range(self.PER_THREAD):
                 tracer.count("hammer.n")
                 tracer.gauge("hammer.g", i)
+                # worker aggregates folded in, as the parallel engine does
+                tracer.adopt(
+                    [],
+                    counters={"hammer.n": 1},
+                    gauges={"hammer.g": {"last": i, "n": 1,
+                                         "min": i, "max": i}},
+                )
 
         self._hammer(work)
-        assert tracer.counter("hammer.n") == self.THREADS * self.PER_THREAD
+        assert tracer.counter("hammer.n") == (
+            2 * self.THREADS * self.PER_THREAD
+        )
         assert tracer.gauges()["hammer.g"]["n"] == (
-            self.THREADS * self.PER_THREAD
+            2 * self.THREADS * self.PER_THREAD
         )
 
     def test_concurrent_spans_keep_exact_histograms(self):

@@ -111,6 +111,20 @@ class TestEngine:
         assert f.status == "failed"
         assert "ValueError" in f.error
 
+    def test_live_lock_in_a_unit_comes_back_failed(self):
+        # the pool pickles every submission, and a lock does not
+        # pickle: a live resource can never reach a worker mid-state
+        import threading
+
+        units = [
+            Unit(key="lock", fn=_identity, args=(threading.Lock(),)),
+            Unit(key="ok", fn=_identity, args=(7,)),
+        ]
+        lock, ok = list(run_units(units, jobs=2))
+        assert lock.status == "failed"
+        assert "pickle" in lock.error
+        assert ok.ok and ok.value == 7
+
     def test_single_unit_stays_serial(self):
         # len(units) <= 1 never pays the pool start-up cost
         outcomes = list(

@@ -19,6 +19,7 @@ from repro.runtime import (
     resumable,
     run_isolated,
 )
+from repro.solvers import get_solver, list_solvers
 
 
 @pytest.fixture(autouse=True)
@@ -411,6 +412,26 @@ class TestSolverBudgetThreading:
 
         with pytest.raises(BudgetExceeded):
             enc_encode(self._small_cset(), budget=Budget(max_nodes=2))
+
+    @pytest.mark.parametrize(
+        "name", [n for n in list_solvers() if n != "simple"]
+    )
+    def test_registry_solver_ticks_budget(self, name):
+        """Every registry solver with a search loop reaches a
+        budget-ticking kernel from ``Solver.solve``; ``simple`` has no
+        loop to bound."""
+        from repro.fsm import load_benchmark
+
+        options = None
+        if name == "mustang":  # encodes the machine, not the cset
+            fsm = load_benchmark("lion9")
+            options = {"fsm": fsm, "nv": fsm.min_code_length()}
+        with pytest.raises(BudgetExceeded):
+            get_solver(name).solve(
+                self._small_cset(),
+                options=options,
+                budget=Budget(max_nodes=1),
+            )
 
     def test_assign_states_timeout_via_fault(self):
         from repro.fsm import load_benchmark

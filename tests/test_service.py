@@ -15,6 +15,7 @@ import pytest
 
 import repro
 from repro.api import encode
+from repro.baselines.simple import natural_encoding
 from repro.core import PicolaOptions
 from repro.encoding import ConstraintSet, FaceConstraint
 from repro.fsm import load_benchmark
@@ -32,6 +33,7 @@ from repro.service import (
     SOLVE_SPAN,
     execute,
 )
+from repro.solvers import Solver, _REGISTRY, register_solver
 
 
 def simple_request(solver="picola", **kwargs):
@@ -214,6 +216,37 @@ class TestObservabilityContract:
         tracer = Tracer(MemorySink())
         execute(simple_request(solver="nope"), tracer=tracer)
         assert tracer.counters()["service.errors"] == 1
+
+    def test_custom_solver_reached_through_registry(self):
+        """``repro.encode`` reaches a registered solver only through
+        ``get_solver(...).solve``, handing it the request's budget and
+        a tracer inside the service spans."""
+        calls = []
+
+        class Spy(Solver):
+            name = "spy"
+
+            def _run(self, cset, opts, budget, tracer):
+                calls.append((budget, tracer))
+                encoding = natural_encoding(list(cset.symbols))
+                return encoding, {}, encoding
+
+        register_solver(Spy())
+        try:
+            sink = MemorySink()
+            tracer = Tracer(sink)
+            response = repro.encode(
+                simple_request(solver="spy", timeout=5), tracer=tracer
+            )
+        finally:
+            _REGISTRY.pop("spy", None)
+        assert response.ok and response.solver == "spy"
+        ((budget, solve_tracer),) = calls
+        assert isinstance(budget, Budget)
+        assert budget.deadline.seconds == 5
+        assert solve_tracer is tracer
+        assert tracer.counters()["service.requests"] == 1
+        assert SOLVE_SPAN in span_names(sink)
 
 
 class TestApiFacade:
