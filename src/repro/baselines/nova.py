@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..cubes.bulk import bit_count
 from ..encoding.codes import Encoding, face_of
 from ..encoding.constraints import ConstraintSet, FaceConstraint
 from ..obs import resolve_tracer
@@ -190,19 +191,35 @@ def _objective(
     nv: int,
     affinity: Optional[Mapping[Tuple[str, str], float]],
 ) -> float:
+    """Weighted satisfied constraints plus, for ``io_hybrid``, the
+    affinity bonus of near-adjacent codes.
+
+    A constraint is satisfied when no other symbol's code lies on the
+    face its members span.  That is a face-occupancy count: with the
+    occupied codes as one bit mask and the face's minterms as another
+    (``1 << value`` doubled once per free bit), the face holds exactly
+    the members iff the two masks share ``len(c.symbols)`` bits.  The
+    count relies on injective codes, which greedy placement and the
+    anneal's swaps both keep.
+    """
+    occupied = 0
+    for code in codes.values():
+        occupied |= 1 << code
+    all_ones = (1 << nv) - 1
     total = 0.0
     for c in constraints:
-        mask, value = face_of((codes[s] for s in c.symbols), nv)
-        ok = all(
-            (code ^ value) & mask
-            for s, code in codes.items()
-            if s not in c.symbols
-        )
-        if ok:
+        mask, value = face_of([codes[s] for s in c.symbols], nv)
+        face = 1 << value
+        free = all_ones & ~mask
+        while free:
+            low = free & -free  # free bit b: shift by 2**b = low
+            face |= face << low
+            free ^= low
+        if bit_count(occupied & face) == len(c.symbols):
             total += c.weight
     if affinity:
         for (a, b), w in affinity.items():
-            dist = bin(codes[a] ^ codes[b]).count("1")
+            dist = bit_count(codes[a] ^ codes[b])
             total += w * (nv - dist) / (4.0 * nv)
     return total
 

@@ -19,7 +19,7 @@ the per-cube functions in :mod:`repro.cubes.cube`, which
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from ..cube import cube_size as _cube_size
 from ..cube import sharp as _sharp
@@ -301,26 +301,62 @@ class PythonKernel:
         return total
 
     # -- EXPAND support ------------------------------------------------
-    def blocked_raises(
-        self, space: Space, off: List[int], cube: int
-    ) -> int:
-        """Union of raise bits blocked by the off-set: for every off
-        row whose meet with ``cube`` is empty in exactly one part (a
-        *critical*, distance-one row), the values it admits in that
-        part may not be raised."""
-        masks = space.part_masks
-        blocked = 0
-        for o in off:
-            meet = o & cube
-            block_part = -1
-            for p, m in enumerate(masks):
-                if not meet & m:
-                    if block_part >= 0:
-                        block_part = -2
-                        break
-                    block_part = p
-            if block_part >= 0:
-                blocked |= o & masks[block_part]
+    def blocker(
+        self, space: Space, off: List[int]
+    ) -> Callable[[int], int]:
+        """EXPAND's blocking check against a fixed off-set.
+
+        Returns ``blocked(cube)``: the union of raise bits blocked by
+        the off-set.  For every off row whose meet with ``cube`` is
+        empty in exactly one part (a *critical*, distance-one row),
+        the values it admits in that part may not be raised.
+
+        The off-set is held column-wise, as ESPRESSO's blocking matrix
+        (Brayton et al. 1984): ``cols[b]`` has bit ``i`` set when off
+        row ``i`` admits bit ``b``.  The rows with an empty meet in
+        part ``p`` are then ``all & ~OR(cols[b] for b in cube ∩ p)``,
+        a ones/twos accumulator over the parts keeps the rows empty in
+        exactly one part, and bit ``b`` of part ``p`` is blocked when
+        ``cols[b]`` meets those rows of ``p`` — one AND per bit instead
+        of a scan over every row and part.
+        """
+        cols = [0] * space.width
+        for i, o in enumerate(off):
+            row = 1 << i
+            while o:
+                low = o & -o
+                cols[low.bit_length() - 1] |= row
+                o ^= low
+        all_rows = (1 << len(off)) - 1
+        # per part: (bit, column) for each of its positions
+        parts = [
+            [(1 << b, cols[b]) for b in range(offset, offset + size)]
+            for offset, size in zip(space.offsets, space.part_sizes)
+        ]
+
+        def blocked(cube: int) -> int:
+            ones = twos = 0
+            empties = []
+            for part in parts:
+                admit = 0
+                for bit, col in part:
+                    if cube & bit:
+                        admit |= col
+                empty = all_rows & ~admit
+                twos |= ones & empty
+                ones |= empty
+                empties.append(empty)
+            critical = ones & ~twos
+            out = 0
+            if critical:
+                for part, empty in zip(parts, empties):
+                    rows = empty & critical
+                    if rows:
+                        for bit, col in part:
+                            if col & rows:
+                                out |= bit
+            return out
+
         return blocked
 
     def best_raise(

@@ -8,9 +8,10 @@ covering-directed expansion without the full blocking/covering matrix
 machinery.
 
 Feasibility and scoring are whole-cover kernel calls on the packed
-off-set/on-set matrices (:mod:`repro.cubes.bulk`): per raise round,
-``blocked_raises`` folds the *critical* off rows (exactly one blocking
-part) into one blocked-bit mask, and ``best_raise`` scores every
+off-set/on-set matrices (:mod:`repro.cubes.bulk`): ``blocker`` holds
+the off-set column-wise once per off-set and answers each raise
+round's blocked-bit mask (the *critical* off rows, those with exactly
+one blocking part) with a few ANDs, and ``best_raise`` scores every
 candidate bit against all remaining on-set rows at once.  The results
 are bit-identical to the historical incremental per-cube bookkeeping:
 recomputing the blocking parts against the grown cube each round gives
@@ -23,9 +24,8 @@ from typing import Callable, List, Sequence
 
 from ..cubes import Space
 from ..cubes.bulk import active_kernel
-from ..obs import resolve_tracer
 
-__all__ = ["expand", "expand_cube", "expand_with"]
+__all__ = ["Blocked", "expand", "expand_cube", "expand_cube_with", "expand_with"]
 
 #: lint marker: this module is a bulk-kernel hot path (RPA008)
 __bulk_kernel__ = True
@@ -45,19 +45,20 @@ def expand_cube(
     ``others`` (remaining on-set cubes) only steer the raise order.
     """
     kernel = active_kernel()
-    off_packed = kernel.pack(space, off)
-    return _expand_cube_packed(
+    return expand_cube_with(
         space,
         kernel,
         cube,
-        lambda c: kernel.blocked_raises(space, off_packed, c),
+        kernel.blocker(space, kernel.pack(space, off)),
         kernel.pack(space, others),
     )
 
 
-def _expand_cube_packed(
+def expand_cube_with(
     space: Space, kernel, cube: int, blocked: Blocked, others
 ) -> int:
+    """:func:`expand_cube` with the off-set behind ``blocked`` and the
+    steering cubes ``others`` already packed."""
     free_bits = space.universe & ~cube
     while free_bits:
         candidates = free_bits & ~blocked(cube)
@@ -73,23 +74,16 @@ def expand(
     space: Space,
     onset: List[int],
     off: Sequence[int],
-    tracer=None,
 ) -> List[int]:
     """Expand every cube of ``onset``; drop cubes covered along the way.
 
     Cubes are processed smallest-first (ascending weight), the standard
     ESPRESSO order: small cubes benefit most from expansion and their
-    primes tend to cover the larger ones.  ``tracer`` counts the cubes
-    this pass visits (``espresso.expand.cubes``).
+    primes tend to cover the larger ones.
     """
-    resolve_tracer(tracer).count("espresso.expand.cubes", len(onset))
     kernel = active_kernel()
-    off_packed = kernel.pack(space, off)
     return expand_with(
-        space,
-        kernel,
-        onset,
-        lambda cube: kernel.blocked_raises(space, off_packed, cube),
+        space, kernel, onset, kernel.blocker(space, kernel.pack(space, off))
     )
 
 
@@ -100,8 +94,10 @@ def expand_with(
 
     ``blocked(cube)`` returns the raise bits of ``cube`` that would make
     it hit the off-set; everything else (visit order, raise choice,
-    swallowed cubes, the final dedup) runs on ``kernel``.  Truth-table
-    scoring (:mod:`repro.espresso.truthtable`) shares this pass.
+    swallowed cubes, the final dedup) runs on ``kernel``.  ESPRESSO
+    builds ``blocked`` once per off-set with the kernel's ``blocker``;
+    truth-table scoring (:mod:`repro.espresso.truthtable`) passes its
+    own.
     """
     onset_packed = kernel.pack(space, onset)
     weights = kernel.popcounts(space, onset_packed)
@@ -116,7 +112,7 @@ def expand_with(
             onset_packed,
             [j for j in order if j != idx and not covered[j]],
         )
-        prime = _expand_cube_packed(
+        prime = expand_cube_with(
             space, kernel, kernel.row(space, onset_packed, idx),
             blocked, others,
         )

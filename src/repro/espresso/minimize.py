@@ -20,9 +20,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..cubes import Space, absorb, complement, contains, cover_contains_cube
+from ..cubes.bulk import active_kernel
 from ..obs import resolve_tracer
 from ..runtime import Budget, faults
-from .expand import expand, expand_cube
+from .expand import Blocked, expand_cube_with, expand_with
 from .irredundant import irredundant, relatively_essential
 from .pla import Pla
 from .reduce import reduce_cover, reduce_cube
@@ -90,9 +91,13 @@ def espresso(
     with tracer.span(
         "espresso/minimize", terms=len(cover), width=space.width
     ):
+        # the off-set is fixed for the whole run: every EXPAND, LASTGASP's
+        # included, shares one column-wise blocking check
+        kernel = active_kernel()
         off = complement(space, cover + dc)
+        blocked = kernel.blocker(space, kernel.pack(space, off))
 
-        cover = expand(space, cover, off, tracer=tracer)
+        cover = _expand(space, kernel, cover, blocked, tracer)
         cover = irredundant(space, cover, dc, tracer=tracer)
 
         essentials: List[int] = []
@@ -115,7 +120,7 @@ def espresso(
             tracer.count("espresso.iterations")
             stats.iterations += 1
             cover = reduce_cover(space, cover, dc, tracer=tracer)
-            cover = expand(space, cover, off, tracer=tracer)
+            cover = _expand(space, kernel, cover, blocked, tracer)
             tracer.gauge("espresso.cubes_after_expand", len(cover))
             cover = irredundant(space, cover, dc, tracer=tracer)
             tracer.gauge(
@@ -128,7 +133,7 @@ def espresso(
 
         if use_lastgasp:
             with tracer.span("espresso/lastgasp"):
-                improved = _lastgasp(space, cover, dc, off)
+                improved = _lastgasp(space, kernel, cover, dc, blocked)
             if improved is not None:
                 cover = improved
                 stats.lastgasp_improved = True
@@ -139,11 +144,20 @@ def espresso(
     return cover
 
 
+def _expand(
+    space: Space, kernel, cover: List[int], blocked: Blocked, tracer
+) -> List[int]:
+    """One EXPAND pass, counted as ``espresso.expand.cubes``."""
+    tracer.count("espresso.expand.cubes", len(cover))
+    return expand_with(space, kernel, cover, blocked)
+
+
 def _lastgasp(
     space: Space,
+    kernel,
     cover: List[int],
     dc: Sequence[int],
-    off: Sequence[int],
+    blocked: Blocked,
 ) -> Optional[List[int]]:
     """ESPRESSO's LASTGASP: maximally reduce each cube independently,
     expand the reductions trying to cover *two* or more of them, and
@@ -157,8 +171,9 @@ def _lastgasp(
     if not reduced:
         return None
     candidates: List[int] = []
+    reduced_packed = kernel.pack(space, reduced)
     for i, cube in enumerate(reduced):
-        prime = expand_cube(space, cube, off, reduced)
+        prime = expand_cube_with(space, kernel, cube, blocked, reduced_packed)
         covers = sum(1 for r in reduced if contains(prime, r))
         if covers >= 2:
             candidates.append(prime)

@@ -15,6 +15,7 @@ from repro.baselines import (
     state_affinity,
 )
 from repro.baselines import enc as enc_module
+from repro.baselines import nova as nova_module
 from repro.encoding import (
     ConstraintSet,
     Encoding,
@@ -22,8 +23,8 @@ from repro.encoding import (
     cubes_for_constraint,
     evaluate_encoding,
 )
-from repro.encoding import derive_face_constraints
-from repro.fsm import load_benchmark, parse_kiss
+from repro.encoding import derive_face_constraints, face_of
+from repro.fsm import TABLE1_FSMS, load_benchmark, parse_kiss
 from repro.obs import Tracer
 
 
@@ -101,6 +102,71 @@ class TestNova:
         a = nova_encode(cs, seed=7).encoding.codes
         b = nova_encode(cs, seed=7).encoding.codes
         assert a == b
+
+
+def scan_objective(symbols, constraints, codes, nv, affinity):
+    """NOVA's objective as it scanned every non-member symbol per
+    constraint, before the face-occupancy count: the oracle below."""
+    total = 0.0
+    for c in constraints:
+        mask, value = face_of((codes[s] for s in c.symbols), nv)
+        ok = all(
+            (code ^ value) & mask
+            for s, code in codes.items()
+            if s not in c.symbols
+        )
+        if ok:
+            total += c.weight
+    if affinity:
+        for (a, b), w in affinity.items():
+            dist = bin(codes[a] ^ codes[b]).count("1")
+            total += w * (nv - dist) / (4.0 * nv)
+    return total
+
+
+class TestNovaObjective:
+    """The face-occupancy objective equals the per-symbol scan."""
+
+    # Table II's 19 machines are among Table I's 33
+    @pytest.mark.parametrize("name", TABLE1_FSMS)
+    def test_random_injective_codes(self, name):
+        fsm = load_benchmark(name, seed=0)
+        cset = derive_face_constraints(fsm)
+        symbols = list(cset.symbols)
+        constraints = cset.nontrivial()
+        affinity = state_affinity(fsm)
+        rng = random.Random(name)
+        for extra_bits in (0, 1):
+            nv = cset.min_code_length() + extra_bits
+            for _ in range(10):
+                codes = dict(
+                    zip(symbols, rng.sample(range(1 << nv), len(symbols)))
+                )
+                for aff in (None, affinity):
+                    args = (symbols, constraints, codes, nv, aff)
+                    assert nova_module._objective(*args) == (
+                        scan_objective(*args)
+                    )
+
+    @pytest.mark.parametrize("variant", ["i_hybrid", "io_hybrid"])
+    @pytest.mark.parametrize("name", ["dk16", "s1", "scf"])
+    def test_encodings_identical_under_scan(self, name, variant, monkeypatch):
+        """Table II's NOVA runs (seed 1) give the same encoding with the
+        scan patched in; every code map the objective sees is
+        injective, which the occupancy count relies on."""
+        fsm = load_benchmark(name, seed=0)
+        cset = derive_face_constraints(fsm)
+        affinity = state_affinity(fsm) if variant == "io_hybrid" else None
+        want = nova_encode(cset, variant=variant, affinity=affinity, seed=1)
+
+        def checked_scan(symbols, constraints, codes, nv, aff):
+            assert len(set(codes.values())) == len(symbols)
+            return scan_objective(symbols, constraints, codes, nv, aff)
+
+        monkeypatch.setattr(nova_module, "_objective", checked_scan)
+        got = nova_encode(cset, variant=variant, affinity=affinity, seed=1)
+        assert got.encoding.codes == want.encoding.codes
+        assert got.objective == want.objective
 
 
 class TestEnc:

@@ -3,20 +3,29 @@
 The kernel's primitives are pinned against the legacy per-cube int
 implementations in :mod:`repro.cubes.cube` on hypothesis-generated
 covers, including spaces wider than one 64-bit word, so solver output
-stays byte-stable.
+stays byte-stable.  EXPAND's column-wise blocking check is pinned
+against the row scan it replaced, on random covers and on every call
+Table II's minimizations make.
 """
 
 import itertools
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cubes import Space
 from repro.cubes import cube as legacy
-from repro.cubes.bulk import active_kernel
+from repro.cubes.bulk import PythonKernel, active_kernel
+from repro.encoding import derive_face_constraints
+from repro.espresso import espresso
+from repro.fsm import TABLE2_FSMS, load_benchmark
+from repro.stateassign import assign_states
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -112,6 +121,123 @@ class TestLegacyEquivalence:
             )
         )
         assert kernel.minterm_count(space, kernel.pack(space, cover)) == count
+
+
+def row_scan_blocked(space, off, cube):
+    """The row-scan blocking check EXPAND ran before the column-wise
+    ``PythonKernel.blocker``, verbatim: the oracle of the tests below."""
+    masks = space.part_masks
+    blocked = 0
+    for o in off:
+        meet = o & cube
+        block_part = -1
+        for p, m in enumerate(masks):
+            if not meet & m:
+                if block_part >= 0:
+                    block_part = -2
+                    break
+                block_part = p
+        if block_part >= 0:
+            blocked |= o & masks[block_part]
+    return blocked
+
+
+def oracle_blocker(self, space, off):
+    return lambda cube: row_scan_blocked(space, off, cube)
+
+
+@st.composite
+def blocking_problems(draw):
+    """(space, off-set, cubes): off rows may be void, the off-set may
+    be empty, the cubes EXPAND asks about are not void."""
+    space = draw(spaces())
+    n = draw(st.integers(min_value=0, max_value=24))
+    off = [
+        _draw_cube(draw, space, allow_void=draw(st.booleans()))
+        for _ in range(n)
+    ]
+    cubes = [_draw_cube(draw, space, allow_void=False) for _ in range(6)]
+    return space, off, cubes
+
+
+@st.composite
+def minimize_problems(draw):
+    """(space, on-set, dc-set) small enough for a quick espresso."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    space = Space(
+        draw(st.lists(st.integers(2, 4), min_size=n, max_size=n))
+    )
+    onset = [
+        _draw_cube(draw, space, allow_void=False)
+        for _ in range(draw(st.integers(min_value=1, max_value=10)))
+    ]
+    dcset = [
+        _draw_cube(draw, space, allow_void=False)
+        for _ in range(draw(st.integers(min_value=0, max_value=3)))
+    ]
+    return space, onset, dcset
+
+
+class TestBlockerAgainstRowScan:
+    """``PythonKernel.blocker`` gives the row scan's blocked bits."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(blocking_problems())
+    def test_random_covers(self, problem):
+        space, off, cubes = problem
+        kernel = active_kernel()
+        blocked = kernel.blocker(space, kernel.pack(space, off))
+        for cube in cubes:
+            assert blocked(cube) == row_scan_blocked(space, off, cube)
+
+    @settings(max_examples=60, deadline=None)
+    @given(minimize_problems())
+    def test_espresso_list_equal_under_row_scan(self, problem):
+        space, onset, dcset = problem
+        want = espresso(space, onset, dcset)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(PythonKernel, "blocker", oracle_blocker)
+            got = espresso(space, onset, dcset)
+        assert got == want
+
+
+def _table2_golden_sizes():
+    text = (Path(__file__).resolve().parents[1] / ".table2_full.txt").read_text()
+    return {
+        m.group(1): {"nova_ih": int(m.group(2)), "picola": int(m.group(3))}
+        for m in re.finditer(
+            r"^(\w+): nova_ih=(\d+) nova_ioh=\d+ picola=(\d+)$", text, re.M
+        )
+    }
+
+
+@pytest.mark.parametrize("name", TABLE2_FSMS)
+def test_table2_minimization_blocks_as_row_scan(name, monkeypatch):
+    """Every cube EXPAND visits while espresso minimizes the encoded
+    PLA of a Table II machine (reference draw, NOVA-ih and PICOLA
+    encodings) gets the row scan's blocked bits, so the two-level
+    sizes are the committed golden's."""
+    real = PythonKernel.blocker
+    calls = []
+
+    def checking_blocker(self, space, off):
+        fast = real(self, space, off)
+
+        def blocked(cube):
+            want = row_scan_blocked(space, off, cube)
+            calls.append(fast(cube) == want)
+            return want
+
+        return blocked
+
+    monkeypatch.setattr(PythonKernel, "blocker", checking_blocker)
+    fsm = load_benchmark(name, seed=0)
+    cset = derive_face_constraints(fsm)
+    golden = _table2_golden_sizes()[name]
+    for method in ("nova_ih", "picola"):
+        result = assign_states(fsm, method, seed=1, constraints=cset)
+        assert result.size == golden[method]
+    assert calls and all(calls)
 
 
 def test_numpy_is_never_imported():
