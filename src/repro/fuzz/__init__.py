@@ -1,6 +1,7 @@
-"""End-to-end pipeline fuzzing: generators, oracle, corpus, campaigns.
+"""End-to-end pipeline fuzzing: generators, oracle, corpus.
 
-The subsystem behind ``picola fuzz``:
+The pieces the property tests in ``tests/test_fuzz_pipeline.py`` drive
+(see ``docs/fuzzing.md``):
 
 * :mod:`repro.fuzz.generators` — seeded workload generators (random,
   FSM-backed, Baer bounded-length prefix groups, Dubé 2-D grids,
@@ -10,19 +11,16 @@ The subsystem behind ``picola fuzz``:
   (injectivity, code-length bounds, honest satisfaction claims,
   co-simulation) and classifies every outcome — OK / INFEASIBLE /
   TIMEOUT / VIOLATION / CRASH — without ever crashing the harness;
-* :mod:`repro.fuzz.corpus` — findings minimized and committed as
-  content-addressed JSON regressions under ``tests/corpus/``;
-* :mod:`repro.fuzz.runner` — deterministic campaigns over the parallel
-  experiment engine, with a fault-hardening pass that re-runs each
-  case with faults armed at the budget/oracle seams;
-* :mod:`repro.fuzz.strategies` — optional hypothesis adapters.
+* :mod:`repro.fuzz.corpus` — findings committed as content-addressed
+  JSON regressions under ``tests/corpus/`` and replayed by the tests;
+* :mod:`repro.fuzz.strategies` — hypothesis strategies over the
+  generators (hypothesis is imported only there, on first use).
 """
 
 from .corpus import (
     CorpusEntry,
     entry_for_finding,
     load_corpus,
-    minimize_case,
     parser_entry,
     replay_entry,
     save_entry,
@@ -47,7 +45,6 @@ from .oracle import (
     run_case,
     verify_result,
 )
-from .runner import FuzzConfig, FuzzReport, run_fuzz
 
 __all__ = [
     # generators
@@ -75,9 +72,4 @@ __all__ = [
     "save_entry",
     "load_corpus",
     "replay_entry",
-    "minimize_case",
-    # campaigns
-    "FuzzConfig",
-    "FuzzReport",
-    "run_fuzz",
 ]

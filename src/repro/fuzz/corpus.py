@@ -1,11 +1,10 @@
-"""The fuzz corpus: distilled findings committed as regression tests.
+"""The fuzz corpus: findings committed as regression tests.
 
-Every finding a fuzz campaign surfaces is *minimized* (constraints,
-then symbols, then the FSM are dropped while the failure reproduces)
-and written as one small JSON file under the corpus directory —
-``tests/corpus/`` in this repository — where CI replays it forever,
-the way schemathesis keeps ``test-corpus/`` next to its generation
-strategies.
+A finding of the fuzz property tests — hypothesis reports it as its
+smallest failing ``(family, seed)`` — is written as one small JSON file
+under the corpus directory (``tests/corpus/`` in this repository),
+where the test suite replays it forever, the way schemathesis keeps
+``test-corpus/`` next to its generation strategies.
 
 Entry kinds
 -----------
@@ -28,7 +27,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..runtime import InvalidSpecError, ParseError, faults
 from .generators import FuzzCase
@@ -41,12 +40,11 @@ __all__ = [
     "save_entry",
     "load_corpus",
     "replay_entry",
-    "minimize_case",
 ]
 
 SCHEMA = 1
 
-#: replay timeout: corpus entries are minimized, so generous is cheap
+#: replay timeout: corpus entries are small, so generous is cheap
 REPLAY_TIMEOUT = 30.0
 
 
@@ -137,16 +135,33 @@ def load_corpus(directory: str) -> List[CorpusEntry]:
                 raise ParseError(
                     f"corpus file {name} is not valid JSON: {exc}"
                 ) from exc
-        kind = data.get("kind")
-        if data.get("schema") != SCHEMA or kind not in (
-            "case", "kiss", "pla",
-        ):
-            raise ParseError(
-                f"corpus file {name} has unknown schema/kind "
-                f"({data.get('schema')!r}/{kind!r})"
-            )
-        entries.append(CorpusEntry(kind=kind, data=data, path=path))
+        _check_shape(name, data)
+        entries.append(CorpusEntry(kind=data["kind"], data=data, path=path))
     return entries
+
+
+def _check_shape(name: str, data: Any) -> None:
+    """Raise :class:`ParseError` unless ``data`` is a replayable entry:
+    a JSON object of a known schema/kind whose ``case`` is an object
+    (``case`` entries) or whose ``text`` is a string (``kiss``/``pla``).
+    """
+    if not isinstance(data, dict):
+        raise ParseError(
+            f"corpus file {name} holds a JSON {type(data).__name__}, "
+            "not an object"
+        )
+    kind = data.get("kind")
+    if data.get("schema") != SCHEMA or kind not in ("case", "kiss", "pla"):
+        raise ParseError(
+            f"corpus file {name} has unknown schema/kind "
+            f"({data.get('schema')!r}/{kind!r})"
+        )
+    field, wanted = ("case", dict) if kind == "case" else ("text", str)
+    if not isinstance(data.get(field), wanted):
+        raise ParseError(
+            f"corpus file {name}: a {kind!r} entry needs a "
+            f"{wanted.__name__} {field!r} field"
+        )
 
 
 def replay_entry(
@@ -194,88 +209,3 @@ def replay_entry(
             + (f" [{outcome.detail}]" if outcome.detail else "")
         )
     return True, f"no longer a finding ({outcome.classification})"
-
-
-# ----------------------------------------------------------------------
-# distillation
-# ----------------------------------------------------------------------
-def minimize_case(
-    case: FuzzCase,
-    reproduces: Callable[[FuzzCase], bool],
-    *,
-    max_attempts: int = 200,
-) -> FuzzCase:
-    """Greedy shrink: drop what the failure does not need.
-
-    One pass tries to drop the FSM (keeping the encoded width pinned),
-    one drops constraints, one drops symbols unused by any remaining
-    constraint.  Every candidate is accepted only when ``reproduces``
-    still holds; the attempt count is bounded so distillation cannot
-    out-run the campaign it serves.
-    """
-    attempts = 0
-
-    def attempt(candidate: FuzzCase) -> bool:
-        nonlocal attempts
-        if attempts >= max_attempts:
-            return False
-        attempts += 1
-        try:
-            return reproduces(candidate)
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except BaseException:  # repro: noqa[RPA003] -- a shrink candidate that crashes the reproducer is simply rejected, never fatal
-            return False
-
-    from ..encoding import ConstraintSet
-
-    best = case
-    if best.fsm is not None:
-        pinned = best.nv or best.cset.min_code_length()
-        candidate = FuzzCase(
-            family=best.family, seed=best.seed, cset=best.cset,
-            fsm=None, nv=pinned, satisfiable=best.satisfiable,
-            note=best.note,
-        )
-        if attempt(candidate):
-            best = candidate
-
-    # drop constraints one at a time (stable order keeps this
-    # deterministic); restart the scan after a successful drop
-    changed = True
-    while changed and attempts < max_attempts:
-        changed = False
-        for i in range(len(best.cset.constraints)):
-            remaining = (
-                best.cset.constraints[:i] + best.cset.constraints[i + 1:]
-            )
-            candidate = FuzzCase(
-                family=best.family, seed=best.seed,
-                cset=ConstraintSet(best.cset.symbols, remaining),
-                fsm=best.fsm, nv=best.nv,
-                satisfiable=best.satisfiable, note=best.note,
-            )
-            if attempt(candidate):
-                best = candidate
-                changed = True
-                break
-
-    # drop symbols no remaining constraint mentions (FSM-free only:
-    # the machine's state set is not ours to edit)
-    if best.fsm is None:
-        used = set()
-        for c in best.cset.constraints:
-            used |= c.symbols
-        for symbol in list(best.cset.symbols):
-            if symbol in used or best.cset.n_symbols <= 2:
-                continue
-            kept = [s for s in best.cset.symbols if s != symbol]
-            candidate = FuzzCase(
-                family=best.family, seed=best.seed,
-                cset=ConstraintSet(kept, best.cset.constraints),
-                fsm=None, nv=best.nv,
-                satisfiable=best.satisfiable, note=best.note,
-            )
-            if attempt(candidate):
-                best = candidate
-    return best

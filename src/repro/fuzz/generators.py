@@ -64,20 +64,6 @@ class FuzzCase:
     satisfiable: bool = False
     note: str = ""
 
-    @property
-    def key(self) -> str:
-        return f"{self.family}:{self.seed}"
-
-    def describe(self) -> str:
-        shape = (
-            f"{self.cset.n_symbols} symbols, "
-            f"{len(self.cset.constraints)} constraints"
-        )
-        if self.fsm is not None:
-            shape += f", fsm {self.fsm.stats()}"
-        return f"{self.key} ({shape})"
-
-    # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe serialization (the corpus file payload)."""
         return {

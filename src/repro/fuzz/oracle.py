@@ -80,9 +80,8 @@ FINDINGS = (VIOLATION, CRASH)
 
 @dataclass
 class CaseOutcome:
-    """One classified fuzz-case result (picklable for ``--jobs``)."""
+    """One classified fuzz-case result."""
 
-    key: str
     family: str
     seed: int
     solver: str
@@ -91,61 +90,10 @@ class CaseOutcome:
     seconds: float = 0.0
     n_symbols: int = 0
     n_constraints: int = 0
-    #: None = hardening pass not run; otherwise did it hold
-    hardened: Optional[bool] = None
-    hardened_detail: str = ""
-    #: serialized FuzzCase, attached to findings for distillation
-    case_data: Optional[Dict[str, Any]] = None
 
     @property
     def is_finding(self) -> bool:
-        return self.classification in FINDINGS or self.hardened is False
-
-    def line(self) -> str:
-        extra = f" [{self.detail}]" if self.detail else ""
-        hard = ""
-        if self.hardened is False:
-            hard = f" HARDENING-FAILED[{self.hardened_detail}]"
-        return (
-            f"{self.key:<24} {self.solver:<8} "
-            f"{self.classification:<10}{extra}{hard}"
-        )
-
-    # -- wire codec (run logs, campaign JSON) -------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {
-            "key": self.key,
-            "family": self.family,
-            "seed": self.seed,
-            "solver": self.solver,
-            "classification": self.classification,
-            "detail": self.detail,
-            "seconds": self.seconds,
-            "n_symbols": self.n_symbols,
-            "n_constraints": self.n_constraints,
-            "hardened": self.hardened,
-            "hardened_detail": self.hardened_detail,
-        }
-        if self.case_data is not None:
-            data["case_data"] = self.case_data
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CaseOutcome":
-        return cls(
-            key=data["key"],
-            family=data["family"],
-            seed=data["seed"],
-            solver=data["solver"],
-            classification=data["classification"],
-            detail=data.get("detail", ""),
-            seconds=data.get("seconds", 0.0),
-            n_symbols=data.get("n_symbols", 0),
-            n_constraints=data.get("n_constraints", 0),
-            hardened=data.get("hardened"),
-            hardened_detail=data.get("hardened_detail", ""),
-            case_data=data.get("case_data"),
-        )
+        return self.classification in FINDINGS
 
 
 def _solver_options(
@@ -254,11 +202,10 @@ def run_case(
     ``timeout``/``max_nodes`` build the per-case :class:`Budget` that
     covers both the encode step and the oracle's espresso run, so a
     pathological instance degrades to ``TIMEOUT`` instead of wedging
-    the campaign.
+    the test run.
     """
     tracer = resolve_tracer(tracer)
     outcome = CaseOutcome(
-        key=case.key,
         family=case.family,
         seed=case.seed,
         solver=solver,

@@ -1,13 +1,12 @@
 """Hypothesis strategies over the fuzz generators.
 
-Thin adapters that let property-based tests draw the same instances
-the ``picola fuzz`` campaign generates — a drawn case prints as its
-``(family, seed)`` pair, so a shrunk hypothesis failure is immediately
-replayable with ``picola fuzz --generator <family> --seed <seed>`` or
+Thin adapters that let the property tests draw the generators'
+instances — a drawn case prints as its ``(family, seed)`` pair, so a
+shrunk hypothesis failure is immediately replayable with
 :func:`repro.fuzz.generate_case`.
 
-Hypothesis is an optional dependency of the library (the CLI campaign
-never needs it); importing this module without it raises a classified
+Hypothesis is a test-only dependency (the ``test`` extra); importing
+this module without it raises a classified
 :class:`~repro.runtime.InvalidSpecError` at first use, not at import.
 """
 
@@ -31,7 +30,7 @@ def require_hypothesis():
     if _st is None:
         raise InvalidSpecError(
             "hypothesis is not installed; repro.fuzz.strategies needs "
-            "it (the picola fuzz CLI campaign does not)"
+            "it (pip install the 'test' extra)"
         )
     return _st
 

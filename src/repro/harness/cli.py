@@ -11,11 +11,6 @@ Commands
 * ``profile <target>`` — run one state assignment under the tracer
   and print the per-phase timing/counter profile.
 * ``bench-list`` — list the registered benchmark machines.
-* ``fuzz`` — generative end-to-end fuzzing of the encode pipeline
-  (:mod:`repro.fuzz`): seeded workload generators, the classify-never-
-  crash oracle, optional fault-hardening, and a committed regression
-  corpus (``--replay``).  Exit codes: 0 clean, 1 findings, 2 bad
-  usage/configuration.
 * ``lint`` — run the project's static invariant checks
   (:mod:`repro.analysis`) over the source tree.
 * ``merge`` — combine the run logs written by ``--shard K/N
@@ -29,7 +24,7 @@ can be tailed; reused to skip completed units — failed ones included,
 unless ``--retry-failed``) and ``--jobs N`` (process-pool parallelism
 over benchmark units, ``0`` = all cores, with deterministic
 submission-order merging so output matches a serial run
-byte-for-byte).  ``fuzz`` takes ``--resume`` and ``--jobs`` too.
+byte-for-byte).
 Multi-host: ``--shard K/N`` deterministically restricts a run to
 every Kth unit of N (recording the shard in the run log's header);
 ``picola merge`` recombines the N logs.  Structured failures
@@ -106,9 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
                  "deterministically, output is identical to a "
                  "serial run",
         )
-        add_shard_flags(p)
-
-    def add_shard_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--shard", default=None, metavar="K/N",
             help="run only this host's deterministic 1-based slice "
@@ -219,63 +211,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_obs_flags(p9)
 
     sub.add_parser("bench-list", help="list benchmark machines")
-
-    p11 = sub.add_parser(
-        "fuzz",
-        help="fuzz the encode pipeline end to end (seeded generators, "
-             "verification oracle, fault hardening, corpus replay)",
-    )
-    p11.add_argument(
-        "--solver", default="picola", metavar="NAME",
-        help="solver registry entry to fuzz (default: picola)",
-    )
-    p11.add_argument(
-        "--generator", action="append", default=None, metavar="FAMILY",
-        help="generator family to draw cases from (repeatable; "
-             "default: every registered family)",
-    )
-    p11.add_argument(
-        "--max-examples", type=int, default=100, metavar="N",
-        help="cases per campaign (default 100)",
-    )
-    p11.add_argument(
-        "--seed", type=int, default=0, metavar="N",
-        help="base seed; a campaign is a pure function of "
-             "(seed, config)",
-    )
-    p11.add_argument(
-        "--scale", type=int, default=24, metavar="N",
-        help="symbol-count ceiling per case (default 24)",
-    )
-    p11.add_argument(
-        "--timeout", type=nonneg_seconds, default=10.0,
-        metavar="SECONDS",
-        help="per-case budget; blown budgets classify as TIMEOUT "
-             "(default 10)",
-    )
-    p11.add_argument(
-        "--jobs", type=nonneg_int, default=1, metavar="N",
-        help="worker processes (default 1 = serial, 0 = all cores); "
-             "results merge deterministically",
-    )
-    p11.add_argument(
-        "--corpus", default=None, metavar="DIR",
-        help="distill findings into DIR as committed regressions "
-             "(with --replay: the corpus to replay, default "
-             "tests/corpus)",
-    )
-    p11.add_argument(
-        "--replay", action="store_true",
-        help="replay the committed corpus instead of generating",
-    )
-    p11.add_argument(
-        "--no-harden", action="store_true",
-        help="skip the fault-hardening pass (re-running each case "
-             "with faults armed at the budget/oracle seams)",
-    )
-    add_shard_flags(p11)
-    add_json_flag(p11)
-    add_obs_flags(p11)
 
     p13 = sub.add_parser(
         "merge",
@@ -418,42 +353,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(report.render())
         _maybe_json(report, args.json)
         return 1 if report.n_failed else 0
-    elif args.command == "fuzz":
-        from ..fuzz import FuzzConfig, load_corpus, replay_entry, run_fuzz
-
-        if args.replay:
-            directory = args.corpus or "tests/corpus"
-            entries = load_corpus(directory)
-            if not entries:
-                print(f"corpus {directory}: no entries")
-                return 0
-            n_red = 0
-            for entry in entries:
-                ok, detail = replay_entry(entry)
-                n_red += 0 if ok else 1
-                print(f"{'ok ' if ok else 'RED'} {entry.name}: {detail}")
-            print(
-                f"replayed {len(entries)} corpus entries, "
-                f"{n_red} failing"
-            )
-            return 1 if n_red else 0
-        config = FuzzConfig(
-            solver=args.solver,
-            generators=tuple(args.generator or ()),
-            max_examples=args.max_examples,
-            seed=args.seed,
-            scale=args.scale,
-            timeout=args.timeout,
-            jobs=args.jobs,
-            harden=not args.no_harden,
-            corpus=args.corpus,
-            shard=args.shard,
-            checkpoint=args.resume,
-        )
-        report = run_fuzz(config)
-        print(report.render())
-        _maybe_json(report, args.json)
-        return 1 if report.n_findings else 0
     elif args.command == "merge":
         from .merge import merge_files
 

@@ -1,8 +1,7 @@
 """The one experiment driver behind every ``picola`` experiment.
 
-Table I/II, the ablation, the seed sweep and the fuzz campaign are each
-a list of independent *units* (a benchmark row, a ``seed/fsm`` cell, a
-fuzz case).  :func:`run_experiment` owns their shared loop: the shard
+Table I/II, the ablation and the seed sweep are each a list of
+independent *units* (a benchmark row, a ``seed/fsm`` cell).  :func:`run_experiment` owns their shared loop: the shard
 slice, the ``--resume`` run log, the process pool, and the in-order
 walk that folds each unit's *payload* (the JSON-safe dict it produced,
 fresh, resumed or merged alike) into the report.
@@ -22,13 +21,13 @@ from .shard import ShardSpec, build_meta, resolve_shard
 
 __all__ = ["Experiment", "run_experiment", "get_experiment"]
 
-#: tag -> report class, imported on first use (keeps the fuzzer lazy)
+#: tag -> report class, imported on first use (``merge`` loads only
+#: the experiment its logs name)
 _EXPERIMENTS = {
     "table1": ("repro.harness.table1", "Table1Report"),
     "table2": ("repro.harness.table2", "Table2Report"),
     "ablation": ("repro.harness.ablation", "AblationReport"),
     "sweep": ("repro.harness.sweep", "SeedSweepReport"),
-    "fuzz": ("repro.fuzz.runner", "FuzzReport"),
 }
 
 

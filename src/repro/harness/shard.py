@@ -1,8 +1,8 @@
 """Deterministic sharding for multi-host sweeps.
 
 The experiment drivers are embarrassingly parallel over their unit
-lists (Table I/II rows, sweep ``seed/fsm`` cells, ablation FSMs, fuzz
-cases); this module splits that list across *machines* the way
+lists (Table I/II rows, sweep ``seed/fsm`` cells, ablation FSMs);
+this module splits that list across *machines* the way
 :mod:`repro.harness.parallel` splits it across *processes*:
 
 * :class:`ShardSpec` — the ``--shard K/N`` partition: shard ``K`` of

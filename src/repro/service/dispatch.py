@@ -1,10 +1,11 @@
 """Request execution: one code path from request to response.
 
-:func:`execute` is the *only* place in the tree where an
-:class:`~repro.service.EncodeRequest` meets the solver registry —
-the CLI, the ``repro.api`` facade and ``assign_states`` all funnel
-through it, so budgets, tracing and failure classification behave
-identically everywhere.
+:func:`execute` is where an :class:`~repro.service.EncodeRequest`
+meets the solver registry.  Its callers are ``assign_states`` and the
+``repro.api`` facade, so budgets, tracing and failure classification
+behave identically for those two.  It is not the only route to a
+solver: the Table I, ablation and seed-sweep drivers call
+:meth:`~repro.solvers.Solver.solve` directly.
 
 Observability contract (asserted by ``tests/test_service.py``):
 

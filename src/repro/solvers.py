@@ -134,8 +134,8 @@ class Solver:
     ) -> EncodeResult:
         cset = _as_constraint_set(symbols, constraints)
         budget = _as_budget(budget, deadline)
-        # the registry-wide budget seam: fault-injection tests and the
-        # fuzz harness arm this site to prove degradation end to end
+        # the registry-wide budget seam: the fault-injection and fuzz
+        # property tests arm this site to prove degradation end to end
         faults.trip("solver.solve", self.name)
         opts = dict(options or {})
         unknown = set(opts) - set(self.option_keys)

@@ -22,6 +22,13 @@ class TestCliErrors:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    def test_retired_fuzz_command_exits_2(self, capsys):
+        # the fuzzer runs as tests now (tests/test_fuzz_pipeline.py)
+        with pytest.raises(SystemExit) as info:
+            main(["fuzz", "--replay"])
+        assert info.value.code == 2
+        assert "invalid choice: 'fuzz'" in capsys.readouterr().err
+
     def test_encode_missing_file(self, capsys):
         assert main(["encode", "/nonexistent/machine.kiss2"]) == 2
         err = capsys.readouterr().err

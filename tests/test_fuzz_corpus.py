@@ -6,11 +6,9 @@ import os
 import pytest
 
 from repro.fuzz import (
-    FuzzCase,
     entry_for_finding,
     generate_case,
     load_corpus,
-    minimize_case,
     parser_entry,
     replay_entry,
     run_case,
@@ -94,99 +92,31 @@ class TestSaveLoadRoundTrip:
         assert ok, detail
 
     def test_malformed_json_is_classified(self, tmp_path):
-        (tmp_path / "case-bad-000000.json").write_text("{nope")
-        with pytest.raises(ParseError, match="not valid JSON"):
-            load_corpus(str(tmp_path))
+        bad = tmp_path / "case-bad-000000.json"
+        for text, message in (
+            ("{nope", "not valid JSON"),
+            ("[]", "JSON list, not an object"),
+            ('{"schema": 1, "kind": "case"}', "needs a dict 'case'"),
+            ('{"schema": 1, "kind": "case", "case": []}', "needs a dict"),
+            ('{"schema": 1, "kind": "kiss"}', "needs a str 'text'"),
+            ('{"schema": 1, "kind": "pla", "text": 7}', "needs a str"),
+        ):
+            bad.write_text(text)
+            with pytest.raises(ParseError, match=message) as info:
+                load_corpus(str(tmp_path))
+            assert bad.name in str(info.value)
 
     def test_unknown_schema_is_classified(self, tmp_path):
-        (tmp_path / "case-bad-000000.json").write_text(
-            json.dumps({"schema": 99, "kind": "case"})
-        )
-        with pytest.raises(ParseError, match="unknown schema"):
-            load_corpus(str(tmp_path))
+        bad = tmp_path / "case-bad-000000.json"
+        for data in (
+            {"schema": 99, "kind": "case"},
+            {"schema": 1, "kind": "blif", "text": ""},
+            {"kind": "kiss", "text": ""},
+        ):
+            bad.write_text(json.dumps(data))
+            with pytest.raises(ParseError, match="unknown schema"):
+                load_corpus(str(tmp_path))
 
     def test_missing_directory_is_empty(self, tmp_path):
         assert load_corpus(str(tmp_path / "nope")) == []
 
-
-class TestMinimize:
-    def test_drops_unneeded_constraints(self):
-        case = generate_case("grid", 4, 12)
-
-        def target(candidate):
-            # "failure" depends only on one specific row being present
-            return any(
-                candidate.cset.symbols
-                and sorted(c.symbols)[:1] == ["g0_0"]
-                for c in candidate.cset.constraints
-            )
-
-        assert target(case)
-        small = minimize_case(case, target)
-        assert target(small)
-        assert len(small.cset.constraints) <= len(case.cset.constraints)
-        assert len(small.cset.constraints) == 1
-
-    def test_drops_fsm_when_not_needed(self):
-        case = generate_case("fsm", 2, 10)
-
-        def target(candidate):
-            return candidate.cset.n_symbols >= 2
-
-        small = minimize_case(case, target)
-        assert small.fsm is None
-        assert small.nv is not None  # width stays pinned
-
-    def test_keeps_fsm_when_needed(self):
-        case = generate_case("fsm", 2, 10)
-
-        def target(candidate):
-            return candidate.fsm is not None
-
-        small = minimize_case(case, target)
-        assert small.fsm is not None
-
-    def test_drops_unused_symbols(self):
-        case = generate_case("grid", 4, 12)
-        keep = sorted(case.cset.constraints[0].symbols)
-
-        def target(candidate):
-            return any(
-                sorted(c.symbols) == keep
-                for c in candidate.cset.constraints
-            )
-
-        small = minimize_case(case, target)
-        assert target(small)
-        assert small.cset.n_symbols < case.cset.n_symbols
-
-    def test_crashing_reproducer_rejects_candidate(self):
-        case = generate_case("random", 5, 8)
-        calls = {"n": 0}
-
-        def flaky(candidate):
-            calls["n"] += 1
-            raise RuntimeError("reproducer blew up")
-
-        small = minimize_case(case, flaky)
-        assert small.to_dict() == case.to_dict()  # nothing accepted
-        assert calls["n"] > 0
-
-    def test_attempt_budget_is_bounded(self):
-        case = generate_case("grid", 8, 24)
-        calls = {"n": 0}
-
-        def count(candidate):
-            calls["n"] += 1
-            return True
-
-        minimize_case(case, count, max_attempts=7)
-        assert calls["n"] <= 7
-
-    def test_minimized_case_round_trips(self):
-        case = generate_case("grid", 4, 12)
-        small = minimize_case(
-            case, lambda cand: len(cand.cset.constraints) >= 1
-        )
-        again = FuzzCase.from_dict(small.to_dict())
-        assert again.to_dict() == small.to_dict()

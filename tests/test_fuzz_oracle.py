@@ -216,10 +216,3 @@ class TestOracleProperties:
         outcome = run_case(case, "picola", timeout=60)
         assert outcome.classification == OK
 
-    def test_outcome_is_picklable(self):
-        import pickle
-
-        outcome = run_case(generate_case("random", 8, 8), "picola")
-        again = pickle.loads(pickle.dumps(outcome))
-        assert again.classification == outcome.classification
-        assert again.key == outcome.key

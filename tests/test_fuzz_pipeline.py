@@ -1,14 +1,60 @@
-"""The fuzz campaign driver and the ``picola fuzz`` CLI end to end."""
+"""The fuzz generators, oracle and hardening contract as property tests.
 
-import json
+Every generator family gets one derandomized hypothesis property that
+runs its cases through :func:`repro.fuzz.run_case` and then re-runs
+each case with faults armed at the budget and oracle seams: the
+classification must stay outside ``FINDINGS`` and every armed fault
+must come back classified.  A failing example prints as its
+``(family, seed)`` pair; ``docs/fuzzing.md`` has the triage steps.
+"""
 
 import pytest
+from hypothesis import HealthCheck, Phase, given, settings
 
-from repro.fuzz import CRASH, OK, FuzzConfig, run_fuzz
-from repro.harness.cli import main
-from repro.runtime import InvalidSpecError, faults
+from repro.encoding import Encoding
+from repro.fuzz import (
+    FINDINGS,
+    INFEASIBLE,
+    TIMEOUT,
+    VIOLATION,
+    generate_case,
+    list_generators,
+    run_case,
+)
+from repro.fuzz.strategies import fuzz_cases
+from repro.runtime import ReproError, SolverTimeout, faults
 from repro.solvers import _REGISTRY, register_solver
 from tests.test_fuzz_oracle import _FakeSolver
+
+#: tier-1 stays deterministic: a fixed example stream, no example
+#: database, no per-example deadline on a shared host.  No explain
+#: phase: it re-runs shrunk examples under line tracing, which slows
+#: the pure-Python solvers ~100x and turns one failure into minutes
+PROPERTY = settings(
+    max_examples=15,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+    phases=[Phase.explicit, Phase.generate, Phase.shrink],
+)
+
+#: per-case budget and symbol ceiling, as in the retired CI campaign
+TIMEOUT_S = 10.0
+SCALE = 24
+
+#: what each armed seam must classify as
+HARDEN_EXPECT = (
+    ("solver.solve", SolverTimeout, TIMEOUT),
+    ("fuzz.verify", ReproError, VIOLATION),
+)
+
+#: the (family, seed) keys of the retired CI campaign
+#: ``--max-examples 50 --seed 0``: round-robin over the families,
+#: seeds ``0 + 10007 * i``
+CI_KEYS = [
+    (list_generators()[i % 5], 10007 * (i // 5)) for i in range(50)
+]
 
 
 @pytest.fixture(autouse=True)
@@ -18,113 +64,80 @@ def _clean_faults():
     faults.reset()
 
 
-def _scrub(report_dict):
-    for case in report_dict["cases"]:
-        case.pop("seconds")
-    return report_dict
-
-
-class TestRunFuzz:
-    def test_small_campaign_is_clean(self):
-        report = run_fuzz(
-            FuzzConfig(max_examples=10, scale=10, timeout=30)
+def assert_clean_and_hardened(case, solver="picola"):
+    """``case`` is no finding, and stays classified under every armed
+    fault.  A seam deeper than where the plain run stopped (infeasible
+    or out of budget before verification) never trips, so there the
+    plain classification is accepted as well."""
+    outcome = run_case(case, solver, timeout=TIMEOUT_S)
+    assert outcome.classification not in FINDINGS, (
+        f"{case!r}: {outcome.classification} [{outcome.detail}]"
+    )
+    for site, exc, expected in HARDEN_EXPECT:
+        accepted = {expected}
+        if outcome.classification in (INFEASIBLE, TIMEOUT):
+            accepted.add(outcome.classification)
+        with faults.inject(site, exc):
+            hardened = run_case(case, solver, timeout=TIMEOUT_S)
+        assert hardened.classification in accepted, (
+            f"{case!r}: {site}: armed {exc.__name__} classified as "
+            f"{hardened.classification}, expected "
+            f"{'/'.join(sorted(accepted))}"
         )
-        assert len(report.outcomes) == 10
-        assert report.n_findings == 0
-        assert report.counts[OK] == 10
-        assert report.n_hardening_failures == 0
 
-    def test_campaign_is_deterministic(self):
-        config = dict(max_examples=8, seed=5, scale=10, timeout=30)
-        a = run_fuzz(FuzzConfig(**config)).as_dict()
-        b = run_fuzz(FuzzConfig(**config)).as_dict()
-        assert _scrub(a) == _scrub(b)
 
-    def test_jobs_match_serial(self):
-        base = dict(max_examples=8, seed=3, scale=10, timeout=30)
-        serial = run_fuzz(FuzzConfig(jobs=1, **base)).as_dict()
-        pooled = run_fuzz(FuzzConfig(jobs=2, **base)).as_dict()
-        assert _scrub(serial) == _scrub(pooled)
+@pytest.mark.parametrize("family", list_generators())
+def test_family_property(family):
+    @PROPERTY
+    @given(fuzz_cases([family], scale=SCALE))
+    def check(case):
+        assert case.family == family
+        assert_clean_and_hardened(case)
 
-    def test_round_robin_covers_all_families(self):
-        report = run_fuzz(
-            FuzzConfig(max_examples=10, scale=8, timeout=30,
-                       harden=False)
-        )
-        families = {o.family for o in report.outcomes}
-        assert len(families) >= 3
+    check()
 
-    def test_generator_subset_respected(self):
-        report = run_fuzz(
-            FuzzConfig(generators=("random", "grid"),
-                       max_examples=6, scale=8, timeout=30,
-                       harden=False)
-        )
-        assert {o.family for o in report.outcomes} == {"random", "grid"}
 
-    def test_config_validation(self):
-        with pytest.raises(InvalidSpecError, match="unknown solver"):
-            run_fuzz(FuzzConfig(solver="nope"))
-        with pytest.raises(InvalidSpecError, match="max-examples"):
-            run_fuzz(FuzzConfig(max_examples=0))
-        with pytest.raises(InvalidSpecError, match="unknown generator"):
-            run_fuzz(FuzzConfig(generators=("nope",)))
-        with pytest.raises(InvalidSpecError, match="FSM-backed"):
-            run_fuzz(
-                FuzzConfig(solver="mustang", generators=("random",))
+@pytest.mark.parametrize(
+    "family,seed", CI_KEYS, ids=[f"{f}:{s}" for f, s in CI_KEYS]
+)
+def test_ci_campaign_case(family, seed):
+    assert_clean_and_hardened(generate_case(family, seed, SCALE))
+
+
+@pytest.mark.parametrize("family", list_generators())
+def test_case_fault_classifies_as_violation(family, monkeypatch):
+    """An externally armed ``REPRO_FAULTS`` error at the case seam is
+    a classified VIOLATION, never an escaping exception."""
+    monkeypatch.setenv("REPRO_FAULTS", f"fuzz.case@{family}=error")
+    faults.install_from_env()
+    outcome = run_case(generate_case(family, 0, SCALE), timeout=TIMEOUT_S)
+    assert outcome.classification == VIOLATION
+    assert "ReproError" in outcome.detail
+
+
+def test_non_injective_solver_is_a_finding():
+    # the check the properties run must reject a solver that hands
+    # every symbol the same code
+    def collide(cset, opts):
+        nv = opts.get("nv") or cset.min_code_length()
+        codes = {s: 0 for s in cset.symbols}
+        return Encoding(cset.symbols, codes, nv), {}, None
+
+    register_solver(_FakeSolver("fz-collide-all", collide))
+    try:
+        with pytest.raises(AssertionError, match="not injective"):
+            assert_clean_and_hardened(
+                generate_case("random", 0, 8), "fz-collide-all"
             )
-
-    def test_findings_distilled_to_corpus(self, tmp_path):
-        def crash(cset, opts):
-            raise RuntimeError("kaboom")
-
-        register_solver(_FakeSolver("fz-pipeline-crash", crash))
-        try:
-            report = run_fuzz(
-                FuzzConfig(
-                    solver="fz-pipeline-crash",
-                    generators=("random",),
-                    max_examples=2, scale=8, timeout=30,
-                    harden=False, corpus=str(tmp_path),
-                )
-            )
-        finally:
-            _REGISTRY.pop("fz-pipeline-crash", None)
-        assert report.counts[CRASH] == 2
-        assert report.corpus_files
-        payload = json.loads(open(report.corpus_files[0]).read())
-        assert payload["kind"] == "case"
-        assert payload["expect"] is None
-        assert payload["found"] == CRASH
-
-    def test_campaign_survives_external_faults(self):
-        # REPRO_FAULTS-style arming at the case seam: the classified
-        # error must land in an outcome, never escape the campaign
-        from repro.runtime import ReproError
-
-        with faults.inject("fuzz.case", ReproError, times=None):
-            report = run_fuzz(
-                FuzzConfig(max_examples=5, scale=8, timeout=30,
-                           harden=False)
-            )
-        assert len(report.outcomes) == 5
-        assert all(
-            o.classification == "VIOLATION" for o in report.outcomes
-        )
+    finally:
+        _REGISTRY.pop("fz-collide-all", None)
 
 
 class TestHardening:
-    def test_hardening_annotates_outcomes(self):
-        report = run_fuzz(
-            FuzzConfig(max_examples=5, scale=8, timeout=30)
-        )
-        assert all(o.hardened is True for o in report.outcomes)
-
     def test_hardening_failure_is_a_finding(self):
         # a solver that swallows *everything* (even injected faults)
-        # defeats the degradation contract; hardening must flag it
-        from repro.encoding import Encoding
-
+        # defeats the degradation contract; the hardening check must
+        # flag it
         def swallowing(cset, opts):
             nv = opts.get("nv") or cset.min_code_length()
             codes = {s: i for i, s in enumerate(cset.symbols)}
@@ -139,117 +152,10 @@ class TestHardening:
 
         register_solver(Swallowing("fz-swallow", swallowing))
         try:
-            report = run_fuzz(
-                FuzzConfig(
-                    solver="fz-swallow", generators=("random",),
-                    max_examples=1, scale=8, timeout=30,
+            # the swallowed timeout comes back OK instead of TIMEOUT
+            with pytest.raises(AssertionError, match="solver.solve"):
+                assert_clean_and_hardened(
+                    generate_case("random", 0, 8), "fz-swallow"
                 )
-            )
         finally:
             _REGISTRY.pop("fz-swallow", None)
-        # the swallowed timeout comes back OK instead of TIMEOUT, so
-        # the hardening pass must fail and the case become a finding
-        outcome = report.outcomes[0]
-        assert outcome.hardened is False
-        assert outcome.is_finding
-        assert "solver.solve" in outcome.hardened_detail
-
-
-class TestCli:
-    def test_exit_0_on_clean_run(self, capsys):
-        code = main([
-            "fuzz", "--max-examples", "5", "--scale", "8",
-            "--timeout", "30",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "no findings" in out
-        assert "OK=5" in out
-
-    def test_exit_1_on_findings(self, tmp_path, capsys):
-        def crash(cset, opts):
-            raise RuntimeError("kaboom")
-
-        register_solver(_FakeSolver("fz-cli-crash", crash))
-        try:
-            code = main([
-                "fuzz", "--solver", "fz-cli-crash",
-                "--generator", "random",
-                "--max-examples", "2", "--scale", "8",
-                "--no-harden",
-                "--corpus", str(tmp_path),
-            ])
-        finally:
-            _REGISTRY.pop("fz-cli-crash", None)
-        assert code == 1
-        out = capsys.readouterr().out
-        assert "CRASH" in out
-        assert "finding" in out
-        assert list(tmp_path.glob("*.json"))
-
-    def test_exit_2_on_bad_config(self, capsys):
-        assert main(["fuzz", "--solver", "nope"]) == 2
-        assert "picola: error:" in capsys.readouterr().err
-        assert main(["fuzz", "--max-examples", "0"]) == 2
-        assert main([
-            "fuzz", "--solver", "mustang", "--generator", "random",
-        ]) == 2
-
-    def test_json_report(self, tmp_path, capsys):
-        path = tmp_path / "fuzz.json"
-        code = main([
-            "fuzz", "--max-examples", "4", "--scale", "8",
-            "--timeout", "30", "--no-harden", "--json", str(path),
-        ])
-        assert code == 0
-        payload = json.loads(path.read_text())
-        assert payload["experiment"] == "fuzz"
-        assert payload["n_findings"] == 0
-        assert len(payload["cases"]) == 4
-
-    def test_cli_determinism(self, tmp_path, capsys):
-        pa, pb = tmp_path / "a.json", tmp_path / "b.json"
-        for path in (pa, pb):
-            assert main([
-                "fuzz", "--max-examples", "6", "--seed", "9",
-                "--scale", "8", "--timeout", "30",
-                "--json", str(path),
-            ]) == 0
-        a = _scrub(json.loads(pa.read_text()))
-        b = _scrub(json.loads(pb.read_text()))
-        assert a == b
-
-    def test_replay_committed_corpus(self, capsys):
-        import os
-
-        corpus = os.path.join(
-            os.path.dirname(__file__), "corpus"
-        )
-        code = main(["fuzz", "--replay", "--corpus", corpus])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "replayed" in out
-        assert "0 failing" in out
-
-    def test_replay_red_corpus_exits_1(self, tmp_path, capsys):
-        from repro.fuzz import parser_entry, save_entry
-
-        # this text parses fine, so a must-raise entry replays red
-        save_entry(
-            str(tmp_path),
-            parser_entry("kiss", ".i 1\n.o 1\n0 a b 1\n.e\n"),
-        )
-        code = main(["fuzz", "--replay", "--corpus", str(tmp_path)])
-        assert code == 1
-        assert "RED" in capsys.readouterr().out
-
-    def test_replay_empty_corpus_is_clean(self, tmp_path, capsys):
-        code = main(["fuzz", "--replay", "--corpus", str(tmp_path)])
-        assert code == 0
-        assert "no entries" in capsys.readouterr().out
-
-    def test_replay_malformed_corpus_exits_2(self, tmp_path, capsys):
-        (tmp_path / "case-x-0.json").write_text("{nope")
-        code = main(["fuzz", "--replay", "--corpus", str(tmp_path)])
-        assert code == 2
-        assert "picola: error:" in capsys.readouterr().err

@@ -277,16 +277,13 @@ class TestApiFacade:
         assert REQUEST_SPAN in span_names(sink)
         assert SOLVE_SPAN in span_names(sink)
 
-    def test_import_loads_no_harness_or_network_stack(self):
-        """``import repro`` stays in-process: no experiment harness,
-        HTTP server or process-pool modules come along."""
-        heavy = (
-            "repro.harness", "http.server", "socketserver",
-            "multiprocessing", "concurrent.futures",
-        )
+    @staticmethod
+    def _loaded_after(module, names):
+        """Which of ``names`` a fresh interpreter has loaded after
+        ``import module``."""
         code = (
-            "import sys, repro\n"
-            f"print(sorted(m for m in {heavy!r} if m in sys.modules))"
+            f"import sys, {module}\n"
+            f"print(sorted(m for m in {names!r} if m in sys.modules))"
         )
         src = str(pathlib.Path(repro.__file__).resolve().parents[1])
         out = subprocess.run(
@@ -294,4 +291,21 @@ class TestApiFacade:
             capture_output=True, text=True, check=True,
             env=dict(os.environ, PYTHONPATH=src),
         )
-        assert out.stdout.strip() == "[]"
+        return out.stdout.strip()
+
+    def test_import_loads_no_harness_or_network_stack(self):
+        """``import repro`` stays in-process: no experiment harness,
+        HTTP server or process-pool modules come along, and neither
+        the fuzz subsystem nor its test-only hypothesis dependency."""
+        heavy = (
+            "repro.harness", "http.server", "socketserver",
+            "multiprocessing", "concurrent.futures", "repro.fuzz",
+            "hypothesis",
+        )
+        assert self._loaded_after("repro", heavy) == "[]"
+
+    def test_fuzz_import_loads_no_harness(self):
+        """``repro.fuzz`` needs the solvers and the oracle only, not
+        the experiment driver or its process pool."""
+        heavy = ("repro.harness", "multiprocessing")
+        assert self._loaded_after("repro.fuzz", heavy) == "[]"

@@ -452,35 +452,6 @@ class TestStreaming:
                 merge_files([path])
 
 
-class TestFuzzSharding:
-    def test_sharded_fuzz_streams_merge_byte_identical(self, tmp_path):
-        from repro.fuzz import FuzzConfig, run_fuzz
-
-        base = dict(
-            solver="picola", generators=("random",),
-            max_examples=6, seed=3, scale=8, timeout=10.0,
-        )
-        logs = []
-        for k in (1, 2):
-            path = tmp_path / f"f{k}.log"
-            config = FuzzConfig(
-                **base, shard=f"{k}/2", checkpoint=str(path)
-            )
-            report = run_fuzz(config)
-            assert len(report.outcomes) == 3  # this shard's half
-            logs.append(path)
-        merged, experiment = merge_files(logs)
-        assert experiment == "fuzz"
-        unsharded = run_fuzz(FuzzConfig(**base))
-        assert merged.render() == unsharded.render()
-        assert [o.key for o in merged.outcomes] == [
-            o.key for o in unsharded.outcomes
-        ]
-        assert [o.classification for o in merged.outcomes] == [
-            o.classification for o in unsharded.outcomes
-        ]
-
-
 class TestCliEndToEnd:
     def _table_of(self, text):
         """The deterministic tail of a command's output: everything
