@@ -23,11 +23,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from functools import reduce
+from itertools import combinations, compress
+from operator import add
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from ..cubes.bulk import bit_count
-from ..encoding.codes import Encoding, face_of
+from ..encoding.codes import CodeSpace, Encoding, code_set
 from ..encoding.constraints import ConstraintSet, FaceConstraint
 from ..obs import resolve_tracer
 from ..runtime import Budget, InfeasibleError, InvalidSpecError, faults
@@ -195,33 +197,27 @@ def _objective(
     affinity bonus of near-adjacent codes.
 
     A constraint is satisfied when no other symbol's code lies on the
-    face its members span.  That is a face-occupancy count: with the
-    occupied codes as one bit mask and the face's minterms as another
-    (``1 << value`` doubled once per free bit), the face holds exactly
-    the members iff the two masks share ``len(c.symbols)`` bits.  The
-    count relies on injective codes, which greedy placement and the
-    anneal's swaps both keep.
+    face its members span: with code sets as bitmasks, the face's
+    codes (:class:`CodeSpace`) hold no occupied code outside the
+    members.  The test relies on injective codes, which greedy
+    placement and the anneal's moves both keep.
     """
-    occupied = 0
-    for code in codes.values():
-        occupied |= 1 << code
-    all_ones = (1 << nv) - 1
+    space = CodeSpace(nv)
+    occupied = code_set(codes.values())
     total = 0.0
     for c in constraints:
-        mask, value = face_of([codes[s] for s in c.symbols], nv)
-        face = 1 << value
-        free = all_ones & ~mask
-        while free:
-            low = free & -free  # free bit b: shift by 2**b = low
-            face |= face << low
-            free ^= low
-        if bit_count(occupied & face) == len(c.symbols):
+        members = code_set(codes[s] for s in c.symbols)
+        if not space.face(members)[1] & occupied & ~members:
             total += c.weight
     if affinity:
         for (a, b), w in affinity.items():
-            dist = bit_count(codes[a] ^ codes[b])
-            total += w * (nv - dist) / (4.0 * nv)
+            total += _affinity_term(w, codes[a], codes[b], nv)
     return total
+
+
+def _affinity_term(w: float, code_a: int, code_b: int, nv: int) -> float:
+    dist = bit_count(code_a ^ code_b)
+    return w * (nv - dist) / (4.0 * nv)
 
 
 def _anneal(
@@ -235,13 +231,45 @@ def _anneal(
     budget: Optional[Budget] = None,
     tracer=None,
 ) -> Dict[str, int]:
+    """Seeded annealing over code swaps and moves to unused codes.
+
+    Each constraint keeps its member codes, face codes and satisfied
+    flag, and each affinity pair its term, across moves.  A move
+    re-scores only what it can change: the constraints holding exactly
+    one of the two swapped symbols (a swap keeps the occupied codes),
+    or, on a move to an unused code, those holding the moved symbol
+    plus those whose face holds the vacated or the taken code.  The
+    candidate objective is then summed from the cached values in
+    :func:`_objective`'s order, so it equals ``_objective`` exactly.
+    """
     tracer = resolve_tracer(tracer)
     codes = dict(codes)
-    current = _objective(symbols, constraints, codes, nv, affinity)
+    space = CodeSpace(nv)
+    owner_of = {code: s for s, code in codes.items()}
+    occupied = code_set(codes.values())
+    weights = [c.weight for c in constraints]
+    member_syms = [tuple(c.symbols) for c in constraints]
+    members = [code_set(codes[s] for s in ms) for ms in member_syms]
+    faces = [space.face(m)[1] for m in members]
+    sat = [not f & occupied & ~m for f, m in zip(faces, members)]
+    touching: Dict[str, FrozenSet[int]] = {
+        s: frozenset(k for k, ms in enumerate(member_syms) if s in ms)
+        for s in symbols
+    }
+    pairs = [(a, b, w) for (a, b), w in (affinity or {}).items()]
+    terms = [_affinity_term(w, codes[a], codes[b], nv) for a, b, w in pairs]
+    pairs_of: Dict[str, List[int]] = {s: [] for s in symbols}
+    for p, (a, b, _) in enumerate(pairs):
+        pairs_of[a].append(p)
+        pairs_of[b].append(p)
+    # plain left-to-right float additions, as _objective's ``+=``;
+    # sum() may compensate and round differently
+    satisfied_total = reduce(add, compress(weights, sat), 0.0)
+    current = reduce(add, terms, satisfied_total)
     best = dict(codes)
     best_obj = current
     n = len(symbols)
-    all_codes = list(range(1 << nv))
+    size = 1 << nv
     temperature = max(1.0, len(constraints) / 4.0)
     cooling = 0.995 if moves else 1.0
     attempted = 0
@@ -253,27 +281,67 @@ def _anneal(
                 budget.tick(where="nova_encode")
             attempted += 1
             s = symbols[rng.randrange(n)]
-            target = all_codes[rng.randrange(len(all_codes))]
-            owner = None
-            for t in symbols:
-                if codes[t] == target:
-                    owner = t
-                    break
-            old_s = codes[s]
-            if owner is s:
+            target = rng.randrange(size)
+            owner = owner_of.get(target)
+            if owner == s:
                 continue
+            old_s = codes[s]
             codes[s] = target
             if owner is not None:
                 codes[owner] = old_s
-            candidate = _objective(
-                symbols, constraints, codes, nv, affinity
+                new_occupied = occupied
+                rescored = sorted(touching[s] ^ touching[owner])
+                rechecked: List[int] = []
+                moved_pairs = pairs_of[s] + pairs_of[owner]
+            else:
+                new_occupied = occupied ^ (1 << old_s | 1 << target)
+                rescored = sorted(touching[s])
+                moved = 1 << old_s | 1 << target
+                rechecked = [
+                    k for k, f in enumerate(faces)
+                    if f & moved and k not in touching[s]
+                ]
+                moved_pairs = pairs_of[s]
+            updates = []
+            flips = []
+            for k in rescored:
+                m = 0  # code_set, inlined on the hot path
+                for t in member_syms[k]:
+                    m |= 1 << codes[t]
+                f = space.face(m)[1]
+                updates.append((k, m, f))
+                if sat[k] == bool(f & new_occupied & ~m):
+                    flips.append(k)
+            for k in rechecked:
+                if sat[k] == bool(faces[k] & new_occupied & ~members[k]):
+                    flips.append(k)
+            for k in flips:
+                sat[k] = not sat[k]
+            candidate_satisfied = (
+                reduce(add, compress(weights, sat), 0.0)
+                if flips else satisfied_total
             )
+            old_terms = [(p, terms[p]) for p in moved_pairs]
+            for p, _ in old_terms:
+                a, b, w = pairs[p]
+                terms[p] = _affinity_term(w, codes[a], codes[b], nv)
+            candidate = reduce(add, terms, candidate_satisfied)
             delta = candidate - current
             if delta >= 0 or rng.random() < math.exp(
                 delta / temperature
             ):
                 accepted += 1
                 current = candidate
+                satisfied_total = candidate_satisfied
+                occupied = new_occupied
+                for k, m, f in updates:
+                    members[k] = m
+                    faces[k] = f
+                owner_of[target] = s
+                if owner is not None:
+                    owner_of[old_s] = owner
+                else:
+                    del owner_of[old_s]
                 if current > best_obj:
                     best_obj = current
                     best = dict(codes)
@@ -281,6 +349,10 @@ def _anneal(
                 codes[s] = old_s
                 if owner is not None:
                     codes[owner] = target
+                for k in flips:
+                    sat[k] = not sat[k]
+                for p, term in old_terms:
+                    terms[p] = term
             temperature = max(temperature * cooling, 0.05)
     finally:
         tracer.count("nova.moves", attempted)

@@ -16,10 +16,10 @@ bench measures its contribution.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..cubes.bulk import bit_count
-from ..encoding.codes import Encoding
+from ..encoding.codes import CodeSpace, Encoding, code_set
 from ..encoding.constraints import ConstraintSet
 from ..runtime import InvalidSpecError
 from .weights import WeightPolicy
@@ -32,39 +32,8 @@ _PARTIAL = 0.3
 _COST = 0.12
 
 
-class _CodeSpace:
-    """Faces of the ``nv``-bit code space on code bitmasks.
-
-    A set of codes is one ``int`` whose bit ``c`` stands for code
-    ``c``; faces, intruders and occupancy are then bitwise operations.
-    """
-
-    def __init__(self, nv: int) -> None:
-        size = 1 << nv
-        self.full = (1 << size) - 1
-        #: (code bit, codes with that bit 1, codes with it 0), per bit
-        self.bits = []
-        for b in range(nv):
-            ones = sum(1 << c for c in range(size) if c >> b & 1)
-            self.bits.append((1 << b, ones, self.full & ~ones))
-
-    def face(self, codes: int) -> Tuple[int, int]:
-        """``face_of`` the codes in ``codes`` as ``(fixed_mask, codes
-        on the face)``."""
-        mask = 0
-        on = self.full
-        for bit, ones, zeros in self.bits:
-            if not codes & zeros:
-                mask |= bit
-                on &= ones
-            elif not codes & ones:
-                mask |= bit
-                on &= zeros
-        return mask, on
-
-
 def _constraint_score(
-    space: _CodeSpace,
+    space: CodeSpace,
     face: Tuple[int, int],
     members: int,
     occupied: int,
@@ -100,13 +69,6 @@ def _constraint_score(
     return weight * (partial - _COST * estimate)
 
 
-def _code_set(codes: Iterable[int]) -> int:
-    out = 0
-    for code in codes:
-        out |= 1 << code
-    return out
-
-
 def _injective_codes(encoding: Encoding) -> List[int]:
     if not encoding.is_injective():
         raise InvalidSpecError("the encoding gives two symbols one code")
@@ -119,11 +81,11 @@ def satisfaction_cost_score(
     """Total :func:`_constraint_score` of an injective encoding
     (higher = better)."""
     codes = dict(zip(encoding.symbols, _injective_codes(encoding)))
-    space = _CodeSpace(encoding.n_bits)
-    occupied = _code_set(codes.values())
+    space = CodeSpace(encoding.n_bits)
+    occupied = code_set(codes.values())
     total = 0.0
     for c in cset.nontrivial():
-        members = _code_set(codes[s] for s in c.symbols)
+        members = code_set(codes[s] for s in c.symbols)
         total += _constraint_score(
             space, space.face(members), members, occupied,
             len(c.symbols), len(codes) - len(c.symbols), c.weight,
@@ -158,12 +120,13 @@ def polish_encoding(
     for k, idxs in enumerate(members_idx):
         for i in idxs:
             touching[i].append(k)
-    space = _CodeSpace(nv)
-    occupied = _code_set(codes)
+    touching_sets = [frozenset(ks) for ks in touching]
+    space = CodeSpace(nv)
+    occupied = code_set(codes)
 
     def score(k: int) -> Tuple[int, float]:
         """(codes on constraint ``k``'s face, its score) at ``codes``."""
-        members = 0  # _code_set, inlined on the hot path
+        members = 0  # code_set, inlined on the hot path
         for m in members_idx[k]:
             members |= 1 << codes[m]
         face = space.face(members)
@@ -176,18 +139,14 @@ def polish_encoding(
     faces, scores = map(list, zip(*map(score, range(len(constraints)))))
     unused = [c for c in range(1 << nv) if not occupied >> c & 1]
 
-    def affected(i: int, j: Optional[int], old_codes: Tuple[int, ...]
-                 ) -> List[int]:
-        """Constraints whose score can change under the move."""
+    def affected(i: int, old_code: int) -> List[int]:
+        """Constraints whose score can change when symbol ``i`` moves
+        from ``old_code`` to an unused code."""
         ks = set(touching[i])
-        if j is not None:
-            ks.update(touching[j])
-        # constraints whose face currently contains a moved code can
-        # gain/lose an intruder even when neither symbol is a member;
-        # their members did not move, so their face is still faces[k]
-        moved = _code_set(old_codes) | 1 << codes[i]
-        if j is not None:
-            moved |= 1 << codes[j]
+        # constraints whose face contains a moved code can gain/lose
+        # an intruder even when ``i`` is not a member; their members
+        # did not move, so their face is still faces[k]
+        moved = 1 << old_code | 1 << codes[i]
         for k in range(len(constraints)):
             if k not in ks and faces[k] & moved:
                 ks.add(k)
@@ -217,7 +176,9 @@ def polish_encoding(
                     continue
                 old = (codes[i], codes[j])
                 codes[i], codes[j] = codes[j], codes[i]
-                if try_move(affected(i, j, old)):
+                # a swap keeps the occupied codes, so only constraints
+                # holding exactly one of the two change their members
+                if try_move(sorted(touching_sets[i] ^ touching_sets[j])):
                     improved = True
                 else:
                     codes[i], codes[j] = old
@@ -229,7 +190,7 @@ def polish_encoding(
                 old_code = codes[i]
                 codes[i] = unused[slot]
                 occupied ^= 1 << old_code | 1 << codes[i]
-                if try_move(affected(i, None, (old_code,))):
+                if try_move(affected(i, old_code)):
                     unused[slot] = old_code
                     improved = True
                 else:

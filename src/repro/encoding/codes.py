@@ -16,7 +16,7 @@ from typing import (
 
 from ..runtime import InvalidSpecError
 
-__all__ = ["Encoding", "face_of"]
+__all__ = ["CodeSpace", "Encoding", "code_set", "face_of"]
 
 
 def face_of(codes: Iterable[int], n_bits: int) -> Tuple[int, int]:
@@ -37,6 +37,46 @@ def face_of(codes: Iterable[int], n_bits: int) -> Tuple[int, int]:
         agree_zero &= ~c & all_ones
     mask = agree_one | agree_zero
     return mask, agree_one
+
+
+def code_set(codes: Iterable[int]) -> int:
+    """The codes in ``codes`` as one bitmask: bit ``c`` for code ``c``."""
+    out = 0
+    for code in codes:
+        out |= 1 << code
+    return out
+
+
+class CodeSpace:
+    """Faces of the ``nv``-bit code space on code bitmasks.
+
+    A set of codes is one ``int`` whose bit ``c`` stands for code
+    ``c`` (:func:`code_set`); faces, intruders and occupancy are then
+    bitwise operations.
+    """
+
+    def __init__(self, nv: int) -> None:
+        size = 1 << nv
+        self.full = (1 << size) - 1
+        #: (code bit, codes with that bit 1, codes with it 0), per bit
+        self.bits = []
+        for b in range(nv):
+            ones = sum(1 << c for c in range(size) if c >> b & 1)
+            self.bits.append((1 << b, ones, self.full & ~ones))
+
+    def face(self, codes: int) -> Tuple[int, int]:
+        """``face_of`` the codes in ``codes`` as ``(fixed_mask, codes
+        on the face)``."""
+        mask = 0
+        on = self.full
+        for bit, ones, zeros in self.bits:
+            if not codes & zeros:
+                mask |= bit
+                on &= ones
+            elif not codes & ones:
+                mask |= bit
+                on &= zeros
+        return mask, on
 
 
 @dataclass

@@ -172,7 +172,16 @@ def replay_entry(
     * parser entries must raise :class:`ParseError`;
     * ``case`` entries must reproduce ``expect`` when set, and must
       simply no longer be a finding when ``expect`` is null.
+
+    An entry whose data is not a replayable ``entry.kind`` entry raises
+    :class:`ParseError`, as :func:`load_corpus` does for its file.
     """
+    _check_shape(entry.name, entry.data)
+    if entry.data["kind"] != entry.kind:
+        raise ParseError(
+            f"corpus entry {entry.name} is a {entry.kind!r} entry "
+            f"holding {entry.data['kind']!r} data"
+        )
     if entry.kind in ("kiss", "pla"):
         from ..espresso import parse_pla
         from ..fsm import parse_kiss

@@ -1,5 +1,6 @@
 """Tests for the NOVA-, ENC-style and trivial baseline encoders."""
 
+import math
 import random
 
 import pytest
@@ -151,22 +152,126 @@ class TestNovaObjective:
     @pytest.mark.parametrize("variant", ["i_hybrid", "io_hybrid"])
     @pytest.mark.parametrize("name", ["dk16", "s1", "scf"])
     def test_encodings_identical_under_scan(self, name, variant, monkeypatch):
-        """Table II's NOVA runs (seed 1) give the same encoding with the
-        scan patched in; every code map the objective sees is
-        injective, which the occupancy count relies on."""
+        """Table II's NOVA runs (seed 1) give the same encoding when
+        the anneal re-scores every move with the scan; every code map
+        the scan sees is injective, which the occupancy test relies
+        on."""
         fsm = load_benchmark(name, seed=0)
         cset = derive_face_constraints(fsm)
         affinity = state_affinity(fsm) if variant == "io_hybrid" else None
         want = nova_encode(cset, variant=variant, affinity=affinity, seed=1)
+        seen = []
 
         def checked_scan(symbols, constraints, codes, nv, aff):
             assert len(set(codes.values())) == len(symbols)
+            seen.append(1)
             return scan_objective(symbols, constraints, codes, nv, aff)
 
-        monkeypatch.setattr(nova_module, "_objective", checked_scan)
+        def scan_anneal(*args, **kwargs):
+            return full_recompute_anneal(
+                *args, objective=checked_scan, **kwargs
+            )
+
+        monkeypatch.setattr(nova_module, "_anneal", scan_anneal)
+        got = nova_encode(cset, variant=variant, affinity=affinity, seed=1)
+        assert len(seen) > 1000
+        assert got.encoding.codes == want.encoding.codes
+        assert got.objective == want.objective
+
+
+def full_recompute_anneal(
+    symbols, constraints, codes, nv, rng, affinity, moves, budget=None,
+    tracer=None, objective=None,
+):
+    """NOVA's anneal as it re-scored every constraint on every move,
+    before the incremental state: verbatim apart from the pluggable
+    ``objective`` and without the budget, fault and tracer hooks.  The
+    oracle of the tests below."""
+    if objective is None:
+        objective = nova_module._objective
+    codes = dict(codes)
+    current = objective(symbols, constraints, codes, nv, affinity)
+    best = dict(codes)
+    best_obj = current
+    n = len(symbols)
+    all_codes = list(range(1 << nv))
+    temperature = max(1.0, len(constraints) / 4.0)
+    cooling = 0.995 if moves else 1.0
+    for _ in range(moves):
+        s = symbols[rng.randrange(n)]
+        target = all_codes[rng.randrange(len(all_codes))]
+        owner = None
+        for t in symbols:
+            if codes[t] == target:
+                owner = t
+                break
+        old_s = codes[s]
+        if owner is s:
+            continue
+        codes[s] = target
+        if owner is not None:
+            codes[owner] = old_s
+        candidate = objective(symbols, constraints, codes, nv, affinity)
+        delta = candidate - current
+        if delta >= 0 or rng.random() < math.exp(delta / temperature):
+            current = candidate
+            if current > best_obj:
+                best_obj = current
+                best = dict(codes)
+        else:
+            codes[s] = old_s
+            if owner is not None:
+                codes[owner] = target
+        temperature = max(temperature * cooling, 0.05)
+    return best
+
+
+class TestIncrementalAnneal:
+    """The incremental anneal makes the full-recompute anneal's moves."""
+
+    @pytest.mark.parametrize("variant", ["i_hybrid", "io_hybrid"])
+    @pytest.mark.parametrize("name", TABLE1_FSMS)
+    def test_table1_identical(self, name, variant, monkeypatch):
+        """Every Table I constraint set (reference draw), at the
+        harness seed 1: equal codes, objective and satisfied count."""
+        fsm = load_benchmark(name, seed=0)
+        cset = derive_face_constraints(fsm)
+        affinity = state_affinity(fsm) if variant == "io_hybrid" else None
+        want = nova_encode(cset, variant=variant, affinity=affinity, seed=1)
+        monkeypatch.setattr(nova_module, "_anneal", full_recompute_anneal)
         got = nova_encode(cset, variant=variant, affinity=affinity, seed=1)
         assert got.encoding.codes == want.encoding.codes
         assert got.objective == want.objective
+        assert got.satisfied == want.satisfied
+
+    def test_moves_to_unused_codes(self, monkeypatch):
+        """Sparse code spaces, where most moves take an unused code and
+        intrude on (or leave) faces of constraints they are not in."""
+        rng = random.Random(5)
+        symbols = [f"s{i}" for i in range(7)]
+        for trial in range(40):
+            groups = [
+                rng.sample(symbols, rng.randint(2, 4)) for _ in range(5)
+            ]
+            cset = ConstraintSet(
+                symbols,
+                [FaceConstraint(set(g), weight=rng.choice([1.0, 2.5]))
+                 for g in groups],
+            )
+            affinity = {
+                tuple(rng.sample(symbols, 2)): rng.random() for _ in range(4)
+            } if trial % 2 else None
+            variant = "io_hybrid" if affinity else "i_hybrid"
+            kwargs = dict(
+                nv=4 + trial % 2, variant=variant, affinity=affinity,
+                seed=trial, anneal_moves=300,
+            )
+            want = nova_encode(cset, **kwargs)
+            with monkeypatch.context() as mp:
+                mp.setattr(nova_module, "_anneal", full_recompute_anneal)
+                got = nova_encode(cset, **kwargs)
+            assert got.encoding.codes == want.encoding.codes
+            assert got.objective == want.objective
 
 
 class TestEnc:

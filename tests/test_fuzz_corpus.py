@@ -6,6 +6,7 @@ import os
 import pytest
 
 from repro.fuzz import (
+    CorpusEntry,
     entry_for_finding,
     generate_case,
     load_corpus,
@@ -116,6 +117,21 @@ class TestSaveLoadRoundTrip:
             bad.write_text(json.dumps(data))
             with pytest.raises(ParseError, match="unknown schema"):
                 load_corpus(str(tmp_path))
+
+    def test_replay_checks_in_memory_entry_shape(self):
+        """``replay_entry`` validates an entry that never went through
+        ``load_corpus``, instead of failing with a ``KeyError``."""
+        kiss = parser_entry("kiss", "junk\n")
+        del kiss.data["text"]
+        for entry, message in (
+            (CorpusEntry(kind="case", data={}), "unknown schema"),
+            (kiss, "needs a str 'text'"),
+            (CorpusEntry(kind="pla", data=dict(kiss.data, text="")),
+             "'pla' entry holding 'kiss' data"),
+        ):
+            with pytest.raises(ParseError, match=message) as info:
+                replay_entry(entry)
+            assert "<memory>" in str(info.value)
 
     def test_missing_directory_is_empty(self, tmp_path):
         assert load_corpus(str(tmp_path / "nope")) == []

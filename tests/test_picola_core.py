@@ -17,14 +17,18 @@ from repro.core import (
     picola_encode,
     theorem1_cubes,
 )
+from repro.core import repair as repair_module
 from repro.core.repair import polish_encoding
 from repro.encoding import (
     ConstraintMatrix,
     ConstraintSet,
     Encoding,
     FaceConstraint,
+    derive_face_constraints,
     evaluate_encoding,
 )
+from repro.encoding.codes import CodeSpace, code_set
+from repro.fsm import TABLE1_FSMS, load_benchmark
 from repro.runtime import InvalidSpecError
 
 
@@ -349,3 +353,117 @@ class TestRepair:
         cs = ConstraintSet(["a", "b"])
         enc = Encoding(["a", "b"], {"a": 0, "b": 1}, 1)
         assert polish_encoding(enc, cs) is enc
+
+
+def scan_polish_encoding(encoding, cset, policy=None, max_sweeps=4):
+    """``polish_encoding`` as it scanned every constraint's face for
+    the moved codes on pair swaps too, verbatim: the oracle of the test
+    below."""
+    _constraint_score = repair_module._constraint_score
+    symbols = list(encoding.symbols)
+    index = {s: i for i, s in enumerate(symbols)}
+    nv = encoding.n_bits
+    codes = repair_module._injective_codes(encoding)
+    constraints = cset.nontrivial()
+    if not constraints:
+        return encoding
+
+    members_idx = [
+        [index[s] for s in c.symbols] for c in constraints
+    ]
+    weights = [c.weight for c in constraints]
+    touching = [[] for _ in symbols]
+    for k, idxs in enumerate(members_idx):
+        for i in idxs:
+            touching[i].append(k)
+    space = CodeSpace(nv)
+    occupied = code_set(codes)
+
+    def score(k):
+        members = 0
+        for m in members_idx[k]:
+            members |= 1 << codes[m]
+        face = space.face(members)
+        n_members = len(members_idx[k])
+        return face[1], _constraint_score(
+            space, face, members, occupied, n_members,
+            len(codes) - n_members, weights[k],
+        )
+
+    faces, scores = map(list, zip(*map(score, range(len(constraints)))))
+    unused = [c for c in range(1 << nv) if not occupied >> c & 1]
+
+    def affected(i, j, old_codes):
+        ks = set(touching[i])
+        if j is not None:
+            ks.update(touching[j])
+        moved = code_set(old_codes) | 1 << codes[i]
+        if j is not None:
+            moved |= 1 << codes[j]
+        for k in range(len(constraints)):
+            if k not in ks and faces[k] & moved:
+                ks.add(k)
+        return sorted(ks)
+
+    def try_move(ks):
+        delta = 0.0
+        new = {}
+        for k in ks:
+            new[k] = score(k)
+            delta += new[k][1] - scores[k]
+        if delta <= 1e-9:
+            return False
+        for k, (face, score_k) in new.items():
+            faces[k] = face
+            scores[k] = score_k
+        return True
+
+    n = len(symbols)
+    for _ in range(max_sweeps):
+        improved = False
+        for i in range(n):
+            for j in range(i + 1, n):
+                if not touching[i] and not touching[j]:
+                    continue
+                old = (codes[i], codes[j])
+                codes[i], codes[j] = codes[j], codes[i]
+                if try_move(affected(i, j, old)):
+                    improved = True
+                else:
+                    codes[i], codes[j] = old
+        for i in range(n):
+            if not touching[i]:
+                continue
+            for slot in range(len(unused)):
+                old_code = codes[i]
+                codes[i] = unused[slot]
+                occupied ^= 1 << old_code | 1 << codes[i]
+                if try_move(affected(i, None, (old_code,))):
+                    unused[slot] = old_code
+                    improved = True
+                else:
+                    codes[i] = old_code
+                    occupied ^= 1 << old_code | 1 << unused[slot]
+        if not improved:
+            break
+    return Encoding.from_code_list(symbols, codes, nv)
+
+
+@pytest.mark.parametrize("name", TABLE1_FSMS)
+def test_polish_matches_face_scan(name, monkeypatch):
+    """Every encoding PICOLA's final repair polishes on a Table I
+    constraint set (reference draw) comes out as the face-scanning
+    search left it."""
+    real = repair_module.polish_encoding
+    calls = []
+
+    def checking_polish(encoding, cset, policy=None):
+        got = real(encoding, cset, policy)
+        want = scan_polish_encoding(encoding, cset, policy)
+        calls.append(got.codes == want.codes)
+        return got
+
+    monkeypatch.setattr(repair_module, "polish_encoding", checking_polish)
+    cset = derive_face_constraints(load_benchmark(name, seed=0))
+    picola_encode(cset)
+    assert calls and all(calls)
