@@ -40,17 +40,12 @@ or, uniformly across solvers::
     result = get_solver("picola").solve(symbols, constraints)
     print(result.encoding.as_table(), result.seconds, result.nodes)
 
-The same encodes are available through one typed request/response
-call (:mod:`repro.api`, :mod:`repro.service`)::
-
-    from repro import EncodeRequest, encode
-
-    request = EncodeRequest.build(symbols, constraints, solver="picola")
-    response = encode(request)
-    print(response.status, response.n_bits)
+``solve`` takes a ``budget=Budget(max_nodes=..., seconds=...)`` for
+a cooperative limit and a ``tracer=Tracer(MemorySink())`` for a
+per-call trace; ``repro.runtime.run_isolated(solver.solve, ...)``
+turns a failure into a classified outcome instead of an exception.
 """
 
-from .api import EncodeRequest, EncodeResponse, encode
 from .core import PicolaOptions, PicolaResult, picola_encode
 from .cubes import Cover, Space
 from .encoding import (
@@ -102,9 +97,6 @@ from .stateassign import assign_states
 __version__ = "1.8.0"
 
 __all__ = [
-    "EncodeRequest",
-    "EncodeResponse",
-    "encode",
     "PicolaOptions",
     "PicolaResult",
     "picola_encode",

@@ -10,11 +10,6 @@ from .evaluate import (
     evaluate_encoding,
     satisfied_dichotomies,
 )
-from .dichotomy_cover import (
-    ColumnCandidate,
-    build_full_encoding,
-    dichotomy_cover_length,
-)
 from .exact import ExactEncodingResult, ExactSearchBudget, exact_encode
 from .lengths import (
     LengthPoint,
@@ -41,9 +36,6 @@ __all__ = [
     "cubes_for_constraint",
     "evaluate_encoding",
     "satisfied_dichotomies",
-    "ColumnCandidate",
-    "build_full_encoding",
-    "dichotomy_cover_length",
     "ExactEncodingResult",
     "ExactSearchBudget",
     "exact_encode",

@@ -27,11 +27,9 @@ from .corpus import (
 )
 from .generators import (
     FuzzCase,
-    GeneratorSpec,
     generate_case,
     get_generator,
     list_generators,
-    register_generator,
 )
 from .oracle import (
     CLASSIFICATIONS,
@@ -49,8 +47,6 @@ from .oracle import (
 __all__ = [
     # generators
     "FuzzCase",
-    "GeneratorSpec",
-    "register_generator",
     "get_generator",
     "list_generators",
     "generate_case",

@@ -1,11 +1,12 @@
 """Seeded workload generators: random and structured fuzz instances.
 
-Every generator is a pure function of ``(seed, scale)`` registered
-under a family name, so a fuzz run is replayable from its base seed
-alone and a distilled corpus entry records exactly how its instance
-was built.  ``scale`` bounds the symbol count; families pick their
-actual size from the seeded rng (skewed small so shrunk cases stay
-readable, but reaching ``scale`` symbols — thousands, if asked).
+Every generator is a pure function of ``(seed, scale)`` listed under
+a family name in :data:`GENERATORS`, so a fuzz run is replayable from
+its base seed alone and a distilled corpus entry records exactly how
+its instance was built.  ``scale`` bounds the symbol count; families
+pick their actual size from the seeded rng (skewed small so shrunk
+cases stay readable, but reaching ``scale`` symbols — thousands, if
+asked).
 
 Families
 --------
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..encoding import ConstraintSet, FaceConstraint
@@ -38,8 +39,7 @@ from ..runtime import InvalidSpecError
 
 __all__ = [
     "FuzzCase",
-    "GeneratorSpec",
-    "register_generator",
+    "GENERATORS",
     "get_generator",
     "list_generators",
     "generate_case",
@@ -111,46 +111,12 @@ class FuzzCase:
 
 
 # ----------------------------------------------------------------------
-# the registry
+# lookup (the families are listed in GENERATORS, after their builders)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """A named generator: builds one :class:`FuzzCase` per seed."""
-
-    name: str
-    fn: Callable[[int, int], FuzzCase] = field(compare=False)
-    makes_fsm: bool = False
-    doc: str = ""
-
-
-_REGISTRY: Dict[str, GeneratorSpec] = {}
-
-
-def register_generator(
-    name: str,
-    fn: Callable[[int, int], FuzzCase],
-    *,
-    makes_fsm: bool = False,
-    doc: str = "",
-    replace: bool = False,
-) -> GeneratorSpec:
-    """Register ``fn(seed, scale) -> FuzzCase`` under ``name``."""
-    if not name:
-        raise InvalidSpecError("generator needs a non-empty name")
-    if name in _REGISTRY and not replace:
-        raise InvalidSpecError(
-            f"generator {name!r} already registered "
-            "(pass replace=True to override)"
-        )
-    spec = GeneratorSpec(name=name, fn=fn, makes_fsm=makes_fsm, doc=doc)
-    _REGISTRY[name] = spec
-    return spec
-
-
-def get_generator(name: str) -> GeneratorSpec:
+def get_generator(name: str) -> Callable[[int, int], FuzzCase]:
     """Look a generator up by name (with the menu on a miss)."""
     try:
-        return _REGISTRY[name]
+        return GENERATORS[name]
     except KeyError:
         raise InvalidSpecError(
             f"unknown generator {name!r}; available: {list_generators()}"
@@ -158,15 +124,15 @@ def get_generator(name: str) -> GeneratorSpec:
 
 
 def list_generators() -> Tuple[str, ...]:
-    """The registered family names, sorted."""
-    return tuple(sorted(_REGISTRY))
+    """The family names, sorted."""
+    return tuple(sorted(GENERATORS))
 
 
 def generate_case(family: str, seed: int, scale: int = 24) -> FuzzCase:
     """Build the deterministic instance of ``family`` at ``seed``."""
     if scale < 2:
         raise InvalidSpecError("scale must be >= 2 symbols")
-    return get_generator(family).fn(seed, scale)
+    return get_generator(family)(seed, scale)
 
 
 def _rng(family: str, seed: int) -> random.Random:
@@ -369,17 +335,11 @@ def gen_pathological(seed: int, scale: int) -> FuzzCase:
     )
 
 
-for _name, _fn, _is_fsm, _doc in (
-    ("random", gen_random, False,
-     "unstructured random constraint sets"),
-    ("fsm", gen_fsm, True,
-     "synthetic controllers with derived face constraints"),
-    ("bounded-length", gen_bounded_length, False,
-     "satisfiable laminar prefix groups (Baer bounded-length codes)"),
-    ("grid", gen_grid, False,
-     "2-D row/column/window patterns (Dube constrained patterns)"),
-    ("pathological", gen_pathological, False,
-     "degenerate shapes: duplicates, chains, cliques, trivial rows"),
-):
-    register_generator(_name, _fn, makes_fsm=_is_fsm, doc=_doc)
-del _name, _fn, _is_fsm, _doc
+#: family name -> ``fn(seed, scale) -> FuzzCase``
+GENERATORS: Dict[str, Callable[[int, int], FuzzCase]] = {
+    "random": gen_random,
+    "fsm": gen_fsm,
+    "bounded-length": gen_bounded_length,
+    "grid": gen_grid,
+    "pathological": gen_pathological,
+}

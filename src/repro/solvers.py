@@ -53,7 +53,7 @@ from .encoding.codes import Encoding
 from .encoding.constraints import ConstraintSet, FaceConstraint
 from .encoding.exact import exact_encode
 from .obs import Tracer, resolve_tracer
-from .runtime import Budget, Deadline, faults
+from .runtime import Budget, Deadline, InvalidSpecError, faults
 
 __all__ = [
     "EncodeResult",
@@ -92,7 +92,7 @@ def _as_constraint_set(
 ) -> ConstraintSet:
     if isinstance(symbols, ConstraintSet):
         if constraints is not None:
-            raise ValueError(
+            raise InvalidSpecError(
                 "pass constraints inside the ConstraintSet, not both"
             )
         return symbols
@@ -105,7 +105,7 @@ def _as_budget(
     if deadline is None:
         return budget
     if budget is not None:
-        raise ValueError("pass budget or deadline, not both")
+        raise InvalidSpecError("pass budget or deadline, not both")
     return Budget(deadline=deadline)
 
 
@@ -359,7 +359,7 @@ class SimpleSolver(Solver):
     def _run(self, cset, opts, budget, tracer):
         scheme = opts.get("scheme", "natural")
         if scheme not in self._SCHEMES:
-            raise ValueError(
+            raise InvalidSpecError(
                 f"unknown simple scheme {scheme!r}; "
                 f"choose from {self._SCHEMES}"
             )

@@ -127,6 +127,24 @@ class TestStaticAnalysisDoc:
         assert documented == set(rules_by_id()) | {"RPA000"}
 
 
+class TestApiDoc:
+    def test_top_level_table_names_exist(self):
+        """Every name in the first column of docs/api.md's
+        "Top level (`repro`)" table is an attribute of ``repro``."""
+        text = (ROOT / "docs" / "api.md").read_text()
+        section = text.split("## Top level (`repro`)", 1)[1]
+        section = section.split("\n## ", 1)[0]
+        names = []
+        for line in section.splitlines():
+            cells = line.split("|")
+            if len(cells) < 3 or set(cells[1].strip()) <= {"-"}:
+                continue
+            names += re.findall(r"`([A-Za-z_]\w*)", cells[1])
+        assert len(names) > 20
+        missing = [n for n in names if not hasattr(repro, n)]
+        assert missing == []
+
+
 class TestVersion:
     def test_version_consistent(self):
         text = (ROOT / "pyproject.toml").read_text()

@@ -1,4 +1,4 @@
-"""The fuzz workload generators: determinism, structure, registry."""
+"""The fuzz workload generators: determinism, structure, family table."""
 
 import pytest
 
@@ -8,9 +8,7 @@ from repro.fuzz import (
     generate_case,
     get_generator,
     list_generators,
-    register_generator,
 )
-from repro.fuzz.generators import _REGISTRY
 from repro.runtime import InvalidSpecError
 
 
@@ -27,20 +25,6 @@ class TestRegistry:
     def test_unknown_generator_is_classified(self):
         with pytest.raises(InvalidSpecError, match="unknown generator"):
             get_generator("nope")
-
-    def test_duplicate_registration_rejected(self):
-        fn = _REGISTRY["random"].fn
-        with pytest.raises(InvalidSpecError, match="already registered"):
-            register_generator("random", fn)
-
-    def test_replace_allows_reregistration(self):
-        spec = _REGISTRY["random"]
-        try:
-            register_generator(
-                "random", spec.fn, makes_fsm=False, replace=True
-            )
-        finally:
-            _REGISTRY["random"] = spec
 
     def test_scale_floor(self):
         with pytest.raises(InvalidSpecError, match="scale"):

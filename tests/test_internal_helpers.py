@@ -1,12 +1,9 @@
 """Unit tests for internal helpers that the big flows lean on."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cubes import Cover, Space, contains
-from repro.encoding import ConstraintSet, FaceConstraint, SeedDichotomy
-from repro.encoding.dichotomy_cover import ColumnCandidate, _merge
 from repro.espresso.exact import _min_cover
 
 
@@ -56,28 +53,6 @@ class TestMinCover:
         for k in range(len(picked)):
             for combo in itertools.combinations(range(n_cols), k):
                 assert not all(row & set(combo) for row in rows)
-
-
-class TestDichotomyMerge:
-    def test_merge_into_empty_sides(self):
-        d = SeedDichotomy({"a", "b"}, "c")
-        merged = _merge((set(), set()), d)
-        assert merged is not None
-
-    def test_merge_conflict_rejected(self):
-        d = SeedDichotomy({"a"}, "b")
-        # a already sits on the outsider side both ways around
-        assert _merge(({"b", "a"}, {"c"}), d) is None or True
-        # a in zeros with outsider b in zeros too: must fail
-        got = _merge(({"a", "b"}, set()), d)
-        assert got is None
-
-    def test_column_candidate_covers(self):
-        c = ColumnCandidate(frozenset({"a", "b"}), frozenset({"c"}))
-        assert c.covers(SeedDichotomy({"a", "b"}, "c"))
-        assert not c.covers(SeedDichotomy({"a", "c"}, "b"))
-        assert c.splits("a", "c")
-        assert not c.splits("a", "b")
 
 
 class TestReportFmt:

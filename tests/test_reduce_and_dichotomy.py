@@ -1,13 +1,7 @@
-"""Tests for state minimization and dichotomy-cover encodings."""
+"""Tests for state minimization."""
 
 import pytest
 
-from repro.encoding import (
-    ConstraintSet,
-    FaceConstraint,
-    build_full_encoding,
-    dichotomy_cover_length,
-)
 from repro.fsm import (
     equivalent_state_classes,
     load_benchmark,
@@ -87,51 +81,3 @@ class TestStateReduction:
         )
         with pytest.raises(ValueError):
             reduce_states(fsm)
-
-
-def cset_of(n, groups):
-    syms = [f"s{i}" for i in range(n)]
-    return ConstraintSet(
-        syms, [FaceConstraint({f"s{i}" for i in g}) for g in groups]
-    )
-
-
-class TestDichotomyCover:
-    def test_no_constraints_still_distinguishes(self):
-        cs = cset_of(4, [])
-        n, columns = dichotomy_cover_length(cs)
-        assert n >= 2  # 4 symbols need 2 splitting columns
-        enc = build_full_encoding(cs)
-        assert enc.is_injective()
-
-    def test_full_encoding_satisfies_everything(self):
-        cs = cset_of(8, [[0, 1], [2, 3], [4, 5, 6, 7], [0, 1, 2, 3]])
-        enc = build_full_encoding(cs)
-        for c in cs.nontrivial():
-            assert enc.satisfies(c.symbols), sorted(c.symbols)
-
-    def test_infeasible_at_min_length_needs_more_bits(self):
-        # 5-of-6 constraint: impossible in 3 bits, fine in 4
-        cs = cset_of(6, [[0, 1, 2, 3, 4]])
-        n, _ = dichotomy_cover_length(cs)
-        assert n >= 4
-        enc = build_full_encoding(cs)
-        assert enc.satisfies(frozenset(f"s{i}" for i in range(5)))
-
-    def test_single_symbol(self):
-        cs = cset_of(1, [])
-        enc = build_full_encoding(cs)
-        assert enc.is_injective()
-
-    def test_cover_length_at_least_log2(self):
-        cs = cset_of(9, [[0, 1, 2]])
-        n, _ = dichotomy_cover_length(cs)
-        assert n >= 4  # 9 symbols cannot fit in 3 columns
-
-    def test_matches_minimum_satisfying_length_upper_bound(self):
-        from repro.encoding import minimum_satisfying_length
-
-        cs = cset_of(6, [[0, 1, 2, 3, 4], [0, 1]])
-        exact_len = minimum_satisfying_length(cs)
-        cover_len, _ = dichotomy_cover_length(cs)
-        assert cover_len >= exact_len  # cover is an upper bound

@@ -2,10 +2,15 @@
 
 import importlib
 import inspect
+import os
+import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
+import repro
 import repro.baselines
 import repro.core
 import repro.encoding
@@ -15,7 +20,7 @@ from repro.encoding import derive_face_constraints
 from repro.encoding.exact import exact_encode
 from repro.fsm import load_benchmark
 from repro.obs import MemorySink, Tracer
-from repro.runtime import Budget, Deadline
+from repro.runtime import Budget, Deadline, InvalidSpecError
 from repro.solvers import (
     EncodeResult,
     Solver,
@@ -200,6 +205,28 @@ class TestOptionValidation:
                 deadline=Deadline(10),
             )
 
+    @pytest.mark.parametrize(
+        "name, args, kwargs",
+        [
+            ("picola", ([],), {}),
+            (
+                "picola",
+                (),
+                {"budget": Budget(seconds=10), "deadline": Deadline(10)},
+            ),
+            ("simple", (), {"options": {"scheme": "bogus"}}),
+        ],
+        ids=["cset-and-constraints", "budget-and-deadline", "scheme"],
+    )
+    def test_argument_errors_are_invalid_spec(
+        self, lion, name, args, kwargs
+    ):
+        """``Solver.solve`` is the public encode entry: its argument
+        errors belong to the taxonomy."""
+        fsm, cset = lion
+        with pytest.raises(InvalidSpecError):
+            get_solver(name).solve(cset, *args, **kwargs)
+
     def test_deadline_alone_is_accepted(self, lion):
         fsm, cset = lion
         result = get_solver("picola").solve(
@@ -271,3 +298,38 @@ class TestRemovedPositionalNv:
             warnings.simplefilter("error", DeprecationWarning)
             exact_encode(cset, nv=2)
             nova_encode(cset, nv=2)
+
+
+class TestImportFootprint:
+    @staticmethod
+    def _loaded_after(module, names):
+        """Which of ``names`` a fresh interpreter has loaded after
+        ``import module``."""
+        code = (
+            f"import sys, {module}\n"
+            f"print(sorted(m for m in {names!r} if m in sys.modules))"
+        )
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        return out.stdout.strip()
+
+    def test_import_loads_no_harness_or_network_stack(self):
+        """``import repro`` stays in-process: no experiment harness,
+        HTTP server or process-pool modules come along, and neither
+        the fuzz subsystem nor its test-only hypothesis dependency."""
+        heavy = (
+            "repro.harness", "http.server", "socketserver",
+            "multiprocessing", "concurrent.futures", "repro.fuzz",
+            "hypothesis",
+        )
+        assert self._loaded_after("repro", heavy) == "[]"
+
+    def test_fuzz_import_loads_no_harness(self):
+        """``repro.fuzz`` needs the solvers and the oracle only, not
+        the experiment driver or its process pool."""
+        heavy = ("repro.harness", "multiprocessing")
+        assert self._loaded_after("repro.fuzz", heavy) == "[]"

@@ -2,9 +2,15 @@
 
 import pytest
 
+import repro.solvers
+from repro.baselines.simple import natural_encoding
+from repro.core import PicolaOptions
 from repro.cubes import contains
 from repro.encoding import derive_face_constraints
 from repro.fsm import encode_fsm, load_benchmark, parse_kiss
+from repro.obs import MemorySink, Tracer
+from repro.runtime import Budget, BudgetExceeded
+from repro.solvers import Solver, get_solver, register_solver
 from repro.stateassign import METHODS, AssignmentResult, assign_states
 
 TOY = """
@@ -97,6 +103,77 @@ class TestAssignStates:
         fsm = parse_kiss(TOY)
         result = assign_states(fsm, "natural", minimize=False)
         assert result.minimized is result.pla
+
+
+class TestSolverCall:
+    """``assign_states`` calls the registry solver directly."""
+
+    def test_caller_budget_and_tracer_reach_the_solver(self):
+        calls = []
+
+        class Spy(Solver):
+            name = "picola"
+            option_keys = ("nv", "picola_options", "seed")
+
+            def _run(self, cset, opts, budget, tracer):
+                calls.append((budget, tracer))
+                encoding = natural_encoding(list(cset.symbols))
+                return encoding, {}, encoding
+
+        original = get_solver("picola")
+        budget = Budget(seconds=60)
+        tracer = Tracer(MemorySink())
+        try:
+            register_solver(Spy(), replace=True)
+            assign_states(
+                parse_kiss(TOY), "picola", budget=budget,
+                tracer=tracer, minimize=False,
+            )
+        finally:
+            register_solver(original, replace=True)
+        assert calls == [(budget, tracer)]
+
+    def test_picola_options_reach_picola(self, monkeypatch):
+        seen = []
+        real = repro.solvers.picola_encode
+
+        def recording(cset, **kwargs):
+            seen.append(kwargs["options"])
+            return real(cset, **kwargs)
+
+        monkeypatch.setattr(repro.solvers, "picola_encode", recording)
+        options = PicolaOptions(beam_width=3)
+        assign_states(
+            parse_kiss(TOY), "picola", picola_options=options,
+            minimize=False,
+        )
+        assert seen == [options] and seen[0] is options
+
+    def test_budget_error_is_raised_raw(self):
+        with pytest.raises(BudgetExceeded):
+            assign_states(
+                load_benchmark("lion"), "picola",
+                budget=Budget(max_nodes=1), minimize=False,
+            )
+
+    def test_one_request_counted_per_call(self):
+        tracer = Tracer(MemorySink())
+        fsm = parse_kiss(TOY)
+        assign_states(fsm, "picola", tracer=tracer, minimize=False)
+        assert tracer.counters()["service.requests"] == 1
+        assign_states(fsm, "natural", tracer=tracer, minimize=False)
+        assert tracer.counters()["service.requests"] == 2
+
+    def test_shared_constraint_set_unchanged(self):
+        fsm = load_benchmark("lion")
+        cset = derive_face_constraints(fsm)
+        symbols, constraints = cset.symbols, list(cset.constraints)
+        for method in METHODS:
+            assign_states(
+                fsm, method, constraints=cset, minimize=False
+            )
+        assert cset.symbols == symbols
+        assert cset.constraints == constraints
 
 
 class TestAssignOptions:
