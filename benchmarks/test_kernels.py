@@ -1,7 +1,7 @@
-"""Micro-benchmarks of the bulk cube kernel, gated as host-independent ratios.
+"""Micro-benchmarks of the cube-list primitives, gated as host-independent ratios.
 
-Four workloads run the bulk primitives the tautology/complement/expand
-hot paths are built from, at representative cover sizes.  Each
+Four workloads run the :mod:`repro.cubes.bulk` primitives the
+tautology/complement/expand hot paths are built from, at representative cover sizes.  Each
 workload's time is recorded as a ratio to the pipeline benchmark's
 host-speed probe (:func:`pipeline.speed.probe_work`), timed in the
 same process between the workload's repeats, so a slower or busier
@@ -29,11 +29,13 @@ import sys
 from pathlib import Path
 
 from pipeline.speed import PROBE_WORK, probe_work
-from repro.cubes import Space
-from repro.cubes.bulk import active_kernel
+from repro.cubes import Space, bulk
 from repro.obs import Tracer
 
 BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
+
+#: the bench file's ``kernel`` field: the primitives' one implementation
+KERNEL = "python"
 
 #: a workload's probe ratio may rise by this fraction of its recorded
 #: value before --check fails
@@ -60,7 +62,7 @@ def _random_cover(space, n_cubes, seed, dash=0.5):
 
 
 # ----------------------------------------------------------------------
-# kernel workloads: (cover, body) fixtures over one space
+# workloads: (cover, body) fixtures over one space
 # ----------------------------------------------------------------------
 
 _SPACE = Space.binary(16, 8)
@@ -69,31 +71,31 @@ _MID = _random_cover(_SPACE, 500, seed=5)
 _PIVOT = _BIG[0]
 #: EXPAND's blocking check on ``_BIG``'s columns, built once per
 #: off-set as EXPAND builds it, so outside the timed raise round
-_BLOCKED = active_kernel().blocker(_SPACE, active_kernel().pack(_SPACE, _BIG))
+_BLOCKED = bulk.blocker(_SPACE, _BIG)
 
 
-def _tautology_node(kernel, packed):
+def _tautology_node(cover):
     """The per-recursion-node work of the tautology check."""
-    kernel.union_info(_SPACE, packed)
-    part = kernel.binate_part(_SPACE, packed)
+    bulk.union_info(_SPACE, cover)
+    part = bulk.binate_part(_SPACE, cover)
     for value in range(_SPACE.part_sizes[part]):
-        kernel.cofactor_value(_SPACE, packed, part, value)
+        bulk.cofactor_value(_SPACE, cover, part, value)
 
 
-def _complement_absorb(kernel, packed):
+def _complement_absorb(cover):
     """The absorption pass complement runs on intermediate covers."""
-    kernel.absorb(_SPACE, packed)
+    bulk.absorb(cover)
 
 
-def _expand_raise(kernel, packed):
+def _expand_raise(cover):
     """One EXPAND raise round: blocked bits + best-raise scoring."""
     _BLOCKED(_PIVOT)
-    kernel.best_raise(_SPACE, packed, _PIVOT, _SPACE.universe & ~_PIVOT)
+    bulk.best_raise(cover, _PIVOT, _SPACE.universe & ~_PIVOT)
 
 
-def _containment_dedup(kernel, packed):
+def _containment_dedup(cover):
     """The pairwise-containment dedup closing the EXPAND pass."""
-    kernel.dedup_keep_mask(_SPACE, packed)
+    bulk.dedup_keep_mask(cover)
 
 
 KERNEL_WORKLOADS = {
@@ -109,19 +111,17 @@ def time_kernel_workloads(tracer=None, repeats=_REPEATS):
     the fastest probe timed between its repeats.  The garbage collector
     is off while timing, as in the probe's own sampler."""
     tracer = tracer if tracer is not None else Tracer()
-    kernel = active_kernel()
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         for name, (cover, body) in KERNEL_WORKLOADS.items():
-            packed = kernel.pack(_SPACE, cover)
-            body(kernel, packed)  # warmup
+            body(cover)  # warmup
             for _ in range(repeats):
                 for _ in range(_PROBES):
                     with tracer.span(f"bench.{name}.probe"):
                         probe_work(PROBE_WORK)
                 with tracer.span(f"bench.{name}"):
-                    body(kernel, packed)
+                    body(cover)
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -154,7 +154,7 @@ def test_kernel_workloads_record_histograms():
 def test_committed_bench_file_is_consistent():
     data = json.loads(BENCH_FILE.read_text())
     assert set(data) == {"kernel", "probe_work", "workloads", "tolerance"}
-    assert data["kernel"] == active_kernel().name
+    assert data["kernel"] == KERNEL
     assert data["probe_work"] == PROBE_WORK
     assert data["tolerance"] == TOLERANCE
     assert set(data["workloads"]) == set(KERNEL_WORKLOADS)
@@ -181,7 +181,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     current = {
-        "kernel": active_kernel().name,
+        "kernel": KERNEL,
         "probe_work": PROBE_WORK,
         "workloads": time_kernel_workloads(),
         "tolerance": TOLERANCE,

@@ -11,7 +11,7 @@ RPA002  ``tracer.span(...)`` only as a ``with`` context manager
 RPA003  no broad ``except`` that swallows failures
 RPA004  solver modules raise the taxonomy, not builtin exceptions
 RPA005  no unseeded randomness / wall clocks / bare-set iteration
-RPA008  bulk-kernel modules stay on the packed (no-wrapper) API
+RPA008  bulk-kernel modules: no per-cube loops or wrapper objects
 ======  ==========================================================
 
 Every rule inspects one file at a time.  Registry conformance of the

@@ -401,12 +401,12 @@ class BulkKernelRule(Rule):
     title = "bulk kernel: per-cube Python loop or wrapper allocation"
     rationale = """
         Modules marked ``__bulk_kernel__ = True`` are the hot paths
-        written on the packed cube kernel: they touch a cover only
-        through whole-cover primitives, never cube by cube.  A
-        `for cube in cover:` loop or a Cover()/Cube() wrapper
-        allocation sneaking back in costs speed, not results, so every
-        correctness test still passes.  Loop over index lists
-        (`for idx in order:`) or call a kernel primitive instead.
+        written on the cube-list primitives of ``repro.cubes.bulk``:
+        they touch a cover only through whole-cover primitives, never
+        cube by cube.  A `for cube in cover:` loop or a Cover()/Cube()
+        wrapper allocation sneaking back in costs speed, not results,
+        so every correctness test still passes.  Loop over index lists
+        (`for idx in order:`) or call a bulk primitive instead.
     """
 
     _WRAPPERS = ("Cover", "Cube")
@@ -440,18 +440,13 @@ class BulkKernelRule(Rule):
     _COVER_PRODUCERS = frozenset(
         {
             "complement",
-            "complement_packed",
             "cube_complement",
             "sharp",
             "absorb",
-            "unpack",
             "espresso",
             "expand",
             "reduce_cover",
             "irredundant",
-            "make_sparse",
-            "lower_outputs",
-            "raise_inputs",
         }
     )
 
@@ -468,8 +463,8 @@ class BulkKernelRule(Rule):
                     self,
                     node,
                     f"{node.func.id}() wrapper allocated inside a "
-                    "bulk-kernel module; hot paths work on packed "
-                    "covers and bare ints only",
+                    "bulk-kernel module; hot paths work on cube lists "
+                    "and bare ints only",
                 )
             elif isinstance(node, ast.For):
                 yield from self._check_iter(ctx, node, node.iter)

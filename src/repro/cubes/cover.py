@@ -3,8 +3,7 @@
 Hot paths inside the minimizer work on bare ``List[int]``; :class:`Cover`
 is the friendly public face used by examples, tests and the higher-level
 encoding code.  Set-level operations (intersection, union, absorption,
-minterm counting) route through the packed cube kernel
-(:mod:`repro.cubes.bulk`).
+minterm counting) are cube-list primitives (:mod:`repro.cubes.bulk`).
 
 Comparison caching: ``__eq__``/``__hash__`` compare a *canonical*
 sorted tuple that is computed lazily and cached, and ``__contains__``
@@ -21,8 +20,8 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Optional, Tuple
 
 from ..runtime import InvalidSpecError
+from . import bulk
 from . import cube as _cube
-from .bulk import active_kernel
 from .complement import complement
 from .cube import absorb
 from .space import Space
@@ -193,25 +192,12 @@ class Cover:
 
     def intersected(self, other: "Cover") -> "Cover":
         self._check_space(other)
-        kernel = active_kernel()
-        meets = kernel.cross_intersect(
-            self.space,
-            kernel.pack(self.space, self._cubes),
-            kernel.pack(self.space, other._cubes),
-        )
-        return Cover(
-            self.space,
-            kernel.unpack(self.space, kernel.absorb(self.space, meets)),
-        )
+        meets = bulk.cross_intersect(self.space, self._cubes, other._cubes)
+        return Cover(self.space, bulk.absorb(meets))
 
     def union(self, other: "Cover") -> "Cover":
         self._check_space(other)
-        kernel = active_kernel()
-        merged = kernel.absorb(
-            self.space,
-            kernel.pack(self.space, self._cubes + other._cubes),
-        )
-        return Cover(self.space, kernel.unpack(self.space, merged))
+        return Cover(self.space, bulk.absorb(self._cubes + other._cubes))
 
     def difference(self, other: "Cover") -> "Cover":
         """Set difference via intersection with the complement."""
@@ -240,10 +226,7 @@ class Cover:
 
     def minterm_count(self) -> int:
         """Number of distinct minterms covered (exact, via disjoint sharp)."""
-        kernel = active_kernel()
-        return kernel.minterm_count(
-            self.space, kernel.pack(self.space, self._cubes)
-        )
+        return bulk.minterm_count(self.space, self._cubes)
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:

@@ -39,8 +39,8 @@ def absorb(cover: List[int]) -> List[int]:
     Sorting by descending popcount means a cube can only be absorbed by
     an earlier one, giving a single quadratic pass with early exits.
     Containment is pure bitwise subset, so no :class:`Space` is needed;
-    the bulk kernels replicate this result exactly
-    (``kernel.absorb``) for packed covers.
+    :func:`repro.cubes.bulk.absorb` gives the same result without
+    sorting the caller's list.
     """
     cover.sort(key=_popcount, reverse=True)
     result: List[int] = []

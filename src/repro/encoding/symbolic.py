@@ -14,9 +14,7 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from .. import obs
-from ..cubes import Space
-from ..cubes.bulk import active_kernel
-from ..cubes.tautology import cover_contains_cube_packed
+from ..cubes import Space, bulk, cover_contains_cube
 from ..espresso import espresso
 from ..fsm import Fsm, fsm_to_symbolic_cover
 from ..runtime import InvalidSpecError
@@ -83,36 +81,29 @@ def _fast_symbolic_merge(
     shorter SOP with wider state literals — which is all the
     face-constraint derivation needs.
     """
-    kernel = active_kernel()
     state_part = space.num_parts - 2
-    result = kernel.absorb(
-        space,
-        kernel.merge_part(space, kernel.pack(space, cover), state_part),
-    )
+    result = bulk.absorb(bulk.merge_part(space, cover, state_part))
 
     offset = space.offsets[state_part]
-    care = kernel.pack(space, list(cover) + list(dc))
+    care = list(cover) + list(dc)
     slices = [
-        kernel.cofactor_value(space, care, state_part, value)
+        bulk.cofactor_value(space, care, state_part, value)
         for value in range(n_states)
     ]
     expanded: List[int] = []
     checks = 0
-    for idx in range(kernel.length(result)):
-        cube = kernel.row(space, result, idx)
+    for cube in result:
         grown = cube
         for value in range(n_states):
             bit = 1 << (offset + value)
             if cube & bit:
                 continue
             checks += 1
-            if cover_contains_cube_packed(space, kernel, slices[value], cube):
+            if cover_contains_cube(space, slices[value], cube):
                 grown |= bit
         expanded.append(grown)
     obs.count("symbolic.merge.checks", checks)
-    return kernel.unpack(
-        space, kernel.absorb(space, kernel.pack(space, expanded))
-    )
+    return bulk.absorb(expanded)
 
 
 def constraints_from_cover(

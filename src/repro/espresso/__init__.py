@@ -13,11 +13,10 @@
 from .exact import ExactLimitError, all_primes, exact_minimize
 from .functions import CLASSICS, adrn, majority, rdn, sqrn, xorn
 from .expand import expand, expand_cube
-from .irredundant import irredundant, relatively_essential
+from .irredundant import irredundant
 from .minimize import EspressoStats, cover_cost, espresso, espresso_pla
 from .pla import Pla, format_pla, parse_pla
 from .reduce import reduce_cover, reduce_cube
-from .sparse import lower_outputs, make_sparse, raise_inputs
 from .verify import (
     VerificationError,
     cover_in_range,
@@ -39,7 +38,6 @@ __all__ = [
     "expand",
     "expand_cube",
     "irredundant",
-    "relatively_essential",
     "EspressoStats",
     "cover_cost",
     "espresso",
@@ -49,9 +47,6 @@ __all__ = [
     "parse_pla",
     "reduce_cover",
     "reduce_cube",
-    "lower_outputs",
-    "make_sparse",
-    "raise_inputs",
     "VerificationError",
     "cover_in_range",
     "covers_equal",

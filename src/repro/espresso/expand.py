@@ -7,23 +7,22 @@ popular column) is taken, which is the essence of ESPRESSO's
 covering-directed expansion without the full blocking/covering matrix
 machinery.
 
-Feasibility and scoring are whole-cover kernel calls on the packed
-off-set/on-set matrices (:mod:`repro.cubes.bulk`): ``blocker`` holds
-the off-set column-wise once per off-set and answers each raise
-round's blocked-bit mask (the *critical* off rows, those with exactly
-one blocking part) with a few ANDs, and ``best_raise`` scores every
-candidate bit against all remaining on-set rows at once.  The results
-are bit-identical to the historical incremental per-cube bookkeeping:
-recomputing the blocking parts against the grown cube each round gives
-the same critical set the incremental updates maintained.
+Feasibility and scoring are cube-list primitives
+(:mod:`repro.cubes.bulk`): ``blocker`` holds the off-set column-wise
+once per off-set and answers each raise round's blocked-bit mask (the
+*critical* off rows, those with exactly one blocking part) with a few
+ANDs, and ``best_raise`` scores every candidate bit against all
+remaining on-set rows at once.  The results are bit-identical to the
+historical incremental per-cube bookkeeping: recomputing the blocking
+parts against the grown cube each round gives the same critical set
+the incremental updates maintained.
 """
 
 from __future__ import annotations
 
 from typing import Callable, List, Sequence
 
-from ..cubes import Space
-from ..cubes.bulk import active_kernel
+from ..cubes import Space, bulk
 
 __all__ = ["Blocked", "expand", "expand_cube", "expand_cube_with", "expand_with"]
 
@@ -44,25 +43,17 @@ def expand_cube(
 
     ``others`` (remaining on-set cubes) only steer the raise order.
     """
-    kernel = active_kernel()
-    return expand_cube_with(
-        space,
-        kernel,
-        cube,
-        kernel.blocker(space, kernel.pack(space, off)),
-        kernel.pack(space, others),
-    )
+    return expand_cube_with(space, cube, bulk.blocker(space, off), others)
 
 
 def expand_cube_with(
-    space: Space, kernel, cube: int, blocked: Blocked, others
+    space: Space, cube: int, blocked: Blocked, others: Sequence[int]
 ) -> int:
-    """:func:`expand_cube` with the off-set behind ``blocked`` and the
-    steering cubes ``others`` already packed."""
+    """:func:`expand_cube` with the off-set behind ``blocked``."""
     free_bits = space.universe & ~cube
     while free_bits:
         candidates = free_bits & ~blocked(cube)
-        best_bit = kernel.best_raise(space, others, cube, candidates)
+        best_bit = bulk.best_raise(others, cube, candidates)
         if not best_bit:
             break
         cube |= best_bit
@@ -81,47 +72,33 @@ def expand(
     ESPRESSO order: small cubes benefit most from expansion and their
     primes tend to cover the larger ones.
     """
-    kernel = active_kernel()
-    return expand_with(
-        space, kernel, onset, kernel.blocker(space, kernel.pack(space, off))
-    )
+    return expand_with(space, onset, bulk.blocker(space, off))
 
 
-def expand_with(
-    space: Space, kernel, onset: List[int], blocked: Blocked
-) -> List[int]:
+def expand_with(space: Space, onset: List[int], blocked: Blocked) -> List[int]:
     """EXPAND's cube-list pass with the off-set behind ``blocked``.
 
     ``blocked(cube)`` returns the raise bits of ``cube`` that would make
     it hit the off-set; everything else (visit order, raise choice,
-    swallowed cubes, the final dedup) runs on ``kernel``.  ESPRESSO
-    builds ``blocked`` once per off-set with the kernel's ``blocker``;
-    truth-table scoring (:mod:`repro.espresso.truthtable`) passes its
-    own.
+    swallowed cubes, the final dedup) is a cube-list primitive.
+    ESPRESSO builds ``blocked`` once per off-set with
+    :func:`repro.cubes.bulk.blocker`; truth-table scoring
+    (:mod:`repro.espresso.truthtable`) passes its own.
     """
-    onset_packed = kernel.pack(space, onset)
-    weights = kernel.popcounts(space, onset_packed)
+    weights = bulk.popcounts(onset)
     order = sorted(range(len(onset)), key=weights.__getitem__)
     covered = [False] * len(onset)
     primes: List[int] = []
     for idx in order:
         if covered[idx]:
             continue
-        others = kernel.gather(
-            space,
-            onset_packed,
-            [j for j in order if j != idx and not covered[j]],
-        )
-        prime = expand_cube_with(
-            space, kernel, kernel.row(space, onset_packed, idx),
-            blocked, others,
-        )
-        swallowed = kernel.contained_rows(space, onset_packed, prime)
+        others = [onset[j] for j in order if j != idx and not covered[j]]
+        prime = expand_cube_with(space, onset[idx], blocked, others)
+        swallowed = bulk.contained_rows(onset, prime)
         for j in order:
             if j != idx and not covered[j] and swallowed[j]:
                 covered[j] = True
         primes.append(prime)
     # a later prime can swallow an earlier one
-    primes_packed = kernel.pack(space, primes)
-    keep = kernel.dedup_keep_mask(space, primes_packed)
-    return kernel.unpack(space, kernel.select(space, primes_packed, keep))
+    keep = bulk.dedup_keep_mask(primes)
+    return [prime for prime, kept in zip(primes, keep) if kept]

@@ -5,48 +5,24 @@ on-set; everything else is redundant relative to the current cover and
 is removed greedily (largest cubes are kept preferentially, mirroring
 ESPRESSO's minimal irredundant-cover heuristic).
 
-Containment checks run on packed covers via the tautology
-seam (:func:`repro.cubes.tautology.cover_contains_cube_packed`); the
-working cover is kept packed and shrunk row-wise as redundant cubes
-are dropped.
+Containment checks are tautology checks
+(:func:`repro.cubes.tautology.cover_contains_cube`) of each cube
+against the rest of the working cover, which shrinks as redundant
+cubes are dropped.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
-from ..cubes import Space
-from ..cubes.bulk import active_kernel
-from ..cubes.tautology import cover_contains_cube_packed
+from ..cubes import Space, bulk
+from ..cubes.tautology import cover_contains_cube
 from ..obs import resolve_tracer
 
-__all__ = ["irredundant", "relatively_essential"]
+__all__ = ["irredundant"]
 
 #: lint marker: this module is a bulk-kernel hot path (RPA008)
 __bulk_kernel__ = True
-
-
-def relatively_essential(
-    space: Space,
-    onset: Sequence[int],
-    dcset: Sequence[int] = (),
-) -> Tuple[List[int], List[int]]:
-    """Split the cover into (relatively essential, redundant) cubes."""
-    kernel = active_kernel()
-    packed = kernel.pack(space, onset)
-    dc = kernel.pack(space, dcset)
-    essential: List[int] = []
-    redundant: List[int] = []
-    for idx in range(kernel.length(packed)):
-        rest = kernel.concat(
-            space, kernel.delete_row(space, packed, idx), dc
-        )
-        cube = kernel.row(space, packed, idx)
-        if cover_contains_cube_packed(space, kernel, rest, cube):
-            redundant.append(cube)
-        else:
-            essential.append(cube)
-    return essential, redundant
 
 
 def irredundant(
@@ -63,20 +39,15 @@ def irredundant(
     resolve_tracer(tracer).count(
         "espresso.irredundant.cubes", len(onset)
     )
-    kernel = active_kernel()
-    packed = kernel.pack(space, onset)
-    weights = kernel.popcounts(space, packed)
+    weights = bulk.popcounts(onset)
     order = sorted(range(len(onset)), key=weights.__getitem__)
-    keep = kernel.gather(space, packed, order)
-    dc = kernel.pack(space, dcset)
+    keep = [onset[i] for i in order]
+    dc = list(dcset)
     i = 0
-    while i < kernel.length(keep):
-        rest = kernel.concat(
-            space, kernel.delete_row(space, keep, i), dc
-        )
-        cube = kernel.row(space, keep, i)
-        if cover_contains_cube_packed(space, kernel, rest, cube):
-            keep = kernel.delete_row(space, keep, i)
+    while i < len(keep):
+        rest = keep[:i] + keep[i + 1 :] + dc
+        if cover_contains_cube(space, rest, keep[i]):
+            del keep[i]
         else:
             i += 1
-    return kernel.unpack(space, keep)
+    return keep

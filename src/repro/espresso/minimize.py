@@ -2,8 +2,8 @@
 
 ``espresso(space, onset, dcset)`` runs the classic fixed point
 
-    EXPAND -> IRREDUNDANT -> [ESSENTIALS] -> { REDUCE -> EXPAND ->
-    IRREDUNDANT } until the cost stops improving -> [LASTGASP]
+    EXPAND -> IRREDUNDANT -> { REDUCE -> EXPAND -> IRREDUNDANT }
+    until the cost stops improving -> [LASTGASP]
 
 over covers represented as lists of int cubes in any multi-valued
 space.  Cost is (number of cubes, number of asserted positions), the
@@ -19,12 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from ..cubes import Space, absorb, complement, contains, cover_contains_cube
-from ..cubes.bulk import active_kernel
+from ..cubes import Space, absorb, bulk, complement, contains
 from ..obs import resolve_tracer
 from ..runtime import Budget, faults
 from .expand import Blocked, expand_cube_with, expand_with
-from .irredundant import irredundant, relatively_essential
+from .irredundant import irredundant
 from .pla import Pla
 from .reduce import reduce_cover, reduce_cube
 
@@ -41,7 +40,6 @@ class EspressoStats:
     iterations: int = 0
     initial_terms: int = 0
     final_terms: int = 0
-    essential_terms: int = 0
     lastgasp_improved: bool = False
 
 
@@ -62,7 +60,6 @@ def espresso(
     onset: Sequence[int],
     dcset: Sequence[int] = (),
     *,
-    use_essentials: bool = True,
     use_lastgasp: bool = True,
     max_iterations: int = MAX_ITERATIONS,
     stats: Optional[EspressoStats] = None,
@@ -93,24 +90,10 @@ def espresso(
     ):
         # the off-set is fixed for the whole run: every EXPAND, LASTGASP's
         # included, shares one column-wise blocking check
-        kernel = active_kernel()
-        off = complement(space, cover + dc)
-        blocked = kernel.blocker(space, kernel.pack(space, off))
+        blocked = bulk.blocker(space, complement(space, cover + dc))
 
-        cover = _expand(space, kernel, cover, blocked, tracer)
+        cover = _expand(space, cover, blocked, tracer)
         cover = irredundant(space, cover, dc, tracer=tracer)
-
-        essentials: List[int] = []
-        if use_essentials:
-            essentials, rest = relatively_essential(space, cover, dc)
-            # keep the truly load-bearing primes fixed; they act as
-            # extra don't-cares for the rest of the optimization
-            if essentials and rest:
-                cover = rest
-                dc = dc + essentials
-            else:
-                essentials = []
-        stats.essential_terms = len(essentials)
 
         best = cover_cost(space, cover)
         while stats.iterations < max_iterations:
@@ -120,7 +103,7 @@ def espresso(
             tracer.count("espresso.iterations")
             stats.iterations += 1
             cover = reduce_cover(space, cover, dc, tracer=tracer)
-            cover = _expand(space, kernel, cover, blocked, tracer)
+            cover = _expand(space, cover, blocked, tracer)
             tracer.gauge("espresso.cubes_after_expand", len(cover))
             cover = irredundant(space, cover, dc, tracer=tracer)
             tracer.gauge(
@@ -133,28 +116,24 @@ def espresso(
 
         if use_lastgasp:
             with tracer.span("espresso/lastgasp"):
-                improved = _lastgasp(space, kernel, cover, dc, blocked)
+                improved = _lastgasp(space, cover, dc, blocked)
             if improved is not None:
                 cover = improved
                 stats.lastgasp_improved = True
-
-        cover = essentials + cover
-        cover = irredundant(space, cover, list(dcset), tracer=tracer)
     stats.final_terms = len(cover)
     return cover
 
 
 def _expand(
-    space: Space, kernel, cover: List[int], blocked: Blocked, tracer
+    space: Space, cover: List[int], blocked: Blocked, tracer
 ) -> List[int]:
     """One EXPAND pass, counted as ``espresso.expand.cubes``."""
     tracer.count("espresso.expand.cubes", len(cover))
-    return expand_with(space, kernel, cover, blocked)
+    return expand_with(space, cover, blocked)
 
 
 def _lastgasp(
     space: Space,
-    kernel,
     cover: List[int],
     dc: Sequence[int],
     blocked: Blocked,
@@ -171,9 +150,8 @@ def _lastgasp(
     if not reduced:
         return None
     candidates: List[int] = []
-    reduced_packed = kernel.pack(space, reduced)
-    for i, cube in enumerate(reduced):
-        prime = expand_cube_with(space, kernel, cube, blocked, reduced_packed)
+    for cube in reduced:
+        prime = expand_cube_with(space, cube, blocked, reduced)
         covers = sum(1 for r in reduced if contains(prime, r))
         if covers >= 2:
             candidates.append(prime)

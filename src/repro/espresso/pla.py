@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..cubes import Space, absorb, complement, contains
-from ..cubes.bulk import active_kernel
+from ..cubes import Space, bulk, complement, contains
 from ..runtime import InvalidSpecError, ParseError
 
 __all__ = ["Pla", "parse_pla", "format_pla"]
@@ -52,13 +51,10 @@ class Pla:
     def literal_count(self) -> int:
         """Input literals asserted across the on-set (area proxy).
 
-        One bulk ``nonfull_counts`` call: a literal is a non-full
-        input field, so the count is the sum over input parts.
+        One ``nonfull_counts`` call: a literal is a non-full input
+        field, so the count is the sum over input parts.
         """
-        kernel = active_kernel()
-        counts = kernel.nonfull_counts(
-            self.space, kernel.pack(self.space, self.onset)
-        )
+        counts = bulk.nonfull_counts(self.space, self.onset)
         return sum(counts[: self.n_inputs])
 
     def gate_area(self) -> int:

@@ -10,19 +10,16 @@ i.e. the smallest cube containing the part of ``c`` that no other cube
 EXPAND pass room to move to a *different* prime, which is how the
 espresso loop escapes local minima.
 
-The pass stays on packed covers throughout
-(:mod:`repro.cubes.bulk`): the cofactor-against-pivot, the recursive
-complement and the supercube fold are each one kernel call, and the
-working cover is updated row-wise between reductions.
+The cofactor-against-pivot and the recursive complement are cube-list
+calls (:mod:`repro.cubes.bulk`), and the working cover is updated
+row-wise between reductions.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence
 
-from ..cubes import Space
-from ..cubes.bulk import active_kernel
-from ..cubes.complement import complement_packed
+from ..cubes import Space, bulk, complement, supercube
 from ..obs import resolve_tracer
 
 __all__ = ["reduce_cover", "reduce_cube"]
@@ -42,18 +39,10 @@ def reduce_cube(
     what to do; :func:`reduce_cover` keeps such cubes untouched and
     leaves their removal to IRREDUNDANT).
     """
-    kernel = active_kernel()
-    return _reduce_cube_packed(
-        space, kernel, cube, kernel.pack(space, rest)
-    )
-
-
-def _reduce_cube_packed(space: Space, kernel, cube: int, rest) -> int:
-    cofactored = kernel.cofactor_cube(space, rest, cube)
-    comp = complement_packed(space, kernel, cofactored)
-    if not kernel.length(comp):
+    comp = complement(space, bulk.cofactor_cube(space, rest, cube))
+    if not comp:
         return 0
-    return cube & kernel.or_fold(space, comp)
+    return cube & supercube(comp)
 
 
 def reduce_cover(
@@ -71,20 +60,15 @@ def reduce_cover(
     ``tracer`` counts the cubes visited (``espresso.reduce.cubes``).
     """
     resolve_tracer(tracer).count("espresso.reduce.cubes", len(onset))
-    kernel = active_kernel()
-    cubes = kernel.pack(space, onset)
-    dc = kernel.pack(space, dcset)
-    weights = kernel.popcounts(space, cubes)
+    cubes = list(onset)
+    dc = list(dcset)
+    weights = bulk.popcounts(cubes)
     order = sorted(
         range(len(onset)), key=weights.__getitem__, reverse=True
     )
     for idx in order:
-        rest = kernel.concat(
-            space, kernel.delete_row(space, cubes, idx), dc
-        )
-        reduced = _reduce_cube_packed(
-            space, kernel, kernel.row(space, cubes, idx), rest
-        )
+        rest = cubes[:idx] + cubes[idx + 1 :] + dc
+        reduced = reduce_cube(space, cubes[idx], rest)
         if reduced:
-            cubes = kernel.with_row(space, cubes, idx, reduced)
-    return kernel.unpack(space, cubes)
+            cubes[idx] = reduced
+    return cubes

@@ -21,11 +21,9 @@ and ``len(espresso(..., use_lastgasp=False))`` otherwise, bit for bit:
   :mod:`repro.espresso.exact`'s own minimum-cover search.
 * The heuristic path runs espresso's passes in espresso's order.  Its
   cube-list steps (visit orders, raise choice, swallowed cubes, dedup,
-  cost) are the cube kernel's and :mod:`repro.espresso.expand`'s own.
-  The set-valued steps above depend only on the function, never on how
-  a cover lists it.  Espresso's ESSENTIALS split and final IRREDUNDANT
-  change nothing right after an IRREDUNDANT pass (every cube left is
-  already relatively essential), so they are not repeated here.
+  cost) are :mod:`repro.cubes.bulk`'s and :mod:`repro.espresso.expand`'s
+  own.  The set-valued steps above depend only on the function, never on
+  how a cover lists it.
 
 ``tests/test_truthtable.py`` pins both paths to :mod:`repro.espresso`.
 """
@@ -35,8 +33,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import List, Sequence, Tuple
 
-from ..cubes import Space, absorb
-from ..cubes.bulk import active_kernel
+from ..cubes import Space, absorb, bulk
 from ..obs import resolve_tracer
 from ..runtime import InvalidSpecError
 from .exact import _min_cover
@@ -48,8 +45,6 @@ __all__ = ["MAX_VARS", "cover_size"]
 #: the largest code space a truth table covers: 2**7 bits per function
 #: and 4**7 entries in the cube table
 MAX_VARS = 7
-
-_KERNEL = active_kernel()
 
 
 class _Tables:
@@ -177,12 +172,12 @@ def _espresso(tables: _Tables, onset: Sequence[int], dc: int) -> int:
     for cube in cover:
         on |= tt[cube]
     blocked = tables.blocked(tables.full & ~(on | dc))
-    cover = expand_with(space, _KERNEL, cover, blocked)
+    cover = expand_with(space, cover, blocked)
     cover = _irredundant(tables, cover, dc)
     best = cover_cost(space, cover)
     for _ in range(MAX_ITERATIONS):
         cover = _reduce(tables, cover, dc)
-        cover = expand_with(space, _KERNEL, cover, blocked)
+        cover = expand_with(space, cover, blocked)
         cover = _irredundant(tables, cover, dc)
         cost = cover_cost(space, cover)
         if cost >= best:
@@ -202,7 +197,7 @@ def _rest(masks: List[int], i: int, dc: int) -> int:
 
 def _irredundant(tables: _Tables, cover: List[int], dc: int) -> List[int]:
     """IRREDUNDANT: drop, smallest cubes first, each cube the rest covers."""
-    weights = _KERNEL.popcounts(tables.space, cover)
+    weights = bulk.popcounts(cover)
     order = sorted(range(len(cover)), key=weights.__getitem__)
     keep = [cover[i] for i in order]
     masks = [tables.tt[cube] for cube in keep]
@@ -217,7 +212,7 @@ def _irredundant(tables: _Tables, cover: List[int], dc: int) -> List[int]:
 
 def _reduce(tables: _Tables, cover: List[int], dc: int) -> List[int]:
     """REDUCE: shrink, largest cubes first, each cube to its unique part."""
-    weights = _KERNEL.popcounts(tables.space, cover)
+    weights = bulk.popcounts(cover)
     order = sorted(range(len(cover)), key=weights.__getitem__, reverse=True)
     cubes = list(cover)
     masks = [tables.tt[cube] for cube in cubes]

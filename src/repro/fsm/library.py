@@ -18,6 +18,7 @@ import importlib.resources
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from ..runtime import InvalidSpecError
 from .kiss import parse_kiss
 from .machine import Fsm
 from .synth import synthesize_fsm
@@ -160,11 +161,14 @@ def benchmark_names() -> List[str]:
 
 
 def load_benchmark(name: str, seed: int = 0) -> Fsm:
-    """Load (or synthesize) a registered benchmark machine."""
+    """Load (or synthesize) a registered benchmark machine.
+
+    An unknown ``name`` raises :class:`~repro.runtime.InvalidSpecError`.
+    """
     try:
         spec = BENCHMARKS[name]
     except KeyError:
-        raise KeyError(
+        raise InvalidSpecError(
             f"unknown benchmark {name!r}; see benchmark_names()"
         ) from None
     if spec.source == "file":

@@ -51,7 +51,7 @@ from typing import List, Optional
 from ..encoding import derive_face_constraints
 from ..fsm import BENCHMARKS, parse_kiss
 from ..obs import JsonlSink, Tracer, profile_report, set_tracer
-from ..runtime import ReproError, faults
+from ..runtime import InvalidSpecError, ReproError, faults
 from ..stateassign import assign_states
 from .ablation import run_ablation
 from .table1 import QUICK_FSMS, run_table1
@@ -244,6 +244,16 @@ def _load_target(target: str):
         return parse_kiss(handle.read(), name=target)
 
 
+def _check_fsm_names(names: Optional[List[str]]) -> None:
+    """Reject unknown ``--fsm`` names before any row runs."""
+    unknown = [name for name in names or () if name not in BENCHMARKS]
+    if unknown:
+        raise InvalidSpecError(
+            f"unknown benchmark(s) {', '.join(unknown)}; "
+            "see `picola bench-list`"
+        )
+
+
 def _maybe_json(report, path: Optional[str]) -> None:
     if path is None:
         return
@@ -258,6 +268,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         from ..analysis.cli import run_lint
 
         return run_lint(args)
+    _check_fsm_names(getattr(args, "fsm", None))
     if args.command == "table1":
         fsms = args.fsm or (QUICK_FSMS if args.quick else None)
         report = run_table1(

@@ -25,8 +25,9 @@ with ``constraints`` the face-constraint collection.  ``deadline`` is
 a convenience: a bare :class:`~repro.runtime.Deadline` is wrapped into
 a :class:`~repro.runtime.Budget` for solvers that only understand
 budgets.  Solver-specific knobs ride in the ``options`` mapping (see
-each adapter's docstring); unknown keys raise ``TypeError`` so typos
-do not silently change an experiment.
+each adapter's docstring); unknown keys raise
+:class:`~repro.runtime.InvalidSpecError` so typos do not silently
+change an experiment.
 
 The adapters *delegate* to the historical entry points
 (:func:`picola_encode`, :func:`exact_encode`, ...) — those remain the
@@ -140,7 +141,7 @@ class Solver:
         opts = dict(options or {})
         unknown = set(opts) - set(self.option_keys)
         if unknown:
-            raise TypeError(
+            raise InvalidSpecError(
                 f"solver {self.name!r} does not understand options "
                 f"{sorted(unknown)}; known: {sorted(self.option_keys)}"
             )
@@ -289,7 +290,7 @@ class MustangSolver(Solver):
     def _run(self, cset, opts, budget, tracer):
         fsm = opts.get("fsm")
         if fsm is None:
-            raise TypeError(
+            raise InvalidSpecError(
                 "solver 'mustang' needs options={'fsm': <Fsm>} — it "
                 "encodes the attraction graph of the machine, not the "
                 "face constraints"
@@ -397,11 +398,12 @@ def register_solver(solver: Solver, *, replace: bool = False) -> Solver:
 
 
 def get_solver(name: str) -> Solver:
-    """Look a solver up by name; raises ``KeyError`` with the menu."""
+    """Look a solver up by name; raises
+    :class:`~repro.runtime.InvalidSpecError` with the menu."""
     try:
         return _REGISTRY[name]
     except KeyError:
-        raise KeyError(
+        raise InvalidSpecError(
             f"unknown solver {name!r}; available: {list_solvers()}"
         ) from None
 

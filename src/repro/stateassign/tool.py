@@ -150,8 +150,6 @@ def assign_states(
     picola_options: Optional[PicolaOptions] = None,
     constraints: Optional[ConstraintSet] = None,
     minimize: bool = True,
-    reduce: bool = False,
-    sparse: bool = False,
     budget: Optional[Budget] = None,
     tracer=None,
 ) -> AssignmentResult:
@@ -159,23 +157,13 @@ def assign_states(
 
     ``constraints`` may be passed in to share the symbolic
     minimization across methods (the harness does this so all tools
-    see the identical input-encoding problem).  ``reduce=True`` runs
-    completely-specified state minimization first (it raises on
-    machines with don't-care behaviour); ``sparse=True`` adds the
-    MAKE_SPARSE literal-reduction pass after espresso.  ``budget`` is
-    a cooperative deadline/counter threaded through the encoder and
+    see the identical input-encoding problem).  ``budget`` is a
+    cooperative deadline/counter threaded through the encoder and
     the espresso minimization; ``tracer`` (default: the module-level
     tracer) records ``assign/encode`` and ``assign/minimize`` spans
     around the two timed pipeline steps.
     """
     tracer = resolve_tracer(tracer)
-    if reduce:
-        from ..fsm import reduce_states
-
-        reduction = reduce_states(fsm)
-        if reduction.removed:
-            fsm = reduction.fsm
-            constraints = None  # stale against the new state set
     if constraints is None:
         constraints = derive_face_constraints(fsm)
     extra: Dict[str, object] = {}
@@ -203,12 +191,6 @@ def assign_states(
                 tracer=tracer,
             )
         extra["espresso_iterations"] = stats.iterations
-        if sparse:
-            from ..espresso import make_sparse
-
-            minimized.onset = make_sparse(
-                minimized.space, minimized.onset, pla.dcset
-            )
     else:
         minimized = pla
     minimize_seconds = time.perf_counter() - t0

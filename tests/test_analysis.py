@@ -236,9 +236,9 @@ class TestRuleFixtures:
     def test_bulk_kernel_index_loops_clean(self, tmp_path):
         good = (
             "__bulk_kernel__ = True\n"
-            "def f(space, kernel, packed, order):\n"
+            "def f(cover, order):\n"
             "    for idx in order:\n"
-            "        kernel.row(space, packed, idx)\n"
+            "        cover[idx]\n"
             "    for value in range(4):\n"
             "        pass\n"
         )

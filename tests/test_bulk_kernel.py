@@ -1,6 +1,6 @@
-"""Tests for the packed bulk cube kernel.
+"""Tests for the cube-list primitives of :mod:`repro.cubes.bulk`.
 
-The kernel's primitives are pinned against the legacy per-cube int
+The primitives are pinned against the per-cube int
 implementations in :mod:`repro.cubes.cube` on hypothesis-generated
 covers, including spaces wider than one 64-bit word, so solver output
 stays byte-stable.  EXPAND's column-wise blocking check is pinned
@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.cubes import Space
 from repro.cubes import cube as legacy
-from repro.cubes.bulk import PythonKernel, active_kernel
+from repro.cubes import bulk
 from repro.encoding import derive_face_constraints
 from repro.espresso import espresso
 from repro.fsm import TABLE2_FSMS, load_benchmark
@@ -64,41 +64,28 @@ def problems(draw):
 
 
 class TestLegacyEquivalence:
-    """The kernel replicates the per-cube int implementations."""
+    """The primitives replicate the per-cube int implementations."""
 
     @SETTINGS
     @given(problems())
     def test_row_masks_match_cube_functions(self, problem):
         space, cover, pivot = problem
-        kernel = active_kernel()
-        packed = kernel.pack(space, cover)
-        assert kernel.void_mask(space, packed) == [
-            legacy.is_void(space, c) for c in cover
-        ]
-        assert kernel.contains_rows(space, packed, pivot) == [
-            legacy.contains(c, pivot) for c in cover
-        ]
-        assert kernel.contained_rows(space, packed, pivot) == [
+        assert bulk.contained_rows(cover, pivot) == [
             legacy.contains(pivot, c) for c in cover
         ]
-        assert kernel.or_fold(space, packed) == legacy.supercube(cover)
-        assert kernel.intersects_any(space, packed, pivot) == any(
-            legacy.intersect(space, c, pivot) for c in cover
-        )
+        assert bulk.popcounts(cover) == [bin(c).count("1") for c in cover]
 
     @SETTINGS
     @given(problems())
     def test_cofactor_and_absorb_match(self, problem):
         space, cover, pivot = problem
-        kernel = active_kernel()
-        packed = kernel.pack(space, cover)
+        before = list(cover)
         lifted = space.universe & ~pivot
-        assert kernel.cofactor_cube(space, packed, pivot) == [
+        assert bulk.cofactor_cube(space, cover, pivot) == [
             c | lifted for c in cover if legacy.intersect(space, c, pivot)
         ]
-        assert kernel.absorb(space, kernel.pack(space, cover)) == (
-            legacy.absorb(list(cover))
-        )
+        assert bulk.absorb(cover) == legacy.absorb(list(cover))
+        assert cover == before  # neither sorts nor edits its argument
 
     @SETTINGS
     @given(problems())
@@ -109,7 +96,6 @@ class TestLegacyEquivalence:
             total *= size
         if total > 2048:
             return  # enumeration too large
-        kernel = active_kernel()
         count = sum(
             1
             for values in itertools.product(
@@ -120,12 +106,13 @@ class TestLegacyEquivalence:
                 for c in cover
             )
         )
-        assert kernel.minterm_count(space, kernel.pack(space, cover)) == count
+        assert bulk.minterm_count(space, cover) == count
 
 
 def row_scan_blocked(space, off, cube):
     """The row-scan blocking check EXPAND ran before the column-wise
-    ``PythonKernel.blocker``, verbatim: the oracle of the tests below."""
+    :func:`repro.cubes.bulk.blocker`, verbatim: the oracle of the tests
+    below."""
     masks = space.part_masks
     blocked = 0
     for o in off:
@@ -142,7 +129,7 @@ def row_scan_blocked(space, off, cube):
     return blocked
 
 
-def oracle_blocker(self, space, off):
+def oracle_blocker(space, off):
     return lambda cube: row_scan_blocked(space, off, cube)
 
 
@@ -179,14 +166,14 @@ def minimize_problems(draw):
 
 
 class TestBlockerAgainstRowScan:
-    """``PythonKernel.blocker`` gives the row scan's blocked bits."""
+    """:func:`repro.cubes.bulk.blocker` gives the row scan's blocked
+    bits."""
 
     @settings(max_examples=200, deadline=None)
     @given(blocking_problems())
     def test_random_covers(self, problem):
         space, off, cubes = problem
-        kernel = active_kernel()
-        blocked = kernel.blocker(space, kernel.pack(space, off))
+        blocked = bulk.blocker(space, off)
         for cube in cubes:
             assert blocked(cube) == row_scan_blocked(space, off, cube)
 
@@ -196,7 +183,7 @@ class TestBlockerAgainstRowScan:
         space, onset, dcset = problem
         want = espresso(space, onset, dcset)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(PythonKernel, "blocker", oracle_blocker)
+            mp.setattr(bulk, "blocker", oracle_blocker)
             got = espresso(space, onset, dcset)
         assert got == want
 
@@ -217,11 +204,11 @@ def test_table2_minimization_blocks_as_row_scan(name, monkeypatch):
     PLA of a Table II machine (reference draw, NOVA-ih and PICOLA
     encodings) gets the row scan's blocked bits, so the two-level
     sizes are the committed golden's."""
-    real = PythonKernel.blocker
+    real = bulk.blocker
     calls = []
 
-    def checking_blocker(self, space, off):
-        fast = real(self, space, off)
+    def checking_blocker(space, off):
+        fast = real(space, off)
 
         def blocked(cube):
             want = row_scan_blocked(space, off, cube)
@@ -230,7 +217,8 @@ def test_table2_minimization_blocks_as_row_scan(name, monkeypatch):
 
         return blocked
 
-    monkeypatch.setattr(PythonKernel, "blocker", checking_blocker)
+    # espresso looks ``blocker`` up on the bulk module at each call
+    monkeypatch.setattr(bulk, "blocker", checking_blocker)
     fsm = load_benchmark(name, seed=0)
     cset = derive_face_constraints(fsm)
     golden = _table2_golden_sizes()[name]
@@ -241,7 +229,7 @@ def test_table2_minimization_blocks_as_row_scan(name, monkeypatch):
 
 
 def test_numpy_is_never_imported():
-    """The cube kernel is pure Python: a Table I row leaves numpy
+    """The cube primitives are pure Python: a Table I row leaves numpy
     unloaded, which keeps its start-up time and memory out of every
     run."""
     script = (

@@ -55,6 +55,22 @@ class TestCliErrors:
         assert "no transitions" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
+        ["table1", "--no-enc"],
+        ["table2"],
+        ["ablation"],
+        ["sweep", "--seeds", "0"],
+    ])
+    def test_unknown_fsm_rejected_before_any_run(self, capsys, command):
+        """An unknown ``--fsm`` name is a usage error: exit 2 with a
+        one-line diagnostic, and no row of the known name runs."""
+        assert main(command + ["--fsm", "lion9", "nosuch"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("picola: error:")
+        assert "nosuch" in captured.err
+        assert "\n" not in captured.err.strip()  # one-line diagnostic
+        assert "lion9" not in captured.out
+
+    @pytest.mark.parametrize("command", [
         ["table1", "--fsm", "lion9", "--no-enc", "--resume"],
         ["merge"],
     ])

@@ -18,6 +18,7 @@ from repro.fsm import (
     synthesize_fsm,
     unused_code_cubes,
 )
+from repro.runtime import InvalidSpecError
 
 SIMPLE_KISS = """
 .i 2
@@ -152,7 +153,7 @@ class TestLibrary:
         assert a.transitions == b.transitions
 
     def test_unknown_name(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(InvalidSpecError, match="not-a-machine"):
             load_benchmark("not-a-machine")
 
     def test_benchmark_names_sorted(self):

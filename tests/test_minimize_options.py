@@ -22,12 +22,6 @@ class TestLoopOptions:
             for r in ["0000", "0001", "0011", "0111", "1111", "1110"]
         ]
 
-    def test_no_essentials_still_equivalent(self):
-        got = espresso(self.space, self.onset, use_essentials=False)
-        assert semantics(self.space, got) == semantics(
-            self.space, self.onset
-        )
-
     def test_no_lastgasp_still_equivalent(self):
         got = espresso(self.space, self.onset, use_lastgasp=False)
         assert semantics(self.space, got) == semantics(
@@ -42,13 +36,9 @@ class TestLoopOptions:
 
     def test_option_combinations_agree_on_cost_ballpark(self):
         costs = set()
-        for ess in (True, False):
-            for lg in (True, False):
-                got = espresso(
-                    self.space, self.onset,
-                    use_essentials=ess, use_lastgasp=lg,
-                )
-                costs.add(len(got))
+        for lg in (True, False):
+            got = espresso(self.space, self.onset, use_lastgasp=lg)
+            costs.add(len(got))
         assert max(costs) - min(costs) <= 1
 
     def test_stats_track_essentials(self):
@@ -56,7 +46,6 @@ class TestLoopOptions:
         espresso(self.space, self.onset, stats=stats)
         assert stats.initial_terms == len(self.onset)
         assert stats.final_terms <= stats.initial_terms
-        assert stats.essential_terms >= 0
 
     def test_espresso_pla_forwards_stats(self):
         pla = Pla(2, 1)

@@ -51,7 +51,7 @@ class TestRegistry:
         assert list_solvers() == ALL_SOLVERS
 
     def test_unknown_solver_lists_the_menu(self):
-        with pytest.raises(KeyError, match="picola"):
+        with pytest.raises(InvalidSpecError, match="picola"):
             get_solver("does-not-exist")
 
     def test_duplicate_registration_rejected(self):
@@ -181,19 +181,19 @@ class TestUniformSignature:
 class TestOptionValidation:
     def test_unknown_option_raises(self, lion):
         fsm, cset = lion
-        with pytest.raises(TypeError, match="typo_key"):
+        with pytest.raises(InvalidSpecError, match="typo_key"):
             get_solver("picola").solve(
                 cset, options={"typo_key": 1}
             )
 
     def test_error_names_the_known_keys(self, lion):
         fsm, cset = lion
-        with pytest.raises(TypeError, match="anneal_moves"):
+        with pytest.raises(InvalidSpecError, match="anneal_moves"):
             get_solver("nova").solve(cset, options={"bogus": 1})
 
     def test_mustang_requires_fsm(self, lion):
         fsm, cset = lion
-        with pytest.raises(TypeError, match="fsm"):
+        with pytest.raises(InvalidSpecError, match="fsm"):
             get_solver("mustang").solve(cset)
 
     def test_budget_and_deadline_exclusive(self, lion):

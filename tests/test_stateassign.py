@@ -174,43 +174,3 @@ class TestSolverCall:
             )
         assert cset.symbols == symbols
         assert cset.constraints == constraints
-
-
-class TestAssignOptions:
-    def test_reduce_option_minimizes_states(self):
-        kiss = """
-.i 1
-.o 1
-.r a
-0 a b 0
-1 a c 0
-0 b a 1
-1 b a 1
-0 c a 1
-1 c a 1
-"""
-        fsm = parse_kiss(kiss)
-        result = assign_states(fsm, "picola", reduce=True)
-        assert result.fsm.n_states == 2  # b and c merge
-        assert result.encoding.n_bits == 1
-
-    def test_sparse_option_never_worse(self):
-        fsm = load_benchmark("bbara")
-        plain = assign_states(fsm, "natural")
-        sparse = assign_states(fsm, "natural", sparse=True)
-        assert sparse.size <= plain.size
-        assert sparse.literals <= plain.literals
-
-    def test_sparse_result_still_correct(self):
-        from repro.fsm import cosimulate, random_input_sequence
-
-        fsm = load_benchmark("lion")
-        result = assign_states(fsm, "picola", sparse=True)
-        codes = {
-            s: result.encoding.code_of(s)
-            for s in result.encoding.symbols
-        }
-        cosimulate(
-            fsm, result.minimized, codes, result.encoding.n_bits,
-            random_input_sequence(fsm.n_inputs, 120, seed=2),
-        )

@@ -5,9 +5,7 @@ import json
 
 import pytest
 
-from repro.cubes import Space
-from repro.cubes.bulk import active_kernel
-from repro.cubes.tautology import cover_contains_cube_packed
+from repro.cubes import bulk, cover_contains_cube
 from repro.encoding import (
     ConstraintSet,
     Encoding,
@@ -99,31 +97,23 @@ def greedy_merge_reference(space, cover, n_states, dc):
     each merged cube's state literal one value at a time, accepting a
     value when the grown cube is inside the whole care cover.  Returns
     the cover and the number of containment checks it made."""
-    kernel = active_kernel()
     state_part = space.num_parts - 2
-    result = kernel.absorb(
-        space,
-        kernel.merge_part(space, kernel.pack(space, cover), state_part),
-    )
+    result = bulk.absorb(bulk.merge_part(space, cover, state_part))
     offset = space.offsets[state_part]
-    care = kernel.pack(space, list(cover) + list(dc))
+    care = list(cover) + list(dc)
     expanded = []
     checks = 0
-    for idx in range(kernel.length(result)):
-        cube = kernel.row(space, result, idx)
+    for cube in result:
         for value in range(n_states):
             bit = 1 << (offset + value)
             if cube & bit:
                 continue
             checks += 1
             candidate = cube | bit
-            if cover_contains_cube_packed(space, kernel, care, candidate):
+            if cover_contains_cube(space, care, candidate):
                 cube = candidate
         expanded.append(cube)
-    merged = kernel.unpack(
-        space, kernel.absorb(space, kernel.pack(space, expanded))
-    )
-    return merged, checks
+    return bulk.absorb(expanded), checks
 
 
 def constraint_digest(cset):
