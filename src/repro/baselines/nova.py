@@ -29,7 +29,7 @@ from operator import add
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from ..cubes.bulk import bit_count
-from ..encoding.codes import CodeSpace, Encoding, code_set
+from ..encoding.codes import CodeSpace, Encoding, code_set, face_table
 from ..encoding.constraints import ConstraintSet, FaceConstraint
 from ..obs import resolve_tracer
 from ..runtime import Budget, InfeasibleError, InvalidSpecError, faults
@@ -104,7 +104,6 @@ def _faces(nv: int, dim: int) -> List[Tuple[int, int]]:
         mask = 0
         for p in fixed:
             mask |= 1 << p
-        sub = mask
         # enumerate all values on the fixed positions
         value = 0
         while True:
@@ -159,15 +158,22 @@ def _try_place_on_face(
     nv: int,
     dim: int,
 ) -> bool:
+    table = face_table(nv)
+    all_bits = (1 << nv) - 1
     best_face = None
     best_free = -1
     for mask, value in _faces(nv, dim):
         if any((codes[s] ^ value) & mask for s in assigned):
             continue
-        face_codes = [
-            c for c in range(1 << nv) if not (c ^ value) & mask
-        ]
-        free_here = [c for c in face_codes if c in free]
+        # the face's codes from the table, in ascending order
+        face = table[value << nv | value | all_bits & ~mask]
+        free_here = []
+        while face:
+            low = face & -face
+            code = low.bit_length() - 1
+            if code in free:
+                free_here.append(code)
+            face ^= low
         if len(free_here) < len(unassigned):
             continue
         # prefer tight faces with few leftover holes
@@ -245,6 +251,8 @@ def _anneal(
     tracer = resolve_tracer(tracer)
     codes = dict(codes)
     space = CodeSpace(nv)
+    table = face_table(nv)
+    all_bits = (1 << nv) - 1
     owner_of = {code: s for s, code in codes.items()}
     occupied = code_set(codes.values())
     weights = [c.weight for c in constraints]
@@ -305,10 +313,16 @@ def _anneal(
             updates = []
             flips = []
             for k in rescored:
-                m = 0  # code_set, inlined on the hot path
+                # code_set and the face's AND/OR, inlined on the hot path
+                m = 0
+                lo = all_bits
+                hi = 0
                 for t in member_syms[k]:
-                    m |= 1 << codes[t]
-                f = space.face(m)[1]
+                    code = codes[t]
+                    m |= 1 << code
+                    lo &= code
+                    hi |= code
+                f = table[lo << nv | hi]
                 updates.append((k, m, f))
                 if sat[k] == bool(f & new_occupied & ~m):
                     flips.append(k)

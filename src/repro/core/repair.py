@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..cubes.bulk import bit_count
-from ..encoding.codes import CodeSpace, Encoding, code_set
+from ..encoding.codes import CodeSpace, Encoding, code_set, face_table
 from ..encoding.constraints import ConstraintSet
 from ..runtime import InvalidSpecError
 from .weights import WeightPolicy
@@ -121,20 +121,42 @@ def polish_encoding(
         for i in idxs:
             touching[i].append(k)
     touching_sets = [frozenset(ks) for ks in touching]
+    n_members_of = [len(idxs) for idxs in members_idx]
+    n_codes = len(codes)
     space = CodeSpace(nv)
+    table = face_table(nv)
+    all_bits = (1 << nv) - 1
     occupied = code_set(codes)
 
     def score(k: int) -> Tuple[int, float]:
-        """(codes on constraint ``k``'s face, its score) at ``codes``."""
+        """(codes on constraint ``k``'s face, its score) at ``codes``:
+        :func:`_constraint_score` inlined, with the members' face
+        looked up in ``table`` by the AND/OR of their codes."""
         members = 0  # code_set, inlined on the hot path
+        lo = all_bits
+        hi = 0
         for m in members_idx[k]:
-            members |= 1 << codes[m]
-        face = space.face(members)
-        n_members = len(members_idx[k])
-        return face[1], _constraint_score(
-            space, face, members, occupied, n_members,
-            len(codes) - n_members, weights[k],
+            code = codes[m]
+            members |= 1 << code
+            lo &= code
+            hi |= code
+        on = table[lo << nv | hi]
+        weight = weights[k]
+        intruders = on & occupied & ~members
+        if not intruders:
+            return on, weight * (1.0 - _COST)
+        n_members = n_members_of[k]
+        n_intruders = bit_count(intruders)
+        mask_i, on_i = space.face(intruders)
+        if on_i & members:
+            estimate = min(1 + n_intruders, n_members)
+        else:
+            # dim_l - dim_i; the members' face has lo ^ hi free bits
+            estimate = max(bit_count(lo ^ hi) - (nv - bit_count(mask_i)), 1)
+        partial = _PARTIAL * (
+            1.0 - n_intruders / max(n_codes - n_members, 1)
         )
+        return on, weight * (partial - _COST * estimate)
 
     faces, scores = map(list, zip(*map(score, range(len(constraints)))))
     unused = [c for c in range(1 << nv) if not occupied >> c & 1]

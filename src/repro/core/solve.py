@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import copy
 import random
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..cubes.bulk import bit_count
 from ..encoding.matrix import ConstraintMatrix, ConstraintRow
@@ -141,14 +141,15 @@ class PrefixGroups:
         return twin
 
 
-class _RowState:
-    """Incremental per-row counters for the column score.
+class _ColumnBuilder:
+    """One candidate column plus all incremental bookkeeping.
 
-    The score is *dimension aware*, which is what the constraint
-    matrix marks are for: a constraint on ``|L|`` symbols can afford
-    at most ``nv - ceil(log2 |L|)`` participating (agreeing) columns
-    in ``B^nv``, because each one shrinks the face by one dimension
-    and the face must still hold ``|L|`` distinct codes.
+    The column score is *dimension aware*, which is what the
+    constraint matrix marks are for: a constraint on ``|L|`` symbols
+    can afford at most ``nv - ceil(log2 |L|)`` participating
+    (agreeing) columns in ``B^nv``, because each one shrinks the face
+    by one dimension and the face must still hold ``|L|`` distinct
+    codes.  Per row (see :meth:`_refresh`):
 
     * members agree: outsiders on the opposite side are satisfied now
       (full credit); outsiders left on the member side retain the
@@ -158,65 +159,14 @@ class _RowState:
     * members disagree: nothing is satisfied now; all unmarked
       outsiders keep the ``beta`` potential while an agreeing column
       remains affordable.
+
+    Row state lives in flat lists indexed by row: the static terms,
+    the member/outsider one-counts, the current score and the four
+    toggle deltas (the score change when one member or one outsider
+    flips down or up).  A toggle only moves counts and marks its rows
+    dirty; their score and deltas are recomputed before the next gain
+    is read, so a gain is a sum of cached deltas.
     """
-
-    __slots__ = (
-        "row", "weight", "beta", "n_members",
-        "member_ones", "out_ones", "n_out", "agree_budget", "current",
-    )
-
-    def __init__(self, row: ConstraintRow, weight: float, beta: float,
-                 column: Mapping[str, int], nv: int) -> None:
-        self.row = row
-        self.weight = weight
-        self.beta = beta
-        self.n_members = len(row.members)
-        self.member_ones = sum(column[s] for s in row.members)
-        unmarked = [s for s, m in row.marks.items() if m == 0]
-        self.n_out = len(unmarked)
-        self.out_ones = sum(column[s] for s in unmarked)
-        allowed_agree = nv - row.constraint.min_dimension()
-        self.agree_budget = allowed_agree - len(row.agree_columns)
-        #: ``_score`` at the current counters, kept by ``_ColumnBuilder``
-        self.current = self._score(self.member_ones, self.out_ones)
-
-    def _score(self, member_ones: int, out_ones: int) -> float:
-        out_zeros = self.n_out - out_ones
-        if self.agree_budget <= 0:
-            # the face cannot shrink further; agreement is impossible
-            # (and Classify() will retire the row if work remains)
-            return 0.0
-        if member_ones == self.n_members:  # members agree at 1
-            future = self.beta if self.agree_budget >= 2 else 0.0
-            return self.weight * (out_zeros + future * out_ones)
-        if member_ones == 0:  # members agree at 0
-            future = self.beta if self.agree_budget >= 2 else 0.0
-            return self.weight * (out_ones + future * out_zeros)
-        # members split: the column contributes nothing, but later
-        # agreeing columns can still do all the work
-        return self.weight * self.beta * self.n_out
-
-    def score(self) -> float:
-        return self.current
-
-    def copy(self) -> "_RowState":
-        twin = _RowState.__new__(_RowState)
-        for name in _RowState.__slots__:
-            setattr(twin, name, getattr(self, name))
-        return twin
-
-    def newly_satisfied(self) -> int:
-        """Unmarked dichotomies this column actually satisfies."""
-        out_zeros = self.n_out - self.out_ones
-        if self.member_ones == self.n_members:
-            return out_zeros
-        if self.member_ones == 0:
-            return self.out_ones
-        return 0
-
-
-class _ColumnBuilder:
-    """One candidate column plus all incremental bookkeeping."""
 
     def __init__(
         self,
@@ -233,32 +183,58 @@ class _ColumnBuilder:
         # marked dichotomy removes an intruder, which is exactly what
         # makes their Theorem I implementation cheap.  Infeasible
         # *guide* rows are dropped (guides-of-guides add nothing).
-        rows = [
+        self.rows: List[ConstraintRow] = [
             r
             for r in matrix.rows
             if not (r.infeasible and r.constraint.is_guide())
         ]
-        self.states = []
-        for r in rows:
-            weight = policy.row_weight(r)
-            if r.infeasible:
-                weight *= policy.infeasible_factor
-            self.states.append(
-                _RowState(r, weight, beta, self.column, matrix.nv)
-            )
-        #: per symbol, the states of the rows it is a member / an
-        #: unmarked outsider of, as indices into ``states``
+        self.weight: List[float] = []
+        self.n_members: List[int] = []
+        self.n_out: List[int] = []
+        #: beta while the row can afford two more agreeing columns
+        self.future: List[float] = []
+        #: the score of a row whose members split
+        self.split: List[float] = []
+        #: rows with a stale score and deltas; only *live* rows, which
+        #: can still afford an agreeing column, are ever dirty: the
+        #: others score 0.0 at every count and add nothing to a gain
+        self._dirty: Set[int] = set()
+        #: per symbol, the live rows it is a member / an unmarked
+        #: outsider of, in row order
         self._member_of: Dict[str, List[int]] = {s: [] for s in self.symbols}
         self._outsider_of: Dict[str, List[int]] = {
             s: [] for s in self.symbols
         }
-        for k, st in enumerate(self.states):
-            for s in st.row.members:
-                self._member_of[s].append(k)
-            for s, m in st.row.marks.items():
-                if m == 0:
+        for k, r in enumerate(self.rows):
+            weight = policy.row_weight(r)
+            if r.infeasible:
+                weight *= policy.infeasible_factor
+            unmarked = [s for s, m in r.marks.items() if m == 0]
+            agree_budget = (
+                matrix.nv - r.constraint.min_dimension()
+                - len(r.agree_columns)
+            )
+            self.weight.append(weight)
+            self.n_members.append(len(r.members))
+            self.n_out.append(len(unmarked))
+            self.future.append(beta if agree_budget >= 2 else 0.0)
+            self.split.append(weight * beta * len(unmarked))
+            if agree_budget > 0:
+                self._dirty.add(k)
+                for s in r.members:
+                    self._member_of[s].append(k)
+                for s in unmarked:
                     self._outsider_of[s].append(k)
-        self._link()
+        # the all-ones column: every count at its maximum
+        self.member_ones: List[int] = list(self.n_members)
+        self.out_ones: List[int] = list(self.n_out)
+        n_rows = len(self.rows)
+        self.current: List[float] = [0.0] * n_rows
+        self.member_down: List[float] = [0.0] * n_rows
+        self.member_up: List[float] = [0.0] * n_rows
+        self.out_down: List[float] = [0.0] * n_rows
+        self.out_up: List[float] = [0.0] * n_rows
+        self._refresh()
         self.gid: Dict[str, int] = {
             s: groups.group_index(s) for s in self.symbols
         }
@@ -267,24 +243,64 @@ class _ColumnBuilder:
         ]
         self.zero_count: List[int] = [0] * groups.n_groups
 
-    def _link(self) -> None:
-        states = self.states
-        self.member_rows: Dict[str, List[_RowState]] = {
-            s: [states[k] for k in ks] for s, ks in self._member_of.items()
-        }
-        self.outsider_rows: Dict[str, List[_RowState]] = {
-            s: [states[k] for k in ks] for s, ks in self._outsider_of.items()
-        }
+    def _refresh(self) -> None:
+        """Recompute the score and toggle deltas of the dirty rows.
+
+        A live row scores ``weight * (zeros + future * ones)`` over its
+        outsiders when its members agree at 1, ``weight * (ones +
+        future * zeros)`` when they agree at 0, and ``split`` when they
+        disagree.  A delta is never read where its flip is impossible
+        (no member left at 1 to flip down, say); it holds ``split``
+        minus the score there.
+        """
+        weight, future, split = self.weight, self.future, self.split
+        n_members, n_out = self.n_members, self.n_out
+        member_ones, out_ones = self.member_ones, self.out_ones
+        current = self.current
+        member_down, member_up = self.member_down, self.member_up
+        out_down, out_up = self.out_down, self.out_up
+        for k in self._dirty:
+            m = member_ones[k]
+            ones = out_ones[k]
+            zeros = n_out[k] - ones
+            w = weight[k]
+            f = future[k]
+            split_k = split[k]
+            if m == n_members[k]:  # members agree at 1
+                now = w * (zeros + f * ones)
+                out_down[k] = w * (zeros + 1 + f * (ones - 1)) - now
+                out_up[k] = w * (zeros - 1 + f * (ones + 1)) - now
+            elif m == 0:  # members agree at 0
+                now = w * (ones + f * zeros)
+                out_down[k] = w * (ones - 1 + f * (zeros + 1)) - now
+                out_up[k] = w * (ones + 1 + f * (zeros - 1)) - now
+            else:
+                # members split: the column contributes nothing, but
+                # later agreeing columns can still do all the work
+                now = split_k
+                out_down[k] = out_up[k] = 0.0
+            current[k] = now
+            if m == 1:
+                member_down[k] = w * (ones + f * zeros) - now
+            else:
+                member_down[k] = split_k - now
+            if m + 1 == n_members[k]:
+                member_up[k] = w * (zeros + f * ones) - now
+            else:
+                member_up[k] = split_k - now
+        self._dirty.clear()
 
     def clone(self) -> "_ColumnBuilder":
         """An independent builder in the same state; the row tables
         that never change are shared."""
         twin = copy.copy(self)
         twin.column = dict(self.column)
-        twin.states = [st.copy() for st in self.states]
-        twin._link()
-        twin.one_count = list(self.one_count)
-        twin.zero_count = list(self.zero_count)
+        for name in (
+            "member_ones", "out_ones", "current", "member_down",
+            "member_up", "out_down", "out_up", "one_count", "zero_count",
+        ):
+            setattr(twin, name, list(getattr(self, name)))
+        twin._dirty = set(self._dirty)
         return twin
 
     # ------------------------------------------------------------------
@@ -298,12 +314,17 @@ class _ColumnBuilder:
         return self.one_count[gid] + 1 <= self.cap
 
     def toggle_gain(self, s: str) -> float:
-        delta = -1 if self.column[s] == 1 else 1
+        if self._dirty:
+            self._refresh()
+        if self.column[s] == 1:
+            member, out = self.member_down, self.out_down
+        else:
+            member, out = self.member_up, self.out_up
         gain = 0.0
-        for st in self.member_rows[s]:
-            gain += st._score(st.member_ones + delta, st.out_ones) - st.current
-        for st in self.outsider_rows[s]:
-            gain += st._score(st.member_ones, st.out_ones + delta) - st.current
+        for k in self._member_of[s]:
+            gain += member[k]
+        for k in self._outsider_of[s]:
+            gain += out[k]
         return gain
 
     def toggle(self, s: str) -> None:
@@ -312,15 +333,28 @@ class _ColumnBuilder:
         gid = self.gid[s]
         self.one_count[gid] += delta
         self.zero_count[gid] -= delta
-        for st in self.member_rows[s]:
-            st.member_ones += delta
-            st.current = st._score(st.member_ones, st.out_ones)
-        for st in self.outsider_rows[s]:
-            st.out_ones += delta
-            st.current = st._score(st.member_ones, st.out_ones)
+        member_ones = self.member_ones
+        for k in self._member_of[s]:
+            member_ones[k] += delta
+        out_ones = self.out_ones
+        for k in self._outsider_of[s]:
+            out_ones[k] += delta
+        self._dirty.update(self._member_of[s], self._outsider_of[s])
 
     def total_score(self) -> float:
-        return sum(st.score() for st in self.states)
+        if self._dirty:
+            self._refresh()
+        return sum(self.current)
+
+    def newly_satisfied(self) -> int:
+        """Unmarked dichotomies the column actually satisfies."""
+        total = 0
+        for k, n_members in enumerate(self.n_members):
+            if self.member_ones[k] == n_members:
+                total += self.n_out[k] - self.out_ones[k]
+            elif self.member_ones[k] == 0:
+                total += self.out_ones[k]
+        return total
 
     # ------------------------------------------------------------------
     def make_valid(self, rng: Optional[random.Random] = None) -> None:
@@ -419,7 +453,7 @@ def candidate_columns(
     if scored:
         tracer.count(
             "solve.dichotomies_satisfied",
-            sum(st.newly_satisfied() for st in scored[0][2].states),
+            scored[0][2].newly_satisfied(),
         )
     result: List[Dict[str, int]] = []
     seen = set()

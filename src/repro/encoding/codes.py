@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import (
     AbstractSet,
     Dict,
@@ -16,7 +17,7 @@ from typing import (
 
 from ..runtime import InvalidSpecError
 
-__all__ = ["CodeSpace", "Encoding", "code_set", "face_of"]
+__all__ = ["CodeSpace", "Encoding", "code_set", "face_of", "face_table"]
 
 
 def face_of(codes: Iterable[int], n_bits: int) -> Tuple[int, int]:
@@ -77,6 +78,44 @@ class CodeSpace:
                 mask |= bit
                 on &= zeros
         return mask, on
+
+
+class _FaceTable(dict):
+    """Code sets of faces of the ``nv``-bit code space, keyed by
+    ``lo << nv | hi``; each face is computed on its first lookup."""
+
+    def __init__(self, nv: int) -> None:
+        super().__init__()
+        self.nv = nv
+
+    def __missing__(self, key: int) -> int:
+        lo, hi = key >> self.nv, key & ((1 << self.nv) - 1)
+        free = hi & ~lo
+        on = 0
+        sub = free
+        while True:  # every code between lo and hi, by subsets of free
+            on |= 1 << (lo | sub)
+            if not sub:
+                break
+            sub = (sub - 1) & free
+        self[key] = on
+        return on
+
+
+@lru_cache(maxsize=None)
+def face_table(nv: int) -> Dict[int, int]:
+    """Code sets of the faces of the ``nv``-bit code space, indexed by
+    ``lo << nv | hi``.
+
+    ``lo`` is the AND and ``hi`` the OR of some codes; their face
+    (the supercube of :func:`face_of`) holds exactly the codes ``c``
+    with ``lo & ~c == 0`` and ``c & ~hi == 0``, and the entry is that
+    set as a :func:`code_set` (the second half of
+    :meth:`CodeSpace.face`).  A caller folding ``lo``/``hi`` while it
+    builds a member set gets the face in one lookup instead of a loop
+    over the bits.  One table per ``nv`` is shared by every caller.
+    """
+    return _FaceTable(nv)
 
 
 @dataclass

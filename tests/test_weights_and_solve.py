@@ -120,8 +120,8 @@ class TestInfeasibleRowSteering:
         matrix.rows[0].infeasible = True
         groups = PrefixGroups(list(cs.symbols), 3)
         builder = _ColumnBuilder(matrix, groups, WeightPolicy(), 0.5)
-        assert len(builder.states) == 1  # the infeasible row is live
-        assert builder.states[0].weight > 0
+        assert len(builder.rows) == 1  # the infeasible row is live
+        assert builder.weight[0] > 0
 
     def test_infeasible_guide_rows_dropped(self):
         from repro.core.solve import _ColumnBuilder
@@ -136,9 +136,8 @@ class TestInfeasibleRowSteering:
         row.infeasible = True
         groups = PrefixGroups(list(cs.symbols), 3)
         builder = _ColumnBuilder(matrix, groups, WeightPolicy(), 0.5)
-        assert all(
-            not st.row.constraint.is_guide() for st in builder.states
-        )
+        assert builder.rows
+        assert all(not r.constraint.is_guide() for r in builder.rows)
 
     def test_marks_shrink_intruders_of_infeasible_rows(self):
         from repro.core import picola_encode
