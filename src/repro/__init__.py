@@ -17,11 +17,10 @@ harness regenerating Tables I and II (:mod:`repro.harness`).
 
 Since 1.1.0 every encoder is also reachable through the unified
 solver registry (:mod:`repro.solvers`) and instrumented with the
-zero-dependency observability layer (:mod:`repro.obs`).  Since 1.2.0
-the conventions those layers rely on — budget threading, span
-hygiene, the error taxonomy, determinism — are enforced by a
-built-in static analyzer (:mod:`repro.analysis`,
-``picola lint``).
+zero-dependency observability layer (:mod:`repro.obs`).  The
+conventions those layers rely on — budget threading, span hygiene,
+the error taxonomy, determinism — are checked by the test suite
+(``tests/test_invariants.py``, ``tests/test_runtime.py``).
 
 Quickstart::
 

@@ -179,10 +179,14 @@ class _ColumnBuilder:
         self.symbols = groups.symbols
         self.cap = groups.cap_after_next_column()
         self.column: Dict[str, int] = {s: 1 for s in self.symbols}
-        # infeasible rows keep scoring at reduced weight: each newly
-        # marked dichotomy removes an intruder, which is exactly what
-        # makes their Theorem I implementation cheap.  Infeasible
-        # *guide* rows are dropped (guides-of-guides add nothing).
+        # infeasible rows stay at reduced weight, and one scores only
+        # while it can still afford an agreeing column
+        # (``agree_budget > 0`` below): then each newly marked
+        # dichotomy removes an intruder, which is what makes its
+        # Theorem I implementation cheap.  A row with no agree budget
+        # left (5 members in B^3, say) is never live and adds 0.0 to
+        # every gain.  Infeasible *guide* rows are dropped
+        # (guides-of-guides add nothing).
         self.rows: List[ConstraintRow] = [
             r
             for r in matrix.rows

@@ -25,9 +25,6 @@ from .space import Space
 
 __all__ = ["complement", "absorb"]
 
-#: lint marker: this module is a bulk-kernel hot path (RPA008)
-__bulk_kernel__ = True
-
 #: full absorption is quadratic; above this many intermediate cubes we
 #: keep only the cheap merge (redundant cubes are harmless to callers,
 #: they just cost a little extra work downstream)

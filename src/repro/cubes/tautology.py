@@ -30,10 +30,6 @@ from .space import Space
 
 __all__ = ["tautology", "cover_contains_cube"]
 
-#: lint marker: this module is a bulk-kernel hot path (RPA008) — no
-#: per-cube Python loops over covers, no Cube/Cover wrapper allocation
-__bulk_kernel__ = True
-
 
 def tautology(space: Space, cover: Sequence[int]) -> bool:
     """Does ``cover`` cover every minterm of ``space``?"""

@@ -26,9 +26,6 @@ from ..cubes import Space, bulk
 
 __all__ = ["Blocked", "expand", "expand_cube", "expand_cube_with", "expand_with"]
 
-#: lint marker: this module is a bulk-kernel hot path (RPA008)
-__bulk_kernel__ = True
-
 #: ``blocked(cube)``: the raise bits of ``cube`` that hit the off-set
 Blocked = Callable[[int], int]
 

@@ -21,9 +21,6 @@ from ..obs import resolve_tracer
 
 __all__ = ["irredundant"]
 
-#: lint marker: this module is a bulk-kernel hot path (RPA008)
-__bulk_kernel__ = True
-
 
 def irredundant(
     space: Space,

@@ -24,9 +24,6 @@ from ..obs import resolve_tracer
 
 __all__ = ["reduce_cover", "reduce_cube"]
 
-#: lint marker: this module is a bulk-kernel hot path (RPA008)
-__bulk_kernel__ = True
-
 
 def reduce_cube(
     space: Space,

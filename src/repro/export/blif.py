@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..espresso import Pla
+from ..runtime import InvalidSpecError
 from ..stateassign.tool import AssignmentResult
 
 __all__ = ["pla_to_blif", "assignment_to_blif"]
@@ -46,9 +47,9 @@ def pla_to_blif(
             f"z{o}" for o in range(pla.n_outputs)
         ]
     if len(input_names) != pla.n_inputs:
-        raise ValueError("need one name per input")
+        raise InvalidSpecError("need one name per input")
     if len(output_names) != pla.n_outputs:
-        raise ValueError("need one name per output")
+        raise InvalidSpecError("need one name per output")
     lines = [
         f".model {model}",
         ".inputs " + " ".join(input_names),

@@ -193,7 +193,9 @@ def replay_entry(
             return True, "raised ParseError"
         except (KeyboardInterrupt, SystemExit):
             raise
-        except BaseException as exc:  # repro: noqa[RPA003] -- replay records the wrong exception class as a red result instead of crashing the loader
+        except BaseException as exc:
+            # replay records the wrong exception class as a red result instead of
+            # crashing the loader
             return False, (
                 f"raised {type(exc).__name__} instead of ParseError: "
                 f"{exc}"

@@ -253,7 +253,9 @@ def run_case(
         outcome.detail = f"{type(exc).__name__}: {exc}"
     except (KeyboardInterrupt, SystemExit):
         raise
-    except BaseException as exc:  # repro: noqa[RPA003] -- this IS the fuzz oracle's finding boundary; unclassified exceptions become CRASH outcomes
+    except BaseException as exc:
+        # this IS the fuzz oracle's finding boundary; unclassified exceptions
+        # become CRASH outcomes
         outcome.classification = CRASH
         outcome.detail = f"{type(exc).__name__}: {exc}"
     outcome.seconds = time.perf_counter() - t0

@@ -11,8 +11,6 @@ Commands
 * ``profile <target>`` — run one state assignment under the tracer
   and print the per-phase timing/counter profile.
 * ``bench-list`` — list the registered benchmark machines.
-* ``lint`` — run the project's static invariant checks
-  (:mod:`repro.analysis`) over the source tree.
 * ``merge`` — combine the run logs written by ``--shard K/N
   --resume PATH`` runs on independent hosts into the full report
   (:mod:`repro.harness.merge`), byte-identical to an unsharded run.
@@ -222,16 +220,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="one --resume run log per shard",
     )
     add_json_flag(p13)
-
-    from ..analysis.cli import add_lint_arguments
-
-    p10 = sub.add_parser(
-        "lint",
-        help="check the source tree against the repo's static "
-             "invariants (budget threading, span hygiene, error "
-             "taxonomy, determinism, bulk kernels)",
-    )
-    add_lint_arguments(p10)
     return parser
 
 
@@ -264,10 +252,6 @@ def _maybe_json(report, path: Optional[str]) -> None:
 
 def _dispatch(args: argparse.Namespace) -> int:
     profile = getattr(args, "profile", False)
-    if args.command == "lint":
-        from ..analysis.cli import run_lint
-
-        return run_lint(args)
     _check_fsm_names(getattr(args, "fsm", None))
     if args.command == "table1":
         fsms = args.fsm or (QUICK_FSMS if args.quick else None)

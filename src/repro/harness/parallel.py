@@ -158,7 +158,9 @@ def _start_pool(workers: int) -> Optional[ProcessPoolExecutor]:
         executor.submit(_probe).result(timeout=_START_TIMEOUT)
     except (KeyboardInterrupt, SystemExit):
         raise
-    except BaseException:  # repro: noqa[RPA003] -- pool start-up failure is the documented degrade-to-serial path, not a swallowed benchmark error
+    except BaseException:
+        # pool start-up failure is the documented degrade-to-serial path, not a
+        # swallowed benchmark error
         if executor is not None:
             executor.shutdown(wait=False, cancel_futures=True)
         return None
@@ -232,7 +234,9 @@ def run_units(
                 outcome, obs = future.result()
             except (KeyboardInterrupt, SystemExit):
                 raise
-            except BaseException as exc:  # repro: noqa[RPA003] -- pool/pickling breakage maps to a classified FAILED outcome, same contract as run_isolated
+            except BaseException as exc:
+                # pool/pickling breakage maps to a classified FAILED outcome, same
+                # contract as run_isolated
                 status, message = classify_failure(exc)
                 outcome = Outcome(
                     label=unit.key, status=status, error=message

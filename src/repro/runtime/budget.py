@@ -18,7 +18,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Optional
 
-from .errors import BudgetExceeded, SolverTimeout
+from .errors import BudgetExceeded, InvalidSpecError, SolverTimeout
 
 __all__ = ["Deadline", "Budget"]
 
@@ -33,7 +33,7 @@ class Deadline:
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if seconds is not None and seconds < 0:
-            raise ValueError("deadline seconds must be >= 0")
+            raise InvalidSpecError("deadline seconds must be >= 0")
         self.seconds = seconds
         self._clock = clock
         self._expires_at = (
@@ -86,7 +86,7 @@ class Budget:
         check_every: int = 64,
     ) -> None:
         if deadline is not None and seconds is not None:
-            raise ValueError("pass seconds or deadline, not both")
+            raise InvalidSpecError("pass seconds or deadline, not both")
         self.max_nodes = max_nodes
         self.deadline = deadline or Deadline(seconds)
         self.nodes = 0

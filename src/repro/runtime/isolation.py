@@ -73,7 +73,9 @@ def run_isolated(
         value = fn(*args, **kwargs)
     except (KeyboardInterrupt, SystemExit):
         raise
-    except BaseException as exc:  # repro: noqa[RPA003] -- this IS the per-benchmark fault boundary; every failure becomes an Outcome record
+    except BaseException as exc:
+        # this IS the per-benchmark fault boundary; every failure becomes an
+        # Outcome record
         status, message = classify_failure(exc)
         return Outcome(
             label=label,

@@ -387,9 +387,9 @@ _REGISTRY: Dict[str, Solver] = {}
 def register_solver(solver: Solver, *, replace: bool = False) -> Solver:
     """Add a :class:`Solver` instance to the registry by its name."""
     if not solver.name:
-        raise ValueError("solver needs a non-empty name")
+        raise InvalidSpecError("solver needs a non-empty name")
     if solver.name in _REGISTRY and not replace:
-        raise ValueError(
+        raise InvalidSpecError(
             f"solver {solver.name!r} already registered "
             "(pass replace=True to override)"
         )

@@ -29,6 +29,14 @@ class TestCliErrors:
         assert info.value.code == 2
         assert "invalid choice: 'fuzz'" in capsys.readouterr().err
 
+    def test_retired_lint_command_exits_2(self, capsys):
+        # the invariants it checked are tests now
+        # (tests/test_invariants.py, tests/test_runtime.py)
+        with pytest.raises(SystemExit) as info:
+            main(["lint"])
+        assert info.value.code == 2
+        assert "invalid choice: 'lint'" in capsys.readouterr().err
+
     def test_encode_missing_file(self, capsys):
         assert main(["encode", "/nonexistent/machine.kiss2"]) == 2
         err = capsys.readouterr().err

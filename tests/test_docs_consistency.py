@@ -116,17 +116,6 @@ class TestExperimentsNumbers:
         assert sentence in self._experiments()
 
 
-class TestStaticAnalysisDoc:
-    def test_rule_table_matches_catalog(self):
-        """docs/static-analysis.md's rule table lists exactly the
-        shipped rules, plus the engine's RPA000."""
-        from repro.analysis import rules_by_id
-
-        text = (ROOT / "docs" / "static-analysis.md").read_text()
-        documented = set(re.findall(r"^\| (RPA\d{3}) \|", text, re.M))
-        assert documented == set(rules_by_id()) | {"RPA000"}
-
-
 class TestApiDoc:
     def test_top_level_table_names_exist(self):
         """Every name in the first column of docs/api.md's

@@ -1,4 +1,5 @@
-"""Tests for the PICOLA core: classify, guides/Theorem I, solve, driver."""
+"""Tests for the PICOLA core: classify, guides/Theorem I, solve, driver,
+run analysis."""
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from repro.core import (
     PicolaResult,
     PrefixGroups,
     WeightPolicy,
+    analyze_result,
     capacity_feasible,
     classify,
     generate_column,
@@ -325,6 +327,60 @@ class TestPicolaEncode:
             if row.infeasible:
                 continue
             assert row.satisfied() == res.encoding.satisfies(row.members)
+
+
+class TestAnalyzeResult:
+    def test_satisfied_diagnosis(self):
+        cs = cset_of(4, [[0, 1]])
+        analysis = analyze_result(picola_encode(cs))
+        (diag,) = analysis.diagnoses
+        assert diag.status == "satisfied"
+        assert diag.intruders == ()
+        assert diag.theorem1_cubes == 1
+        assert "face" in diag.reason
+
+    def test_infeasible_diagnosis_capacity(self):
+        cs = cset_of(8, [[0, 1, 2, 3, 4]])  # impossible in B^3
+        analysis = analyze_result(picola_encode(cs))
+        (diag,) = analysis.diagnoses
+        assert diag.status == "infeasible"
+        assert "capacity" in diag.reason
+        assert diag.intruders  # someone must sit on the face
+
+    def test_estimated_total(self):
+        cs = cset_of(8, [[0, 1], [2, 3], [0, 1, 2, 3, 4]])
+        analysis = analyze_result(picola_encode(cs))
+        assert analysis.estimated_total_cubes >= 3
+
+    def test_render_mentions_every_constraint(self):
+        cs = cset_of(6, [[0, 1], [2, 3, 4]])
+        text = analyze_result(picola_encode(cs)).render()
+        assert "s0" in text and "s2" in text
+        assert "estimated implementation" in text
+
+    def test_guide_reported(self):
+        cs = cset_of(8, [[0, 1, 2, 3, 4]])
+        result = picola_encode(cs)
+        analysis = analyze_result(result)
+        (diag,) = analysis.diagnoses
+        if result.guides_added:
+            assert diag.guide is not None
+
+    def test_theorem1_estimate_consistent_with_evaluator(self):
+        """The Theorem I estimate never undershoots espresso's count
+        when its hypothesis holds (it is a constructive bound)."""
+        from repro.encoding import cubes_for_constraint
+
+        cs = cset_of(8, [[0, 1, 2, 3, 4], [0, 5]])
+        result = picola_encode(cs)
+        analysis = analyze_result(result)
+        for diag in analysis.diagnoses:
+            if diag.theorem1_cubes is None:
+                continue
+            exact = cubes_for_constraint(
+                result.encoding, diag.constraint
+            )
+            assert exact <= diag.theorem1_cubes
 
 
 class TestRepair:

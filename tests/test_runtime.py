@@ -433,6 +433,96 @@ class TestSolverBudgetThreading:
                 budget=Budget(max_nodes=1),
             )
 
+    #: every budget tick/check site in ``src/repro`` by its ``where=``
+    #: label, with a run that reaches it
+    SITES = {
+        "picola_encode": "picola",
+        "picola_repair": "picola",
+        "exact_encode": "exact",
+        "nova_encode": "nova",
+        "enc_encode": "enc",
+        "mustang_encode": "mustang",
+        "espresso": "assign_states",
+    }
+
+    def _run_recording(self, run):
+        from repro.fsm import load_benchmark
+        from repro.stateassign import assign_states
+
+        class RecordingBudget(Budget):
+            """An unlimited budget that notes every site label."""
+
+            def __init__(self):
+                super().__init__()
+                self.sites = set()
+
+            def tick(self, n=1, where=""):
+                self.sites.add(where)
+                super().tick(n, where)
+
+            def check(self, where=""):
+                self.sites.add(where)
+                super().check(where)
+
+        budget = RecordingBudget()
+        fsm = load_benchmark("lion9")
+        if run == "assign_states":
+            assign_states(fsm, "natural", budget=budget)
+        else:
+            options = None
+            if run == "mustang":
+                options = {"fsm": fsm, "nv": fsm.min_code_length()}
+            get_solver(run).solve(
+                self._small_cset(), options=options, budget=budget
+            )
+        return budget.sites
+
+    @pytest.mark.parametrize("site", sorted(SITES))
+    def test_every_budget_site_is_reached(self, site):
+        """Deleting a loop's tick leaves ``--timeout`` unable to stop
+        that loop; the run that owns the loop must hit its label."""
+        assert site in self._run_recording(self.SITES[site])
+
+    def test_sites_table_lists_every_labelled_call(self):
+        """A new tick/check site needs a label and a row in SITES."""
+        import ast
+        import pathlib
+
+        import repro
+
+        root = pathlib.Path(repro.__file__).resolve().parent
+        labels = []
+        for path in sorted(root.rglob("*.py")):
+            if path.parent.name == "runtime":
+                continue  # Budget/Deadline forward the label
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("tick", "check")
+                ):
+                    where = [k.value for k in node.keywords if k.arg == "where"]
+                    assert where and isinstance(where[0], ast.Constant), (
+                        f"{path.name}:{node.lineno}: tick/check without "
+                        "a where= label"
+                    )
+                    labels.append(where[0].value)
+        assert sorted(labels) == sorted(self.SITES)
+
+    def test_picola_repair_checks_its_deadline(self):
+        """The repair loop checks the clock itself: with the deadline
+        past and ticks never reaching the clock, it is the repair
+        check that times the run out."""
+        from repro.core import picola_encode
+
+        clock = FakeClock()
+        budget = Budget(
+            deadline=Deadline(1.0, clock=clock), check_every=10**9
+        )
+        clock.now = 5.0
+        with pytest.raises(SolverTimeout, match="^picola_repair: "):
+            picola_encode(self._small_cset(), budget=budget)
+
     def test_assign_states_timeout_via_fault(self):
         from repro.fsm import load_benchmark
         from repro.stateassign import assign_states

@@ -18,6 +18,8 @@ import repro.solvers
 from repro.baselines.nova import nova_encode
 from repro.encoding import derive_face_constraints
 from repro.encoding.exact import exact_encode
+from repro.espresso import Pla
+from repro.export import pla_to_blif
 from repro.fsm import load_benchmark
 from repro.obs import MemorySink, Tracer
 from repro.runtime import Budget, Deadline, InvalidSpecError
@@ -206,26 +208,35 @@ class TestOptionValidation:
             )
 
     @pytest.mark.parametrize(
-        "name, args, kwargs",
+        "call",
         [
-            ("picola", ([],), {}),
-            (
-                "picola",
-                (),
-                {"budget": Budget(seconds=10), "deadline": Deadline(10)},
+            lambda cset: get_solver("picola").solve(cset, []),
+            lambda cset: get_solver("picola").solve(
+                cset, budget=Budget(seconds=10), deadline=Deadline(10)
             ),
-            ("simple", (), {"options": {"scheme": "bogus"}}),
+            lambda cset: get_solver("simple").solve(
+                cset, options={"scheme": "bogus"}
+            ),
+            lambda cset: register_solver(Solver()),
+            lambda cset: register_solver(get_solver("picola")),
+            lambda cset: Deadline(-1),
+            lambda cset: Budget(seconds=1, deadline=Deadline(1)),
+            lambda cset: pla_to_blif(Pla(2, 1), input_names=["a"]),
+            lambda cset: pla_to_blif(Pla(2, 1), output_names=["y", "z"]),
         ],
-        ids=["cset-and-constraints", "budget-and-deadline", "scheme"],
+        ids=[
+            "cset-and-constraints", "budget-and-deadline", "scheme",
+            "nameless-solver", "duplicate-solver", "negative-deadline",
+            "seconds-and-deadline", "blif-input-names",
+            "blif-output-names",
+        ],
     )
-    def test_argument_errors_are_invalid_spec(
-        self, lion, name, args, kwargs
-    ):
-        """``Solver.solve`` is the public encode entry: its argument
-        errors belong to the taxonomy."""
+    def test_argument_errors_are_invalid_spec(self, lion, call):
+        """Argument errors at the public entries (``Solver.solve``,
+        the registry, budgets, BLIF export) belong to the taxonomy."""
         fsm, cset = lion
         with pytest.raises(InvalidSpecError):
-            get_solver(name).solve(cset, *args, **kwargs)
+            call(cset)
 
     def test_deadline_alone_is_accepted(self, lion):
         fsm, cset = lion
@@ -324,7 +335,7 @@ class TestImportFootprint:
         heavy = (
             "repro.harness", "http.server", "socketserver",
             "multiprocessing", "concurrent.futures", "repro.fuzz",
-            "hypothesis",
+            "hypothesis", "repro.analysis",
         )
         assert self._loaded_after("repro", heavy) == "[]"
 

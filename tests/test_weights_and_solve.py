@@ -120,8 +120,30 @@ class TestInfeasibleRowSteering:
         matrix.rows[0].infeasible = True
         groups = PrefixGroups(list(cs.symbols), 3)
         builder = _ColumnBuilder(matrix, groups, WeightPolicy(), 0.5)
-        assert len(builder.rows) == 1  # the infeasible row is live
+        # kept at a positive weight, but 5 members fill B^3: no
+        # agreeing column is affordable, so the row is not live
+        assert len(builder.rows) == 1
         assert builder.weight[0] > 0
+
+    @pytest.mark.parametrize(
+        "members, live", [([0, 1, 2], True), ([0, 1, 2, 3, 4], False)],
+        ids=["agree-budget-left", "no-agree-budget"],
+    )
+    def test_infeasible_row_scores_only_with_agree_budget(
+        self, members, live
+    ):
+        from repro.core.solve import _ColumnBuilder
+        from repro.core.weights import WeightPolicy
+
+        cs = cset_of(8, [members])
+        matrix = ConstraintMatrix(cs, 3)
+        matrix.rows[0].infeasible = True
+        groups = PrefixGroups(list(cs.symbols), 3)
+        builder = _ColumnBuilder(matrix, groups, WeightPolicy(), 0.5)
+        if live:  # a member's flip changes the row's score
+            assert builder.toggle_gain("s0") != 0.0
+        else:
+            assert all(builder.toggle_gain(s) == 0.0 for s in cs.symbols)
 
     def test_infeasible_guide_rows_dropped(self):
         from repro.core.solve import _ColumnBuilder
