@@ -1,6 +1,6 @@
 """Micro-benchmarks of the cube-list primitives, gated as host-independent ratios.
 
-Four workloads run the :mod:`repro.cubes.bulk` primitives the
+Five workloads run the :mod:`repro.cubes.bulk` primitives the
 tautology/complement/expand hot paths are built from, at representative cover sizes.  Each
 workload's time is recorded as a ratio to the pipeline benchmark's
 host-speed probe (:func:`pipeline.speed.probe_work`), timed between
@@ -141,11 +141,18 @@ def _containment_dedup(cover):
     bulk.dedup_keep_mask(cover)
 
 
+def _cofactor_cube(cover):
+    """ESPRESSO's cofactor against a cube: the word-parallel void test
+    on every row's meet with the pivot."""
+    bulk.cofactor_cube(_SPACE, cover, _PIVOT)
+
+
 KERNEL_WORKLOADS = {
     "tautology_node": (_BIG, _tautology_node),
     "complement_absorb": (_MID, _complement_absorb),
     "expand_raise": (_BIG, _expand_raise),
     "containment_dedup": (_BIG, _containment_dedup),
+    "cofactor_cube": (_BIG, _cofactor_cube),
 }
 
 

@@ -273,7 +273,7 @@ def picola_encode(
                     candidate = Encoding.from_columns(
                         list(cset.symbols), state.columns
                     )
-                    polished = polish_encoding(candidate, cset, policy)
+                    polished = polish_encoding(candidate, cset)
                     score = satisfaction_cost_score(polished, cset)
                     if best_score is None or score > best_score:
                         best_score = score

@@ -16,13 +16,12 @@ bench measures its contribution.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..cubes.bulk import bit_count
 from ..encoding.codes import CodeSpace, Encoding, code_set, face_table
 from ..encoding.constraints import ConstraintSet
 from ..runtime import InvalidSpecError
-from .weights import WeightPolicy
 
 __all__ = ["polish_encoding", "satisfaction_cost_score"]
 
@@ -96,14 +95,11 @@ def satisfaction_cost_score(
 def polish_encoding(
     encoding: Encoding,
     cset: ConstraintSet,
-    policy: Optional[WeightPolicy] = None,
     max_sweeps: int = 4,
 ) -> Encoding:
     """Hill-climb over code swaps/moves of an injective encoding;
     returns a (possibly) new encoding with at least the same weighted
     satisfaction score."""
-    if policy is None:
-        policy = WeightPolicy()
     symbols = list(encoding.symbols)
     index = {s: i for i, s in enumerate(symbols)}
     nv = encoding.n_bits
@@ -128,18 +124,30 @@ def polish_encoding(
     all_bits = (1 << nv) - 1
     occupied = code_set(codes)
 
-    def score(k: int) -> Tuple[int, float]:
-        """(codes on constraint ``k``'s face, its score) at ``codes``:
-        :func:`_constraint_score` inlined, with the members' face
-        looked up in ``table`` by the AND/OR of their codes."""
-        members = 0  # code_set, inlined on the hot path
+    def fold(k: int) -> Tuple[Tuple[int, int, int], Dict[int, Tuple[int, int]]]:
+        """Constraint ``k``'s members at ``codes``: their code set, AND
+        and OR, and per member the AND/OR of the *other* members'
+        codes, so a tried move scores ``k`` without a loop over its
+        members."""
+        members = twos = zeros2 = hi = 0
         lo = all_bits
-        hi = 0
         for m in members_idx[k]:
             code = codes[m]
             members |= 1 << code
+            twos |= hi & code  # bits set in two or more codes
+            zeros2 |= ~(lo | code)  # bits clear in two or more codes
             lo &= code
             hi |= code
+        return (members, lo, hi), {
+            m: (lo | all_bits & ~(codes[m] | zeros2), twos | hi & ~codes[m])
+            for m in members_idx[k]
+        }
+
+    def score(k: int, members: int, lo: int, hi: int) -> Tuple[int, float]:
+        """(codes on constraint ``k``'s face, its score) for member
+        code set ``members`` with AND ``lo`` and OR ``hi``:
+        :func:`_constraint_score` inlined, with the members' face
+        looked up in ``table``."""
         on = table[lo << nv | hi]
         weight = weights[k]
         intruders = on & occupied & ~members
@@ -158,7 +166,19 @@ def polish_encoding(
         )
         return on, weight * (partial - _COST * estimate)
 
-    faces, scores = map(list, zip(*map(score, range(len(constraints)))))
+    def rescore(k: int, s: int, flip: int) -> Tuple[int, float]:
+        """:func:`score` of constraint ``k`` once its member ``s`` has
+        moved to ``codes[s]``, flipping the code set at ``flip``."""
+        code = codes[s]
+        rest_lo, rest_hi = rests[k][s]
+        return score(k, folds[k][0] ^ flip, rest_lo & code, rest_hi | code)
+
+    def held(k: int) -> Tuple[int, float]:
+        """:func:`score` of constraint ``k`` at its cached fold."""
+        return score(k, *folds[k])
+
+    folds, rests = map(list, zip(*map(fold, range(len(constraints)))))
+    faces, scores = map(list, zip(*map(held, range(len(constraints)))))
     unused = [c for c in range(1 << nv) if not occupied >> c & 1]
 
     def affected(i: int, old_code: int) -> List[int]:
@@ -174,13 +194,11 @@ def polish_encoding(
                 ks.add(k)
         return sorted(ks)
 
-    def try_move(ks: List[int]) -> bool:
-        """Score the moved codes on ``ks``; keep the move if it gains."""
+    def try_move(new: Dict[int, Tuple[int, float]]) -> bool:
+        """Keep the move if the new scores ``new`` gain in total."""
         delta = 0.0
-        new = {}
-        for k in ks:
-            new[k] = score(k)
-            delta += new[k][1] - scores[k]
+        for k, (_, score_k) in new.items():
+            delta += score_k - scores[k]
         if delta <= 1e-9:
             return False
         for k, (face, score_k) in new.items():
@@ -197,27 +215,43 @@ def polish_encoding(
                 if not touching[i] and not touching[j]:
                     continue
                 old = (codes[i], codes[j])
+                flip = 1 << codes[i] | 1 << codes[j]
                 codes[i], codes[j] = codes[j], codes[i]
                 # a swap keeps the occupied codes, so only constraints
                 # holding exactly one of the two change their members
-                if try_move(sorted(touching_sets[i] ^ touching_sets[j])):
+                in_i = touching_sets[i]
+                if try_move({
+                    k: rescore(k, i if k in in_i else j, flip)
+                    for k in sorted(in_i ^ touching_sets[j])
+                }):
                     improved = True
+                    # a constraint holding both keeps its code set,
+                    # but its leave-one-out folds have gone stale
+                    for k in in_i | touching_sets[j]:
+                        folds[k], rests[k] = fold(k)
                 else:
                     codes[i], codes[j] = old
         # moves to unused codes
         for i in range(n):
             if not touching[i]:
                 continue
+            in_i = touching_sets[i]
             for slot in range(len(unused)):
                 old_code = codes[i]
                 codes[i] = unused[slot]
-                occupied ^= 1 << old_code | 1 << codes[i]
-                if try_move(affected(i, old_code)):
+                flip = 1 << old_code | 1 << codes[i]
+                occupied ^= flip
+                if try_move({
+                    k: rescore(k, i, flip) if k in in_i else held(k)
+                    for k in affected(i, old_code)
+                }):
                     unused[slot] = old_code
                     improved = True
+                    for k in touching[i]:
+                        folds[k], rests[k] = fold(k)
                 else:
                     codes[i] = old_code
-                    occupied ^= 1 << old_code | 1 << unused[slot]
+                    occupied ^= flip
         if not improved:
             break
     return Encoding.from_code_list(symbols, codes, nv)

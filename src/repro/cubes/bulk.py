@@ -138,18 +138,17 @@ def cofactor_value(
 
 def cofactor_cube(space: Space, cover: Sequence[int], pivot: int) -> List[int]:
     """ESPRESSO cofactor against a pivot cube: rows with a void
-    meet are dropped, the rest are lifted outside the pivot."""
+    meet are dropped, the rest are lifted outside the pivot.  The
+    void test is :meth:`Space.void_tops`, inlined."""
     lifted = space.universe & ~pivot
-    masks = space.part_masks
-    out = []
-    for c in cover:
-        meet = c & pivot
-        for m in masks:
-            if not meet & m:
-                break
-        else:
-            out.append(c | lifted)
-    return out
+    tops = space.tops
+    low = space.low
+    pivot_low = pivot & low
+    return [
+        c | lifted
+        for c in cover
+        if ((c & pivot_low) + low | c & pivot) & tops == tops
+    ]
 
 
 def and_rows(cover: Sequence[int], cube: int) -> List[int]:
@@ -203,16 +202,15 @@ def cross_intersect(
     space: Space, a: Sequence[int], b: Sequence[int]
 ) -> List[int]:
     """All pairwise meets ``a_i & b_j`` (a-major order), voids
-    dropped — the row-wise intersect matrix flattened."""
-    masks = space.part_masks
+    dropped — the row-wise intersect matrix flattened, with
+    :meth:`Space.void_tops` inlined."""
+    tops = space.tops
+    low = space.low
     out = []
     for x in a:
         for y in b:
             c = x & y
-            for m in masks:
-                if not c & m:
-                    break
-            else:
+            if ((c & low) + low | c) & tops == tops:
                 out.append(c)
     return out
 

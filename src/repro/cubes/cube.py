@@ -55,10 +55,7 @@ def absorb(cover: List[int]) -> List[int]:
 
 def is_void(space: Space, cube: int) -> bool:
     """True when the cube denotes the empty set (some part field is 0)."""
-    for mask in space.part_masks:
-        if not cube & mask:
-            return True
-    return False
+    return bool(space.void_tops(cube))
 
 
 def intersect(space: Space, a: int, b: int) -> int:
@@ -68,10 +65,7 @@ def intersect(space: Space, a: int, b: int) -> int:
     just AND and test.)
     """
     c = a & b
-    for mask in space.part_masks:
-        if not c & mask:
-            return 0
-    return c
+    return 0 if space.void_tops(c) else c
 
 
 def contains(a: int, b: int) -> bool:
@@ -101,12 +95,7 @@ def cofactor(space: Space, cube: int, p: int) -> int:
 
 def distance(space: Space, a: int, b: int) -> int:
     """Number of parts in which ``a`` and ``b`` have empty intersection."""
-    c = a & b
-    count = 0
-    for mask in space.part_masks:
-        if not c & mask:
-            count += 1
-    return count
+    return _popcount(space.void_tops(a & b))
 
 
 def consensus(space: Space, a: int, b: int) -> int:
@@ -117,15 +106,12 @@ def consensus(space: Space, a: int, b: int) -> int:
     part, which is raised to ``a | b``.
     """
     c = a & b
-    conflict = -1
-    for part, mask in enumerate(space.part_masks):
-        if not c & mask:
-            if conflict >= 0:
-                return 0
-            conflict = part
-    if conflict < 0:
+    void = space.void_tops(c)
+    if not void:
         return c
-    mask = space.part_masks[conflict]
+    if void & (void - 1):
+        return 0
+    mask = next(m for m in space.part_masks if m & void)
     return (c & ~mask) | ((a | b) & mask)
 
 

@@ -16,6 +16,7 @@ Representing cubes as ints makes the core operations single machine
 operations on arbitrary-precision integers:
 
 * intersection        -> ``a & b`` (void if any part field becomes 0)
+* no part field empty -> ``((a & low) + low | a) & tops == tops``
 * supercube           -> ``a | b``
 * containment a <= b  -> ``a & ~b == 0``
 * cofactor wrt p      -> ``a | (universe & ~p)``
@@ -52,6 +53,8 @@ class Space:
         "part_masks",
         "universe",
         "width",
+        "tops",
+        "low",
     )
 
     def __init__(
@@ -71,15 +74,21 @@ class Space:
         self.labels: Tuple[str, ...] = tuple(labels)
         offsets: List[int] = []
         masks: List[int] = []
+        tops = low = 0
         offset = 0
         for size in self.part_sizes:
             offsets.append(offset)
             masks.append(((1 << size) - 1) << offset)
+            tops |= 1 << (offset + size - 1)
+            low |= ((1 << (size - 1)) - 1) << offset
             offset += size
         self.offsets: Tuple[int, ...] = tuple(offsets)
         self.part_masks: Tuple[int, ...] = tuple(masks)
         self.width: int = offset
         self.universe: int = (1 << offset) - 1
+        # per part, its top bit and its other bits (see void_tops)
+        self.tops: int = tops
+        self.low: int = low
 
     # ------------------------------------------------------------------
     # constructors
@@ -118,6 +127,19 @@ class Space:
     # ------------------------------------------------------------------
     # field access
     # ------------------------------------------------------------------
+    def void_tops(self, cube: int) -> int:
+        """The top bits of the parts whose field in ``cube`` is empty
+        (0 when the cube is not void), for every part at once.
+
+        Adding ``low`` to ``cube & low`` carries into a part's top bit
+        exactly when one of the part's low bits is set, and never past
+        that top bit, so a part is empty iff its top bit is clear in
+        ``(cube & low) + low | cube``.  A size-1 part has no low bits:
+        its one bit is its top.  Hot loops inline the expression.
+        """
+        low = self.low
+        return self.tops & ~((cube & low) + low | cube)
+
     def field(self, cube: int, part: int) -> int:
         """The (unshifted) bit field of ``part`` inside ``cube``."""
         return (cube & self.part_masks[part]) >> self.offsets[part]

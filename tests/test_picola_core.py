@@ -411,7 +411,7 @@ class TestRepair:
         assert polish_encoding(enc, cs) is enc
 
 
-def scan_polish_encoding(encoding, cset, policy=None, max_sweeps=4):
+def scan_polish_encoding(encoding, cset, max_sweeps=4):
     """``polish_encoding`` as it scanned every constraint's face for
     the moved codes on pair swaps too, verbatim: the oracle of the test
     below."""
@@ -513,9 +513,9 @@ def test_polish_matches_face_scan(name, monkeypatch):
     real = repair_module.polish_encoding
     calls = []
 
-    def checking_polish(encoding, cset, policy=None):
-        got = real(encoding, cset, policy)
-        want = scan_polish_encoding(encoding, cset, policy)
+    def checking_polish(encoding, cset):
+        got = real(encoding, cset)
+        want = scan_polish_encoding(encoding, cset)
         calls.append(got.codes == want.codes)
         return got
 
