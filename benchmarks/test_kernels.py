@@ -15,7 +15,11 @@ value.
 All timing goes through :class:`repro.obs.Tracer` per-name histograms
 — the same seam ``--profile`` reports; the probe's samples are adopted
 as spans — and each figure is the fastest repeat, which a busy spell
-on the host cannot make faster.
+on the host cannot make faster.  Every sample, of a workload or of
+the probe, loops its call for at least ``SAMPLE_S`` and the figure is
+per call, and the repeats go round robin over the workloads: single
+~1.5 ms calls, 15 repeats of one workload in a row, swung past the
+tolerance between runs of the same code on a shared 2-core host.
 
 Run:  python benchmarks/test_kernels.py --update   # rewrite BENCH_kernel.json
       python benchmarks/test_kernels.py --check    # fail on a >20% regression
@@ -27,9 +31,11 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from pipeline.speed import PROBE_WORK
@@ -45,22 +51,25 @@ KERNEL = "python"
 #: value before --check fails
 TOLERANCE = 0.20
 
-_REPEATS = 15
-#: probe samples timed before each workload repeat
-_PROBES = 3
+_REPEATS = 30
+#: a timed sample, of a workload or of the probe, loops its call for
+#: at least this many seconds
+SAMPLE_S = 0.020
 
-#: the probe's interpreter: one probe sample per line read, its
-#: seconds printed back; the garbage collector is off, as in the
-#: probe's own sampler
+#: the probe's interpreter: per line read, that many probe calls in
+#: one sample, its per-call seconds printed back; the garbage
+#: collector is off, as in the probe's own sampler
 _PROBE_SERVER = """
 import gc, sys, time
 from pipeline.speed import PROBE_WORK, probe_work
 gc.disable()
 probe_work(PROBE_WORK)
-for _ in sys.stdin:
+for line in sys.stdin:
+    calls = int(line)
     start = time.perf_counter()
-    probe_work(PROBE_WORK)
-    print(time.perf_counter() - start, flush=True)
+    for _ in range(calls):
+        probe_work(PROBE_WORK)
+    print((time.perf_counter() - start) / calls, flush=True)
 """
 
 
@@ -76,8 +85,9 @@ class _ProbeProcess:
             text=True,
         )
 
-    def sample(self) -> float:
-        self._proc.stdin.write("\n")
+    def sample(self, calls: int = 1) -> float:
+        """Per-call seconds of one sample of ``calls`` probe calls."""
+        self._proc.stdin.write(f"{calls}\n")
         self._proc.stdin.flush()
         line = self._proc.stdout.readline()
         if not line:
@@ -156,25 +166,45 @@ KERNEL_WORKLOADS = {
 }
 
 
+def _calls_per_sample(seconds: float) -> int:
+    """Calls of ``seconds`` each that span ``SAMPLE_S``."""
+    return max(1, math.ceil(SAMPLE_S / seconds))
+
+
+def _timed_call(cover, body) -> float:
+    start = time.perf_counter()
+    body(cover)
+    return time.perf_counter() - start
+
+
 def time_kernel_workloads(tracer=None, repeats=_REPEATS):
-    """Per workload: its fastest repeat in seconds, and that time over
-    the fastest probe timed between its repeats.  The garbage collector
-    is off while timing, as in the probe's own sampler."""
+    """Per workload: the per-call seconds of its fastest repeat, and
+    that time over the fastest per-call probe timed between its
+    repeats.  Workload and probe samples each span ``SAMPLE_S``, so a
+    short stall of the host weighs on both alike.  The garbage
+    collector is off while timing, as in the probe's own sampler."""
     tracer = tracer if tracer is not None else Tracer()
     probe = _ProbeProcess()
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        for name, (cover, body) in KERNEL_WORKLOADS.items():
-            body(cover)  # warmup
-            for _ in range(repeats):
+        # each first call doubles as the warmup
+        probe_calls = _calls_per_sample(probe.sample())
+        calls = {
+            name: _calls_per_sample(_timed_call(cover, body))
+            for name, (cover, body) in KERNEL_WORKLOADS.items()
+        }
+        # round robin: each workload's repeats spread over the whole
+        # run, so a slow spell of the host cannot hold all of them
+        for _ in range(repeats):
+            for name, (cover, body) in KERNEL_WORKLOADS.items():
                 tracer.adopt([
                     {"type": "span", "name": f"bench.{name}.probe",
-                     "seconds": probe.sample(), "attrs": {}}
-                    for _ in range(_PROBES)
+                     "seconds": probe.sample(probe_calls), "attrs": {}}
                 ])
                 with tracer.span(f"bench.{name}"):
-                    body(cover)
+                    for _ in range(calls[name]):
+                        body(cover)
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -182,7 +212,7 @@ def time_kernel_workloads(tracer=None, repeats=_REPEATS):
     timings = tracer.timings()
     results = {}
     for name in KERNEL_WORKLOADS:
-        seconds = timings[f"bench.{name}"].minimum
+        seconds = timings[f"bench.{name}"].minimum / calls[name]
         probe_s = timings[f"bench.{name}.probe"].minimum
         results[name] = {
             "seconds": seconds,
@@ -201,7 +231,7 @@ def test_kernel_workloads_record_histograms():
     assert set(results) == set(KERNEL_WORKLOADS)
     for name in KERNEL_WORKLOADS:
         assert tracer.timings()[f"bench.{name}"].n == 1
-        assert tracer.timings()[f"bench.{name}.probe"].n == _PROBES
+        assert tracer.timings()[f"bench.{name}.probe"].n == 1
         assert results[name]["probe_ratio"] > 0
 
 

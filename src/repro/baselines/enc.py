@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..encoding.codes import Encoding
+from ..encoding.codes import Encoding, face_table
 from ..encoding.constraints import ConstraintSet
 from ..encoding.evaluate import cubes_for_codes
 from ..obs import resolve_tracer
@@ -45,20 +45,61 @@ class EncResult:
     converged: bool
 
 
+def cover_lower_bound(nv: int, onset: Sequence[int], used: int) -> int:
+    """Fewest cubes any valid cover of a constraint function can have.
+
+    The function's on-set is ``onset`` and its off-set the other
+    ``used`` codes; every other code is a don't-care.  One cube
+    suffices iff the members' face misses the off-set.  Otherwise no
+    cube holds two members whose own face meets the off-set (it would
+    hold their face too), so members that are pairwise so, picked
+    greedily by code, need a cube each.  The bound holds for the exact
+    minimizer and espresso alike, and depends only on the code set,
+    never on the onset's order.
+    """
+    faces = face_table(nv)
+    members = 0
+    lo = hi = onset[0]
+    for code in onset:
+        members |= 1 << code
+        lo &= code
+        hi |= code
+    off = used & ~members
+    if not faces[lo << nv | hi] & off:
+        return 1
+    picked: List[int] = []
+    for code in sorted(onset):
+        for other in picked:
+            if not faces[(code & other) << nv | code | other] & off:
+                break
+        else:
+            picked.append(code)
+    return max(2, len(picked))
+
+
 class _Scorer:
     """Per-run constraint scoring for ENC's search.
 
-    Every score is a *logical* evaluation: it counts against
-    ``max_minimizations``, ticks the external budget and, once per
-    scored encoding, trips the ``enc.minimize`` fault site, in the
-    order a plain loop over the constraints would.  Only the real
-    minimizations are saved: each constraint is looked up in a memo
-    keyed by its function exactly as :func:`cubes_for_codes` takes
-    it.  The key packs, into one ``int``, a leading 1 (the length
-    sentinel), the onset codes in sorted-symbol order and the bitmask
-    of unused codes.  Order matters: espresso's result can depend on
-    it, so two onsets holding the same codes in a different order are
-    minimized apart.
+    Every constraint scored is a *logical* evaluation: it counts
+    against ``max_minimizations`` and ticks the external budget, and
+    each scored encoding trips the ``enc.minimize`` fault site once,
+    with the counts and the raise point of a plain loop over the
+    constraints.  Only the real minimizations are saved, two ways:
+
+    * Each constraint is looked up in a memo keyed by its function
+      exactly as :func:`cubes_for_codes` takes it.  The key packs,
+      into one ``int``, a leading 1 (the length sentinel), the onset
+      codes in sorted-symbol order and the bitmask of unused codes.
+      Order matters: espresso's result can depend on it, so two
+      onsets holding the same codes in a different order are
+      minimized apart.
+    * A memo miss first counts as a lower bound on the cubes of any
+      valid cover of its function (:func:`cover_lower_bound`), and is
+      minimized only while the total could still fall below the
+      ``bound`` the search must beat.  A move that provably cannot is
+      rejected with its remaining misses unminimized; once the
+      running sum reaches the bound, the constraints after it are not
+      even looked up.
     """
 
     def __init__(
@@ -70,6 +111,7 @@ class _Scorer:
         tracer,
     ) -> None:
         self.nv = nv
+        self.full = (1 << (1 << nv)) - 1
         self.constraints = [
             tuple(sorted(c.symbols)) for c in cset.nontrivial()
         ]
@@ -80,53 +122,79 @@ class _Scorer:
         self.minimizations = 0
         self.hits = 0
         self.misses = 0
+        self.bounded = 0
 
-    def _cubes(self, i: int, codes: Dict[str, int], unused: int) -> int:
-        onset = [codes[s] for s in self.constraints[i]]
-        key = 1
-        for code in onset:
-            key = (key << self.nv) | code
-        key = (key << (1 << self.nv)) | unused
-        cubes = self.memo.get(key)
-        if cubes is None:
+    def _total(
+        self, codes: Dict[str, int], bound: Optional[int]
+    ) -> Optional[int]:
+        """Total cubes of ``codes`` if below ``bound``, else ``None``."""
+        used = 0
+        for code in codes.values():
+            used |= 1 << code
+        unused = self.full & ~used
+        # every constraint needs a cube; each one looked up raises the
+        # total by the rest of its count, or of its bound on a miss
+        total = len(self.constraints)
+        misses: List[Tuple[int, List[int], int]] = []
+        for i, members in enumerate(self.constraints):
+            onset = [codes[s] for s in members]
+            key = 1
+            for code in onset:
+                key = (key << self.nv) | code
+            key = (key << (1 << self.nv)) | unused
+            cubes = self.memo.get(key)
+            if cubes is None:
+                cubes = cover_lower_bound(self.nv, onset, used)
+                misses.append((key, onset, cubes))
+            else:
+                self.hits += 1
+            total += cubes - 1
+            if bound is not None and total >= bound:
+                self.bounded += len(self.constraints) - i - 1 + len(misses)
+                return None
+        # each miss's bound is replaced by its real count, while the
+        # total can still fall below the bound
+        for n, (key, onset, low) in enumerate(misses, 1):
             self.misses += 1
             cubes = self.memo[key] = cubes_for_codes(
                 self.nv, onset, unused, tracer=self.tracer
             )
-        else:
-            self.hits += 1
-        return cubes
-
-    def _unused_mask(self, codes: Dict[str, int]) -> int:
-        used = 0
-        for code in codes.values():
-            used |= 1 << code
-        return ((1 << (1 << self.nv)) - 1) & ~used
-
-    def score(self, codes: Dict[str, int]) -> int:
-        """Total cubes of ``codes``, one logical evaluation each."""
-        faults.trip("enc.minimize")
-        unused = self._unused_mask(codes)
-        total = 0
-        for i in range(len(self.constraints)):
-            self.minimizations += 1
-            if self.minimizations > self.max_minimizations:
-                raise EncBudgetExceeded(
-                    f"exceeded {self.max_minimizations} constraint "
-                    "minimizations"
-                )
-            if self.budget is not None:
-                self.budget.tick(where="enc_encode")
-            total += self._cubes(i, codes, unused)
+            total += cubes - low
+            if bound is not None and total >= bound:
+                self.bounded += len(misses) - n
+                return None
         return total
 
-    def uncounted(self, codes: Dict[str, int]) -> int:
+    def score(
+        self, codes: Dict[str, int], bound: Optional[int] = None
+    ) -> Optional[int]:
+        """Total cubes of ``codes``, or ``None`` if it is not below
+        ``bound``; one logical evaluation per constraint.
+
+        The evaluations are charged before any is looked up.  When a
+        budget runs out, the encoding is abandoned and its charged
+        evaluations count as settled without a minimization.
+        """
+        faults.trip("enc.minimize")
+        start = self.minimizations
+        try:
+            for _ in self.constraints:
+                self.minimizations += 1
+                if self.minimizations > self.max_minimizations:
+                    raise EncBudgetExceeded(
+                        f"exceeded {self.max_minimizations} constraint "
+                        "minimizations"
+                    )
+                if self.budget is not None:
+                    self.budget.tick(where="enc_encode")
+        except BudgetExceeded:
+            self.bounded += self.minimizations - start
+            raise
+        return self._total(codes, bound)
+
+    def uncounted(self, codes: Dict[str, int]) -> Optional[int]:
         """Total cubes of ``codes``, outside the budget."""
-        unused = self._unused_mask(codes)
-        return sum(
-            self._cubes(i, codes, unused)
-            for i in range(len(self.constraints))
-        )
+        return self._total(codes, None)
 
 
 def enc_encode(
@@ -191,8 +259,8 @@ def enc_encode(
                         if free in trial.values():
                             continue
                         trial[a] = free
-                    total = scorer.score(trial)
-                    if total < best:
+                    total = scorer.score(trial, best)
+                    if total is not None:  # below best
                         codes, best = trial, total
                         improved = True
                 if not improved:
@@ -202,19 +270,20 @@ def enc_encode(
         if strict:
             raise
         converged = False
+        if best is None:  # the budget ran out on the seed encoding
+            best = scorer.uncounted(codes)
     finally:
         tracer.count("enc.minimizations", scorer.minimizations)
         tracer.count("enc.passes", passes)
         tracer.count("enc.memo.hits", scorer.hits)
         tracer.count("enc.memo.misses", scorer.misses)
+        tracer.count("enc.memo.bounded", scorer.bounded)
         if scorer.hits + scorer.misses:
             tracer.gauge(
                 "enc.memo.hit_rate",
                 scorer.hits / (scorer.hits + scorer.misses),
             )
 
-    if best is None:  # the budget ran out on the seed encoding
-        best = scorer.uncounted(codes)
     return EncResult(
         encoding=Encoding(symbols, codes, nv),
         total_cubes=best,

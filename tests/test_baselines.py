@@ -2,6 +2,7 @@
 
 import math
 import random
+from typing import Dict, Optional
 
 import pytest
 
@@ -25,8 +26,11 @@ from repro.encoding import (
     evaluate_encoding,
 )
 from repro.encoding import derive_face_constraints, face_of
+from repro.encoding.evaluate import cubes_for_codes
 from repro.fsm import TABLE1_FSMS, load_benchmark, parse_kiss
-from repro.obs import Tracer
+from repro.harness import QUICK_FSMS
+from repro.obs import NULL_TRACER, Tracer
+from repro.runtime import Budget, faults
 
 
 def cset_of(n, groups):
@@ -313,23 +317,123 @@ class TestEnc:
         assert result.minimizations > 0
 
 
-def plain_enc(cset, *, seed, max_minimizations, max_passes=8):
+#: the ENC scorer before it rejected moves on a lower bound, kept
+#: verbatim as the second oracle for ``enc_encode``: every logical
+#: evaluation is a memo lookup, and every miss a real minimization
+class MemoScorer:
+    """Per-run constraint scoring for ENC's search.
+
+    Every score is a *logical* evaluation: it counts against
+    ``max_minimizations``, ticks the external budget and, once per
+    scored encoding, trips the ``enc.minimize`` fault site, in the
+    order a plain loop over the constraints would.  Only the real
+    minimizations are saved: each constraint is looked up in a memo
+    keyed by its function exactly as :func:`cubes_for_codes` takes
+    it.  The key packs, into one ``int``, a leading 1 (the length
+    sentinel), the onset codes in sorted-symbol order and the bitmask
+    of unused codes.  Order matters: espresso's result can depend on
+    it, so two onsets holding the same codes in a different order are
+    minimized apart.
+    """
+
+    def __init__(
+        self,
+        cset: ConstraintSet,
+        nv: int,
+        max_minimizations: int,
+        budget: Optional[Budget],
+        tracer,
+    ) -> None:
+        self.nv = nv
+        self.constraints = [
+            tuple(sorted(c.symbols)) for c in cset.nontrivial()
+        ]
+        self.max_minimizations = max_minimizations
+        self.budget = budget
+        self.tracer = tracer
+        self.memo: Dict[int, int] = {}
+        self.minimizations = 0
+        self.hits = 0
+        self.misses = 0
+
+    def _cubes(self, i: int, codes: Dict[str, int], unused: int) -> int:
+        onset = [codes[s] for s in self.constraints[i]]
+        key = 1
+        for code in onset:
+            key = (key << self.nv) | code
+        key = (key << (1 << self.nv)) | unused
+        cubes = self.memo.get(key)
+        if cubes is None:
+            self.misses += 1
+            cubes = self.memo[key] = cubes_for_codes(
+                self.nv, onset, unused, tracer=self.tracer
+            )
+        else:
+            self.hits += 1
+        return cubes
+
+    def _unused_mask(self, codes: Dict[str, int]) -> int:
+        used = 0
+        for code in codes.values():
+            used |= 1 << code
+        return ((1 << (1 << self.nv)) - 1) & ~used
+
+    def score(self, codes: Dict[str, int]) -> int:
+        """Total cubes of ``codes``, one logical evaluation each."""
+        faults.trip("enc.minimize")
+        unused = self._unused_mask(codes)
+        total = 0
+        for i in range(len(self.constraints)):
+            self.minimizations += 1
+            if self.minimizations > self.max_minimizations:
+                raise EncBudgetExceeded(
+                    f"exceeded {self.max_minimizations} constraint "
+                    "minimizations"
+                )
+            if self.budget is not None:
+                self.budget.tick(where="enc_encode")
+            total += self._cubes(i, codes, unused)
+        return total
+
+    def uncounted(self, codes: Dict[str, int]) -> int:
+        """Total cubes of ``codes``, outside the budget."""
+        unused = self._unused_mask(codes)
+        return sum(
+            self._cubes(i, codes, unused)
+            for i in range(len(self.constraints))
+        )
+
+
+def plain_enc(cset, *, seed, max_minimizations, max_passes=8, memo=False):
     """ENC's search as a plain loop, the reference for ``enc_encode``.
 
-    Every move re-minimizes every nontrivial constraint: no memo.  The
-    codes change only when a move is accepted.  Returns the final
-    codes, the logical minimization count, whether the search
-    converged, and every fully scored total in order.
+    Every move is scored in full and the codes change only when a
+    move is accepted.  By default every move re-minimizes every
+    nontrivial constraint: no memo.  ``memo=True`` scores with
+    :class:`MemoScorer` instead.  Returns the final codes, the logical
+    minimization count, whether the search converged, and every fully
+    scored total in order.
     """
     symbols = list(cset.symbols)
     nv = cset.min_code_length()
     rng = random.Random(seed)
     constraints = cset.nontrivial()
+    scorer = (
+        MemoScorer(cset, nv, max_minimizations, None, NULL_TRACER)
+        if memo else None
+    )
     count = 0
     totals = []
 
     def score(codes):
         nonlocal count
+        if scorer is not None:
+            try:
+                total = scorer.score(codes)
+            finally:
+                count = scorer.minimizations
+            totals.append(total)
+            return total
         enc = Encoding(symbols, codes, nv)
         total = 0
         for c in constraints:
@@ -391,7 +495,7 @@ class TestEncMemo:
     # so reusing such a constraint's score across the swap, or a memo
     # key that ignores the onset order, changes the encoding returned.
     CASES = [("s27", 6000), ("bbara", 6000), ("dk16", 1500),
-             ("donfile", 600)]
+             ("donfile", 600), ("dk16", 20000), ("donfile", 20000)]
 
     @pytest.mark.parametrize("name,budget", CASES)
     def test_identical_to_plain_loop(self, name, budget):
@@ -403,6 +507,7 @@ class TestEncMemo:
         assert result.encoding.codes == codes
         assert result.minimizations == count
         assert result.converged == converged
+        assert result.converged or budget < 20000
         assert result.total_cubes == evaluate_encoding(
             Encoding(list(cset.symbols), codes), cset
         ).total_cubes
@@ -440,8 +545,9 @@ class TestEncMemo:
         counters = tracer.counters()
         assert counters["enc.memo.misses"] == len(calls)
         assert counters["enc.memo.hits"] > 0
+        assert counters["enc.memo.bounded"] > 0
         assert (counters["enc.memo.hits"] + counters["enc.memo.misses"]
-                == result.minimizations)
+                + counters["enc.memo.bounded"] == result.minimizations)
 
     def test_hit_rate_gauge_and_truthtable_counter(self):
         tracer = Tracer()
@@ -469,6 +575,66 @@ class TestEncMemo:
         assert result.converged
         assert result.minimizations == minimizations
         assert tracer.counters()["enc.minimizations"] == minimizations
+
+
+class TestEncBound:
+    """Scoring that rejects a move on a lower bound, against the
+    memoized scorer that minimized every miss."""
+
+    # the quick FSMs and three large rows at Table I's budget (most of
+    # the large ones stop on it mid-search), then dk16 and donfile run
+    # to convergence
+    CASES = (
+        [(name, 6000) for name in QUICK_FSMS]
+        + [("kirkman", 6000), ("s820", 6000), ("scf", 6000)]
+        + [("dk16", 20000), ("donfile", 20000)]
+    )
+
+    @pytest.mark.parametrize("name,budget", CASES)
+    def test_identical_to_memo_scorer(self, name, budget):
+        cset = reference_cset(name)
+        codes, count, converged, totals = plain_enc(
+            cset, seed=1, max_minimizations=budget, memo=True
+        )
+        tracer = Tracer()
+        result = enc_encode(
+            cset, seed=1, max_minimizations=budget, tracer=tracer
+        )
+        assert result.encoding.codes == codes
+        assert result.total_cubes == min(totals)
+        assert result.minimizations == count
+        assert result.converged == converged
+        assert converged or budget == 6000
+        counters = tracer.counters()
+        assert (counters["enc.memo.hits"] + counters["enc.memo.misses"]
+                + counters["enc.memo.bounded"] == count)
+        assert counters["truthtable.minimizations"] == (
+            counters["enc.memo.misses"]
+        )
+
+    def test_budget_blowout_on_seed_still_scores_it(self):
+        # the budget trips while the seed encoding is being charged, so
+        # nothing is minimized before ``uncounted`` scores it in full
+        cs = cset_of(10, [[0, 1, 2], [3, 4, 5], [6, 7, 8]])
+        tracer = Tracer()
+        result = enc_encode(cs, max_minimizations=2, tracer=tracer)
+        counters = tracer.counters()
+        assert counters["enc.memo.bounded"] == result.minimizations == 3
+        assert counters["enc.memo.misses"] == 3
+        assert counters["truthtable.minimizations"] == 3
+        assert result.total_cubes == evaluate_encoding(
+            result.encoding, cs
+        ).total_cubes
+
+    def test_bound_is_tight_on_a_face(self):
+        # members 0, 1 of a 2-bit space: their face {0, 1} misses the
+        # off-set {2}, so one cube covers them
+        assert enc_module.cover_lower_bound(2, [1, 0], 0b0111) == 1
+        # with 3 in the off-set too, 0 and 3 are incompatible only if
+        # their face {0, 1, 2, 3} meets it: it does, so two cubes
+        assert enc_module.cover_lower_bound(2, [0, 3], 0b1111) == 2
+        # three members pairwise separated by off-set codes
+        assert enc_module.cover_lower_bound(3, [0, 3, 5], 0b11111111) == 3
 
 
 class TestStateAffinity:

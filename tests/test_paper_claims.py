@@ -109,16 +109,22 @@ class TestEncClaims:
         assert not enc.converged
 
     def test_picola_orders_of_magnitude_cheaper(self):
-        """PICOLA never calls the logic minimizer while encoding."""
+        """PICOLA never calls the logic minimizer while encoding; ENC,
+        run to its own convergence as in the paper, takes longer.  Each
+        is timed as its fastest of three interleaved runs, which a busy
+        spell of the host cannot make faster."""
         import time
 
         cset = derive_face_constraints(load_benchmark("dk16"))
-        t0 = time.perf_counter()
-        picola_encode(cset)
-        t_picola = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        enc_encode(cset, max_minimizations=2000)
-        t_enc = time.perf_counter() - t0
+        t_picola = t_enc = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            picola_encode(cset)
+            t_picola = min(t_picola, time.perf_counter() - t0)
+            t0 = time.perf_counter()
+            enc = enc_encode(cset)
+            t_enc = min(t_enc, time.perf_counter() - t0)
+            assert enc.converged
         assert t_picola < t_enc
 
     def test_picola_makes_no_minimizations(self):
@@ -139,7 +145,14 @@ class TestEncClaims:
         assert picola.get("truthtable.minimizations", 0) == 0
         assert "espresso/minimize" not in tracer.timings()
         assert enc.minimizations > 2000  # the budget blew
-        assert enc_counts["truthtable.minimizations"] > 1000
+        # dk16's nv = 5: every real minimization is a truth-table one,
+        # and every logical one a memo hit, a real one or settled
+        # without minimizing
+        assert enc_counts["truthtable.minimizations"] == (
+            enc_counts["enc.memo.misses"]
+        )
+        assert (enc_counts["enc.memo.hits"] + enc_counts["enc.memo.misses"]
+                + enc_counts["enc.memo.bounded"] == enc.minimizations)
 
 
 class TestGuideClaims:
