@@ -1,7 +1,6 @@
 """Baseline encoders the paper compares against."""
 
 from .enc import EncBudgetExceeded, EncResult, enc_encode
-from .mustang import MustangResult, attraction_graph, mustang_encode
 from .nova import NovaResult, nova_encode, state_affinity
 from .simple import (
     best_random_encoding,
@@ -14,9 +13,6 @@ __all__ = [
     "EncBudgetExceeded",
     "EncResult",
     "enc_encode",
-    "MustangResult",
-    "attraction_graph",
-    "mustang_encode",
     "NovaResult",
     "nova_encode",
     "state_affinity",

@@ -11,7 +11,6 @@ from .library import (
     load_benchmark,
 )
 from .machine import DC_STATE, Fsm, Transition
-from .reduce import ReductionResult, equivalent_state_classes, reduce_states
 from .simulate import (
     CosimMismatch,
     EncodedSimulator,
@@ -36,9 +35,6 @@ __all__ = [
     "DC_STATE",
     "Fsm",
     "Transition",
-    "ReductionResult",
-    "equivalent_state_classes",
-    "reduce_states",
     "CosimMismatch",
     "EncodedSimulator",
     "SymbolicSimulator",

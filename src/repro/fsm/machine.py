@@ -10,7 +10,7 @@ don't-care marker.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..runtime import InvalidSpecError
 
@@ -121,13 +121,6 @@ class Fsm:
     def transitions_from(self, state: str) -> List[Transition]:
         return [t for t in self.transitions if t.present == state]
 
-    def next_states_of(self, state: str) -> Set[str]:
-        return {
-            t.next
-            for t in self.transitions_from(state)
-            if t.next != DC_STATE
-        }
-
     def conflicting_rows(self) -> List[Tuple[Transition, Transition]]:
         """Pairs of same-state rows that overlap with different behaviour.
 
@@ -171,20 +164,6 @@ class Fsm:
                     else ""
                 )
             )
-
-    def completely_specified(self) -> bool:
-        """True when every (input minterm, state) pair has a transition.
-
-        Checked by symbolic cube counting per state, so it stays cheap
-        even for wide input fields.
-        """
-        for state in self.states:
-            total = 0
-            for t in self.transitions_from(state):
-                total += 1 << t.inputs.count("-")
-            if total < (1 << self.n_inputs):
-                return False
-        return True
 
     def __repr__(self) -> str:
         s = self.stats()

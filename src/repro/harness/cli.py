@@ -6,10 +6,9 @@ Commands
   small/medium subset).
 * ``table2`` — regenerate Table II (state assignment sizes/times).
 * ``ablation`` — the DESIGN.md ablations.
-* ``encode <file.kiss2>`` — state-assign one KISS2 machine and print
-  the encoding plus the minimized two-level size.
-* ``profile <target>`` — run one state assignment under the tracer
-  and print the per-phase timing/counter profile.
+* ``encode <benchmark-or-kiss2>`` — state-assign one machine and
+  print the encoding plus the minimized two-level size (with
+  ``--profile``, also the per-phase timing/counter profile).
 * ``bench-list`` — list the registered benchmark machines.
 * ``merge`` — combine the run logs written by ``--shard K/N
   --resume PATH`` runs on independent hosts into the full report
@@ -47,7 +46,7 @@ import sys
 from typing import List, Optional
 
 from ..encoding import derive_face_constraints
-from ..fsm import BENCHMARKS, parse_kiss
+from ..fsm import BENCHMARKS, load_benchmark, parse_kiss
 from ..obs import JsonlSink, Tracer, profile_report, set_tracer
 from ..runtime import InvalidSpecError, ReproError, faults
 from ..stateassign import assign_states
@@ -157,8 +156,10 @@ def _build_parser() -> argparse.ArgumentParser:
     add_runtime_flags(p3)
     add_obs_flags(p3)
 
-    p4 = sub.add_parser("encode", help="state-assign a KISS2 file")
-    p4.add_argument("kiss", help="path to a .kiss2 file")
+    p4 = sub.add_parser(
+        "encode", help="state-assign a benchmark or KISS2 file"
+    )
+    p4.add_argument("target", help="benchmark name or .kiss2 path")
     p4.add_argument("--method", default="picola")
     add_obs_flags(p4)
 
@@ -177,17 +178,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p6.add_argument("--extra-bits", type=int, default=2)
     add_obs_flags(p6)
 
-    p7 = sub.add_parser(
-        "export",
-        help="state-assign a machine and write BLIF/Verilog netlists",
-    )
-    p7.add_argument("target", help="benchmark name or .kiss2 path")
-    p7.add_argument("--method", default="picola")
-    p7.add_argument("--format", choices=["blif", "verilog", "both"],
-                    default="both")
-    p7.add_argument("--out", default=".", help="output directory")
-    add_obs_flags(p7)
-
     p8 = sub.add_parser(
         "sweep",
         help="seed-stability sweep of the Table I comparison",
@@ -197,16 +187,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_json_flag(p8)
     add_runtime_flags(p8)
     add_obs_flags(p8)
-
-    p9 = sub.add_parser(
-        "profile",
-        help="state-assign one machine under the tracer and print "
-             "the per-phase profile",
-    )
-    p9.add_argument("target", help="benchmark name or .kiss2 path")
-    p9.add_argument("--method", default="picola",
-                    help="state-assignment method")
-    add_obs_flags(p9)
 
     sub.add_parser("bench-list", help="list benchmark machines")
 
@@ -224,8 +204,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_target(target: str):
-    from ..fsm import BENCHMARKS, load_benchmark
-
     if target in BENCHMARKS:
         return load_benchmark(target)
     with open(target) as handle:
@@ -285,13 +263,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(report.render(profile=profile))
         _maybe_json(report, args.json)
         return 1 if report.n_failed else 0
-    elif args.command == "profile":
-        fsm = _load_target(args.target)
-        result = assign_states(fsm, args.method)
-        print(result.summary())
     elif args.command == "encode":
-        with open(args.kiss) as handle:
-            fsm = parse_kiss(handle.read(), name=args.kiss)
+        fsm = _load_target(args.target)
         result = assign_states(fsm, args.method)
         print(result.encoding.as_table())
         print(result.summary())
@@ -317,25 +290,6 @@ def _dispatch(args: argparse.Namespace) -> int:
                 f"  nv={p.nv}: satisfied {p.satisfied}/{p.total}, "
                 f"cubes={p.cubes}, area~{p.area_proxy}"
             )
-    elif args.command == "export":
-        import os
-
-        from ..export import assignment_to_blif, assignment_to_verilog
-
-        fsm = _load_target(args.target)
-        result = assign_states(fsm, args.method)
-        base = os.path.join(args.out, fsm.name.replace("/", "_"))
-        if args.format in ("blif", "both"):
-            path = base + ".blif"
-            with open(path, "w") as handle:
-                handle.write(assignment_to_blif(result))
-            print(f"wrote {path}")
-        if args.format in ("verilog", "both"):
-            path = base + ".v"
-            with open(path, "w") as handle:
-                handle.write(assignment_to_verilog(result))
-            print(f"wrote {path}")
-        print(result.summary())
     elif args.command == "sweep":
         from .sweep import run_seed_sweep
 
@@ -368,17 +322,9 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def _setup_tracer(args: argparse.Namespace) -> Optional[Tracer]:
-    """Install the process-wide tracer for --trace/--profile runs.
-
-    The ``profile`` command always traces (that is its whole job).
-    """
+    """Install the process-wide tracer for --trace/--profile runs."""
     trace = getattr(args, "trace", None)
-    wants = (
-        trace is not None
-        or getattr(args, "profile", False)
-        or args.command == "profile"
-    )
-    if not wants:
+    if trace is None and not getattr(args, "profile", False):
         return None
     sinks = [JsonlSink(trace)] if trace else []
     tracer = Tracer(*sinks)
@@ -392,10 +338,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         faults.install_from_env()
         code = _dispatch(args)
-        if tracer is not None and (
-            getattr(args, "profile", False)
-            or args.command == "profile"
-        ):
+        if getattr(args, "profile", False):
             print()
             print(profile_report(tracer).render())
         return code

@@ -9,7 +9,7 @@ The measurement substrate for every solver in this package:
   :class:`ConsoleSink` (human-readable), :class:`JsonlSink`
   (JSON-lines files, the CLI's ``--trace PATH``);
 * :mod:`repro.obs.profile` — :func:`profile_report`, the per-phase
-  breakdown behind ``picola profile`` and ``--profile``.
+  breakdown behind the CLI's ``--profile``.
 
 Like :mod:`repro.runtime` this package is a leaf — solvers may depend
 on it without cycles — and the instrumentation seams are the same

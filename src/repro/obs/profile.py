@@ -3,7 +3,7 @@
 ``profile_report(tracer)`` snapshots the tracer's span-duration
 histograms, counters and gauges into a :class:`ProfileReport`, whose
 ``render()`` prints the per-phase time/counter breakdown used by
-``picola profile`` and the ``--profile`` flag.
+the CLI's ``--profile`` flag.
 """
 
 from __future__ import annotations

@@ -2,9 +2,8 @@
 
 The harness historically dispatched on method names with if/elif
 chains, and each encoder had its own calling convention (``picola``
-takes a :class:`~repro.core.PicolaOptions`, ``mustang`` wants the raw
-:class:`~repro.fsm.Fsm`, ``exact`` a node budget...).  This module
-normalizes all of that behind one protocol::
+takes a :class:`~repro.core.PicolaOptions`, ``exact`` a node
+budget...).  This module normalizes all of that behind one protocol::
 
     solver = get_solver("picola")
     result = solver.solve(symbols, constraints,
@@ -16,15 +15,14 @@ normalizes all of that behind one protocol::
 Uniform signature (every registered solver)::
 
     solve(symbols, constraints=None, *,
-          options=None, budget=None, deadline=None, tracer=None)
+          options=None, budget=None, tracer=None)
           -> EncodeResult
 
 ``symbols`` may be a prebuilt :class:`ConstraintSet` (then
 ``constraints`` must be omitted) or a plain sequence of symbol names
-with ``constraints`` the face-constraint collection.  ``deadline`` is
-a convenience: a bare :class:`~repro.runtime.Deadline` is wrapped into
-a :class:`~repro.runtime.Budget` for solvers that only understand
-budgets.  Solver-specific knobs ride in the ``options`` mapping (see
+with ``constraints`` the face-constraint collection.  A wall-clock
+limit rides in the budget: ``budget=Budget(deadline=Deadline(s))``.
+Solver-specific knobs ride in the ``options`` mapping (see
 each adapter's docstring); unknown keys raise
 :class:`~repro.runtime.InvalidSpecError` so typos do not silently
 change an experiment.
@@ -42,7 +40,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from .baselines.enc import enc_encode
-from .baselines.mustang import mustang_encode
 from .baselines.nova import nova_encode, state_affinity
 from .baselines.simple import (
     gray_encoding,
@@ -54,7 +51,7 @@ from .encoding.codes import Encoding
 from .encoding.constraints import ConstraintSet, FaceConstraint
 from .encoding.exact import exact_encode
 from .obs import Tracer, resolve_tracer
-from .runtime import Budget, Deadline, InvalidSpecError, faults
+from .runtime import Budget, InvalidSpecError, faults
 
 __all__ = [
     "EncodeResult",
@@ -71,7 +68,7 @@ class EncodeResult:
 
     ``stats`` always carries ``"nodes"`` — the solver's work in its
     natural unit (beam states for picola, search nodes for exact,
-    anneal moves for nova/mustang, constraint minimizations for enc,
+    anneal moves for nova, constraint minimizations for enc,
     0 for the trivial encoders).  ``raw`` is the solver's native
     result object for callers that need method-specific fields.
     """
@@ -100,16 +97,6 @@ def _as_constraint_set(
     return ConstraintSet(symbols, constraints or ())
 
 
-def _as_budget(
-    budget: Optional[Budget], deadline: Optional[Deadline]
-) -> Optional[Budget]:
-    if deadline is None:
-        return budget
-    if budget is not None:
-        raise InvalidSpecError("pass budget or deadline, not both")
-    return Budget(deadline=deadline)
-
-
 class Solver:
     """Base class of every registry entry.
 
@@ -130,11 +117,9 @@ class Solver:
         *,
         options: Optional[Mapping[str, Any]] = None,
         budget: Optional[Budget] = None,
-        deadline: Optional[Deadline] = None,
         tracer=None,
     ) -> EncodeResult:
         cset = _as_constraint_set(symbols, constraints)
-        budget = _as_budget(budget, deadline)
         # the registry-wide budget seam: the fault-injection and fuzz
         # property tests arm this site to prove degradation end to end
         faults.trip("solver.solve", self.name)
@@ -277,42 +262,6 @@ class NovaSolver(Solver):
         return result.encoding, stats, result
 
 
-class MustangSolver(Solver):
-    """MUSTANG-style baseline; needs the FSM (``options["fsm"]``).
-
-    Options: ``fsm`` (required), ``nv``, ``variant`` (``p``/``n``),
-    ``seed``, ``anneal_moves``.
-    """
-
-    name = "mustang"
-    option_keys = ("fsm", "nv", "variant", "seed", "anneal_moves")
-
-    def _run(self, cset, opts, budget, tracer):
-        fsm = opts.get("fsm")
-        if fsm is None:
-            raise InvalidSpecError(
-                "solver 'mustang' needs options={'fsm': <Fsm>} — it "
-                "encodes the attraction graph of the machine, not the "
-                "face constraints"
-            )
-        t = self._counting(tracer)
-        before = t.counter("mustang.moves")
-        result = mustang_encode(
-            fsm,
-            opts.get("nv", cset.min_code_length()),
-            variant=opts.get("variant", "p"),
-            seed=opts.get("seed", 0),
-            anneal_moves=opts.get("anneal_moves", 3000),
-            budget=budget,
-            tracer=t,
-        )
-        stats = {
-            "nodes": t.counter("mustang.moves") - before,
-            "attraction": result.attraction,
-        }
-        return result.encoding, stats, result
-
-
 class EncSolver(Solver):
     """ENC-style minimizer-in-the-loop baseline.
 
@@ -417,7 +366,6 @@ for _solver in (
     PicolaSolver(),
     ExactSolver(),
     NovaSolver(),
-    MustangSolver(),
     EncSolver(),
     SimpleSolver(),
 ):

@@ -38,8 +38,6 @@ METHODS = (
     "nova_ioh",
     "nova_greedy",
     "enc",
-    "mustang_p",
-    "mustang_n",
     "natural",
     "gray",
     "random",
@@ -53,8 +51,6 @@ _METHOD_SOLVERS: Dict[str, Any] = {
     "nova_ioh": ("nova", {"variant": "io_hybrid"}),
     "nova_greedy": ("nova", {"variant": "i_greedy"}),
     "enc": ("enc", {}),
-    "mustang_p": ("mustang", {"variant": "p"}),
-    "mustang_n": ("mustang", {"variant": "n"}),
     "natural": ("simple", {"scheme": "natural"}),
     "gray": ("simple", {"scheme": "gray"}),
     "random": ("simple", {"scheme": "random"}),
@@ -64,7 +60,6 @@ _METHOD_SOLVERS: Dict[str, Any] = {
 _EXTRA_KEYS = {
     "picola": ("satisfied", "guided"),
     "nova": ("satisfied",),
-    "mustang": ("attraction",),
     "enc": ("converged", "minimizations"),
     "simple": (),
 }

@@ -654,68 +654,3 @@ class TestStateAffinity:
         )
         affinity = state_affinity(fsm)
         assert affinity.get(("a", "b"), 0) > 0  # both go to c on 0
-
-
-class TestMustang:
-    def test_variants_run(self):
-        fsm = parse_kiss(
-            """
-.i 1
-.o 1
-.r a
-0 a c 0
-1 a a 0
-0 b c 0
-1 b b 0
-0 c c 1
-1 c a 1
-"""
-        )
-        from repro.baselines import mustang_encode
-
-        for variant in ("p", "n"):
-            result = mustang_encode(fsm, variant=variant, seed=2)
-            assert result.encoding.is_injective()
-            assert result.variant == variant
-
-    def test_attracted_states_get_close_codes(self):
-        from repro.baselines import attraction_graph, mustang_encode
-
-        fsm = parse_kiss(
-            """
-.i 1
-.o 1
-.r a
-0 a c 1
-1 a a 0
-0 b c 1
-1 b b 0
-0 c c 0
-1 c d 0
-0 d d 0
-1 d a 0
-"""
-        )
-        graph = attraction_graph(fsm, "p")
-        assert graph.get(("a", "b"), 0) > 0
-        result = mustang_encode(fsm, variant="p", seed=1)
-        dist = bin(
-            result.encoding.code_of("a") ^ result.encoding.code_of("b")
-        ).count("1")
-        assert dist == 1
-
-    def test_unknown_variant_rejected(self):
-        from repro.baselines import attraction_graph
-
-        fsm = parse_kiss(".i 1\n.o 1\n.r a\n0 a a 1\n1 a a 0\n")
-        with pytest.raises(ValueError):
-            attraction_graph(fsm, "x")
-
-    def test_deterministic(self):
-        from repro.baselines import mustang_encode
-        from repro.fsm import load_benchmark
-
-        fsm = load_benchmark("lion9")
-        a = mustang_encode(fsm, seed=5).encoding.codes
-        b = mustang_encode(fsm, seed=5).encoding.codes
-        assert a == b

@@ -37,6 +37,16 @@ class TestCliErrors:
         assert info.value.code == 2
         assert "invalid choice: 'lint'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["export", "lion"],     # netlist export is out of scope
+        ["profile", "bbara"],   # `encode <target> --profile` does it
+    ], ids=["export", "profile"])
+    def test_retired_commands_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert f"invalid choice: '{argv[0]}'" in capsys.readouterr().err
+
     def test_encode_missing_file(self, capsys):
         assert main(["encode", "/nonexistent/machine.kiss2"]) == 2
         err = capsys.readouterr().err
@@ -105,14 +115,6 @@ class TestCliErrors:
         assert main(["encode", str(kiss), "--method", "gray"]) == 0
         out = capsys.readouterr().out
         assert "gray" in out
-
-    def test_export_verilog_only(self, tmp_path, capsys):
-        assert main([
-            "export", "seq101", "--format", "verilog",
-            "--out", str(tmp_path),
-        ]) == 0
-        assert (tmp_path / "seq101.v").exists()
-        assert not (tmp_path / "seq101.blif").exists()
 
     def test_analyze_accepts_kiss_path(self, tmp_path, capsys):
         kiss = tmp_path / "m.kiss2"

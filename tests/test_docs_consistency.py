@@ -23,7 +23,7 @@ class TestReadme:
 
     def test_architecture_dirs_exist(self):
         for sub in ["cubes", "espresso", "fsm", "encoding", "core",
-                    "baselines", "stateassign", "export", "harness"]:
+                    "baselines", "stateassign", "harness"]:
             assert (ROOT / "src" / "repro" / sub).is_dir(), sub
 
 

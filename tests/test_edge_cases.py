@@ -114,7 +114,6 @@ class TestFsmEdges:
         fsm = Fsm("one")
         fsm.add("-", "only", "only", "1")
         assert fsm.min_code_length() == 1
-        assert fsm.completely_specified()
 
     def test_format_kiss_without_reset(self):
         fsm = Fsm("noreset")

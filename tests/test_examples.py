@@ -32,9 +32,7 @@ def _example_env():
 )
 def test_example_runs(script, tmp_path):
     args = [sys.executable, str(script)]
-    if script.stem == "export_netlists":
-        args.append(str(tmp_path))
-    elif script.stem == "state_assignment":
+    if script.stem == "state_assignment":
         args.append("lion9")  # small machine keeps it fast
     result = subprocess.run(
         args,
@@ -55,6 +53,5 @@ def test_example_list_is_complete():
         "state_assignment",
         "microcode_encoding",
         "paper_walkthrough",
-        "export_netlists",
         "tutorial",
     } <= names

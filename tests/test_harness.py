@@ -123,16 +123,12 @@ class TestCli:
         out = capsys.readouterr().out
         assert "size=" in out
 
-    def test_export_command(self, tmp_path, capsys):
-        assert main([
-            "export", "lion", "--out", str(tmp_path),
-        ]) == 0
+    def test_encode_benchmark_with_profile(self, capsys):
+        assert main(["encode", "bbara", "--profile"]) == 0
         out = capsys.readouterr().out
-        assert "wrote" in out
-        assert (tmp_path / "lion.blif").exists()
-        assert (tmp_path / "lion.v").exists()
-        blif = (tmp_path / "lion.blif").read_text()
-        assert blif.startswith(".model lion")
+        assert "bbara/picola: size=" in out
+        assert "Profile - per-phase wall clock" in out
+        assert "assign/encode" in out
 
     def test_analyze_command(self, capsys):
         assert main(["analyze", "ex5"]) == 0

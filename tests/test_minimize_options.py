@@ -86,10 +86,3 @@ class TestStateassignExtras:
 
         result = assign_states(load_benchmark("seq101"), "enc")
         assert "converged" in result.extra
-
-    def test_mustang_extra_fields(self):
-        from repro.fsm import load_benchmark
-        from repro.stateassign import assign_states
-
-        result = assign_states(load_benchmark("lion"), "mustang_p")
-        assert "attraction" in result.extra

@@ -420,17 +420,9 @@ class TestSolverBudgetThreading:
         """Every registry solver with a search loop reaches a
         budget-ticking kernel from ``Solver.solve``; ``simple`` has no
         loop to bound."""
-        from repro.fsm import load_benchmark
-
-        options = None
-        if name == "mustang":  # encodes the machine, not the cset
-            fsm = load_benchmark("lion9")
-            options = {"fsm": fsm, "nv": fsm.min_code_length()}
         with pytest.raises(BudgetExceeded):
             get_solver(name).solve(
-                self._small_cset(),
-                options=options,
-                budget=Budget(max_nodes=1),
+                self._small_cset(), budget=Budget(max_nodes=1)
             )
 
     #: every budget tick/check site in ``src/repro`` by its ``where=``
@@ -441,7 +433,6 @@ class TestSolverBudgetThreading:
         "exact_encode": "exact",
         "nova_encode": "nova",
         "enc_encode": "enc",
-        "mustang_encode": "mustang",
         "espresso": "assign_states",
     }
 
@@ -465,16 +456,10 @@ class TestSolverBudgetThreading:
                 super().check(where)
 
         budget = RecordingBudget()
-        fsm = load_benchmark("lion9")
         if run == "assign_states":
-            assign_states(fsm, "natural", budget=budget)
+            assign_states(load_benchmark("lion9"), "natural", budget=budget)
         else:
-            options = None
-            if run == "mustang":
-                options = {"fsm": fsm, "nv": fsm.min_code_length()}
-            get_solver(run).solve(
-                self._small_cset(), options=options, budget=budget
-            )
+            get_solver(run).solve(self._small_cset(), budget=budget)
         return budget.sites
 
     @pytest.mark.parametrize("site", sorted(SITES))

@@ -9,7 +9,7 @@ from repro.cubes import contains
 from repro.encoding import derive_face_constraints
 from repro.fsm import encode_fsm, load_benchmark, parse_kiss
 from repro.obs import MemorySink, Tracer
-from repro.runtime import Budget, BudgetExceeded
+from repro.runtime import Budget, BudgetExceeded, InvalidSpecError
 from repro.solvers import Solver, get_solver, register_solver
 from repro.stateassign import METHODS, AssignmentResult, assign_states
 
@@ -46,6 +46,13 @@ class TestAssignStates:
         fsm = parse_kiss(TOY)
         with pytest.raises(ValueError):
             assign_states(fsm, "made-up")
+
+    @pytest.mark.parametrize("method", ["mustang_p", "mustang_n"])
+    def test_mustang_methods_rejected(self, method):
+        # out of the paper's scope: no table compares against MUSTANG
+        with pytest.raises(InvalidSpecError) as info:
+            assign_states(parse_kiss(TOY), method)
+        assert str(METHODS) in str(info.value)
 
     def test_minimized_preserves_behaviour(self):
         """The minimized encoded PLA must agree with the symbolic FSM."""
