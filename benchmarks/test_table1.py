@@ -8,7 +8,8 @@ shows the same numbers the paper's table reports; the module-level
 summary test renders the full table with win/loss statistics.
 
 Run:  pytest benchmarks/test_table1.py --benchmark-only
-Full sweep (all 33 rows, slow): set REPRO_FULL_TABLES=1.
+Full sweep (all 33 rows; with the other benches ~1 min serial):
+set REPRO_FULL_TABLES=1.
 """
 
 import os

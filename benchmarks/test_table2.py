@@ -6,7 +6,8 @@ NEW tool), encoded-PLA construction and espresso — and reports the
 two-level sizes plus encode-time ratios, like the paper's Table II.
 
 Run:  pytest benchmarks/test_table2.py --benchmark-only
-Full sweep (all 19 rows, slow): set REPRO_FULL_TABLES=1.
+Full sweep (all 19 rows; with the other benches ~1 min serial):
+set REPRO_FULL_TABLES=1.
 """
 
 import os

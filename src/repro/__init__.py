@@ -74,8 +74,6 @@ from .obs import (
 from .runtime import (
     Budget,
     BudgetExceeded,
-    Checkpoint,
-    CheckpointError,
     Deadline,
     InfeasibleError,
     InvalidSpecError,
@@ -133,8 +131,6 @@ __all__ = [
     "set_tracer",
     "Budget",
     "BudgetExceeded",
-    "Checkpoint",
-    "CheckpointError",
     "Deadline",
     "InfeasibleError",
     "InvalidSpecError",

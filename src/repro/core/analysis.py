@@ -5,7 +5,7 @@ into a structured report a user can act on: which constraints were
 satisfied and by which columns, which were classified infeasible (and
 why — capacity or an nv-compatibility conflict), what their guide
 constraints achieved, and the Theorem I cost of every violated
-constraint.  ``picola encode --analyze`` renders it.
+constraint.  ``picola analyze`` renders it.
 """
 
 from __future__ import annotations

@@ -13,25 +13,21 @@
 (:func:`repro.encoding.exact_encode`) as an extra column, run under a
 node/wall-clock budget; a cell whose budget blows up degrades to
 ``BUDGET``/``TIMEOUT`` instead of killing the run.  Whole-FSM
-failures are likewise isolated into ``FAILED`` rows, and a
-``checkpoint`` path makes long ablations resumable.
+failures are likewise isolated into ``FAILED`` rows.
 """
 
 from __future__ import annotations
 
-import pathlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..core import PicolaOptions
 from ..encoding import derive_face_constraints, evaluate_encoding
 from ..fsm import load_benchmark
-from ..runtime import Budget, BudgetExceeded, Checkpoint, SolverTimeout, faults
-from ..runtime.checkpoint import payload_failed
+from ..runtime import Budget, BudgetExceeded, SolverTimeout, faults
 from ..solvers import get_solver
-from .experiment import Experiment, run_experiment
+from .experiment import Experiment, payload_failed, run_experiment
 from .report import render_table
-from .shard import ShardSpec
 from .table1 import QUICK_FSMS
 
 __all__ = ["ABLATION_VARIANTS", "AblationReport", "run_ablation"]
@@ -221,10 +217,7 @@ def run_ablation(
     include_exact: bool = False,
     exact_nodes: int = 250_000,
     timeout: Optional[float] = None,
-    checkpoint: Optional[Union[str, pathlib.Path, Checkpoint]] = None,
     jobs: int = 1,
-    retry_failed: bool = False,
-    shard: Optional[Union[str, ShardSpec]] = None,
 ) -> AblationReport:
     if fsms is None:
         fsms = QUICK_FSMS
@@ -239,6 +232,5 @@ def run_ablation(
             "variants": variants, "timeout": timeout,
             "exact_nodes": exact_nodes,
         },
-        checkpoint=checkpoint, jobs=jobs, retry_failed=retry_failed,
-        shard=shard, verbose=verbose,
+        jobs=jobs, verbose=verbose,
     )

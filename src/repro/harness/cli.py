@@ -9,22 +9,14 @@ Commands
 * ``encode <benchmark-or-kiss2>`` — state-assign one machine and
   print the encoding plus the minimized two-level size (with
   ``--profile``, also the per-phase timing/counter profile).
+* ``sweep`` — the seed-stability sweep of the Table I comparison.
 * ``bench-list`` — list the registered benchmark machines.
-* ``merge`` — combine the run logs written by ``--shard K/N
-  --resume PATH`` runs on independent hosts into the full report
-  (:mod:`repro.harness.merge`), byte-identical to an unsharded run.
 
 Robustness: the experiment commands take ``--timeout SECONDS`` (per
-solver), ``--resume PATH`` (an append-only JSON-lines run log: a
-header line, then one line per finished unit as it finishes, so it
-can be tailed; reused to skip completed units — failed ones included,
-unless ``--retry-failed``) and ``--jobs N`` (process-pool parallelism
-over benchmark units, ``0`` = all cores, with deterministic
-submission-order merging so output matches a serial run
-byte-for-byte).
-Multi-host: ``--shard K/N`` deterministically restricts a run to
-every Kth unit of N (recording the shard in the run log's header);
-``picola merge`` recombines the N logs.  Structured failures
+solver) and ``--jobs N`` (process-pool parallelism over benchmark
+units, ``0`` = all cores, with deterministic submission-order merging
+so output matches a serial run byte-for-byte).  Every experiment runs
+in seconds, so a killed run is simply re-run.  Structured failures
 (:class:`~repro.runtime.ReproError`) and I/O errors print a one-line
 diagnostic and exit with code 2; an experiment that completes but
 contains failed rows exits with code 1.
@@ -51,6 +43,7 @@ from ..obs import JsonlSink, Tracer, profile_report, set_tracer
 from ..runtime import InvalidSpecError, ReproError, faults
 from ..stateassign import assign_states
 from .ablation import run_ablation
+from .sweep import SWEEP_SEEDS, run_seed_sweep
 from .table1 import QUICK_FSMS, run_table1
 from .table2 import QUICK_FSMS2, run_table2
 
@@ -87,29 +80,11 @@ def _build_parser() -> argparse.ArgumentParser:
                  "degrade to TIMEOUT/FAILED cells",
         )
         p.add_argument(
-            "--retry-failed", action="store_true",
-            help="with --resume: re-run benchmarks whose "
-                 "checkpointed outcome was a failure",
-        )
-        p.add_argument(
             "--jobs", type=nonneg_int, default=1, metavar="N",
             help="worker processes for benchmark units (default 1 = "
                  "serial, 0 = all CPU cores); results are merged "
                  "deterministically, output is identical to a "
                  "serial run",
-        )
-        p.add_argument(
-            "--shard", default=None, metavar="K/N",
-            help="run only this host's deterministic 1-based slice "
-                 "of the benchmark list (every Kth unit of N); "
-                 "combine the per-shard --resume logs with 'picola "
-                 "merge'",
-        )
-        p.add_argument(
-            "--resume", default=None, metavar="PATH",
-            help="append-only JSON-lines run log, one line per "
-                 "finished unit (tail-able); completed units (failed "
-                 "ones included) are skipped on re-runs",
         )
 
     def add_json_flag(p: argparse.ArgumentParser) -> None:
@@ -182,24 +157,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "sweep",
         help="seed-stability sweep of the Table I comparison",
     )
-    p8.add_argument("--seeds", type=int, nargs="*", default=[0, 1, 2])
+    p8.add_argument(
+        "--seeds", type=int, nargs="*", default=list(SWEEP_SEEDS),
+        help="FSM-generator seeds (default: %(default)s)",
+    )
     p8.add_argument("--fsm", nargs="*", default=None)
     add_json_flag(p8)
     add_runtime_flags(p8)
     add_obs_flags(p8)
 
     sub.add_parser("bench-list", help="list benchmark machines")
-
-    p13 = sub.add_parser(
-        "merge",
-        help="combine the run logs of --shard K/N runs into the "
-             "full report, byte-identical to an unsharded run",
-    )
-    p13.add_argument(
-        "files", nargs="+", metavar="FILE",
-        help="one --resume run log per shard",
-    )
-    add_json_flag(p13)
     return parser
 
 
@@ -235,9 +202,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         fsms = args.fsm or (QUICK_FSMS if args.quick else None)
         report = run_table1(
             fsms, include_enc=not args.no_enc, verbose=True,
-            timeout=args.timeout, checkpoint=args.resume,
-            jobs=args.jobs, retry_failed=args.retry_failed,
-            shard=args.shard,
+            timeout=args.timeout, jobs=args.jobs,
         )
         print(report.render(profile=profile))
         _maybe_json(report, args.json)
@@ -246,9 +211,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         fsms = args.fsm or (QUICK_FSMS2 if args.quick else None)
         report = run_table2(
             fsms, verbose=True,
-            timeout=args.timeout, checkpoint=args.resume,
-            jobs=args.jobs, retry_failed=args.retry_failed,
-            shard=args.shard,
+            timeout=args.timeout, jobs=args.jobs,
         )
         print(report.render(profile=profile))
         _maybe_json(report, args.json)
@@ -256,9 +219,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     elif args.command == "ablation":
         report = run_ablation(
             args.fsm, verbose=True, include_exact=args.exact,
-            timeout=args.timeout, checkpoint=args.resume,
-            jobs=args.jobs, retry_failed=args.retry_failed,
-            shard=args.shard,
+            timeout=args.timeout, jobs=args.jobs,
         )
         print(report.render(profile=profile))
         _maybe_json(report, args.json)
@@ -291,22 +252,10 @@ def _dispatch(args: argparse.Namespace) -> int:
                 f"cubes={p.cubes}, area~{p.area_proxy}"
             )
     elif args.command == "sweep":
-        from .sweep import run_seed_sweep
-
         report = run_seed_sweep(
-            args.fsm, seeds=tuple(args.seeds), verbose=True,
-            timeout=args.timeout, checkpoint=args.resume,
-            jobs=args.jobs, retry_failed=args.retry_failed,
-            shard=args.shard,
+            args.fsm, seeds=args.seeds, verbose=True,
+            timeout=args.timeout, jobs=args.jobs,
         )
-        print(report.render())
-        _maybe_json(report, args.json)
-        return 1 if report.n_failed else 0
-    elif args.command == "merge":
-        from .merge import merge_files
-
-        report, experiment = merge_files(args.files)
-        print(f"merged {len(args.files)} shard file(s): {experiment}")
         print(report.render())
         _maybe_json(report, args.json)
         return 1 if report.n_failed else 0

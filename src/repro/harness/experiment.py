@@ -1,34 +1,35 @@
 """The one experiment driver behind every ``picola`` experiment.
 
 Table I/II, the ablation and the seed sweep are each a list of
-independent *units* (a benchmark row, a ``seed/fsm`` cell).  :func:`run_experiment` owns their shared loop: the shard
-slice, the ``--resume`` run log, the process pool, and the in-order
-walk that folds each unit's *payload* (the JSON-safe dict it produced,
-fresh, resumed or merged alike) into the report.
+independent *units* (a benchmark row, a ``seed/fsm`` cell).
+:func:`run_experiment` owns their shared loop: it runs the units over
+the process pool, folds each unit's *payload* (the JSON-safe dict it
+produced, or its failure record) into the report in key order, and
+prints progress.
 """
 
 from __future__ import annotations
 
-import importlib
-import pathlib
-from typing import Any, Callable, Dict, List, Optional, Sequence, Type, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Type
 
-from ..runtime import Checkpoint, CheckpointError
-from ..runtime.checkpoint import payload_failed, resumable
 from ..runtime.isolation import Outcome, failure_reason
 from .parallel import Unit, run_units
-from .shard import ShardSpec, build_meta, resolve_shard
 
-__all__ = ["Experiment", "run_experiment", "get_experiment"]
+__all__ = ["Experiment", "run_experiment", "payload_failed"]
 
-#: tag -> report class, imported on first use (``merge`` loads only
-#: the experiment its logs name)
-_EXPERIMENTS = {
-    "table1": ("repro.harness.table1", "Table1Report"),
-    "table2": ("repro.harness.table2", "Table2Report"),
-    "ablation": ("repro.harness.ablation", "AblationReport"),
-    "sweep": ("repro.harness.sweep", "SeedSweepReport"),
-}
+
+def payload_failed(payload: Any) -> bool:
+    """True when a unit payload records a non-``ok`` outcome.
+
+    Every experiment stores failures as dicts with a string ``status``
+    field (``"timeout"`` / ``"budget"`` / ``"failed"``); successful
+    ablation payloads carry a *dict* under the same key (per-variant
+    cell statuses), which is deliberately not a failure marker.
+    """
+    if not isinstance(payload, dict):
+        return False
+    status = payload.get("status")
+    return isinstance(status, str) and status != "ok"
 
 
 class Experiment:
@@ -44,11 +45,11 @@ class Experiment:
 
     @classmethod
     def start(cls, params: Dict[str, Any], keys: List[str]) -> "Experiment":
-        """The empty report of a run over ``keys`` (this shard's)."""
+        """The empty report of a run over ``keys``."""
         return cls()
 
     @staticmethod
-    def failure(key: str, outcome: Outcome, params: Dict) -> Dict[str, Any]:
+    def failure(key: str, outcome: Outcome) -> Dict[str, Any]:
         """The payload of a unit that failed its fault boundary."""
         return {
             "status": outcome.status,
@@ -58,18 +59,8 @@ class Experiment:
 
     @staticmethod
     def progress(key: str, payload: Any) -> Optional[str]:
-        """The progress line of a freshly computed, successful unit."""
+        """The progress line of a successful unit."""
         return None
-
-
-def get_experiment(tag: str) -> Type[Experiment]:
-    """The report class of experiment ``tag`` (loaded on demand)."""
-    if tag not in _EXPERIMENTS:
-        raise CheckpointError(
-            f"cannot rebuild a report for experiment {tag!r}"
-        )
-    module, name = _EXPERIMENTS[tag]
-    return getattr(importlib.import_module(module), name)
 
 
 def run_experiment(
@@ -77,61 +68,36 @@ def run_experiment(
     keys: Sequence[str],
     params: Dict[str, Any],
     *,
-    checkpoint: Optional[Union[str, pathlib.Path, Checkpoint]] = None,
     jobs: int = 1,
-    retry_failed: bool = False,
-    shard: Optional[Union[str, ShardSpec]] = None,
     verbose: bool = False,
     tracer: Optional[Any] = None,
 ) -> Any:
     """Run ``experiment`` (a report class) over its ordered unit
     ``keys``; the filled report.
 
-    ``params`` go to every unit and into the run log's header, so a
-    merge can rebuild the report from the shard logs alone.  Logged
-    units (failed ones too, unless ``retry_failed``) are resumed; the
-    rest run over ``jobs`` workers and fold back in key order.
+    ``params`` go to every unit; the units run over ``jobs`` workers
+    and fold back in key order, so the report matches a serial run.
     """
-    spec = resolve_shard(shard)
     keys = list(keys)
-    owned = spec.partition(keys) if spec is not None else keys
-    ckpt = checkpoint
-    if checkpoint is not None and not isinstance(checkpoint, Checkpoint):
-        ckpt = Checkpoint(
-            checkpoint, experiment=experiment.tag,
-            meta=build_meta(keys, params, spec),
-        )
-    report = experiment.start(params, owned)
-    resumed = {key: resumable(ckpt, key, retry_failed) for key in owned}
+    report = experiment.start(params, keys)
     outcomes = run_units(
         [
             Unit(key=key, fn=experiment.unit, args=(key,), kwargs=params)
-            for key in owned if resumed[key] is None
+            for key in keys
         ],
         jobs=jobs, tracer=tracer,
     )
-    for key in owned:
-        payload = resumed[key]
-        fresh = payload is None
-        if fresh:
-            outcome = next(outcomes)
-            payload = (
-                outcome.value if outcome.ok
-                else experiment.failure(key, outcome, params)
-            )
-            if ckpt is not None:
-                ckpt.mark_done(key, payload)
+    for key, outcome in zip(keys, outcomes):
+        payload = (
+            outcome.value if outcome.ok
+            else experiment.failure(key, outcome)
+        )
         after = report.fold(key, payload)
         if not verbose:
             continue
         if payload_failed(payload):
-            reason = failure_reason(
-                payload["status"], payload.get("error")
-            )
-            suffix = "" if fresh else ", resumed from checkpoint"
-            line = f"{key}: FAILED ({reason}{suffix})"
-        elif not fresh:
-            line = f"{key}: resumed from checkpoint"
+            reason = failure_reason(payload["status"], payload.get("error"))
+            line = f"{key}: FAILED ({reason})"
         else:
             line = experiment.progress(key, payload)
         for text in (line, after):

@@ -13,10 +13,9 @@ Design contract (mirrors the serial path exactly):
   *inside the worker*, with its own Budget/Deadline, so crashes,
   timeouts and budget blows come back as classified FAILED / TIMEOUT
   / BUDGET outcomes instead of poisoning the pool;
-* checkpoint writes stay in the parent: the drivers consume the
-  generator returned by :func:`run_units` in submission order and call
-  ``Checkpoint.mark_done`` after each merged unit, so a killed
-  parallel run resumes like a killed serial one;
+* folding stays in the parent: the experiment driver consumes the
+  generator returned by :func:`run_units` in submission order and
+  folds each unit into the report as it arrives;
 * armed faults (:mod:`repro.runtime.faults`) are snapshotted and
   re-armed in each worker, so fault-injection tests exercise the
   parallel path too (hit counting is per worker process);
@@ -56,7 +55,7 @@ _START_TIMEOUT = 60.0
 @dataclass(frozen=True)
 class Unit:
     """One schedulable unit of work: a picklable module-level callable
-    plus its arguments.  ``key`` doubles as checkpoint key and trace
+    plus its arguments.  ``key`` doubles as report key and trace
     label."""
 
     key: str
@@ -206,8 +205,8 @@ def run_units(
 
     ``jobs <= 1`` — or a pool that fails to start — runs everything
     serially in-process, byte-for-byte identical to the historical
-    drivers.  The caller merges each yielded outcome (and writes its
-    checkpoint entry) before pulling the next one, so parent-side
+    drivers.  The caller folds each yielded outcome before pulling
+    the next one, so parent-side
     state advances deterministically even while workers complete out
     of order.
     """

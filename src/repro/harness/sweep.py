@@ -7,32 +7,29 @@ comparison under several FSM-generator seeds and reports, per seed,
 the PICOLA/NOVA totals and win-loss record, plus aggregate mean and
 spread — the reproduction's robustness check.
 
-Each ``seed/fsm`` cell runs behind the :mod:`repro.runtime` fault
-boundary and is checkpointed as soon as it completes, so a killed
-sweep resumes from the last finished benchmark (``--resume`` in the
-CLI) and a single pathological draw degrades to a recorded failure
-instead of sinking the whole sweep.
+Each ``seed/fsm`` cell is Table I's row (without ENC) for that
+generator seed, run behind the :mod:`repro.runtime` fault boundary,
+so a single pathological draw degrades to a recorded failure instead
+of sinking the whole sweep.
 """
 
 from __future__ import annotations
 
 import math
-import pathlib
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..encoding import derive_face_constraints, evaluate_encoding
-from ..fsm import BENCHMARKS, load_benchmark
-from ..runtime import Budget, Checkpoint, faults
-from ..runtime.checkpoint import payload_failed
-from ..solvers import get_solver
-from .experiment import Experiment, run_experiment
+from ..fsm import BENCHMARKS
+from ..runtime import faults
+from .experiment import Experiment, payload_failed, run_experiment
 from .report import render_table
-from .shard import ShardSpec
-from .table1 import QUICK_FSMS
+from .table1 import QUICK_FSMS, _table1_row
 
-__all__ = ["SeedSweepReport", "run_seed_sweep"]
+__all__ = ["SWEEP_SEEDS", "SeedSweepReport", "run_seed_sweep"]
+
+#: the FSM-generator seeds of the documented sweep (EXPERIMENTS.md)
+SWEEP_SEEDS = (0, 1, 2, 3, 4)
 
 
 @dataclass
@@ -59,30 +56,18 @@ def _split(key: str) -> Tuple[int, str]:
 
 
 def _sweep_cell(
-    key: str,
-    *,
-    fsms: Sequence[str],
-    seeds: Sequence[int],
-    nova_seed: int,
-    timeout: Optional[float],
+    key: str, *, nova_seed: int, timeout: Optional[float]
 ) -> Dict[str, int]:
-    """One ``seed/fsm`` comparison (runs inside the fault boundary);
-    ``fsms``/``seeds`` span the grid, a cell only needs its key."""
+    """One ``seed/fsm`` comparison: Table I's row of ``fsm`` drawn
+    with generator seed ``seed``, without ENC (runs inside the fault
+    boundary; a ``table1.row`` fault on ``fsm`` trips here too)."""
     faults.trip("sweep.benchmark", key=key)
     seed, name = _split(key)
-    fsm = load_benchmark(name, seed=seed)
-    cset = derive_face_constraints(fsm)
-    pic = get_solver("picola").solve(
-        cset, budget=Budget(seconds=timeout)
+    row = _table1_row(
+        name, include_enc=False, enc_budget=0, seed=nova_seed,
+        timeout=timeout, fsm_seed=seed,
     )
-    nov = get_solver("nova").solve(
-        cset, options={"seed": nova_seed},
-        budget=Budget(seconds=timeout),
-    )
-    return {
-        "picola": evaluate_encoding(pic.encoding, cset).total_cubes,
-        "nova": evaluate_encoding(nov.encoding, cset).total_cubes,
-    }
+    return {"picola": row["cubes"]["picola"], "nova": row["cubes"]["nova"]}
 
 
 @dataclass
@@ -105,9 +90,10 @@ class SeedSweepReport(Experiment):
 
     @classmethod
     def start(cls, params: Dict, keys: List[str]) -> "SeedSweepReport":
+        cells = [_split(key) for key in keys]
         return cls(
-            fsms=list(params["fsms"]),
-            pending=Counter(_split(key)[0] for key in keys),
+            fsms=list(dict.fromkeys(name for _, name in cells)),
+            pending=Counter(seed for seed, _ in cells),
         )
 
     def fold(self, key: str, payload: Dict[str, Any]) -> Optional[str]:
@@ -237,42 +223,27 @@ class SeedSweepReport(Experiment):
 
 def run_seed_sweep(
     fsms: Optional[Sequence[str]] = None,
-    seeds: Sequence[int] = (0, 1, 2, 3, 4),
+    seeds: Sequence[int] = SWEEP_SEEDS,
     *,
     nova_seed: int = 1,
     verbose: bool = False,
     timeout: Optional[float] = None,
-    checkpoint: Optional[Union[str, pathlib.Path, Checkpoint]] = None,
     jobs: int = 1,
-    retry_failed: bool = False,
-    shard: Optional[Union[str, ShardSpec]] = None,
 ) -> SeedSweepReport:
     """Re-run the quick Table I comparison for several FSM draws.
 
-    ``checkpoint`` records every completed ``seed/fsm`` cell —
-    including failed ones, which resume as recorded failures unless
-    ``retry_failed`` forces a re-run — so a killed sweep resumes from
-    the last finished benchmark.  ``jobs`` fans the independent cells
-    out to worker processes; results merge in submission order, so
-    totals and the rendered table match a serial run exactly.
+    ``jobs`` fans the independent ``seed/fsm`` cells out to worker
+    processes; results merge in submission order, so totals and the
+    rendered table match a serial run exactly.
 
     A seed none of whose cells completed is *excluded* from the
     outcome rows (and listed in the summary) instead of contributing
     fake zero totals to the mean/stddev statistics.
-
-    ``shard`` (``K/N``) runs only this host's slice of the
-    ``seed/fsm`` cell grid; a seed whose cells are split across
-    shards reports provisional per-shard totals — ``picola merge``
-    over all N shard checkpoints rebuilds the exact unsharded table.
     """
     if fsms is None:
         fsms = [f for f in QUICK_FSMS if BENCHMARKS[f].source != "file"]
     return run_experiment(
         SeedSweepReport, [f"{seed}/{name}" for seed in seeds for name in fsms],
-        {
-            "fsms": list(fsms), "seeds": list(seeds),
-            "nova_seed": nova_seed, "timeout": timeout,
-        },
-        checkpoint=checkpoint, jobs=jobs, retry_failed=retry_failed,
-        shard=shard, verbose=verbose,
+        {"nova_seed": nova_seed, "timeout": timeout},
+        jobs=jobs, verbose=verbose,
     )

@@ -13,9 +13,7 @@ reported as ``fails`` — the paper reports exactly that for ``scf``.
 Every benchmark runs behind the :mod:`repro.runtime` fault boundary:
 an FSM whose solvers crash or exceed the optional per-solver
 ``timeout`` yields a ``FAILED (<reason>)`` row (or a ``TIMEOUT`` ENC
-cell) while the rest of the table completes, and a ``checkpoint``
-path makes long runs resumable after a kill (failed rows are
-checkpointed with their status; ``retry_failed`` re-runs them).
+cell) while the rest of the table completes.
 Rows are independent, so ``jobs`` fans them out over the
 :mod:`repro.harness.parallel` process pool with deterministic,
 submission-order merging.
@@ -23,19 +21,17 @@ submission-order merging.
 
 from __future__ import annotations
 
-import pathlib
 import time
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..encoding import derive_face_constraints, evaluate_encoding
 from ..fsm import BENCHMARKS, TABLE1_FSMS, load_benchmark
-from ..runtime import Budget, BudgetExceeded, Checkpoint, SolverTimeout, faults
+from ..runtime import Budget, BudgetExceeded, SolverTimeout, faults
 from ..runtime.isolation import Outcome, failure_reason
 from ..solvers import get_solver
 from .experiment import Experiment, run_experiment
 from .report import render_table
-from .shard import ShardSpec
 
 __all__ = ["Table1Row", "Table1Report", "run_table1", "QUICK_FSMS"]
 
@@ -83,7 +79,7 @@ class Table1Row:
     def failure_reason(self) -> str:
         return failure_reason(self.status, self.error)
 
-    # -- checkpoint / JSON payload (missing keys take the defaults) ---
+    # -- unit payload / JSON (missing keys take the defaults) --------
     def to_dict(self) -> Dict[str, Any]:
         data: Dict[str, Any] = {}
         for f in fields(self):
@@ -120,10 +116,15 @@ def _table1_row(
     enc_budget: int,
     seed: int,
     timeout: Optional[float],
+    fsm_seed: int = 0,
 ) -> Dict[str, Any]:
-    """Compute one Table I row payload (runs inside the fault boundary)."""
+    """Compute one Table I row payload (runs inside the fault boundary).
+
+    ``seed`` seeds NOVA and ENC; ``fsm_seed`` is the benchmark
+    generator's seed (0 is the Table I draw, the seed sweep varies it).
+    """
     faults.trip("table1.row", key=name)
-    fsm = load_benchmark(name)
+    fsm = load_benchmark(name, seed=fsm_seed)
     cset = derive_face_constraints(fsm)
     spec = BENCHMARKS.get(name)
 
@@ -202,7 +203,7 @@ class Table1Report(Experiment):
     unit = staticmethod(_table1_row)
 
     @staticmethod
-    def failure(key: str, outcome: Outcome, params: Dict) -> Dict[str, Any]:
+    def failure(key: str, outcome: Outcome) -> Dict[str, Any]:
         return Table1Row(
             fsm=key, status=outcome.status, error=outcome.error
         ).to_dict()
@@ -359,27 +360,15 @@ def run_table1(
     seed: int = 1,
     verbose: bool = False,
     timeout: Optional[float] = None,
-    checkpoint: Optional[Union[str, pathlib.Path, Checkpoint]] = None,
     jobs: int = 1,
-    retry_failed: bool = False,
-    shard: Optional[Union[str, ShardSpec]] = None,
 ) -> Table1Report:
     """Regenerate Table I over the given FSM list (default: all rows).
 
     ``timeout`` is a per-solver wall-clock limit in seconds; a PICOLA
     or NOVA timeout fails the row gracefully, an ENC timeout only
-    marks the ENC cell.  ``checkpoint`` (path or
-    :class:`~repro.runtime.Checkpoint`) records each row — failed
-    ones included — so an interrupted run resumes from the last
-    finished benchmark; ``retry_failed`` forces checkpointed failures
-    to re-run.  ``jobs`` fans rows out to worker processes
+    marks the ENC cell.  ``jobs`` fans rows out to worker processes
     (0 = all cores) with results merged in submission order, so the
     report is identical to a serial run.
-
-    ``shard`` (``"K/N"`` or a :class:`ShardSpec`) restricts the run to
-    its deterministic slice of the row list so N hosts can split one
-    table; ``picola merge`` recombines the N shard checkpoints (run
-    logs whose header describes the shard) into the full report.
     """
     return run_experiment(
         Table1Report, TABLE1_FSMS if fsms is None else fsms,
@@ -387,6 +376,5 @@ def run_table1(
             "include_enc": include_enc, "enc_budget": enc_budget,
             "seed": seed, "timeout": timeout,
         },
-        checkpoint=checkpoint, jobs=jobs, retry_failed=retry_failed,
-        shard=shard, verbose=verbose,
+        jobs=jobs, verbose=verbose,
     )

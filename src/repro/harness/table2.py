@@ -9,24 +9,21 @@ the totals line.
 
 Rows run behind the :mod:`repro.runtime` fault boundary: a crashing
 benchmark yields a ``FAILED (<reason>)`` row, a method that exceeds
-the optional per-method ``timeout`` renders a ``TIMEOUT`` cell, and a
-``checkpoint`` path makes long runs resumable.
+the optional per-method ``timeout`` renders a ``TIMEOUT`` cell.
 """
 
 from __future__ import annotations
 
-import pathlib
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..encoding import derive_face_constraints
 from ..fsm import TABLE2_FSMS, load_benchmark
-from ..runtime import Budget, BudgetExceeded, Checkpoint, SolverTimeout, faults
+from ..runtime import Budget, BudgetExceeded, SolverTimeout, faults
 from ..runtime.isolation import Outcome, failure_reason
 from ..stateassign import assign_states
 from .experiment import Experiment, run_experiment
 from .report import render_table
-from .shard import ShardSpec
 
 __all__ = ["Table2Row", "Table2Report", "run_table2", "QUICK_FSMS2"]
 
@@ -65,7 +62,7 @@ class Table2Row:
             return None
         return seconds / base
 
-    # -- checkpoint / JSON payload (missing keys take the defaults) ---
+    # -- unit payload / JSON (missing keys take the defaults) --------
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)
 
@@ -110,7 +107,7 @@ class Table2Report(Experiment):
     unit = staticmethod(_table2_row)
 
     @staticmethod
-    def failure(key: str, outcome: Outcome, params: Dict) -> Dict[str, Any]:
+    def failure(key: str, outcome: Outcome) -> Dict[str, Any]:
         return Table2Row(
             fsm=key, status=outcome.status, error=outcome.error
         ).to_dict()
@@ -226,7 +223,6 @@ class Table2Report(Experiment):
             "summary": {
                 # the union of methods over every ok row, in first-seen
                 # order — the first ok row alone can have TIMEOUT holes
-                # or (in a shard) lack methods other rows report
                 "totals": {
                     m: self.total_size(m)
                     for m in dict.fromkeys(
@@ -244,24 +240,16 @@ def run_table2(
     seed: int = 1,
     verbose: bool = False,
     timeout: Optional[float] = None,
-    checkpoint: Optional[Union[str, pathlib.Path, Checkpoint]] = None,
     jobs: int = 1,
-    retry_failed: bool = False,
-    shard: Optional[Union[str, ShardSpec]] = None,
 ) -> Table2Report:
     """Regenerate Table II over the given FSM list (default: all rows).
 
     ``timeout`` bounds each method's wall clock (a blown deadline
-    renders a ``TIMEOUT`` cell); ``checkpoint`` makes the run
-    resumable after a kill, failed rows included (``retry_failed``
-    re-runs them).  ``jobs`` parallelizes rows over worker processes
-    with deterministic submission-order merging.  ``shard`` (``K/N``)
-    runs only this host's slice of the row list, stamping the
-    checkpoint's header with the shard for ``picola merge``.
+    renders a ``TIMEOUT`` cell).  ``jobs`` parallelizes rows over
+    worker processes with deterministic submission-order merging.
     """
     return run_experiment(
         Table2Report, TABLE2_FSMS if fsms is None else fsms,
         {"seed": seed, "timeout": timeout},
-        checkpoint=checkpoint, jobs=jobs, retry_failed=retry_failed,
-        shard=shard, verbose=verbose,
+        jobs=jobs, verbose=verbose,
     )

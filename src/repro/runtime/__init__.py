@@ -1,4 +1,4 @@
-"""Resilient execution layer: errors, budgets, isolation, checkpoints.
+"""Resilient execution layer: errors, budgets, isolation, faults.
 
 Every solver and harness entry point runs through this subsystem:
 
@@ -8,8 +8,6 @@ Every solver and harness entry point runs through this subsystem:
   :class:`Deadline` objects checked at solver loop heads;
 * :mod:`repro.runtime.isolation` — :func:`run_isolated`, the
   per-benchmark fault boundary used by the table/sweep drivers;
-* :mod:`repro.runtime.checkpoint` — the append-only run logs
-  (:class:`Checkpoint`) behind ``--resume`` and ``picola merge``;
 * :mod:`repro.runtime.faults` — deterministic fault injection used by
   the robustness test-suite (and ``REPRO_FAULTS`` for operators).
 
@@ -19,10 +17,8 @@ This package is a leaf: it imports nothing from the rest of
 
 from . import faults
 from .budget import Budget, Deadline
-from .checkpoint import Checkpoint, payload_failed, resumable
 from .errors import (
     BudgetExceeded,
-    CheckpointError,
     InfeasibleError,
     InvalidSpecError,
     InvariantViolation,
@@ -35,9 +31,7 @@ from .isolation import Outcome, classify_failure, run_isolated
 __all__ = [
     "Budget",
     "Deadline",
-    "Checkpoint",
     "BudgetExceeded",
-    "CheckpointError",
     "InfeasibleError",
     "InvalidSpecError",
     "InvariantViolation",
@@ -47,7 +41,5 @@ __all__ = [
     "Outcome",
     "classify_failure",
     "run_isolated",
-    "payload_failed",
-    "resumable",
     "faults",
 ]

@@ -21,7 +21,6 @@ __all__ = [
     "InvariantViolation",
     "BudgetExceeded",
     "SolverTimeout",
-    "CheckpointError",
 ]
 
 
@@ -65,6 +64,3 @@ class SolverTimeout(BudgetExceeded):
     exhaustion degrade identically on timeouts.
     """
 
-
-class CheckpointError(ReproError):
-    """A checkpoint file is unreadable or belongs to another experiment."""

@@ -6,8 +6,6 @@ users never see a raw traceback for a missing or malformed input
 file.
 """
 
-import json
-
 import pytest
 
 from repro.harness.cli import main
@@ -88,24 +86,18 @@ class TestCliErrors:
         assert "\n" not in captured.err.strip()  # one-line diagnostic
         assert "lion9" not in captured.out
 
-    @pytest.mark.parametrize("command", [
-        ["table1", "--fsm", "lion9", "--no-enc", "--resume"],
-        ["merge"],
-    ])
-    def test_v1_checkpoint_refused(self, tmp_path, capsys, command):
-        """A whole-file JSON checkpoint of the old format is refused
-        with a one-line diagnostic naming the run-log format."""
-        v1 = tmp_path / "run.ckpt"
-        v1.write_text(json.dumps(
-            {"format": "repro-checkpoint-v1", "experiment": "table1",
-             "completed": {}},
-            indent=2, sort_keys=True,
-        ))
-        assert main(command + [str(v1)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("picola: error:")
-        assert "repro-run-log-v2" in err
-        assert "\n" not in err.strip()  # one-line diagnostic
+    @pytest.mark.parametrize("argv,fragment", [
+        (["table1", "--resume", "run.log"], "unrecognized arguments"),
+        (["merge", "s1.log"], "invalid choice: 'merge'"),
+        (["sweep", "--shard", "1/2"], "unrecognized arguments"),
+        (["ablation", "--retry-failed"], "unrecognized arguments"),
+    ], ids=["table1-resume", "merge", "sweep-shard", "ablation-retry"])
+    def test_removed_run_log_options_exit_2(self, capsys, argv, fragment):
+        # every experiment runs in seconds: a killed run is re-run
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert fragment in capsys.readouterr().err
 
     def test_encode_with_method(self, tmp_path, capsys):
         kiss = tmp_path / "m.kiss2"

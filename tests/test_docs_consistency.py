@@ -5,6 +5,7 @@ import pathlib
 import re
 
 import repro
+from repro.harness.sweep import run_seed_sweep
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -105,6 +106,25 @@ class TestExperimentsNumbers:
         picola, nova, summary = self._quick_golden()
         row = f"| 0 | {picola} | {nova} | {summary['nova_overhead']:+.1%} |"
         assert row in self._experiments()
+
+    def test_seed_sweep_table_matches_a_run(self):
+        report = run_seed_sweep(jobs=2)
+        text = self._experiments()
+        section = text.split("## Seed stability", 1)[1].split("## ", 1)[0]
+        rows = re.findall(r"\| \d+ \| \d+ \| \d+ \| [+-][\d.]+% \|", section)
+        assert len(rows) == len(report.outcomes) == 5
+        for o in report.outcomes:
+            assert (
+                f"| {o.seed} | {o.total_picola} | {o.total_nova} | "
+                f"{o.nova_overhead:+.1%} | {o.picola_wins} | "
+                f"{o.nova_wins} | {o.ties} |"
+            ) in section
+        assert all(o.total_picola < o.total_nova for o in report.outcomes)
+        assert (
+            f"PICOLA stays ahead on every draw (mean overhead "
+            f"{report.mean_overhead():.1%} ± "
+            f"{100 * report.overhead_stddev():.1f} points)"
+        ) in section
 
     def test_quick_subset_sentence_matches_quick_golden(self):
         _, _, summary = self._quick_golden()

@@ -1,11 +1,9 @@
-"""End-to-end fault injection: degraded cells, isolated failures,
-checkpoint/resume.
+"""End-to-end fault injection: degraded cells, isolated failures.
 
 These tests force failures at the instrumented sites (see
-``repro.runtime.faults``) and assert the ISSUE-level guarantees: one
-failing benchmark never takes down an experiment, the report still
-renders and serializes, and a killed run resumes from the last
-completed benchmark.
+``repro.runtime.faults``) and assert the robustness guarantees: one
+failing benchmark never takes down an experiment, and the report
+still renders and serializes.
 """
 
 import json
@@ -19,7 +17,6 @@ from repro.harness.table1 import run_table1
 from repro.harness.table2 import run_table2
 from repro.runtime import (
     BudgetExceeded,
-    Checkpoint,
     ReproError,
     SolverTimeout,
     faults,
@@ -160,163 +157,6 @@ class TestSweepDegradation:
         assert data["summary"]["skipped_seeds"] == 1
 
 
-class TestCheckpointResume:
-    def test_table1_resume_skips_completed_rows(self, tmp_path):
-        ckpt_path = tmp_path / "table1.ckpt"
-        first = run_table1(
-            ["lion9"], include_enc=False, checkpoint=ckpt_path
-        )
-        assert Checkpoint(ckpt_path).is_done("lion9")
-
-        # a fault armed on the completed row must never fire: resume
-        # loads it from the checkpoint instead of recomputing
-        with faults.inject(
-            "table1.row", SolverTimeout, key="lion9"
-        ) as fault:
-            second = run_table1(
-                ["lion9", "ex3"], include_enc=False,
-                checkpoint=ckpt_path,
-            )
-            assert fault.fired == 0
-        assert all(r.ok for r in second.rows)
-        assert (
-            second.rows[0].cubes_picola == first.rows[0].cubes_picola
-        )
-
-    def test_table1_failed_rows_checkpoint_with_status(self, tmp_path):
-        """Failures are checkpointed too: a deterministically failing
-        benchmark is not re-run on every --resume."""
-        ckpt_path = tmp_path / "table1.ckpt"
-        with faults.inject("table1.row", SolverTimeout, key="ex3"):
-            report = run_table1(
-                ["lion9", "ex3"], include_enc=False,
-                checkpoint=ckpt_path,
-            )
-        assert report.n_failed == 1
-        ckpt = Checkpoint(ckpt_path)
-        assert ckpt.is_done("lion9")
-        assert ckpt.is_done("ex3")
-        assert ckpt.get("ex3")["status"] == "timeout"
-
-        # plain resume restores the recorded failure without re-running
-        with faults.inject("table1.row", SolverTimeout) as fault:
-            resumed = run_table1(
-                ["lion9", "ex3"], include_enc=False,
-                checkpoint=ckpt_path,
-            )
-            assert fault.fired == 0
-        assert resumed.n_failed == 1
-        assert resumed.rows[1].status == "timeout"
-        assert "FAILED (timeout)" in resumed.render()
-
-    def test_table1_retry_failed_reruns_only_failures(self, tmp_path):
-        ckpt_path = tmp_path / "table1.ckpt"
-        with faults.inject("table1.row", SolverTimeout, key="ex3"):
-            run_table1(
-                ["lion9", "ex3"], include_enc=False,
-                checkpoint=ckpt_path,
-            )
-        # retry_failed re-runs ex3 (fault no longer armed -> succeeds)
-        # but must not touch the completed lion9 row
-        with faults.inject(
-            "table1.row", SolverTimeout, key="lion9"
-        ) as fault:
-            retried = run_table1(
-                ["lion9", "ex3"], include_enc=False,
-                checkpoint=ckpt_path, retry_failed=True,
-            )
-            assert fault.fired == 0
-        assert retried.n_failed == 0
-        assert all(r.ok for r in retried.rows)
-        assert Checkpoint(ckpt_path).get("ex3")["status"] == "ok"
-
-    def test_sweep_failed_cells_checkpoint_and_resume(self, tmp_path):
-        ckpt_path = tmp_path / "sweep.ckpt"
-        with faults.inject(
-            "sweep.benchmark", SolverTimeout, key="0/ex3"
-        ):
-            run_seed_sweep(
-                ["lion9", "ex3"], seeds=(0,), checkpoint=ckpt_path
-            )
-        ckpt = Checkpoint(ckpt_path)
-        assert ckpt.is_done("0/ex3")
-        assert ckpt.get("0/ex3")["status"] == "timeout"
-
-        with faults.inject("sweep.benchmark", SolverTimeout) as fault:
-            resumed = run_seed_sweep(
-                ["lion9", "ex3"], seeds=(0,), checkpoint=ckpt_path
-            )
-            assert fault.fired == 0  # nothing re-ran
-        assert resumed.failures == {(0, "ex3"): "timeout"}
-
-        retried = run_seed_sweep(
-            ["lion9", "ex3"], seeds=(0,), checkpoint=ckpt_path,
-            retry_failed=True,
-        )
-        assert retried.failures == {}
-        assert Checkpoint(ckpt_path).get("0/ex3")["picola"] > 0
-
-    def test_ablation_failed_fsm_checkpoints_and_resumes(self, tmp_path):
-        ckpt_path = tmp_path / "abl.ckpt"
-        with faults.inject("ablation.fsm", ReproError, key="lion9"):
-            run_ablation(
-                ["lion9", "ex3"], ["full"], checkpoint=ckpt_path
-            )
-        ckpt = Checkpoint(ckpt_path)
-        assert ckpt.is_done("lion9")
-        assert ckpt.get("lion9")["status"] == "failed"
-
-        with faults.inject("ablation.fsm", ReproError) as fault:
-            resumed = run_ablation(
-                ["lion9", "ex3"], ["full"], checkpoint=ckpt_path
-            )
-            assert fault.fired == 0
-        assert resumed.failures == {"lion9": "ReproError"}
-        assert resumed.cubes["ex3"]["full"] is not None
-
-        retried = run_ablation(
-            ["lion9", "ex3"], ["full"], checkpoint=ckpt_path,
-            retry_failed=True,
-        )
-        assert retried.failures == {}
-        assert retried.cubes["lion9"]["full"] is not None
-
-    def test_sweep_kill_and_resume(self, tmp_path):
-        """Kill a sweep mid-run (KeyboardInterrupt propagates through
-        the fault boundary), then resume from the checkpoint."""
-        ckpt_path = tmp_path / "sweep.ckpt"
-        with faults.inject(
-            "sweep.benchmark", KeyboardInterrupt, key="0/ex3"
-        ):
-            with pytest.raises(KeyboardInterrupt):
-                run_seed_sweep(
-                    ["lion9", "ex3"], seeds=(0,),
-                    checkpoint=ckpt_path,
-                )
-        killed = Checkpoint(ckpt_path)
-        assert killed.is_done("0/lion9")
-        assert not killed.is_done("0/ex3")
-
-        with faults.inject(
-            "sweep.benchmark", SolverTimeout, key="0/lion9"
-        ) as fault:
-            report = run_seed_sweep(
-                ["lion9", "ex3"], seeds=(0,), checkpoint=ckpt_path
-            )
-            assert fault.fired == 0  # completed cell was skipped
-        assert report.n_failed == 0
-        assert report.outcomes[0].total_picola > 0
-        assert Checkpoint(ckpt_path).is_done("0/ex3")
-
-    def test_experiment_tag_guards_against_mixups(self, tmp_path):
-        ckpt_path = tmp_path / "run.ckpt"
-        run_table1(["lion9"], include_enc=False, checkpoint=ckpt_path)
-        from repro.runtime import CheckpointError
-
-        with pytest.raises(CheckpointError):
-            run_table2(["dk16"], checkpoint=ckpt_path)
-
-
 class TestCliAcceptance:
     def test_forced_timeout_yields_complete_table_and_json(
         self, tmp_path, capsys
@@ -346,34 +186,6 @@ class TestCliAcceptance:
         rc = main(["table1", "--fsm", "lion9", "--no-enc"])
         assert rc == 1
         assert "FAILED (timeout)" in capsys.readouterr().out
-
-    def test_resume_flag_skips_completed(self, tmp_path, capsys):
-        ckpt_path = tmp_path / "resume.ckpt"
-        assert main([
-            "table1", "--fsm", "lion9", "--no-enc",
-            "--resume", str(ckpt_path),
-        ]) == 0
-        capsys.readouterr()
-        assert main([
-            "table1", "--fsm", "lion9", "--no-enc",
-            "--resume", str(ckpt_path),
-        ]) == 0
-        assert "resumed from checkpoint" in capsys.readouterr().out
-
-        # a resumed failure is reported as one, not as a success
-        failed_path = tmp_path / "failed.ckpt"
-        args = [
-            "table1", "--fsm", "lion9", "--no-enc",
-            "--resume", str(failed_path),
-        ]
-        with faults.inject("table1.row", SolverTimeout, key="lion9"):
-            assert main(args) == 1
-        capsys.readouterr()
-        assert main(args) == 1
-        assert (
-            "lion9: FAILED (timeout, resumed from checkpoint)"
-            in capsys.readouterr().out
-        )
 
     def test_timeout_flag_accepted(self, capsys):
         assert main([

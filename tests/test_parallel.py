@@ -4,7 +4,7 @@ The central guarantee under test: ``--jobs N`` produces byte-identical
 rendered tables — and identical JSON modulo wall-clock ``seconds``
 fields, which differ even between two serial runs — while preserving
 every robustness behavior of the serial path (fault isolation,
-checkpoint/resume, fault injection, tracing).
+fault injection, tracing).
 """
 
 import json
@@ -24,12 +24,7 @@ from repro.obs import (
     profile_report,
     set_tracer,
 )
-from repro.runtime import (
-    Checkpoint,
-    InvalidSpecError,
-    SolverTimeout,
-    faults,
-)
+from repro.runtime import InvalidSpecError, SolverTimeout, faults
 
 FSMS = ["lion9", "ex3", "opus"]
 
@@ -189,38 +184,6 @@ class TestFaultsReachWorkers:
         assert report.rows[1].status == "timeout"
         assert report.rows[0].ok and report.rows[2].ok
         assert "FAILED (timeout)" in report.render()
-
-
-class TestParallelCheckpointing:
-    def test_kill_and_resume_skips_checkpointed_rows(self, tmp_path):
-        ckpt_path = tmp_path / "t1.ckpt"
-        with faults.inject("table1.row", SolverTimeout, key="ex3"):
-            first = run_table1(
-                FSMS, include_enc=False, jobs=2, checkpoint=ckpt_path
-            )
-        assert first.n_failed == 1
-        ckpt = Checkpoint(ckpt_path)
-        # every row is checkpointed, the failed one with its status
-        assert sorted(ckpt.keys()) == sorted(FSMS)
-        assert ckpt.get("ex3")["status"] == "timeout"
-
-        # resume re-runs nothing — failed rows included.  The armed
-        # fault would trip on any re-run (parent or forked worker).
-        with faults.inject("table1.row", SolverTimeout) as fault:
-            resumed = run_table1(
-                FSMS, include_enc=False, jobs=2, checkpoint=ckpt_path
-            )
-            assert fault.fired == 0
-        assert resumed.render() == first.render()
-        assert resumed.n_failed == 1
-
-        # --retry-failed releases only the failed row
-        retried = run_table1(
-            FSMS, include_enc=False, jobs=2,
-            checkpoint=ckpt_path, retry_failed=True,
-        )
-        assert retried.n_failed == 0
-        assert Checkpoint(ckpt_path).get("ex3")["status"] == "ok"
 
 
 class TestTraceAdoption:

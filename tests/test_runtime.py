@@ -1,22 +1,16 @@
 """Unit tests for the resilient runtime layer (repro.runtime)."""
 
-import json
-
 import pytest
 
 from repro.runtime import (
     Budget,
     BudgetExceeded,
-    Checkpoint,
-    CheckpointError,
     Deadline,
     InfeasibleError,
     ParseError,
     ReproError,
     SolverTimeout,
     faults,
-    payload_failed,
-    resumable,
     run_isolated,
 )
 from repro.solvers import get_solver, list_solvers
@@ -35,7 +29,6 @@ class TestErrorTaxonomy:
         assert issubclass(InfeasibleError, ReproError)
         assert issubclass(BudgetExceeded, ReproError)
         assert issubclass(SolverTimeout, BudgetExceeded)
-        assert issubclass(CheckpointError, ReproError)
 
     def test_builtin_compatibility(self):
         """Legacy call sites catching builtins keep working."""
@@ -235,117 +228,6 @@ class TestRunIsolated:
 
         with pytest.raises(KeyboardInterrupt):
             run_isolated(interrupted)
-
-
-class TestCheckpoint:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "run.ckpt"
-        ckpt = Checkpoint(path, experiment="table1")
-        assert len(ckpt) == 0
-        ckpt.mark_done("bbara", {"cubes": 20})
-        ckpt.mark_done("lion9", {"cubes": 7})
-
-        again = Checkpoint(path, experiment="table1")
-        assert again.is_done("bbara")
-        assert not again.is_done("scf")
-        assert again.get("lion9") == {"cubes": 7}
-        assert sorted(again.keys()) == ["bbara", "lion9"]
-
-    def test_atomic_file_is_valid_json(self, tmp_path):
-        """The header is written when the file is created; each unit
-        then appends one complete line, and every line is JSON."""
-        path = tmp_path / "run.ckpt"
-        ckpt = Checkpoint(path, experiment="sweep")
-        assert len(path.read_text().splitlines()) == 1
-        ckpt.mark_done("0/lion9", {"picola": 7, "nova": 8})
-        ckpt.mark_done("0/ex3", {"picola": 9, "nova": 9})
-        text = path.read_text()
-        assert text.endswith("\n")
-        header, *cells = [json.loads(line) for line in text.splitlines()]
-        assert header["experiment"] == "sweep"
-        assert cells[0] == {
-            "key": "0/lion9", "payload": {"picola": 7, "nova": 8},
-        }
-        assert [c["key"] for c in cells] == ["0/lion9", "0/ex3"]
-
-    def test_last_line_wins(self, tmp_path):
-        path = tmp_path / "run.ckpt"
-        ckpt = Checkpoint(path, experiment="table1")
-        ckpt.mark_done("a", {"v": 1})
-        ckpt.mark_done("a", {"v": 2})
-        assert Checkpoint(path).completed == {"a": {"v": 2}}
-
-    def test_malformed_complete_line_rejected(self, tmp_path):
-        """Only the *final*, unterminated line may be torn."""
-        path = tmp_path / "run.ckpt"
-        Checkpoint(path, experiment="table1").mark_done("a", 1)
-        with open(path, "a") as handle:
-            handle.write('{"key": "b", "pay\n{"key": "c", "payload": 3}\n')
-        with pytest.raises(CheckpointError, match=":3: malformed"):
-            Checkpoint(path)
-
-    def test_experiment_mismatch(self, tmp_path):
-        path = tmp_path / "run.ckpt"
-        Checkpoint(path, experiment="table1").mark_done("x", 1)
-        with pytest.raises(CheckpointError, match="table1"):
-            Checkpoint(path, experiment="table2")
-
-    def test_corrupt_file(self, tmp_path):
-        path = tmp_path / "run.ckpt"
-        path.write_text("{not json")
-        with pytest.raises(CheckpointError, match="unreadable"):
-            Checkpoint(path)
-
-    def test_foreign_json_rejected(self, tmp_path):
-        path = tmp_path / "run.ckpt"
-        v1 = {"format": "repro-checkpoint-v1", "experiment": "table1",
-              "completed": {"lion9": {"status": "ok"}}}
-        for text in (
-            '{"some": "other file"}',
-            '{"key": "x", "payload": {}}\n',  # a log line, no header
-            "",
-            json.dumps(v1),
-            json.dumps(v1, indent=2, sort_keys=True),  # as v1 wrote it
-        ):
-            path.write_text(text)
-            with pytest.raises(CheckpointError) as info:
-                Checkpoint(path, experiment="table1")
-            assert "repro-run-log-v2 header" in str(info.value)
-            assert "\n" not in str(info.value)
-
-    def test_untagged_write_rejected(self, tmp_path):
-        path = tmp_path / "run.ckpt"
-        ckpt = Checkpoint(path)
-        with pytest.raises(CheckpointError, match="experiment tag"):
-            ckpt.mark_done("a", 1)
-        assert not path.exists()
-
-    def test_untagged_file_rejected_on_resume(self, tmp_path):
-        path = tmp_path / "run.ckpt"
-        path.write_text('{"format": "repro-run-log-v2"}\n')
-        with pytest.raises(CheckpointError, match="untagged"):
-            Checkpoint(path, experiment="table1")
-
-    def test_payload_failed(self):
-        assert payload_failed({"status": "timeout"})
-        assert payload_failed({"status": "failed", "reason": "x"})
-        assert not payload_failed({"status": "ok", "cubes": 7})
-        # ablation payloads carry a per-variant status *dict*
-        assert not payload_failed({"status": {"exact": "budget"}})
-        assert not payload_failed({"cubes": 7})
-        assert not payload_failed(42)
-
-    def test_resumable(self, tmp_path):
-        ckpt = Checkpoint(tmp_path / "run.ckpt", experiment="table1")
-        ckpt.mark_done("good", {"status": "ok", "cubes": 7})
-        ckpt.mark_done("bad", {"status": "timeout"})
-        assert resumable(None, "good") is None
-        assert resumable(ckpt, "missing") is None
-        assert resumable(ckpt, "good") == {"status": "ok", "cubes": 7}
-        assert resumable(ckpt, "bad") == {"status": "timeout"}
-        # retry_failed releases failed payloads for a re-run, not ok ones
-        assert resumable(ckpt, "bad", retry_failed=True) is None
-        assert resumable(ckpt, "good", retry_failed=True) is not None
 
 
 class TestSolverBudgetThreading:
