@@ -25,8 +25,9 @@ from ..core import PicolaOptions
 from ..encoding import derive_face_constraints, evaluate_encoding
 from ..fsm import load_benchmark
 from ..runtime import Budget, BudgetExceeded, SolverTimeout, faults
+from ..runtime.isolation import Outcome
 from ..solvers import get_solver
-from .experiment import Experiment, payload_failed, run_experiment
+from .experiment import Experiment, run_experiment
 from .report import render_table
 from .table1 import QUICK_FSMS
 
@@ -45,7 +46,7 @@ ABLATION_VARIANTS: Dict[str, PicolaOptions] = {
 #: the optimality-reference pseudo-variant (not a PicolaOptions)
 EXACT_VARIANT = "exact"
 
-#: the per-FSM, per-variant value grids (payload and report alike)
+#: the per-FSM, per-variant value grids (unit cells and report alike)
 _GRIDS = ("cubes", "satisfied", "seconds", "nodes")
 
 
@@ -114,7 +115,6 @@ class AblationReport(Experiment):
     #: whole-FSM failures, fsm -> reason
     failures: Dict[str, str] = field(default_factory=dict)
 
-    tag = "ablation"
     unit = staticmethod(_ablation_cells)
 
     @classmethod
@@ -122,18 +122,18 @@ class AblationReport(Experiment):
         return cls(variants=list(params["variants"]))
 
     @staticmethod
-    def progress(key: str, payload: Dict[str, Any]) -> str:
-        return f"{key}: {payload['cubes']}"
+    def progress(key: str, cells: Dict[str, Dict[str, Any]]) -> str:
+        return f"{key}: {cells['cubes']}"
 
-    def fold(self, key: str, payload: Dict[str, Any]) -> None:
-        if payload_failed(payload):
-            self.failures[key] = payload.get("reason") or payload["status"]
+    def fold(self, key: str, outcome: Outcome) -> None:
+        if not outcome.ok:
+            self.failures[key] = outcome.reason
             return
+        cells = outcome.value
         for grid in _GRIDS:
-            getattr(self, grid)[key] = dict(payload.get(grid, {}))
-        status = dict(payload.get("status", {}))
-        if status:
-            self.cell_status[key] = status
+            getattr(self, grid)[key] = cells[grid]
+        if cells["status"]:
+            self.cell_status[key] = cells["status"]
 
     @property
     def n_failed(self) -> int:

@@ -19,7 +19,9 @@ so output matches a serial run byte-for-byte).  Every experiment runs
 in seconds, so a killed run is simply re-run.  Structured failures
 (:class:`~repro.runtime.ReproError`) and I/O errors print a one-line
 diagnostic and exit with code 2; an experiment that completes but
-contains failed rows exits with code 1.
+contains failed rows exits with code 1.  A reader that closes stdout
+early (``picola table1 | head -1``) is not an error: exit 0, no
+diagnostic.
 
 Observability: every command but ``bench-list`` takes ``--trace PATH``
 (JSON-lines span/counter events via :class:`~repro.obs.JsonlSink`)
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -291,6 +294,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             print()
             print(profile_report(tracer).render())
         return code
+    except BrokenPipeError:
+        # the reader closed stdout (``picola ... | head``): not an
+        # error; point stdout at devnull so the final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ReproError, OSError) as exc:
         print(f"picola: error: {exc}", file=sys.stderr)
         return 2

@@ -22,9 +22,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..fsm import BENCHMARKS
 from ..runtime import faults
-from .experiment import Experiment, payload_failed, run_experiment
+from ..runtime.isolation import Outcome
+from .experiment import Experiment, run_experiment
 from .report import render_table
-from .table1 import QUICK_FSMS, _table1_row
+from .table1 import QUICK_FSMS, Table1Row, _table1_row
 
 __all__ = ["SWEEP_SEEDS", "SeedSweepReport", "run_seed_sweep"]
 
@@ -57,17 +58,16 @@ def _split(key: str) -> Tuple[int, str]:
 
 def _sweep_cell(
     key: str, *, nova_seed: int, timeout: Optional[float]
-) -> Dict[str, int]:
+) -> Table1Row:
     """One ``seed/fsm`` comparison: Table I's row of ``fsm`` drawn
     with generator seed ``seed``, without ENC (runs inside the fault
     boundary; a ``table1.row`` fault on ``fsm`` trips here too)."""
     faults.trip("sweep.benchmark", key=key)
     seed, name = _split(key)
-    row = _table1_row(
+    return _table1_row(
         name, include_enc=False, enc_budget=0, seed=nova_seed,
         timeout=timeout, fsm_seed=seed,
     )
-    return {"picola": row["cubes"]["picola"], "nova": row["cubes"]["nova"]}
 
 
 @dataclass
@@ -85,7 +85,6 @@ class SeedSweepReport(Experiment):
     pending: Counter = field(default_factory=Counter, repr=False)
     completed: Dict[int, list] = field(default_factory=dict, repr=False)
 
-    tag = "sweep"
     unit = staticmethod(_sweep_cell)
 
     @classmethod
@@ -96,15 +95,15 @@ class SeedSweepReport(Experiment):
             pending=Counter(seed for seed, _ in cells),
         )
 
-    def fold(self, key: str, payload: Dict[str, Any]) -> Optional[str]:
+    def fold(self, key: str, outcome: Outcome) -> Optional[str]:
         """Add one cell; once a seed's last cell is in, aggregate it."""
         seed, name = _split(key)
         cells = self.completed.setdefault(seed, [])
-        if payload_failed(payload):
-            reason = payload.get("reason") or payload["status"]
-            self.failures[(seed, name)] = reason
+        if outcome.ok:
+            row = outcome.value
+            cells.append((row.cubes_picola, row.cubes_nova))
         else:
-            cells.append((payload["picola"], payload["nova"]))
+            self.failures[(seed, name)] = outcome.reason
         self.pending[seed] -= 1
         if self.pending[seed]:
             return None

@@ -79,7 +79,7 @@ class Table1Row:
     def failure_reason(self) -> str:
         return failure_reason(self.status, self.error)
 
-    # -- unit payload / JSON (missing keys take the defaults) --------
+    # -- JSON --------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         data: Dict[str, Any] = {}
         for f in fields(self):
@@ -88,20 +88,10 @@ class Table1Row:
             target[key] = getattr(self, f.name)
         return data
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Table1Row":
-        kwargs = {}
-        for f in fields(cls):
-            group, key = _wire(f.name)
-            source = data.get(group, {}) if group else data
-            if key in source:
-                kwargs[f.name] = source[key]
-        return cls(**kwargs)
-
 
 def _wire(name: str) -> Tuple[Optional[str], str]:
     """``(group, key)`` of :class:`Table1Row` field ``name`` in the
-    payload: ``cubes_nova`` is ``cubes.nova`` (likewise ``seconds_``,
+    JSON row: ``cubes_nova`` is ``cubes.nova`` (likewise ``seconds_``,
     ``nodes_``, ``paper_``), ``n_constraints`` is ``constraints``."""
     group, _, leaf = name.partition("_")
     if group in ("cubes", "seconds", "nodes", "paper"):
@@ -117,8 +107,8 @@ def _table1_row(
     seed: int,
     timeout: Optional[float],
     fsm_seed: int = 0,
-) -> Dict[str, Any]:
-    """Compute one Table I row payload (runs inside the fault boundary).
+) -> Table1Row:
+    """Compute one Table I row (runs inside the fault boundary).
 
     ``seed`` seeds NOVA and ENC; ``fsm_seed`` is the benchmark
     generator's seed (0 is the Table I draw, the seed sweep varies it).
@@ -184,7 +174,7 @@ def _table1_row(
         paper_nova=spec.paper_cubes_nova if spec else None,
         paper_picola=spec.paper_cubes_picola if spec else None,
         enc_status=enc_status,
-    ).to_dict()
+    )
 
 
 def _comparable(rows: Sequence[Table1Row]) -> List[Table1Row]:
@@ -199,26 +189,20 @@ def _comparable(rows: Sequence[Table1Row]) -> List[Table1Row]:
 class Table1Report(Experiment):
     rows: List[Table1Row] = field(default_factory=list)
 
-    tag = "table1"
     unit = staticmethod(_table1_row)
 
     @staticmethod
-    def failure(key: str, outcome: Outcome) -> Dict[str, Any]:
-        return Table1Row(
-            fsm=key, status=outcome.status, error=outcome.error
-        ).to_dict()
-
-    @staticmethod
-    def progress(key: str, payload: Dict[str, Any]) -> str:
-        cubes = payload["cubes"]
+    def progress(key: str, row: Table1Row) -> str:
         return (
-            f"{key}: const={payload['constraints']} "
-            f"nova={cubes['nova']} enc={cubes['enc']} "
-            f"picola={cubes['picola']}"
+            f"{key}: const={row.n_constraints} nova={row.cubes_nova} "
+            f"enc={row.cubes_enc} picola={row.cubes_picola}"
         )
 
-    def fold(self, key: str, payload: Dict[str, Any]) -> None:
-        self.rows.append(Table1Row.from_dict(payload))
+    def fold(self, key: str, outcome: Outcome) -> None:
+        self.rows.append(
+            outcome.value if outcome.ok
+            else Table1Row(fsm=key, status=outcome.status, error=outcome.error)
+        )
 
     # -- summary statistics the paper quotes ---------------------------
     @property

@@ -62,19 +62,14 @@ class Table2Row:
             return None
         return seconds / base
 
-    # -- unit payload / JSON (missing keys take the defaults) --------
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Table2Row":
-        return cls(**data)
 
 
 def _table2_row(
     name: str, *, seed: int, timeout: Optional[float]
-) -> Dict[str, Any]:
-    """Compute one Table II row payload (runs inside the fault boundary)."""
+) -> Table2Row:
+    """Compute one Table II row (runs inside the fault boundary)."""
     faults.trip("table2.row", key=name)
     fsm = load_benchmark(name)
     # all methods see the identical input-encoding problem
@@ -96,31 +91,26 @@ def _table2_row(
             row.sizes[method] = result.size
             row.seconds[method] = result.encode_seconds
             row.nodes[method] = result.extra.get("encode_nodes")
-    return row.to_dict()
+    return row
 
 
 @dataclass
 class Table2Report(Experiment):
     rows: List[Table2Row] = field(default_factory=list)
 
-    tag = "table2"
     unit = staticmethod(_table2_row)
 
     @staticmethod
-    def failure(key: str, outcome: Outcome) -> Dict[str, Any]:
-        return Table2Row(
-            fsm=key, status=outcome.status, error=outcome.error
-        ).to_dict()
-
-    @staticmethod
-    def progress(key: str, payload: Dict[str, Any]) -> str:
-        sizes = payload["sizes"]
+    def progress(key: str, row: Table2Row) -> str:
         return f"{key}: " + " ".join(
-            f"{m}={sizes.get(m)}" for m in TABLE2_METHODS
+            f"{m}={row.sizes.get(m)}" for m in TABLE2_METHODS
         )
 
-    def fold(self, key: str, payload: Dict[str, Any]) -> None:
-        self.rows.append(Table2Row.from_dict(payload))
+    def fold(self, key: str, outcome: Outcome) -> None:
+        self.rows.append(
+            outcome.value if outcome.ok
+            else Table2Row(fsm=key, status=outcome.status, error=outcome.error)
+        )
 
     def total_size(self, method: str) -> int:
         return sum(

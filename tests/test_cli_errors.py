@@ -6,8 +6,14 @@ users never see a raw traceback for a missing or malformed input
 file.
 """
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.harness.cli import main
 
 
@@ -116,3 +122,19 @@ class TestCliErrors:
         assert main(["analyze", str(kiss)]) == 0
         out = capsys.readouterr().out
         assert "face constraints" in out
+
+    def test_closed_stdout_is_not_an_error(self):
+        """``picola table1 ... | head -1``: the reader closes the pipe
+        after the first row; the run ends quietly with exit 0."""
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.harness", "table1",
+             "--fsm", "lion9", "ex3", "bbara", "--no-enc"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.stdout.readline().startswith(b"lion9:")
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0
+        assert stderr == b""

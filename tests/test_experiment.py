@@ -2,14 +2,14 @@
 
 Every experiment runs through one loop, so failure handling is the
 same for all of them: a unit that fails its fault boundary prints one
-``<key>: FAILED (<reason>)`` progress line, folds as a failure
-payload, and the rest of the run completes.
+``<key>: FAILED (<reason>)`` progress line, folds as a failed
+:class:`~repro.runtime.isolation.Outcome`, and the rest of the run
+completes.
 """
 
 import pytest
 
 from repro.harness.ablation import run_ablation
-from repro.harness.experiment import payload_failed
 from repro.harness.sweep import run_seed_sweep
 from repro.harness.table1 import run_table1
 from repro.harness.table2 import run_table2
@@ -31,16 +31,6 @@ CASES = {
         "sweep.benchmark", "0/lion9",
     ),
 }
-
-
-def test_payload_failed():
-    assert payload_failed({"status": "timeout"})
-    assert payload_failed({"status": "failed", "reason": "x"})
-    assert not payload_failed({"status": "ok", "cubes": 7})
-    # ablation payloads carry a per-variant status *dict*
-    assert not payload_failed({"status": {"exact": "budget"}})
-    assert not payload_failed({"cubes": 7})
-    assert not payload_failed(42)
 
 
 @pytest.fixture(autouse=True)

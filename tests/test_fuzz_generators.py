@@ -1,44 +1,39 @@
-"""The fuzz workload generators: determinism, structure, family table."""
+"""The fuzz workload generators (``tests/fuzz.py``): determinism,
+structure, family table."""
 
+import hypothesis
 import pytest
 
-from repro.encoding import ConstraintSet
-from repro.fuzz import (
+from repro.encoding import ConstraintSet, Encoding
+from tests.fuzz import (
+    GENERATORS,
     FuzzCase,
+    constraint_sets,
+    fuzz_cases,
     generate_case,
-    get_generator,
-    list_generators,
 )
-from repro.runtime import InvalidSpecError
+
+FAMILIES = sorted(GENERATORS)
 
 
 class TestRegistry:
     def test_at_least_three_named_families(self):
-        assert len(list_generators()) >= 3
+        assert len(GENERATORS) >= 3
 
     def test_expected_families_present(self):
-        names = list_generators()
         for family in ("random", "fsm", "bounded-length", "grid",
                        "pathological"):
-            assert family in names
-
-    def test_unknown_generator_is_classified(self):
-        with pytest.raises(InvalidSpecError, match="unknown generator"):
-            get_generator("nope")
-
-    def test_scale_floor(self):
-        with pytest.raises(InvalidSpecError, match="scale"):
-            generate_case("random", 0, scale=1)
+            assert family in GENERATORS
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("family", list_generators())
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_same_seed_same_case(self, family):
         a = generate_case(family, 17, 16)
         b = generate_case(family, 17, 16)
         assert a.to_dict() == b.to_dict()
 
-    @pytest.mark.parametrize("family", list_generators())
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_different_seeds_vary(self, family):
         shapes = {
             (
@@ -51,7 +46,7 @@ class TestDeterminism:
 
 
 class TestStructure:
-    @pytest.mark.parametrize("family", list_generators())
+    @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("seed", [0, 3, 9])
     def test_cases_are_well_formed(self, family, seed):
         case = generate_case(family, seed, 16)
@@ -85,8 +80,6 @@ class TestStructure:
         assert case.nv is not None
         # prefix groups at nv: the natural encoding s_i -> i satisfies
         # every group, so the marking is honest
-        from repro.encoding import Encoding
-
         codes = {f"s{i}": i for i in range(case.cset.n_symbols)}
         encoding = Encoding(case.cset.symbols, codes, case.nv)
         for constraint in case.cset.nontrivial():
@@ -99,7 +92,7 @@ class TestStructure:
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("family", list_generators())
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_dict_round_trip(self, family):
         case = generate_case(family, 5, 12)
         again = FuzzCase.from_dict(case.to_dict())
@@ -112,9 +105,6 @@ class TestRoundTrip:
 
 class TestHypothesisStrategies:
     def test_fuzz_cases_strategy_draws_cases(self):
-        hypothesis = pytest.importorskip("hypothesis")
-        from repro.fuzz.strategies import fuzz_cases
-
         @hypothesis.given(fuzz_cases(scale=10))
         @hypothesis.settings(
             max_examples=15, deadline=None,
@@ -125,22 +115,12 @@ class TestHypothesisStrategies:
         )
         def run(case):
             assert isinstance(case, FuzzCase)
-            assert case.family in list_generators()
+            assert case.family in GENERATORS
             assert case.cset.n_symbols >= 2
 
         run()
 
-    def test_strategy_rejects_unknown_family(self):
-        pytest.importorskip("hypothesis")
-        from repro.fuzz.strategies import fuzz_cases
-
-        with pytest.raises(InvalidSpecError, match="unknown generator"):
-            fuzz_cases(["nope"])
-
     def test_constraint_sets_strategy(self):
-        hypothesis = pytest.importorskip("hypothesis")
-        from repro.fuzz.strategies import constraint_sets
-
         @hypothesis.given(constraint_sets(["random"], scale=8))
         @hypothesis.settings(max_examples=10, deadline=None)
         def run(cset):

@@ -1,27 +1,23 @@
-"""The fuzz oracle: every outcome classified, the harness never crashes."""
+"""The fuzz check (``tests/fuzz.py::check``) against scripted solvers.
+
+A clean result, an infeasible instance and a blown budget return
+normally; a broken encoding fails an assertion; any other exception
+propagates as the finding it is.
+"""
 
 import pytest
 
+import tests.fuzz
 from repro.encoding import Encoding
-from repro.fuzz import (
-    CRASH,
-    FINDINGS,
-    INFEASIBLE,
-    OK,
-    TIMEOUT,
-    VIOLATION,
-    generate_case,
-    run_case,
-    verify_result,
-)
+from repro.fsm import CosimMismatch
 from repro.runtime import (
-    Budget,
     InfeasibleError,
     InvariantViolation,
     SolverTimeout,
     faults,
 )
 from repro.solvers import Solver, _REGISTRY, register_solver
+from tests.fuzz import check, generate_case, verify_result
 
 
 @pytest.fixture(autouse=True)
@@ -59,46 +55,33 @@ def fake_solver():
         _REGISTRY.pop(name, None)
 
 
-def _good(cset, opts):
+def collide(cset, opts):
+    """Every symbol gets code 0."""
     nv = opts.get("nv") or cset.min_code_length()
-    codes = {s: i for i, s in enumerate(cset.symbols)}
-    return Encoding(cset.symbols, codes, nv), {"nodes": 1}, None
+    codes = {s: 0 for s in cset.symbols}
+    return Encoding(cset.symbols, codes, nv), {}, None
 
 
 class TestClassifications:
     def test_ok(self):
-        case = generate_case("random", 1, 10)
-        outcome = run_case(case, "picola", timeout=30)
-        assert outcome.classification == OK
-        assert not outcome.is_finding
+        check(generate_case("random", 1, 10), "picola")
 
     def test_infeasible(self, fake_solver):
         def bail(cset, opts):
             raise InfeasibleError("no encoding exists")
 
-        name = fake_solver("fz-infeasible", bail)
-        outcome = run_case(generate_case("random", 1, 8), name)
-        assert outcome.classification == INFEASIBLE
-        assert not outcome.is_finding
+        check(generate_case("random", 1, 8), fake_solver("fz-infeasible", bail))
 
     def test_timeout_via_injected_budget(self):
         case = generate_case("random", 2, 8)
-        with faults.inject("solver.solve", SolverTimeout):
-            outcome = run_case(case, "picola", timeout=30)
-        assert outcome.classification == TIMEOUT
-        assert not outcome.is_finding
+        with faults.inject("solver.solve", SolverTimeout) as fault:
+            check(case, "picola")
+        assert fault.fired == 1
 
     def test_violation_non_injective(self, fake_solver):
-        def collide(cset, opts):
-            nv = opts.get("nv") or cset.min_code_length()
-            codes = {s: 0 for s in cset.symbols}
-            return Encoding(cset.symbols, codes, nv), {}, None
-
         name = fake_solver("fz-collide", collide)
-        outcome = run_case(generate_case("random", 3, 8), name)
-        assert outcome.classification == VIOLATION
-        assert "injective" in outcome.detail
-        assert outcome.is_finding
+        with pytest.raises(AssertionError, match="not injective"):
+            check(generate_case("random", 3, 8), name)
 
     def test_violation_wrong_width(self, fake_solver):
         def too_wide(cset, opts):
@@ -107,66 +90,43 @@ class TestClassifications:
             return Encoding(cset.symbols, codes, nv), {}, None
 
         name = fake_solver("fz-wide", too_wide)
-        outcome = run_case(generate_case("random", 3, 8), name)
-        assert outcome.classification == VIOLATION
-        assert "code length" in outcome.detail
+        with pytest.raises(AssertionError, match="code length"):
+            check(generate_case("random", 3, 8), name)
 
     def test_violation_wrong_symbols(self, fake_solver):
         def other(cset, opts):
             return Encoding(["a", "b"], {"a": 0, "b": 1}, 1), {}, None
 
         name = fake_solver("fz-other", other)
-        outcome = run_case(generate_case("random", 4, 8), name)
-        assert outcome.classification == VIOLATION
-        assert "symbols" in outcome.detail
+        with pytest.raises(AssertionError, match="symbols"):
+            check(generate_case("random", 4, 8), name)
 
     def test_violation_from_repro_error(self, fake_solver):
         def blow(cset, opts):
             raise InvariantViolation("internal invariant broke")
 
         name = fake_solver("fz-invariant", blow)
-        outcome = run_case(generate_case("random", 5, 8), name)
-        assert outcome.classification == VIOLATION
-        assert "InvariantViolation" in outcome.detail
+        with pytest.raises(InvariantViolation):
+            check(generate_case("random", 5, 8), name)
 
     def test_crash_from_unclassified_exception(self, fake_solver):
         def crash(cset, opts):
             raise RuntimeError("kaboom")
 
         name = fake_solver("fz-crash", crash)
-        outcome = run_case(generate_case("random", 6, 8), name)
-        assert outcome.classification == CRASH
-        assert "RuntimeError" in outcome.detail
-        assert outcome.is_finding
+        with pytest.raises(RuntimeError, match="kaboom"):
+            check(generate_case("random", 6, 8), name)
 
     def test_crash_from_index_error(self, fake_solver):
         def crash(cset, opts):
             return [][0]
 
         name = fake_solver("fz-index", crash)
-        outcome = run_case(generate_case("random", 7, 8), name)
-        assert outcome.classification == CRASH
-        assert "IndexError" in outcome.detail
-
-    def test_findings_tuple(self):
-        assert FINDINGS == (VIOLATION, CRASH)
+        with pytest.raises(IndexError):
+            check(generate_case("random", 7, 8), name)
 
 
 class TestOracleProperties:
-    @pytest.mark.parametrize("family", [
-        "random", "fsm", "bounded-length", "grid", "pathological",
-    ])
-    def test_run_case_never_raises(self, family, fake_solver):
-        def nasty(cset, opts):
-            raise KeyError("surprise")
-
-        name = fake_solver("fz-nasty", nasty)
-        for seed in range(3):
-            outcome = run_case(
-                generate_case(family, seed, 10), name, timeout=30
-            )
-            assert outcome.classification == CRASH
-
     def test_satisfiable_optimal_contract(self, fake_solver):
         # an "optimal" result that leaves a provably-satisfiable
         # instance unsatisfied must be called out
@@ -174,19 +134,19 @@ class TestOracleProperties:
         assert case.satisfiable
 
         def lying_optimal(cset, opts):
-            nv = opts.get("nv") or cset.min_code_length()
-            codes = {s: i for i, s in enumerate(cset.symbols)}
-            return (
-                Encoding(cset.symbols, codes, nv),
-                {"optimal": True},
-                None,
-            )
+            # the natural code s_i -> i satisfies every prefix group;
+            # trading one member's code for an outsider's breaks one
+            codes = {f"s{i}": i for i in range(cset.n_symbols)}
+            group = cset.nontrivial()[0].symbols
+            member = min(group)
+            outsider = min(s for s in cset.symbols if s not in group)
+            codes[member], codes[outsider] = codes[outsider], codes[member]
+            encoding = Encoding(cset.symbols, codes, opts["nv"])
+            return encoding, {"optimal": True}, None
 
         name = fake_solver("fz-lying", lying_optimal)
-        outcome = run_case(case, name)
-        # either the arbitrary order happens to satisfy everything
-        # (rare) or the lie is flagged; both classifications are legal
-        assert outcome.classification in (OK, VIOLATION)
+        with pytest.raises(AssertionError, match="satisfiable by construction"):
+            check(case, name)
 
     def test_verify_result_flags_dishonest_claims(self):
         # grid:4 at minimum length: the counting-order encoding leaves
@@ -206,13 +166,16 @@ class TestOracleProperties:
             stats = {}
             raw = Raw()
 
-        problems = verify_result(case, Result(), budget=Budget())
-        # a grid's rows+columns cannot all be faces of the counting
-        # order, so at least one claimed row must be dishonest
-        assert any("claimed-satisfied" in p for p in problems)
+        with pytest.raises(AssertionError, match="claimed-satisfied"):
+            verify_result(case, Result(), None)
 
-    def test_cosim_runs_for_fsm_cases(self):
+    def test_cosim_runs_for_fsm_cases(self, monkeypatch):
         case = generate_case("fsm", 1, 10)
-        outcome = run_case(case, "picola", timeout=60)
-        assert outcome.classification == OK
+        check(case, "picola")
 
+        def diverge(*args, **kwargs):
+            raise CosimMismatch("diverged at step 0")
+
+        monkeypatch.setattr(tests.fuzz, "cosimulate", diverge)
+        with pytest.raises(CosimMismatch):
+            check(case, "picola")

@@ -1,30 +1,28 @@
-"""The fuzz generators, oracle and hardening contract as property tests.
+"""The fuzz generators through the whole encode pipeline, as property
+tests.
 
 Every generator family gets one derandomized hypothesis property that
-runs its cases through :func:`repro.fuzz.run_case` and then re-runs
-each case with faults armed at the budget and oracle seams: the
-classification must stay outside ``FINDINGS`` and every armed fault
-must come back classified.  A failing example prints as its
-``(family, seed)`` pair; ``docs/fuzzing.md`` has the triage steps.
+runs :func:`tests.fuzz.check` on its cases with ``picola``, then arms
+a ``SolverTimeout`` at the ``solver.solve`` seam: it must surface as a
+``BudgetExceeded``.  A failing example prints as the
+``generate_case(family, seed, 24)`` call that rebuilds it;
+``docs/fuzzing.md`` has the triage steps.
 """
 
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 
 from repro.encoding import Encoding
-from repro.fuzz import (
-    FINDINGS,
-    INFEASIBLE,
-    TIMEOUT,
-    VIOLATION,
-    generate_case,
-    list_generators,
-    run_case,
+from repro.runtime import (
+    Budget,
+    BudgetExceeded,
+    ReproError,
+    SolverTimeout,
+    faults,
 )
-from repro.fuzz.strategies import fuzz_cases
-from repro.runtime import ReproError, SolverTimeout, faults
 from repro.solvers import _REGISTRY, register_solver
-from tests.test_fuzz_oracle import _FakeSolver
+from tests.fuzz import GENERATORS, check, fuzz_cases, generate_case, solve
+from tests.test_fuzz_oracle import _FakeSolver, collide
 
 #: tier-1 stays deterministic: a fixed example stream, no example
 #: database, no per-example deadline on a shared host.  No explain
@@ -39,22 +37,15 @@ PROPERTY = settings(
     phases=[Phase.explicit, Phase.generate, Phase.shrink],
 )
 
-#: per-case budget and symbol ceiling, as in the retired CI campaign
-TIMEOUT_S = 10.0
+#: symbol ceiling, as in the retired CI campaign
 SCALE = 24
 
-#: what each armed seam must classify as
-HARDEN_EXPECT = (
-    ("solver.solve", SolverTimeout, TIMEOUT),
-    ("fuzz.verify", ReproError, VIOLATION),
-)
+FAMILIES = sorted(GENERATORS)
 
 #: the (family, seed) keys of the retired CI campaign
 #: ``--max-examples 50 --seed 0``: round-robin over the families,
 #: seeds ``0 + 10007 * i``
-CI_KEYS = [
-    (list_generators()[i % 5], 10007 * (i // 5)) for i in range(50)
-]
+CI_KEYS = [(FAMILIES[i % 5], 10007 * (i // 5)) for i in range(50)]
 
 
 @pytest.fixture(autouse=True)
@@ -65,36 +56,23 @@ def _clean_faults():
 
 
 def assert_clean_and_hardened(case, solver="picola"):
-    """``case`` is no finding, and stays classified under every armed
-    fault.  A seam deeper than where the plain run stopped (infeasible
-    or out of budget before verification) never trips, so there the
-    plain classification is accepted as well."""
-    outcome = run_case(case, solver, timeout=TIMEOUT_S)
-    assert outcome.classification not in FINDINGS, (
-        f"{case!r}: {outcome.classification} [{outcome.detail}]"
-    )
-    for site, exc, expected in HARDEN_EXPECT:
-        accepted = {expected}
-        if outcome.classification in (INFEASIBLE, TIMEOUT):
-            accepted.add(outcome.classification)
-        with faults.inject(site, exc):
-            hardened = run_case(case, solver, timeout=TIMEOUT_S)
-        assert hardened.classification in accepted, (
-            f"{case!r}: {site}: armed {exc.__name__} classified as "
-            f"{hardened.classification}, expected "
-            f"{'/'.join(sorted(accepted))}"
-        )
+    """``case`` passes the check, and a ``SolverTimeout`` armed at the
+    ``solver.solve`` seam surfaces as a ``BudgetExceeded``."""
+    check(case, solver)
+    with faults.inject("solver.solve", SolverTimeout):
+        with pytest.raises(BudgetExceeded):
+            solve(case, solver, Budget())
 
 
-@pytest.mark.parametrize("family", list_generators())
+@pytest.mark.parametrize("family", FAMILIES)
 def test_family_property(family):
     @PROPERTY
     @given(fuzz_cases([family], scale=SCALE))
-    def check(case):
+    def check_case(case):
         assert case.family == family
         assert_clean_and_hardened(case)
 
-    check()
+    check_case()
 
 
 @pytest.mark.parametrize(
@@ -104,25 +82,19 @@ def test_ci_campaign_case(family, seed):
     assert_clean_and_hardened(generate_case(family, seed, SCALE))
 
 
-@pytest.mark.parametrize("family", list_generators())
+@pytest.mark.parametrize("family", FAMILIES)
 def test_case_fault_classifies_as_violation(family, monkeypatch):
-    """An externally armed ``REPRO_FAULTS`` error at the case seam is
-    a classified VIOLATION, never an escaping exception."""
-    monkeypatch.setenv("REPRO_FAULTS", f"fuzz.case@{family}=error")
+    """An externally armed ``REPRO_FAULTS`` error at a case's solve is
+    a finding: the check lets the ``ReproError`` through."""
+    monkeypatch.setenv("REPRO_FAULTS", "solver.solve@picola=error")
     faults.install_from_env()
-    outcome = run_case(generate_case(family, 0, SCALE), timeout=TIMEOUT_S)
-    assert outcome.classification == VIOLATION
-    assert "ReproError" in outcome.detail
+    with pytest.raises(ReproError, match="injected fault"):
+        check(generate_case(family, 0, SCALE))
 
 
 def test_non_injective_solver_is_a_finding():
     # the check the properties run must reject a solver that hands
     # every symbol the same code
-    def collide(cset, opts):
-        nv = opts.get("nv") or cset.min_code_length()
-        codes = {s: 0 for s in cset.symbols}
-        return Encoding(cset.symbols, codes, nv), {}, None
-
     register_solver(_FakeSolver("fz-collide-all", collide))
     try:
         with pytest.raises(AssertionError, match="not injective"):
@@ -152,8 +124,8 @@ class TestHardening:
 
         register_solver(Swallowing("fz-swallow", swallowing))
         try:
-            # the swallowed timeout comes back OK instead of TIMEOUT
-            with pytest.raises(AssertionError, match="solver.solve"):
+            # the swallowed timeout comes back as a result
+            with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
                 assert_clean_and_hardened(
                     generate_case("random", 0, 8), "fz-swallow"
                 )

@@ -306,17 +306,11 @@ class TestImportFootprint:
 
     def test_import_loads_no_harness_or_network_stack(self):
         """``import repro`` stays in-process: no experiment harness,
-        HTTP server or process-pool modules come along, and neither
-        the fuzz subsystem nor its test-only hypothesis dependency."""
+        HTTP server or process-pool modules come along, and not the
+        test-only hypothesis dependency."""
         heavy = (
             "repro.harness", "http.server", "socketserver",
-            "multiprocessing", "concurrent.futures", "repro.fuzz",
+            "multiprocessing", "concurrent.futures",
             "hypothesis", "repro.analysis",
         )
         assert self._loaded_after("repro", heavy) == "[]"
-
-    def test_fuzz_import_loads_no_harness(self):
-        """``repro.fuzz`` needs the solvers and the oracle only, not
-        the experiment driver or its process pool."""
-        heavy = ("repro.harness", "multiprocessing")
-        assert self._loaded_after("repro.fuzz", heavy) == "[]"
