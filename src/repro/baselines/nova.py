@@ -226,6 +226,37 @@ def _affinity_term(w: float, code_a: int, code_b: int, nv: int) -> float:
     return w * (nv - dist) / (4.0 * nv)
 
 
+class _FlagFaces(dict):
+    """Face code sets keyed by a constraint's packed bit flags.
+
+    :func:`_anneal` packs a constraint's per-bit member counts into
+    fields ``width`` bits wide, field ``i`` counting the members whose
+    code has bit ``i`` set.  Its key adds two words that each use only
+    bit ``width - 1`` of a field: one set where some member has the
+    bit (the members' OR), one where every member has it (their AND).
+    From bit ``width - 1`` of field ``i``, two bits then read 0, 1 or
+    2, so a key holds at most ``3 ** nv`` values.  Each is turned into
+    ``lo``/``hi`` and looked up in :func:`face_table` on first use.
+    """
+
+    def __init__(self, nv: int, width: int) -> None:
+        super().__init__()
+        self.nv = nv
+        self.width = width
+        self.faces = face_table(nv)
+
+    def __missing__(self, key: int) -> int:
+        lo = hi = 0
+        for i in range(self.nv):
+            flags = key >> (i * self.width + self.width - 1) & 3
+            if flags:
+                hi |= 1 << i
+                if flags == 2:
+                    lo |= 1 << i
+        on = self[key] = self.faces[lo << self.nv | hi]
+        return on
+
+
 def _anneal(
     symbols: Sequence[str],
     constraints: Sequence[FaceConstraint],
@@ -239,27 +270,50 @@ def _anneal(
 ) -> Dict[str, int]:
     """Seeded annealing over code swaps and moves to unused codes.
 
-    Each constraint keeps its member codes, face codes and satisfied
-    flag, and each affinity pair its term, across moves.  A move
-    re-scores only what it can change: the constraints holding exactly
-    one of the two swapped symbols (a swap keeps the occupied codes),
-    or, on a move to an unused code, those holding the moved symbol
-    plus those whose face holds the vacated or the taken code.  The
-    candidate objective is then summed from the cached values in
-    :func:`_objective`'s order, so it equals ``_objective`` exactly.
+    Each constraint keeps its member codes, face codes, satisfied flag
+    and per-bit member counts, and each affinity pair its term, across
+    moves.  A move re-scores only what it can change: the constraints
+    holding exactly one of the two swapped symbols (a swap keeps the
+    occupied codes), or, on a move to an unused code, those holding
+    the moved symbol plus those whose face holds the vacated or the
+    taken code.  The candidate objective is then summed from the
+    cached values in :func:`_objective`'s order, so it equals
+    ``_objective`` exactly.
+
+    Moving one member from code ``a`` to ``b`` re-scores a constraint
+    in O(1), whatever its size.  Its counts are packed in one int, a
+    field of ``width`` bits per code bit (``spread[c]`` holds a 1 in
+    field ``i`` for each bit ``i`` of ``c``), so they move by
+    ``spread[b] - spread[a]``.  A field is nonzero (the members' OR
+    has the bit) when adding ``2 ** (width - 1) - 1`` carries into its
+    top bit, and equals the member count ``n`` (their AND has it) when
+    adding ``2 ** (width - 1) - n`` does.  ``width`` is one bit more
+    than the largest count needs, so neither sum spills into the next
+    field.  The two flag words give the face in one :class:`_FlagFaces`
+    lookup.
     """
     tracer = resolve_tracer(tracer)
     codes = dict(codes)
-    space = CodeSpace(nv)
-    table = face_table(nv)
-    all_bits = (1 << nv) - 1
+    size = 1 << nv
+    width = max(map(len, constraints), default=1).bit_length() + 1
+    spread = [0] * size
+    for code in range(1, size):
+        low = code & -code
+        spread[code] = spread[code ^ low] | 1 << (low.bit_length() - 1) * width
+    ones = spread[-1]
+    top = ones << width - 1
+    some = top - ones
+    every = [top - ones * len(c) for c in constraints]
+    lookup = _FlagFaces(nv, width)
     owner_of = {code: s for s, code in codes.items()}
     occupied = code_set(codes.values())
     weights = [c.weight for c in constraints]
     member_syms = [tuple(c.symbols) for c in constraints]
     members = [code_set(codes[s] for s in ms) for ms in member_syms]
-    faces = [space.face(m)[1] for m in members]
-    sat = [not f & occupied & ~m for f, m in zip(faces, members)]
+    counts = [sum(spread[codes[s]] for s in ms) for ms in member_syms]
+    faces = [lookup[(c + some & top) + (c + e & top)]
+             for c, e in zip(counts, every)]
+    sat = [f & occupied == m for f, m in zip(faces, members)]
     touching: Dict[str, FrozenSet[int]] = {
         s: frozenset(k for k, ms in enumerate(member_syms) if s in ms)
         for s in symbols
@@ -277,7 +331,6 @@ def _anneal(
     best = dict(codes)
     best_obj = current
     n = len(symbols)
-    size = 1 << nv
     temperature = max(1.0, len(constraints) / 4.0)
     cooling = 0.995 if moves else 1.0
     attempted = 0
@@ -295,16 +348,18 @@ def _anneal(
                 continue
             old_s = codes[s]
             codes[s] = target
+            moved = 1 << old_s | 1 << target
+            step = spread[target] - spread[old_s]
             if owner is not None:
                 codes[owner] = old_s
                 new_occupied = occupied
-                rescored = sorted(touching[s] ^ touching[owner])
+                mine, theirs = touching[s], touching[owner]
+                shifts = ((mine - theirs, step), (theirs - mine, -step))
                 rechecked: List[int] = []
                 moved_pairs = pairs_of[s] + pairs_of[owner]
             else:
-                new_occupied = occupied ^ (1 << old_s | 1 << target)
-                rescored = sorted(touching[s])
-                moved = 1 << old_s | 1 << target
+                new_occupied = occupied ^ moved
+                shifts = ((touching[s], step),)
                 rechecked = [
                     k for k, f in enumerate(faces)
                     if f & moved and k not in touching[s]
@@ -312,22 +367,16 @@ def _anneal(
                 moved_pairs = pairs_of[s]
             updates = []
             flips = []
-            for k in rescored:
-                # code_set and the face's AND/OR, inlined on the hot path
-                m = 0
-                lo = all_bits
-                hi = 0
-                for t in member_syms[k]:
-                    code = codes[t]
-                    m |= 1 << code
-                    lo &= code
-                    hi |= code
-                f = table[lo << nv | hi]
-                updates.append((k, m, f))
-                if sat[k] == bool(f & new_occupied & ~m):
-                    flips.append(k)
+            for rescored, shift in shifts:
+                for k in rescored:
+                    c = counts[k] + shift
+                    m = members[k] ^ moved
+                    f = lookup[(c + some & top) + (c + every[k] & top)]
+                    updates.append((k, m, f, c))
+                    if sat[k] != (f & new_occupied == m):
+                        flips.append(k)
             for k in rechecked:
-                if sat[k] == bool(faces[k] & new_occupied & ~members[k]):
+                if sat[k] != (faces[k] & new_occupied == members[k]):
                     flips.append(k)
             for k in flips:
                 sat[k] = not sat[k]
@@ -335,11 +384,14 @@ def _anneal(
                 reduce(add, compress(weights, sat), 0.0)
                 if flips else satisfied_total
             )
-            old_terms = [(p, terms[p]) for p in moved_pairs]
-            for p, _ in old_terms:
-                a, b, w = pairs[p]
-                terms[p] = _affinity_term(w, codes[a], codes[b], nv)
-            candidate = reduce(add, terms, candidate_satisfied)
+            candidate = candidate_satisfied
+            old_terms = ()
+            if pairs:
+                old_terms = [(p, terms[p]) for p in moved_pairs]
+                for p, _ in old_terms:
+                    a, b, w = pairs[p]
+                    terms[p] = _affinity_term(w, codes[a], codes[b], nv)
+                candidate = reduce(add, terms, candidate_satisfied)
             delta = candidate - current
             if delta >= 0 or rng.random() < math.exp(
                 delta / temperature
@@ -348,9 +400,10 @@ def _anneal(
                 current = candidate
                 satisfied_total = candidate_satisfied
                 occupied = new_occupied
-                for k, m, f in updates:
+                for k, m, f, c in updates:
                     members[k] = m
                     faces[k] = f
+                    counts[k] = c
                 owner_of[target] = s
                 if owner is not None:
                     owner_of[old_s] = owner

@@ -9,7 +9,8 @@
 * :func:`fuzz_cases` / :func:`constraint_sets` — hypothesis strategies
   over them;
 * :func:`check` — solve a case through the :mod:`repro.solvers`
-  registry under a budget and assert :func:`verify_result`.
+  registry under a budget, assert :func:`verify_result` and return
+  the outcome.
 
 Families
 --------
@@ -437,17 +438,20 @@ def verify_result(case: FuzzCase, result, budget: Budget) -> None:
         cosimulate(case.fsm, minimized, codes, nv, steps=128, seed=0)
 
 
-def check(case: FuzzCase, solver: str = "picola") -> None:
-    """Solve ``case`` under ``Budget(seconds=TIMEOUT_S)`` and assert
-    :func:`verify_result`.
+def check(case: FuzzCase, solver: str = "picola") -> str:
+    """Solve ``case`` under ``Budget(seconds=TIMEOUT_S)``, assert
+    :func:`verify_result` and return the outcome.
 
-    Returns normally when the solver reports the instance infeasible or
-    the budget runs out: those are outcomes, not findings.  Any other
-    exception propagates, and hypothesis shrinks it to its
-    ``(family, seed)``.
+    The outcome is ``"verified"``, or ``"infeasible"`` when the solver
+    reports the instance infeasible, or ``"budget"`` when the budget
+    runs out: those are outcomes, not findings.  Any other exception
+    propagates, and hypothesis shrinks it to its ``(family, seed)``.
     """
     budget = Budget(seconds=TIMEOUT_S)
     try:
         verify_result(case, solve(case, solver, budget), budget)
-    except (InfeasibleError, BudgetExceeded):
-        return
+    except InfeasibleError:
+        return "infeasible"
+    except BudgetExceeded:
+        return "budget"
+    return "verified"

@@ -277,6 +277,44 @@ class TestIncrementalAnneal:
             assert got.encoding.codes == want.encoding.codes
             assert got.objective == want.objective
 
+    @pytest.mark.parametrize("variant", ["i_hybrid", "io_hybrid"])
+    @pytest.mark.parametrize("nv", range(1, 8))
+    def test_count_field_widths(self, nv, variant, monkeypatch):
+        """Constraints of 2**j - 1, 2**j and 2**j + 1 members and of all
+        symbols but one, in a full code space and in sparse ones, where
+        every member of a large constraint can share a code bit: the
+        anneal's packed per-bit counts fill their fields to the top."""
+        rng = random.Random(nv)
+        sizes = {n for j in range(1, nv + 1)
+                 for n in ((1 << j) - 1, 1 << j, (1 << j) + 1)}
+        # the full space, one at minimum length, and sparse ones, where nv
+        # exceeds the minimum and the largest constraint's size
+        # (2**(nv-1) - 1 or 2**(nv-2) + 1) is no power of two
+        spaces = {1 << nv, (1 << nv - 1) + 1, 1 << nv - 1,
+                  (1 << max(nv - 2, 0)) + 2, 3}
+        for n in sorted(k for k in spaces if 2 <= k <= 1 << nv):
+            symbols = [f"s{i}" for i in range(n)]
+            groups = [rng.sample(symbols, k)
+                      for k in sorted(sizes | {n - 1}) if 2 <= k < n
+                      for _ in range(2)]
+            cset = ConstraintSet(
+                symbols,
+                [FaceConstraint(set(g), weight=rng.choice([1.0, 2.5]))
+                 for g in groups],
+            )
+            affinity = {
+                tuple(rng.sample(symbols, 2)): rng.random() for _ in range(4)
+            } if variant == "io_hybrid" else None
+            kwargs = dict(nv=nv, variant=variant, affinity=affinity,
+                          seed=n, anneal_moves=400)
+            want = nova_encode(cset, **kwargs)
+            with monkeypatch.context() as mp:
+                mp.setattr(nova_module, "_anneal", full_recompute_anneal)
+                got = nova_encode(cset, **kwargs)
+            assert got.encoding.codes == want.encoding.codes, n
+            assert got.objective == want.objective, n
+            assert got.satisfied == want.satisfied, n
+
 
 class TestEnc:
     def test_improves_over_natural(self):

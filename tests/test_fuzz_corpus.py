@@ -24,10 +24,16 @@ CORPUS = sorted((pathlib.Path(__file__).parent / "corpus").glob("*.json"))
 PARSERS = {"kiss": parse_kiss, "pla": parse_pla}
 
 
+#: the keys an entry of each kind holds, besides an optional ``note``
+KEYS = {"case": {"kind", "case", "solver"}, "kiss": {"kind", "text"},
+        "pla": {"kind", "text"}}
+
+
 def replay(entry):
     """Replay one corpus entry; a red entry fails the calling test."""
     if entry["kind"] == "case":
-        check(FuzzCase.from_dict(entry["case"]), entry["solver"])
+        outcome = check(FuzzCase.from_dict(entry["case"]), entry["solver"])
+        assert outcome != "budget", "the check's budget ran out"
     else:
         with pytest.raises(ParseError):
             PARSERS[entry["kind"]](entry["text"])
@@ -45,6 +51,11 @@ class TestCommittedCorpus:
     @pytest.mark.parametrize("path", CORPUS, ids=lambda path: path.name)
     def test_replays_green(self, path):
         replay(json.loads(path.read_text()))
+
+    @pytest.mark.parametrize("path", CORPUS, ids=lambda path: path.name)
+    def test_holds_only_replayed_keys(self, path):
+        entry = json.loads(path.read_text())
+        assert set(entry) - {"note"} == KEYS[entry["kind"]]
 
     def test_covers_both_parsers_and_cases(self):
         kinds = {json.loads(path.read_text())["kind"] for path in CORPUS}

@@ -1,8 +1,8 @@
 """The fuzz check (``tests/fuzz.py::check``) against scripted solvers.
 
 A clean result, an infeasible instance and a blown budget return
-normally; a broken encoding fails an assertion; any other exception
-propagates as the finding it is.
+their outcome; a broken encoding fails an assertion; any other
+exception propagates as the finding it is.
 """
 
 import pytest
@@ -64,18 +64,19 @@ def collide(cset, opts):
 
 class TestClassifications:
     def test_ok(self):
-        check(generate_case("random", 1, 10), "picola")
+        assert check(generate_case("random", 1, 10), "picola") == "verified"
 
     def test_infeasible(self, fake_solver):
         def bail(cset, opts):
             raise InfeasibleError("no encoding exists")
 
-        check(generate_case("random", 1, 8), fake_solver("fz-infeasible", bail))
+        name = fake_solver("fz-infeasible", bail)
+        assert check(generate_case("random", 1, 8), name) == "infeasible"
 
     def test_timeout_via_injected_budget(self):
         case = generate_case("random", 2, 8)
         with faults.inject("solver.solve", SolverTimeout) as fault:
-            check(case, "picola")
+            assert check(case, "picola") == "budget"
         assert fault.fired == 1
 
     def test_violation_non_injective(self, fake_solver):
@@ -171,7 +172,7 @@ class TestOracleProperties:
 
     def test_cosim_runs_for_fsm_cases(self, monkeypatch):
         case = generate_case("fsm", 1, 10)
-        check(case, "picola")
+        assert check(case, "picola") == "verified"
 
         def diverge(*args, **kwargs):
             raise CosimMismatch("diverged at step 0")

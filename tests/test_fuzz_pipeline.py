@@ -2,7 +2,8 @@
 tests.
 
 Every generator family gets one derandomized hypothesis property that
-runs :func:`tests.fuzz.check` on its cases with ``picola``, then arms
+runs :func:`tests.fuzz.check` on its cases with ``picola`` (a
+case whose budget runs out fails), then arms
 a ``SolverTimeout`` at the ``solver.solve`` seam: it must surface as a
 ``BudgetExceeded``.  A failing example prints as the
 ``generate_case(family, seed, 24)`` call that rebuilds it;
@@ -56,9 +57,10 @@ def _clean_faults():
 
 
 def assert_clean_and_hardened(case, solver="picola"):
-    """``case`` passes the check, and a ``SolverTimeout`` armed at the
-    ``solver.solve`` seam surfaces as a ``BudgetExceeded``."""
-    check(case, solver)
+    """``case`` passes the check within its budget, and a
+    ``SolverTimeout`` armed at the ``solver.solve`` seam surfaces as a
+    ``BudgetExceeded``."""
+    assert check(case, solver) != "budget", "the check's budget ran out"
     with faults.inject("solver.solve", SolverTimeout):
         with pytest.raises(BudgetExceeded):
             solve(case, solver, Budget())
