@@ -141,9 +141,14 @@ def _complement_absorb(cover):
 
 
 def _expand_raise(cover):
-    """One EXPAND raise round: blocked bits + best-raise scoring."""
+    """One EXPAND raise round with its pass's set-up: the on-set's
+    transpose (once per EXPAND pass), the blocked bits, and the raise
+    choice with every free bit a candidate, scored against every row
+    of the on-set."""
+    cols = bulk.columns(_SPACE, cover)
     _BLOCKED(_PIVOT)
-    bulk.best_raise(cover, _PIVOT, _SPACE.universe & ~_PIVOT)
+    free = _SPACE.universe & ~_PIVOT
+    bulk.choose_raise(cols, (1 << len(cover)) - 1, free, free)
 
 
 def _containment_dedup(cover):

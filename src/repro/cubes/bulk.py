@@ -26,13 +26,13 @@ from .space import Space
 __all__ = [
     "absorb",
     "and_rows",
-    "best_raise",
     "binate_part",
     "bit_count",
     "blocker",
+    "choose_raise",
     "cofactor_cube",
     "cofactor_value",
-    "contained_rows",
+    "columns",
     "cross_intersect",
     "dedup_keep_mask",
     "is_unate",
@@ -118,11 +118,6 @@ def binate_part(space: Space, cover: Sequence[int]) -> int:
             best_score = score
             best_part = part
     return best_part
-
-
-def contained_rows(cover: Sequence[int], cube: int) -> List[bool]:
-    """Per row: is the row contained in ``cube`` (row ⊆ cube)?"""
-    return [not c & ~cube for c in cover]
 
 
 # -- cofactor / restriction --------------------------------------------
@@ -236,6 +231,40 @@ def minterm_count(space: Space, cover: Sequence[int]) -> int:
 
 
 # -- EXPAND support ----------------------------------------------------
+#: :func:`columns` loops over the bits of a cover of fewer cells
+#: (rows x width) than this, and transposes digit strings otherwise
+_LOOP_CELLS = 80
+
+
+def columns(space: Space, cover: Sequence[int]) -> List[int]:
+    """The cover column-wise, as ESPRESSO's blocking and covering
+    matrices hold it (Brayton et al. 1984): ``cols[b]`` has bit ``i``
+    set when row ``i`` admits bit ``b``.
+
+    The transpose runs on the rows' binary digits: one string per
+    row, last row first, so that each column's digits read as its
+    int.  The strings cost a fixed ~5 us, so a cover of fewer than
+    ``_LOOP_CELLS`` cells loops over each row's set bits instead.
+    The two take the same time at 6-8 rows of width 10, the width of
+    all of ENC's truth-table covers (most of them have 1-5 rows), and
+    at 2-4 rows of width 30-50.
+    """
+    if len(cover) * space.width < _LOOP_CELLS:
+        cols = [0] * space.width
+        for i, c in enumerate(cover):
+            row = 1 << i
+            while c:
+                low = c & -c
+                cols[low.bit_length() - 1] |= row
+                c ^= low
+        return cols
+    digits = "0%db" % space.width
+    rows = [format(c, digits) for c in reversed(cover)]
+    cols = [int("".join(column), 2) for column in zip(*rows)]
+    cols.reverse()
+    return cols
+
+
 def blocker(space: Space, off: Sequence[int]) -> Callable[[int], int]:
     """EXPAND's blocking check against a fixed off-set.
 
@@ -244,48 +273,54 @@ def blocker(space: Space, off: Sequence[int]) -> Callable[[int], int]:
     empty in exactly one part (a *critical*, distance-one row),
     the values it admits in that part may not be raised.
 
-    The off-set is held column-wise, as ESPRESSO's blocking matrix
-    (Brayton et al. 1984): ``cols[b]`` has bit ``i`` set when off
-    row ``i`` admits bit ``b``.  The rows with an empty meet in
-    part ``p`` are then ``all & ~OR(cols[b] for b in cube ∩ p)``,
-    a ones/twos accumulator over the parts keeps the rows empty in
-    exactly one part, and bit ``b`` of part ``p`` is blocked when
-    ``cols[b]`` meets those rows of ``p`` — one AND per bit instead
-    of a scan over every row and part.
+    The off-set is held column-wise (:func:`columns`).  The rows
+    with an empty meet in part ``p`` are then
+    ``all & ~OR(cols[b] for b in cube ∩ p)``, precomputed for a
+    field that is full; a ones/twos accumulator over the parts keeps
+    the rows empty in exactly one part, and bit ``b`` of part ``p``
+    is blocked when ``cols[b]`` meets those rows of ``p``: one AND
+    per bit instead of a scan over every row and part.
     """
-    cols = [0] * space.width
-    for i, o in enumerate(off):
-        row = 1 << i
-        while o:
-            low = o & -o
-            cols[low.bit_length() - 1] |= row
-            o ^= low
+    cols = columns(space, off)
     all_rows = (1 << len(off)) - 1
-    # per part: (bit, column) for each of its positions
-    parts = [
-        [(1 << b, cols[b]) for b in range(offset, offset + size)]
-        for offset, size in zip(space.offsets, space.part_sizes)
-    ]
+    # per part: (offset, full field, its columns, the rows void in
+    # it), and (bit, column) for each of its positions
+    parts = []
+    part_bits = []
+    for offset, size in zip(space.offsets, space.part_sizes):
+        part_cols = cols[offset:offset + size]
+        void = all_rows
+        for col in part_cols:
+            void &= ~col
+        parts.append((offset, (1 << size) - 1, part_cols, void))
+        part_bits.append(
+            [(1 << (offset + v), col) for v, col in enumerate(part_cols)]
+        )
 
     def blocked(cube: int) -> int:
         ones = twos = 0
         empties = []
-        for part in parts:
-            admit = 0
-            for bit, col in part:
-                if cube & bit:
-                    admit |= col
-            empty = all_rows & ~admit
+        for offset, full, part_cols, void in parts:
+            field = cube >> offset & full
+            if field == full:
+                empty = void
+            else:
+                admit = 0
+                while field:
+                    low = field & -field
+                    admit |= part_cols[low.bit_length() - 1]
+                    field ^= low
+                empty = all_rows & ~admit
             twos |= ones & empty
             ones |= empty
             empties.append(empty)
         critical = ones & ~twos
         out = 0
         if critical:
-            for part, empty in zip(parts, empties):
+            for bits, empty in zip(part_bits, empties):
                 rows = empty & critical
                 if rows:
-                    for bit, col in part:
+                    for bit, col in bits:
                         if col & rows:
                             out |= bit
         return out
@@ -293,27 +328,38 @@ def blocker(space: Space, off: Sequence[int]) -> Callable[[int], int]:
     return blocked
 
 
-def best_raise(others: Sequence[int], cube: int, candidates: int) -> int:
-    """Covering-directed raise choice among ``candidates`` bits:
-    maximize (on-set rows covered by the grown cube, rows admitting
-    the bit); first candidate bit (ascending) wins ties.  Returns
-    0 when ``candidates`` is 0."""
+def choose_raise(
+    cols: Sequence[int], rows: int, free: int, candidates: int
+) -> int:
+    """Covering-directed raise choice among ``candidates`` bits.
+
+    ``cols`` is the on-set column-wise (:func:`columns`), ``rows``
+    the mask of on-set rows that steer the choice, and ``free`` the
+    bits outside the cube being expanded.  A ones/twos fold of the
+    free bits' columns finds the rows with exactly one bit outside
+    the cube; raising bit ``b`` covers those of them in ``cols[b]``.
+    The choice maximizes (rows the raise covers, rows admitting the
+    bit), and the lowest candidate bit wins ties.  Returns 0 when
+    ``candidates`` is 0.
+    """
+    ones = twos = 0
+    bits = free
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        col = cols[low.bit_length() - 1]
+        twos |= ones & col
+        ones |= col
+    single = rows & ones & ~twos
     best_bit = 0
     best_key = (-1, -1)
     bits = candidates
     while bits:
-        bit = bits & -bits
-        bits &= bits - 1
-        grown_outside = ~(cube | bit)
-        covered = 0
-        column = 0
-        for o in others:
-            if o & bit:
-                column += 1
-            if not o & grown_outside:
-                covered += 1
-        key = (covered, column)
+        low = bits & -bits
+        bits ^= low
+        col = cols[low.bit_length() - 1]
+        key = (bit_count(single & col), bit_count(rows & col))
         if key > best_key:
             best_key = key
-            best_bit = bit
+            best_bit = low
     return best_bit

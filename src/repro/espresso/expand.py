@@ -4,18 +4,24 @@ Each cube is expanded one position at a time.  A raise is *feasible*
 when the grown cube still avoids every off-set cube; among feasible
 raises the one covering the most other on-set cubes (then the most
 popular column) is taken, which is the essence of ESPRESSO's
-covering-directed expansion without the full blocking/covering matrix
-machinery.
+covering-directed expansion without the rest of its machinery.
 
-Feasibility and scoring are cube-list primitives
-(:mod:`repro.cubes.bulk`): ``blocker`` holds the off-set column-wise
-once per off-set and answers each raise round's blocked-bit mask (the
+Both sets are held column-wise, as ESPRESSO's blocking and covering
+matrices (Brayton et al. 1984), with the cube-list primitives of
+:mod:`repro.cubes.bulk`.  ``blocker`` transposes the off-set once per
+off-set and answers each raise round's blocked-bit mask (the
 *critical* off rows, those with exactly one blocking part) with a few
-ANDs, and ``best_raise`` scores every candidate bit against all
-remaining on-set rows at once.  The results are bit-identical to the
-historical incremental per-cube bookkeeping: recomputing the blocking
-parts against the grown cube each round gives the same critical set
-the incremental updates maintained.
+ANDs.  A pass transposes its on-set once (``columns``: ``cols[b]`` is
+the int mask of the rows admitting bit ``b``) and keeps the rows not
+yet swallowed by a prime as one int.  A round with no candidate ends
+the cube and a round with one takes it; otherwise ``choose_raise``
+finds the rows with exactly one bit outside the cube by a ones/twos
+fold over the free bits' columns and scores every candidate with two
+popcounts.  The rows a prime swallows are those outside the OR of the
+columns of its free bits.  Every prime, its order and every cover are
+list-equal to the row-wise scoring this replaced (one scan of the
+remaining rows per candidate bit), which ``tests/test_expand_oracle.py``
+keeps as its oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from typing import Callable, List, Sequence
 
 from ..cubes import Space, bulk
 
-__all__ = ["Blocked", "expand", "expand_cube", "expand_cube_with", "expand_with"]
+__all__ = ["Blocked", "expand", "expand_cube", "expand_cubes_with", "expand_with"]
 
 #: ``blocked(cube)``: the raise bits of ``cube`` that hit the off-set
 Blocked = Callable[[int], int]
@@ -40,21 +46,33 @@ def expand_cube(
 
     ``others`` (remaining on-set cubes) only steer the raise order.
     """
-    return expand_cube_with(space, cube, bulk.blocker(space, off), others)
+    return expand_cubes_with(space, [cube], bulk.blocker(space, off), others)[0]
 
 
-def expand_cube_with(
-    space: Space, cube: int, blocked: Blocked, others: Sequence[int]
+def expand_cubes_with(
+    space: Space, cubes: Sequence[int], blocked: Blocked, others: Sequence[int]
+) -> List[int]:
+    """:func:`expand_cube` of each of ``cubes`` with the off-set behind
+    ``blocked``; ``others`` is transposed once for all of them."""
+    cols = bulk.columns(space, others)
+    rows = (1 << len(others)) - 1
+    return [_raise(space.universe, cube, blocked, cols, rows) for cube in cubes]
+
+
+def _raise(
+    universe: int, cube: int, blocked: Blocked, cols: List[int], rows: int
 ) -> int:
-    """:func:`expand_cube` with the off-set behind ``blocked``."""
-    free_bits = space.universe & ~cube
-    while free_bits:
-        candidates = free_bits & ~blocked(cube)
-        best_bit = bulk.best_raise(others, cube, candidates)
-        if not best_bit:
+    """Raise ``cube`` to a prime, steered by the on-set ``rows`` of
+    the column-wise ``cols``."""
+    free = universe & ~cube
+    while free:
+        candidates = free & ~blocked(cube)
+        if candidates & (candidates - 1):
+            candidates = bulk.choose_raise(cols, rows, free, candidates)
+        elif not candidates:
             break
-        cube |= best_bit
-        free_bits &= ~best_bit
+        cube |= candidates
+        free &= ~candidates
     return cube
 
 
@@ -76,25 +94,34 @@ def expand_with(space: Space, onset: List[int], blocked: Blocked) -> List[int]:
     """EXPAND's cube-list pass with the off-set behind ``blocked``.
 
     ``blocked(cube)`` returns the raise bits of ``cube`` that would make
-    it hit the off-set; everything else (visit order, raise choice,
-    swallowed cubes, the final dedup) is a cube-list primitive.
+    it hit the off-set.  The pass holds ``onset`` column-wise
+    (:func:`repro.cubes.bulk.columns`) and the rows no prime has
+    swallowed yet as one int; the raise choice and the final dedup
+    are cube-list primitives.
     ESPRESSO builds ``blocked`` once per off-set with
     :func:`repro.cubes.bulk.blocker`; truth-table scoring
     (:mod:`repro.espresso.truthtable`) passes its own.
     """
     weights = bulk.popcounts(onset)
     order = sorted(range(len(onset)), key=weights.__getitem__)
-    covered = [False] * len(onset)
+    universe = space.universe
+    cols = bulk.columns(space, onset)
+    # the rows no prime has swallowed yet; a visited row stays in
+    alive = (1 << len(onset)) - 1
     primes: List[int] = []
     for idx in order:
-        if covered[idx]:
+        row = 1 << idx
+        if not alive & row:
             continue
-        others = [onset[j] for j in order if j != idx and not covered[j]]
-        prime = expand_cube_with(space, onset[idx], blocked, others)
-        swallowed = bulk.contained_rows(onset, prime)
-        for j in order:
-            if j != idx and not covered[j] and swallowed[j]:
-                covered[j] = True
+        prime = _raise(universe, onset[idx], blocked, cols, alive & ~row)
+        # a row is swallowed when none of its bits is outside the prime
+        outside = 0
+        bits = universe & ~prime
+        while bits:
+            low = bits & -bits
+            outside |= cols[low.bit_length() - 1]
+            bits ^= low
+        alive &= outside | row
         primes.append(prime)
     # a later prime can swallow an earlier one
     keep = bulk.dedup_keep_mask(primes)

@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 from ..cubes import Space, absorb, bulk, complement, contains
 from ..obs import resolve_tracer
 from ..runtime import Budget, faults
-from .expand import Blocked, expand_cube_with, expand_with
+from .expand import Blocked, expand_cubes_with, expand_with
 from .irredundant import irredundant
 from .pla import Pla
 from .reduce import reduce_cover, reduce_cube
@@ -150,8 +150,7 @@ def _lastgasp(
     if not reduced:
         return None
     candidates: List[int] = []
-    for cube in reduced:
-        prime = expand_cube_with(space, cube, blocked, reduced)
+    for prime in expand_cubes_with(space, reduced, blocked, reduced):
         covers = sum(1 for r in reduced if contains(prime, r))
         if covers >= 2:
             candidates.append(prime)
