@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, compress
 from operator import add
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..cubes.bulk import bit_count
 from ..encoding.codes import CodeSpace, Encoding, code_set, face_table
@@ -280,6 +280,14 @@ def _anneal(
     cached values in :func:`_objective`'s order, so it equals
     ``_objective`` exactly.
 
+    Symbols are their positions in ``symbols``: codes are a list, the
+    owner of each code a list of ``2 ** nv`` entries (-1 for a free
+    code), and the constraints holding a symbol a bitmask over
+    constraint indices.  A move's two draws are
+    ``rng.randrange(len(symbols))`` and ``rng.randrange(2 ** nv)``,
+    made with the ``getrandbits`` rejection loop that ``randrange``
+    runs for a ``random.Random``, so the stream is the same.
+
     Moving one member from code ``a`` to ``b`` re-scores a constraint
     in O(1), whatever its size.  Its counts are packed in one int, a
     field of ``width`` bits per code bit (``spread[c]`` holds a 1 in
@@ -293,7 +301,11 @@ def _anneal(
     lookup.
     """
     tracer = resolve_tracer(tracer)
-    codes = dict(codes)
+    n = len(symbols)
+    if not n and moves:  # no symbol to draw
+        raise InvalidSpecError("NOVA's anneal needs at least one symbol")
+    position = {s: i for i, s in enumerate(symbols)}
+    codes = [codes[s] for s in symbols]
     size = 1 << nv
     width = max(map(len, constraints), default=1).bit_length() + 1
     spread = [0] * size
@@ -305,22 +317,25 @@ def _anneal(
     some = top - ones
     every = [top - ones * len(c) for c in constraints]
     lookup = _FlagFaces(nv, width)
-    owner_of = {code: s for s, code in codes.items()}
-    occupied = code_set(codes.values())
+    owner_of = [-1] * size
+    for i, code in enumerate(codes):
+        owner_of[code] = i
+    occupied = code_set(codes)
     weights = [c.weight for c in constraints]
-    member_syms = [tuple(c.symbols) for c in constraints]
-    members = [code_set(codes[s] for s in ms) for ms in member_syms]
-    counts = [sum(spread[codes[s]] for s in ms) for ms in member_syms]
+    member_pos = [[position[s] for s in c.symbols] for c in constraints]
+    members = [code_set(codes[i] for i in ms) for ms in member_pos]
+    counts = [sum(spread[codes[i]] for i in ms) for ms in member_pos]
     faces = [lookup[(c + some & top) + (c + e & top)]
              for c, e in zip(counts, every)]
     sat = [f & occupied == m for f, m in zip(faces, members)]
-    touching: Dict[str, FrozenSet[int]] = {
-        s: frozenset(k for k, ms in enumerate(member_syms) if s in ms)
-        for s in symbols
-    }
-    pairs = [(a, b, w) for (a, b), w in (affinity or {}).items()]
+    touching = [0] * n
+    for k, ms in enumerate(member_pos):
+        for i in ms:
+            touching[i] |= 1 << k
+    pairs = [(position[a], position[b], w)
+             for (a, b), w in (affinity or {}).items()]
     terms = [_affinity_term(w, codes[a], codes[b], nv) for a, b, w in pairs]
-    pairs_of: Dict[str, List[int]] = {s: [] for s in symbols}
+    pairs_of: List[List[int]] = [[] for _ in symbols]
     for p, (a, b, _) in enumerate(pairs):
         pairs_of[a].append(p)
         pairs_of[b].append(p)
@@ -328,9 +343,11 @@ def _anneal(
     # sum() may compensate and round differently
     satisfied_total = reduce(add, compress(weights, sat), 0.0)
     current = reduce(add, terms, satisfied_total)
-    best = dict(codes)
+    best = list(codes)
     best_obj = current
-    n = len(symbols)
+    getrandbits = rng.getrandbits
+    n_bits = n.bit_length()
+    size_bits = size.bit_length()
     temperature = max(1.0, len(constraints) / 4.0)
     cooling = 0.995 if moves else 1.0
     attempted = 0
@@ -341,34 +358,42 @@ def _anneal(
             if budget is not None:
                 budget.tick(where="nova_encode")
             attempted += 1
-            s = symbols[rng.randrange(n)]
-            target = rng.randrange(size)
-            owner = owner_of.get(target)
+            s = getrandbits(n_bits)
+            while s >= n:
+                s = getrandbits(n_bits)
+            target = getrandbits(size_bits)
+            while target >= size:
+                target = getrandbits(size_bits)
+            owner = owner_of[target]
             if owner == s:
                 continue
             old_s = codes[s]
             codes[s] = target
             moved = 1 << old_s | 1 << target
             step = spread[target] - spread[old_s]
-            if owner is not None:
+            if owner >= 0:
                 codes[owner] = old_s
                 new_occupied = occupied
                 mine, theirs = touching[s], touching[owner]
-                shifts = ((mine - theirs, step), (theirs - mine, -step))
+                shifts = ((mine & ~theirs, step), (theirs & ~mine, -step))
                 rechecked: List[int] = []
                 moved_pairs = pairs_of[s] + pairs_of[owner]
             else:
                 new_occupied = occupied ^ moved
-                shifts = ((touching[s], step),)
+                mine = touching[s]
+                shifts = ((mine, step),)
                 rechecked = [
                     k for k, f in enumerate(faces)
-                    if f & moved and k not in touching[s]
+                    if f & moved and not mine >> k & 1
                 ]
                 moved_pairs = pairs_of[s]
             updates = []
             flips = []
             for rescored, shift in shifts:
-                for k in rescored:
+                while rescored:
+                    low = rescored & -rescored
+                    rescored ^= low
+                    k = low.bit_length() - 1
                     c = counts[k] + shift
                     m = members[k] ^ moved
                     f = lookup[(c + some & top) + (c + every[k] & top)]
@@ -405,16 +430,13 @@ def _anneal(
                     faces[k] = f
                     counts[k] = c
                 owner_of[target] = s
-                if owner is not None:
-                    owner_of[old_s] = owner
-                else:
-                    del owner_of[old_s]
+                owner_of[old_s] = owner
                 if current > best_obj:
                     best_obj = current
-                    best = dict(codes)
+                    best = list(codes)
             else:
                 codes[s] = old_s
-                if owner is not None:
+                if owner >= 0:
                     codes[owner] = target
                 for k in flips:
                     sat[k] = not sat[k]
@@ -425,7 +447,7 @@ def _anneal(
         tracer.count("nova.moves", attempted)
         tracer.count("nova.accepted", accepted)
         tracer.gauge("nova.objective", best_obj)
-    return best
+    return dict(zip(symbols, best))
 
 
 # ----------------------------------------------------------------------

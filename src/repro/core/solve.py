@@ -163,9 +163,13 @@ class _ColumnBuilder:
     Row state lives in flat lists indexed by row: the static terms,
     the member/outsider one-counts, the current score and the four
     toggle deltas (the score change when one member or one outsider
-    flips down or up).  A toggle only moves counts and marks its rows
-    dirty; their score and deltas are recomputed before the next gain
-    is read, so a gain is a sum of cached deltas.
+    flips down or up).  Symbol state lives in lists indexed by the
+    symbol's position in ``groups.symbols``: the column bit, the
+    prefix group and the live rows it is a member / an outsider of.
+    A flip only moves counts and marks its rows dirty; their score
+    and deltas are recomputed before the next gain is read, so a gain
+    is a sum of cached deltas: member rows, then outsider rows, in
+    row order.
     """
 
     def __init__(
@@ -177,8 +181,9 @@ class _ColumnBuilder:
     ) -> None:
         self.groups = groups
         self.symbols = groups.symbols
+        position = {s: i for i, s in enumerate(self.symbols)}
         self.cap = groups.cap_after_next_column()
-        self.column: Dict[str, int] = {s: 1 for s in self.symbols}
+        self.column: List[int] = [1] * len(self.symbols)
         # infeasible rows stay at reduced weight, and one scores only
         # while it can still afford an agreeing column
         # (``agree_budget > 0`` below): then each newly marked
@@ -203,12 +208,10 @@ class _ColumnBuilder:
         #: can still afford an agreeing column, are ever dirty: the
         #: others score 0.0 at every count and add nothing to a gain
         self._dirty: Set[int] = set()
-        #: per symbol, the live rows it is a member / an unmarked
-        #: outsider of, in row order
-        self._member_of: Dict[str, List[int]] = {s: [] for s in self.symbols}
-        self._outsider_of: Dict[str, List[int]] = {
-            s: [] for s in self.symbols
-        }
+        #: per symbol position, the live rows it is a member / an
+        #: unmarked outsider of, in row order
+        self._member_of: List[List[int]] = [[] for _ in self.symbols]
+        self._outsider_of: List[List[int]] = [[] for _ in self.symbols]
         for k, r in enumerate(self.rows):
             weight = policy.row_weight(r)
             if r.infeasible:
@@ -226,9 +229,15 @@ class _ColumnBuilder:
             if agree_budget > 0:
                 self._dirty.add(k)
                 for s in r.members:
-                    self._member_of[s].append(k)
+                    self._member_of[position[s]].append(k)
                 for s in unmarked:
-                    self._outsider_of[s].append(k)
+                    self._outsider_of[position[s]].append(k)
+        #: the symbols with a live row; any other one's gain is 0.0
+        self._live: List[int] = [
+            i for i, (m, o) in enumerate(zip(self._member_of,
+                                              self._outsider_of))
+            if m or o
+        ]
         # the all-ones column: every count at its maximum
         self.member_ones: List[int] = list(self.n_members)
         self.out_ones: List[int] = list(self.n_out)
@@ -239,9 +248,7 @@ class _ColumnBuilder:
         self.out_down: List[float] = [0.0] * n_rows
         self.out_up: List[float] = [0.0] * n_rows
         self._refresh()
-        self.gid: Dict[str, int] = {
-            s: groups.group_index(s) for s in self.symbols
-        }
+        self.gid: List[int] = list(groups._group_of)
         self.one_count: List[int] = [
             groups.group_size(g) for g in range(groups.n_groups)
         ]
@@ -298,9 +305,8 @@ class _ColumnBuilder:
         """An independent builder in the same state; the row tables
         that never change are shared."""
         twin = copy.copy(self)
-        twin.column = dict(self.column)
         for name in (
-            "member_ones", "out_ones", "current", "member_down",
+            "column", "member_ones", "out_ones", "current", "member_down",
             "member_up", "out_down", "out_up", "one_count", "zero_count",
         ):
             setattr(twin, name, list(getattr(self, name)))
@@ -308,42 +314,20 @@ class _ColumnBuilder:
         return twin
 
     # ------------------------------------------------------------------
-    def overfull(self) -> bool:
-        return any(v > self.cap for v in self.one_count)
-
-    def admissible_toggle(self, s: str) -> bool:
-        gid = self.gid[s]
-        if self.column[s] == 1:
-            return self.zero_count[gid] + 1 <= self.cap
-        return self.one_count[gid] + 1 <= self.cap
-
-    def toggle_gain(self, s: str) -> float:
-        if self._dirty:
-            self._refresh()
-        if self.column[s] == 1:
-            member, out = self.member_down, self.out_down
-        else:
-            member, out = self.member_up, self.out_up
-        gain = 0.0
-        for k in self._member_of[s]:
-            gain += member[k]
-        for k in self._outsider_of[s]:
-            gain += out[k]
-        return gain
-
-    def toggle(self, s: str) -> None:
-        delta = -1 if self.column[s] == 1 else 1
-        self.column[s] += delta
-        gid = self.gid[s]
+    def flip(self, i: int) -> None:
+        """Toggle the bit of the symbol at position ``i``."""
+        delta = -1 if self.column[i] else 1
+        self.column[i] += delta
+        gid = self.gid[i]
         self.one_count[gid] += delta
         self.zero_count[gid] -= delta
         member_ones = self.member_ones
-        for k in self._member_of[s]:
+        for k in self._member_of[i]:
             member_ones[k] += delta
         out_ones = self.out_ones
-        for k in self._outsider_of[s]:
+        for k in self._outsider_of[i]:
             out_ones[k] += delta
-        self._dirty.update(self._member_of[s], self._outsider_of[s])
+        self._dirty.update(self._member_of[i], self._outsider_of[i])
 
     def total_score(self) -> float:
         if self._dirty:
@@ -362,55 +346,105 @@ class _ColumnBuilder:
 
     # ------------------------------------------------------------------
     def make_valid(self, rng: Optional[random.Random] = None) -> None:
-        """Flip 1 -> 0 inside overfull groups until the column is valid."""
-        while self.overfull():
-            best_s = None
+        """Flip 1 -> 0 inside overfull groups until the column is valid.
+
+        The candidates are the 1s of every overfull group that still
+        has room on the 0 side, walked in symbol order from a bitmask
+        of those groups.  A symbol with no live row is a candidate
+        too: its 0.0 gain can be the best one.
+        """
+        cap, column = self.cap, self.column
+        one_count, zero_count = self.one_count, self.zero_count
+        masks = self.groups._group_masks
+        member_of, outsider_of = self._member_of, self._outsider_of
+        member_down, out_down = self.member_down, self.out_down
+        while True:
+            overfull = False
+            candidates = 0
+            for gid, ones in enumerate(one_count):
+                if ones > cap:
+                    overfull = True
+                    if zero_count[gid] < cap:
+                        candidates |= masks[gid]
+            if not overfull:
+                return
+            if self._dirty:
+                self._refresh()
+            best_i = -1
             best_gain = float("-inf")
-            for s in self.symbols:
-                if self.column[s] != 1:
+            while candidates:
+                low = candidates & -candidates
+                candidates ^= low
+                i = low.bit_length() - 1
+                if not column[i]:
                     continue
-                gid = self.gid[s]
-                if self.one_count[gid] <= self.cap:
-                    continue
-                if self.zero_count[gid] + 1 > self.cap:
-                    continue
-                g = self.toggle_gain(s)
+                g = 0.0
+                for k in member_of[i]:
+                    g += member_down[k]
+                for k in outsider_of[i]:
+                    g += out_down[k]
                 if rng is not None:
                     g += rng.random() * 1e-6
                 if g > best_gain:
                     best_gain = g
-                    best_s = s
-            if best_s is None:
+                    best_i = i
+            if best_i < 0:
                 raise InvariantViolation(
                     "no admissible flip in an overfull group; the valid "
                     "partial encoding invariant was violated earlier"
                 )
-            self.toggle(best_s)
+            self.flip(best_i)
 
     def randomize(self, rng: random.Random) -> None:
         """Jump to a random valid column (seeded restart)."""
-        for s in self.symbols:
-            if rng.random() < 0.5 and self.admissible_toggle(s):
-                self.toggle(s)
+        cap, column, gid = self.cap, self.column, self.gid
+        one_count, zero_count = self.one_count, self.zero_count
+        for i in range(len(column)):
+            if rng.random() < 0.5 and (
+                zero_count if column[i] else one_count
+            )[gid[i]] < cap:
+                self.flip(i)
         self.make_valid(rng)
 
     def hill_climb(self, max_rounds: Optional[int] = None) -> None:
-        """Steepest-ascent single toggles until a local optimum."""
+        """Steepest-ascent single flips until a local optimum.
+
+        Only symbols with a live row are scanned: any other one's gain
+        is 0.0, which never beats the 1e-9 threshold.
+        """
         if max_rounds is None:
             max_rounds = 6 * len(self.symbols)
+        cap, column, gid = self.cap, self.column, self.gid
+        one_count, zero_count = self.one_count, self.zero_count
+        member_of, outsider_of = self._member_of, self._outsider_of
+        member_down, out_down = self.member_down, self.out_down
+        member_up, out_up = self.member_up, self.out_up
+        live = self._live
         for _ in range(max_rounds):
-            best_s = None
+            if self._dirty:
+                self._refresh()
+            best_i = -1
             best_gain = 1e-9
-            for s in self.symbols:
-                if not self.admissible_toggle(s):
-                    continue
-                g = self.toggle_gain(s)
+            for i in live:
+                if column[i]:
+                    if zero_count[gid[i]] >= cap:
+                        continue
+                    member, out = member_down, out_down
+                else:
+                    if one_count[gid[i]] >= cap:
+                        continue
+                    member, out = member_up, out_up
+                g = 0.0
+                for k in member_of[i]:
+                    g += member[k]
+                for k in outsider_of[i]:
+                    g += out[k]
                 if g > best_gain:
                     best_gain = g
-                    best_s = s
-            if best_s is None:
+                    best_i = i
+            if best_i < 0:
                 break
-            self.toggle(best_s)
+            self.flip(best_i)
 
 
 def candidate_columns(
@@ -435,21 +469,19 @@ def candidate_columns(
     beta = policy.future_discount * remaining_after / max(1, groups.nv)
 
     start = _ColumnBuilder(matrix, groups, policy, beta)
+    rng = random.Random()
 
-    def build(
-        seed: Optional[int],
-    ) -> Tuple[float, Dict[str, int], _ColumnBuilder]:
+    def build(seed: Optional[int]) -> Tuple[float, _ColumnBuilder]:
         builder = start.clone()
         if seed is None:
             builder.make_valid()
         else:
-            builder.randomize(random.Random(seed))
+            rng.seed(seed)
+            builder.randomize(rng)
         builder.hill_climb()
-        return builder.total_score(), dict(builder.column), builder
+        return builder.total_score(), builder
 
-    scored: List[Tuple[float, Dict[str, int], _ColumnBuilder]] = [
-        build(None)
-    ]
+    scored: List[Tuple[float, _ColumnBuilder]] = [build(None)]
     for r in range(policy.restarts):
         scored.append(build(1009 * (groups.columns_done + 1) + r))
     tracer.count("solve.restarts", policy.restarts)
@@ -457,17 +489,18 @@ def candidate_columns(
     if scored:
         tracer.count(
             "solve.dichotomies_satisfied",
-            scored[0][2].newly_satisfied(),
+            scored[0][1].newly_satisfied(),
         )
     result: List[Dict[str, int]] = []
     seen = set()
-    for score, column, _builder in scored:
-        key = tuple(column[s] for s in groups.symbols)
+    for _score, builder in scored:
+        key = tuple(builder.column)
         # a column and its complement induce the same partition
         flipped = tuple(1 - b for b in key)
         if key in seen or flipped in seen:
             continue
         seen.add(key)
+        column = dict(zip(groups.symbols, key))
         if not groups.is_valid_column(column):
             raise InvariantViolation(
                 "Solve() produced an invalid column; this indicates a "

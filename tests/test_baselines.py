@@ -30,7 +30,7 @@ from repro.encoding.evaluate import cubes_for_codes
 from repro.fsm import TABLE1_FSMS, load_benchmark, parse_kiss
 from repro.harness import QUICK_FSMS
 from repro.obs import NULL_TRACER, Tracer
-from repro.runtime import Budget, faults
+from repro.runtime import Budget, InvalidSpecError, faults
 
 
 def cset_of(n, groups):
@@ -228,6 +228,50 @@ def full_recompute_anneal(
                 codes[owner] = target
         temperature = max(temperature * cooling, 0.05)
     return best
+
+
+class TestAnnealDraws:
+    """The anneal draws ``randrange(m)`` as ``getrandbits`` calls in the
+    rejection loop CPython's ``random.Random`` runs for it (3.9 through
+    3.12).  These tests pin that assumption on the running Python; the
+    anneal's equality with the ``randrange`` oracle above pins its use.
+    """
+
+    @staticmethod
+    def below(rng, m):
+        """``rng.randrange(m)`` as the anneal draws it."""
+        k = m.bit_length()
+        r = rng.getrandbits(k)
+        while r >= m:
+            r = rng.getrandbits(k)
+        return r
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_getrandbits_loop_is_randrange(self, seed):
+        for m in range(1, 131):
+            want, got = random.Random(seed), random.Random(seed)
+            for _ in range(20):
+                assert self.below(got, m) == want.randrange(m), m
+            assert [got.random() for _ in range(3)] == [
+                want.random() for _ in range(3)
+            ], m
+
+    def test_no_symbol_to_draw(self):
+        """With no symbol, the draw loop could never end; the anneal
+        raises instead."""
+        with pytest.raises(InvalidSpecError):
+            nova_encode(ConstraintSet([]))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_alternating_sizes(self, seed):
+        """One stream alternating a symbol draw, a code draw and an
+        acceptance draw, as a move does."""
+        want, got = random.Random(seed), random.Random(seed)
+        for n, size in ((1, 2), (3, 4), (7, 8), (27, 32), (130, 128)):
+            for _ in range(50):
+                pair = [self.below(got, n), self.below(got, size)]
+                assert pair == [want.randrange(n), want.randrange(size)]
+                assert got.random() == want.random()
 
 
 class TestIncrementalAnneal:

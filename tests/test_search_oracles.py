@@ -1,10 +1,14 @@
 """The table-driven local searches against the code they replaced.
 
-PICOLA's column builder keeps flat per-row lists and cached toggle
-deltas; its final repair and NOVA's anneal look faces up in
-:func:`repro.encoding.codes.face_table`.  The builder as it kept one
-``_RowState`` object per row, verbatim below, is the oracle of the
-first; :meth:`CodeSpace.face` is the oracle of the table.
+PICOLA's column builder keeps flat per-row lists with cached toggle
+deltas and per-symbol lists indexed by symbol position, and scans
+candidates without a call per symbol; its final repair and NOVA's
+anneal look faces up in :func:`repro.encoding.codes.face_table`.  The
+builder as it kept one ``_RowState`` object per row and its symbol
+state in name-keyed dicts, verbatim below, is the oracle of the first:
+on Table I's sets (two synthesis draws) and on small hand-built sets
+that pin ``make_valid``'s candidate order and its row-less candidates.
+:meth:`CodeSpace.face` is the oracle of the table.
 """
 
 import copy
@@ -16,7 +20,11 @@ import pytest
 from repro.core import WeightPolicy, picola_encode
 from repro.core import picola as picola_module
 from repro.core.solve import candidate_columns
-from repro.encoding import derive_face_constraints
+from repro.encoding import (
+    ConstraintSet,
+    FaceConstraint,
+    derive_face_constraints,
+)
 from repro.encoding.codes import CodeSpace, face_table
 from repro.encoding.matrix import ConstraintRow
 from repro.fsm import TABLE1_FSMS, load_benchmark
@@ -264,6 +272,13 @@ def test_columns_match_row_objects(name, monkeypatch):
     (reference draw): list-equal candidate columns, and the same
     restart and satisfied-dichotomy counts, as the per-row-object
     builder."""
+    fsm = load_benchmark(name, seed=0)
+    _check_column_steps(derive_face_constraints(fsm), monkeypatch)
+
+
+def _check_column_steps(cset, monkeypatch, nv=None) -> None:
+    """Every column step of ``picola_encode(cset, nv=nv)`` gives the
+    per-row-object builder's columns and counters."""
     steps = []
 
     def checking_columns(matrix, groups, policy=None, limit=1,
@@ -279,8 +294,55 @@ def test_columns_match_row_objects(name, monkeypatch):
         return got
 
     monkeypatch.setattr(picola_module, "candidate_columns", checking_columns)
-    picola_encode(derive_face_constraints(load_benchmark(name, seed=0)))
+    picola_encode(cset, nv=nv)
     assert steps and all(steps)
+
+
+@pytest.mark.parametrize("name", TABLE1_FSMS)
+def test_columns_match_row_objects_run_draw(name, monkeypatch):
+    """The same on a second synthesis draw of every Table I FSM."""
+    fsm = load_benchmark(name, seed=10012)
+    _check_column_steps(derive_face_constraints(fsm), monkeypatch)
+
+
+#: small sets, each with its code length, where ``make_valid`` must
+#: visit the same candidates in the same order as the oracle
+HAND_BUILT = {
+    # at column 3 of B^4 every symbol with a live row loses score
+    # when it flips to 0, so a greedy flip goes to a symbol whose rows
+    # are all marked: its 0.0 gain wins.  A scan that skips such
+    # symbols while others remain picks another column
+    "rowless-wins": (9, 4, [[1, 4, 7, 8], [2, 7]]),
+    # the same one bit above the minimum length
+    "rowless-wins-spare-bit": (
+        8, 4, [[0, 2, 3, 4], [0, 1, 5, 7], [1, 6], [0, 1, 3, 6]],
+    ),
+    # full spaces: at column 1 both halves start overfull (and at
+    # column 2 all four quarters), so every restart's flips come from
+    # several groups in one scan
+    "overfull-groups-b3": (
+        8, 3, [[0, 1], [2, 3, 4], [1, 5], [6, 7]],
+    ),
+    "overfull-groups-b4": (
+        16, 4, [[0, 1, 2, 3], [4, 5], [6, 7, 8], [9, 10, 11, 12, 13],
+                [1, 14], [3, 15, 7]],
+    ),
+    # two bits above the minimum: the caps stay loose for longer, so
+    # no group is overfull before column 2
+    "two-bits-spare": (
+        6, 5, [[0, 1, 2], [3, 4], [1, 5]],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HAND_BUILT))
+def test_columns_match_row_objects_hand_built(case, monkeypatch):
+    n, nv, groups = HAND_BUILT[case]
+    symbols = [f"s{i}" for i in range(n)]
+    cset = ConstraintSet(
+        symbols, [FaceConstraint({symbols[i] for i in g}) for g in groups]
+    )
+    _check_column_steps(cset, monkeypatch, nv=nv)
 
 
 # ----------------------------------------------------------------------
