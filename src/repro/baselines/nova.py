@@ -29,7 +29,13 @@ from operator import add
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..cubes.bulk import bit_count
-from ..encoding.codes import CodeSpace, Encoding, code_set, face_table
+from ..encoding.codes import (
+    CodeSpace,
+    Encoding,
+    _FlagFaces,
+    code_set,
+    face_table,
+)
 from ..encoding.constraints import ConstraintSet, FaceConstraint
 from ..obs import resolve_tracer
 from ..runtime import Budget, InfeasibleError, InvalidSpecError, faults
@@ -226,37 +232,6 @@ def _affinity_term(w: float, code_a: int, code_b: int, nv: int) -> float:
     return w * (nv - dist) / (4.0 * nv)
 
 
-class _FlagFaces(dict):
-    """Face code sets keyed by a constraint's packed bit flags.
-
-    :func:`_anneal` packs a constraint's per-bit member counts into
-    fields ``width`` bits wide, field ``i`` counting the members whose
-    code has bit ``i`` set.  Its key adds two words that each use only
-    bit ``width - 1`` of a field: one set where some member has the
-    bit (the members' OR), one where every member has it (their AND).
-    From bit ``width - 1`` of field ``i``, two bits then read 0, 1 or
-    2, so a key holds at most ``3 ** nv`` values.  Each is turned into
-    ``lo``/``hi`` and looked up in :func:`face_table` on first use.
-    """
-
-    def __init__(self, nv: int, width: int) -> None:
-        super().__init__()
-        self.nv = nv
-        self.width = width
-        self.faces = face_table(nv)
-
-    def __missing__(self, key: int) -> int:
-        lo = hi = 0
-        for i in range(self.nv):
-            flags = key >> (i * self.width + self.width - 1) & 3
-            if flags:
-                hi |= 1 << i
-                if flags == 2:
-                    lo |= 1 << i
-        on = self[key] = self.faces[lo << self.nv | hi]
-        return on
-
-
 def _anneal(
     symbols: Sequence[str],
     constraints: Sequence[FaceConstraint],
@@ -289,16 +264,10 @@ def _anneal(
     runs for a ``random.Random``, so the stream is the same.
 
     Moving one member from code ``a`` to ``b`` re-scores a constraint
-    in O(1), whatever its size.  Its counts are packed in one int, a
-    field of ``width`` bits per code bit (``spread[c]`` holds a 1 in
-    field ``i`` for each bit ``i`` of ``c``), so they move by
-    ``spread[b] - spread[a]``.  A field is nonzero (the members' OR
-    has the bit) when adding ``2 ** (width - 1) - 1`` carries into its
-    top bit, and equals the member count ``n`` (their AND has it) when
-    adding ``2 ** (width - 1) - n`` does.  ``width`` is one bit more
-    than the largest count needs, so neither sum spills into the next
-    field.  The two flag words give the face in one :class:`_FlagFaces`
-    lookup.
+    in O(1), whatever its size.  Its members' per-bit counts are packed
+    in one int (:class:`_FlagFaces`), so they move by ``spread[b] -
+    spread[a]``, and their two flag words give the face in one
+    ``_FlagFaces`` lookup.
     """
     tracer = resolve_tracer(tracer)
     n = len(symbols)
@@ -307,16 +276,9 @@ def _anneal(
     position = {s: i for i, s in enumerate(symbols)}
     codes = [codes[s] for s in symbols]
     size = 1 << nv
-    width = max(map(len, constraints), default=1).bit_length() + 1
-    spread = [0] * size
-    for code in range(1, size):
-        low = code & -code
-        spread[code] = spread[code ^ low] | 1 << (low.bit_length() - 1) * width
-    ones = spread[-1]
-    top = ones << width - 1
-    some = top - ones
-    every = [top - ones * len(c) for c in constraints]
-    lookup = _FlagFaces(nv, width)
+    lookup = _FlagFaces(nv, max(map(len, constraints), default=1))
+    spread, some, top = lookup.spread, lookup.some, lookup.top
+    every = [lookup.every(len(c)) for c in constraints]
     owner_of = [-1] * size
     for i, code in enumerate(codes):
         owner_of[code] = i
@@ -324,7 +286,7 @@ def _anneal(
     weights = [c.weight for c in constraints]
     member_pos = [[position[s] for s in c.symbols] for c in constraints]
     members = [code_set(codes[i] for i in ms) for ms in member_pos]
-    counts = [sum(spread[codes[i]] for i in ms) for ms in member_pos]
+    counts = [lookup.count(m) for m in members]
     faces = [lookup[(c + some & top) + (c + e & top)]
              for c, e in zip(counts, every)]
     sat = [f & occupied == m for f, m in zip(faces, members)]

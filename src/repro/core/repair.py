@@ -19,7 +19,13 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from ..cubes.bulk import bit_count
-from ..encoding.codes import CodeSpace, Encoding, code_set, face_table
+from ..encoding.codes import (
+    CodeSpace,
+    Encoding,
+    _FlagFaces,
+    code_set,
+    face_table,
+)
 from ..encoding.constraints import ConstraintSet
 from ..runtime import InvalidSpecError
 
@@ -99,7 +105,26 @@ def polish_encoding(
 ) -> Encoding:
     """Hill-climb over code swaps/moves of an injective encoding;
     returns a (possibly) new encoding with at least the same weighted
-    satisfaction score."""
+    satisfaction score.
+
+    A tried swap or move re-scores only the constraints it can change,
+    each in O(1) big-int operations.  A swap keeps the occupied codes,
+    so those are the constraints holding exactly one of the two
+    symbols (``touch[i] ^ touch[j]``, bitmasks over constraints).  A
+    move to an unused code adds those whose face holds the vacated or
+    the taken code (``holders``, a bitmask per code, kept for the
+    committed faces).  Both are walked low bit first, so the score
+    change is summed in ascending constraint order.
+
+    Each constraint keeps its members' code set, AND, OR and packed
+    per-bit counts (:class:`_FlagFaces`), and per member the same of
+    the *other* members, so a moved member refolds in O(1).  The
+    occupied codes on a face (their number and packed counts) are
+    cached per face for the committed occupancy; a tried move adjusts
+    them for its two codes.  The intruders are then the occupied codes
+    on the face less the members, and their two flag words give both
+    their face's free bits and, in one lookup, its codes.
+    """
     symbols = list(encoding.symbols)
     index = {s: i for i, s in enumerate(symbols)}
     nv = encoding.n_bits
@@ -112,24 +137,26 @@ def polish_encoding(
         [index[s] for s in c.symbols] for c in constraints
     ]
     weights = [c.weight for c in constraints]
-    touching: List[List[int]] = [[] for _ in symbols]
+    touch = [0] * len(symbols)
     for k, idxs in enumerate(members_idx):
         for i in idxs:
-            touching[i].append(k)
-    touching_sets = [frozenset(ks) for ks in touching]
+            touch[i] |= 1 << k
     n_members_of = [len(idxs) for idxs in members_idx]
     n_codes = len(codes)
-    space = CodeSpace(nv)
+    outsiders = [max(n_codes - n_members, 1) for n_members in n_members_of]
+    flags = _FlagFaces(nv, n_codes)
+    spread, some, top = flags.spread, flags.some, flags.top
+    every = [flags.every(n_intruders) for n_intruders in range(n_codes)]
     table = face_table(nv)
     all_bits = (1 << nv) - 1
     occupied = code_set(codes)
 
-    def fold(k: int) -> Tuple[Tuple[int, int, int], Dict[int, Tuple[int, int]]]:
-        """Constraint ``k``'s members at ``codes``: their code set, AND
-        and OR, and per member the AND/OR of the *other* members'
-        codes, so a tried move scores ``k`` without a loop over its
-        members."""
-        members = twos = zeros2 = hi = 0
+    def fold(k: int) -> Tuple[Tuple[int, int, int, int],
+                              Dict[int, Tuple[int, int, int]]]:
+        """Constraint ``k``'s members at ``codes``: their code set, AND,
+        OR and packed counts, and per member the AND, OR and counts of
+        the *other* members' codes."""
+        members = twos = zeros2 = hi = count = 0
         lo = all_bits
         for m in members_idx[k]:
             code = codes[m]
@@ -138,120 +165,156 @@ def polish_encoding(
             zeros2 |= ~(lo | code)  # bits clear in two or more codes
             lo &= code
             hi |= code
-        return (members, lo, hi), {
-            m: (lo | all_bits & ~(codes[m] | zeros2), twos | hi & ~codes[m])
+            count += spread[code]
+        return (members, lo, hi, count), {
+            m: (lo | all_bits & ~(codes[m] | zeros2), twos | hi & ~codes[m],
+                count - spread[codes[m]])
             for m in members_idx[k]
         }
 
-    def score(k: int, members: int, lo: int, hi: int) -> Tuple[int, float]:
-        """(codes on constraint ``k``'s face, its score) for member
-        code set ``members`` with AND ``lo`` and OR ``hi``:
-        :func:`_constraint_score` inlined, with the members' face
-        looked up in ``table``."""
-        on = table[lo << nv | hi]
-        weight = weights[k]
-        intruders = on & occupied & ~members
-        if not intruders:
-            return on, weight * (1.0 - _COST)
-        n_members = n_members_of[k]
-        n_intruders = bit_count(intruders)
-        mask_i, on_i = space.face(intruders)
-        if on_i & members:
-            estimate = min(1 + n_intruders, n_members)
-        else:
-            # dim_l - dim_i; the members' face has lo ^ hi free bits
-            estimate = max(bit_count(lo ^ hi) - (nv - bit_count(mask_i)), 1)
-        partial = _PARTIAL * (
-            1.0 - n_intruders / max(n_codes - n_members, 1)
-        )
-        return on, weight * (partial - _COST * estimate)
+    #: face key ``lo << nv | hi`` -> (its codes, the number and packed
+    #: counts of the occupied ones), for the committed occupancy
+    on_face: Dict[int, Tuple[int, int, int]] = {}
 
-    def rescore(k: int, s: int, flip: int) -> Tuple[int, float]:
-        """:func:`score` of constraint ``k`` once its member ``s`` has
-        moved to ``codes[s]``, flipping the code set at ``flip``."""
-        code = codes[s]
-        rest_lo, rest_hi = rests[k][s]
-        return score(k, folds[k][0] ^ flip, rest_lo & code, rest_hi | code)
-
-    def held(k: int) -> Tuple[int, float]:
-        """:func:`score` of constraint ``k`` at its cached fold."""
-        return score(k, *folds[k])
+    def occupancy(key: int) -> Tuple[int, int, int]:
+        on = table[key]
+        here = on & occupied
+        entry = on_face[key] = (on, bit_count(here), flags.count(here))
+        return entry
 
     folds, rests = map(list, zip(*map(fold, range(len(constraints)))))
-    faces, scores = map(list, zip(*map(held, range(len(constraints)))))
-    unused = [c for c in range(1 << nv) if not occupied >> c & 1]
+    faces = [0] * len(constraints)
+    scores = [0.0] * len(constraints)
+    holders = [0] * (1 << nv)
 
-    def affected(i: int, old_code: int) -> List[int]:
-        """Constraints whose score can change when symbol ``i`` moves
-        from ``old_code`` to an unused code."""
-        ks = set(touching[i])
-        # constraints whose face contains a moved code can gain/lose
-        # an intruder even when ``i`` is not a member; their members
-        # did not move, so their face is still faces[k]
-        moved = 1 << old_code | 1 << codes[i]
-        for k in range(len(constraints)):
-            if k not in ks and faces[k] & moved:
-                ks.add(k)
-        return sorted(ks)
+    def gain(
+        walk: int, i: int, j: int, moved: int,
+        vacated: int = 0, taken: int = 0, store: bool = False,
+    ) -> float:
+        """Score change of the constraints in bitmask ``walk`` once
+        symbol ``i`` (``-1``: none) and, for a swap, ``j`` have taken
+        their new ``codes``, flipping the code sets at ``moved``.  A
+        move to an unused code passes its ``vacated`` and ``taken``
+        code as bits.  ``store`` commits the new faces and scores.
 
-    def try_move(new: Dict[int, Tuple[int, float]]) -> bool:
-        """Keep the move if the new scores ``new`` gain in total."""
+        :func:`_constraint_score` inlined: the members' face comes
+        from ``table``, the intruders' from ``flags``."""
         delta = 0.0
-        for k, (_, score_k) in new.items():
-            delta += score_k - scores[k]
-        if delta <= 1e-9:
-            return False
-        for k, (face, score_k) in new.items():
-            faces[k] = face
-            scores[k] = score_k
-        return True
+        mine = touch[i] if i >= 0 else 0
+        if vacated:
+            out_step = spread[vacated.bit_length() - 1]
+            in_step = spread[taken.bit_length() - 1]
+        while walk:
+            low = walk & -walk
+            walk ^= low
+            k = low.bit_length() - 1
+            s = i if mine & low else j
+            members, lo, hi, count = folds[k]
+            if s >= 0:
+                code = codes[s]
+                rest_lo, rest_hi, rest_count = rests[k][s]
+                members ^= moved
+                lo = rest_lo & code
+                hi = rest_hi | code
+                count = rest_count + spread[code]
+            key = lo << nv | hi
+            on, n_occupied, occupied_count = (
+                on_face.get(key) or occupancy(key)
+            )
+            if on & vacated:
+                n_occupied -= 1
+                occupied_count -= out_step
+            if on & taken:
+                n_occupied += 1
+                occupied_count += in_step
+            n_members = n_members_of[k]
+            n_intruders = n_occupied - n_members
+            if not n_intruders:
+                score = weights[k] * (1.0 - _COST)
+            else:
+                left = occupied_count - count
+                some_has = left + some & top
+                all_have = left + every[n_intruders] & top
+                if flags[some_has + all_have] & members:
+                    # min(1 + n_intruders, n_members), without a call
+                    estimate = (
+                        1 + n_intruders if n_intruders < n_members
+                        else n_members
+                    )
+                else:
+                    # dim_l - dim_i: the members' face has lo ^ hi free
+                    # bits, the intruders' one per field some but not
+                    # every intruder sets
+                    estimate = max(
+                        bit_count(lo ^ hi) - bit_count(some_has ^ all_have),
+                        1,
+                    )
+                partial = _PARTIAL * (1.0 - n_intruders / outsiders[k])
+                score = weights[k] * (partial - _COST * estimate)
+            delta += score - scores[k]
+            if store:
+                scores[k] = score
+                stale = faces[k] ^ on
+                faces[k] = on
+                while stale:
+                    bit = stale & -stale
+                    stale ^= bit
+                    holders[bit.bit_length() - 1] ^= low
+        return delta
+
+    def refold(ks: int) -> None:
+        while ks:
+            low = ks & -ks
+            ks ^= low
+            k = low.bit_length() - 1
+            folds[k], rests[k] = fold(k)
+
+    gain((1 << len(constraints)) - 1, -1, -1, 0, store=True)
+    unused = [c for c in range(1 << nv) if not occupied >> c & 1]
 
     n = len(symbols)
     for _ in range(max_sweeps):
         improved = False
-        # pair swaps where at least one side touches a constraint
+        # pair swaps where at least one side touches a constraint; a
+        # swap keeps the occupied codes, so only constraints holding
+        # exactly one of the two change (none: no gain)
         for i in range(n):
+            mine = touch[i]
             for j in range(i + 1, n):
-                if not touching[i] and not touching[j]:
+                walk = mine ^ touch[j]
+                if not walk:
                     continue
-                old = (codes[i], codes[j])
-                flip = 1 << codes[i] | 1 << codes[j]
-                codes[i], codes[j] = codes[j], codes[i]
-                # a swap keeps the occupied codes, so only constraints
-                # holding exactly one of the two change their members
-                in_i = touching_sets[i]
-                if try_move({
-                    k: rescore(k, i if k in in_i else j, flip)
-                    for k in sorted(in_i ^ touching_sets[j])
-                }):
+                old_i, old_j = codes[i], codes[j]
+                codes[i], codes[j] = old_j, old_i
+                moved = 1 << old_i | 1 << old_j
+                if gain(walk, i, j, moved) > 1e-9:
+                    gain(walk, i, j, moved, store=True)
                     improved = True
                     # a constraint holding both keeps its code set,
                     # but its leave-one-out folds have gone stale
-                    for k in in_i | touching_sets[j]:
-                        folds[k], rests[k] = fold(k)
+                    refold(mine | touch[j])
                 else:
-                    codes[i], codes[j] = old
+                    codes[i], codes[j] = old_i, old_j
         # moves to unused codes
         for i in range(n):
-            if not touching[i]:
+            mine = touch[i]
+            if not mine:
                 continue
-            in_i = touching_sets[i]
             for slot in range(len(unused)):
                 old_code = codes[i]
                 codes[i] = unused[slot]
-                flip = 1 << old_code | 1 << codes[i]
-                occupied ^= flip
-                if try_move({
-                    k: rescore(k, i, flip) if k in in_i else held(k)
-                    for k in affected(i, old_code)
-                }):
+                vacated, taken = 1 << old_code, 1 << codes[i]
+                moved = vacated | taken
+                walk = mine | holders[old_code] | holders[codes[i]]
+                if gain(walk, i, -1, moved, vacated, taken) > 1e-9:
+                    gain(walk, i, -1, moved, vacated, taken, store=True)
                     unused[slot] = old_code
                     improved = True
-                    for k in touching[i]:
-                        folds[k], rests[k] = fold(k)
+                    occupied ^= moved
+                    on_face.clear()
+                    refold(mine)
                 else:
                     codes[i] = old_code
-                    occupied ^= flip
         if not improved:
             break
     return Encoding.from_code_list(symbols, codes, nv)

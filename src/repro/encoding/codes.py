@@ -118,6 +118,68 @@ def face_table(nv: int) -> Dict[int, int]:
     return _FaceTable(nv)
 
 
+class _FlagFaces(dict):
+    """Packed per-bit counts of code sets, and face code sets keyed
+    by their flags.
+
+    The counts of a set of codes pack into one int, a field ``width``
+    bits wide per code bit, field ``i`` counting the codes with bit
+    ``i`` set: ``spread[c]`` holds a 1 in field ``i`` for each bit
+    ``i`` of ``c``, and a set's counts are the sum of its codes'
+    ``spread``.  ``width`` is one bit more than ``most``, the largest
+    count, needs.  For ``n`` codes, adding ``some`` to their counts
+    carries into the top bit of each nonzero field (their OR has the
+    bit), adding ``every(n)`` into that of each field equal to ``n``
+    (their AND has it), and neither sum spills into the next field.
+    ``& top`` keeps those two flag words.
+
+    The dict's key is the sum of the two flag words.  Bit ``width -
+    1`` of field ``i`` and the bit above it then read 0, 1 or 2, so a
+    key holds at most ``3 ** nv`` values.  Each is turned into
+    ``lo``/``hi`` and looked up in :func:`face_table` on first use.
+    """
+
+    def __init__(self, nv: int, most: int) -> None:
+        super().__init__()
+        self.nv = nv
+        self.width = width = most.bit_length() + 1
+        self.faces = face_table(nv)
+        size = 1 << nv
+        self.spread = spread = [0] * size
+        for code in range(1, size):
+            low = code & -code
+            spread[code] = spread[code ^ low] | 1 << (low.bit_length() - 1) * width
+        self.ones = ones = spread[-1]
+        self.top = ones << width - 1
+        self.some = self.top - ones
+
+    def every(self, n: int) -> int:
+        """The offset that flags the fields of ``n`` codes' counts
+        equal to ``n``."""
+        return self.top - self.ones * n
+
+    def count(self, codes: int) -> int:
+        """The packed counts of the code set ``codes``
+        (:func:`code_set`)."""
+        out = 0
+        while codes:
+            low = codes & -codes
+            codes ^= low
+            out += self.spread[low.bit_length() - 1]
+        return out
+
+    def __missing__(self, key: int) -> int:
+        lo = hi = 0
+        for i in range(self.nv):
+            flags = key >> (i * self.width + self.width - 1) & 3
+            if flags:
+                hi |= 1 << i
+                if flags == 2:
+                    lo |= 1 << i
+        on = self[key] = self.faces[lo << self.nv | hi]
+        return on
+
+
 @dataclass
 class Encoding:
     """An assignment of ``n_bits``-wide codes to symbols."""

@@ -1,6 +1,8 @@
 """Tests for the PICOLA core: classify, guides/Theorem I, solve, driver,
 run analysis."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,7 +32,7 @@ from repro.encoding import (
     evaluate_encoding,
 )
 from repro.encoding.codes import CodeSpace, code_set
-from repro.fsm import TABLE1_FSMS, load_benchmark
+from repro.fsm import TABLE1_FSMS, TABLE2_FSMS, load_benchmark
 from repro.runtime import InvalidSpecError
 
 
@@ -505,11 +507,9 @@ def scan_polish_encoding(encoding, cset, max_sweeps=4):
     return Encoding.from_code_list(symbols, codes, nv)
 
 
-@pytest.mark.parametrize("name", TABLE1_FSMS)
-def test_polish_matches_face_scan(name, monkeypatch):
-    """Every encoding PICOLA's final repair polishes on a Table I
-    constraint set (reference draw) comes out as the face-scanning
-    search left it."""
+def _check_polishes(cset, monkeypatch):
+    """Every encoding PICOLA's final repair polishes on ``cset`` comes
+    out as the face-scanning search left it."""
     real = repair_module.polish_encoding
     calls = []
 
@@ -520,6 +520,98 @@ def test_polish_matches_face_scan(name, monkeypatch):
         return got
 
     monkeypatch.setattr(repair_module, "polish_encoding", checking_polish)
-    cset = derive_face_constraints(load_benchmark(name, seed=0))
     picola_encode(cset)
     assert calls and all(calls)
+
+
+@pytest.mark.parametrize("name", TABLE1_FSMS)
+def test_polish_matches_face_scan(name, monkeypatch):
+    """On every Table I constraint set (reference draw)."""
+    fsm = load_benchmark(name, seed=0)
+    _check_polishes(derive_face_constraints(fsm), monkeypatch)
+
+
+@pytest.mark.parametrize("name", TABLE1_FSMS)
+def test_polish_matches_face_scan_run_draw(name, monkeypatch):
+    """The same on a second synthesis draw of every Table I FSM."""
+    fsm = load_benchmark(name, seed=10012)
+    _check_polishes(derive_face_constraints(fsm), monkeypatch)
+
+
+@pytest.mark.parametrize("name", TABLE2_FSMS)
+def test_polish_matches_face_scan_table2(name, monkeypatch):
+    """The same on every Table II machine (reference draw)."""
+    fsm = load_benchmark(name)
+    _check_polishes(derive_face_constraints(fsm), monkeypatch)
+
+
+def _random_polish_input(rng, n, nv, sizes, dim, spanned=True):
+    """``n`` symbols in ``B^nv`` and constraints of ``sizes`` members
+    (weights 1.0 or 2.5).  Two symbols sit on codes 0 and ``2**nv -
+    1``, the others on random codes of a ``dim``-face whose fixed bits
+    read 1, 0, 1, ... from the top: for ``dim <= nv - 2`` that face
+    holds neither corner, and every symbol on it has the top bit set
+    and the next one clear.  When ``spanned``, the two corners with 0,
+    1 and 2 other symbols are constraints too: their face is the whole
+    space, and most of their intruders lie on the small face."""
+    top = (1 << nv) - 1
+    base = sum(1 << b for b in range(nv - 1, dim - 1, -2))
+    cluster = [base | c for c in range(1 << dim)
+               if base | c not in (0, top)]
+    symbols = [f"s{i}" for i in range(n)]
+    codes = [0, top] + rng.sample(cluster, n - 2)
+    groups = [rng.sample(symbols, k) for k in sizes if 2 <= k < n]
+    if spanned:
+        groups += [symbols[:2] + rng.sample(symbols[2:], min(k, n - 2))
+                   for k in range(3)]
+    cset = ConstraintSet(
+        symbols,
+        [FaceConstraint(set(g), weight=rng.choice([1.0, 2.5]))
+         for g in groups],
+    )
+    return Encoding.from_code_list(symbols, codes, nv), cset
+
+
+@pytest.mark.parametrize("nv", range(1, 8))
+def test_polish_count_field_widths(nv):
+    """2**j - 1, 2**j and 2**j + 1 occupied codes on one face, for
+    ``n`` symbols at minimum length and one or two bits above it
+    (where most tries are moves to unused codes).  Constraints on both
+    corners of the space have the whole space as their face; the other
+    symbols are spread over the space or packed on a small face, next
+    to constraints of 2**j - 1, 2**j and 2**j + 1 members.  The
+    repair's packed per-bit counts fill their fields to the top, and
+    with the small face, a field that counts every intruder sits above
+    one that counts none."""
+    rng = random.Random(nv)
+    sizes = {m for j in range(max(nv - 2, 0), nv + 1)
+             for m in ((1 << j) - 1, 1 << j, (1 << j) + 1)}
+    for n in sorted(m for m in sizes if 2 <= m <= 1 << nv):
+        packed = (n - 2).bit_length()
+        for dim in [nv, packed] if packed <= nv - 2 else [nv]:
+            encoding, cset = _random_polish_input(
+                rng, n, nv, sorted(sizes), dim,
+            )
+            got = polish_encoding(encoding, cset)
+            want = scan_polish_encoding(encoding, cset)
+            assert got.codes == want.codes, (n, dim)
+
+
+def test_polish_accepted_move_then_tries():
+    """Sparse sets where the repair accepts moves to unused codes
+    (the occupied codes change; a swap keeps them) and goes on trying
+    swaps and moves against the new occupancy."""
+    rng = random.Random(36)
+    moved = 0
+    for trial in range(12):
+        n = rng.randint(5, 9)
+        nv = 4 + trial % 2
+        encoding, cset = _random_polish_input(
+            rng, n, nv, [rng.randint(2, 4) for _ in range(5)], nv,
+            spanned=trial % 3 == 0,
+        )
+        got = polish_encoding(encoding, cset)
+        want = scan_polish_encoding(encoding, cset)
+        assert got.codes == want.codes, trial
+        moved += set(got.codes.values()) != set(encoding.codes.values())
+    assert moved >= 10
