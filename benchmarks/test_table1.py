@@ -2,7 +2,7 @@
 
 Each benchmark case reproduces one Table I row: derive the
 input-encoding problem from the FSM, run NOVA / ENC / PICOLA at
-minimum code length, and score all three with the espresso-based
+minimum code length, and score all three with the minimum-cover
 evaluator.  The fixture prints the row so a ``--benchmark-only`` run
 shows the same numbers the paper's table reports; the module-level
 summary test renders the full table with win/loss statistics.

@@ -5,12 +5,12 @@ the product terms implementing the complete constraint set — but does
 it by keeping the two-level logic minimizer in its inner loop: from a
 seed encoding it repeatedly tries code swaps/moves, re-minimizes the
 encoded constraints, and keeps any move that lowers the real cube
-count.  Quality is therefore comparable to PICOLA's, while the run
-time is dominated by the O(moves x constraints) minimizations — the
-paper's observation that "ENC is not practical for medium and large
-examples" (and is reported to fail on ``scf``) falls straight out of
-this structure, which our harness reproduces with an evaluation
-budget.
+count.  The run time is dominated by the O(moves x constraints)
+minimizations — the paper's observation that "ENC is not practical
+for medium and large examples" (and is reported to fail on ``scf``)
+falls straight out of this structure.  Table I runs it to a local
+optimum and reports that cost; a minimization budget, when set,
+marks a row whose search it cuts short as ``fails``.
 """
 
 from __future__ import annotations
@@ -86,13 +86,13 @@ class _Scorer:
     with the counts and the raise point of a plain loop over the
     constraints.  Only the real minimizations are saved, two ways:
 
-    * Each constraint is looked up in a memo keyed by its function
-      exactly as :func:`cubes_for_codes` takes it.  The key packs,
-      into one ``int``, a leading 1 (the length sentinel), the onset
-      codes in sorted-symbol order and the bitmask of unused codes.
-      Order matters: espresso's result can depend on it, so two
-      onsets holding the same codes in a different order are
-      minimized apart.
+    * Each constraint is looked up in a memo keyed by its function:
+      one ``int`` packing the bitmask of its member codes above the
+      bitmask of unused codes.  The key holds no onset order: up to
+      :data:`~repro.espresso.truthtable.MAX_VARS` bits,
+      :func:`cubes_for_codes` counts the minimum cover, which does
+      not depend on it.  (Above that, espresso's count might; the
+      memo then keeps the count of the first order it saw.)
     * A memo miss first counts as a lower bound on the cubes of any
       valid cover of its function (:func:`cover_lower_bound`), and is
       minimized only while the total could still fall below the
@@ -111,7 +111,8 @@ class _Scorer:
         tracer,
     ) -> None:
         self.nv = nv
-        self.full = (1 << (1 << nv)) - 1
+        self.size = 1 << nv
+        self.full = (1 << self.size) - 1
         self.constraints = [
             tuple(sorted(c.symbols)) for c in cset.nontrivial()
         ]
@@ -138,10 +139,10 @@ class _Scorer:
         misses: List[Tuple[int, List[int], int]] = []
         for i, members in enumerate(self.constraints):
             onset = [codes[s] for s in members]
-            key = 1
+            key = 0
             for code in onset:
-                key = (key << self.nv) | code
-            key = (key << (1 << self.nv)) | unused
+                key |= 1 << code
+            key = key << self.size | unused
             cubes = self.memo.get(key)
             if cubes is None:
                 cubes = cover_lower_bound(self.nv, onset, used)

@@ -15,19 +15,23 @@ exactly one cube, an infeasible one costs however many its intruders
 force (Theorem I gives the constructive bound).
 
 Every encoder in this repository is scored by this same evaluator.
+For code spaces of up to
+:data:`~repro.espresso.truthtable.MAX_VARS` bits (every Table I row)
+it counts the *minimum* cover, so the score of a constraint depends
+only on its function, never on how the codes are labelled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from ..cubes import Space, contains
-from ..espresso import ExactLimitError, espresso, exact_minimize
+from ..cubes import Space
+from ..espresso import espresso
 from ..espresso.truthtable import MAX_VARS, cover_size
 from ..runtime import InvalidSpecError
 from .codes import Encoding
-from .constraints import ConstraintSet, FaceConstraint, SeedDichotomy
+from .constraints import ConstraintSet, FaceConstraint
 
 __all__ = [
     "constraint_function",
@@ -73,46 +77,29 @@ def constraint_function(
 
 
 def cubes_for_codes(
-    nv: int,
-    onset: Sequence[int],
-    unused: int,
-    *,
-    exact: Optional[bool] = None,
-    tracer=None,
+    nv: int, onset: Sequence[int], unused: int, *, tracer=None
 ) -> int:
     """Minimized product-term count of one constraint function.
 
     ``onset`` holds the member codes in sorted-symbol order and
-    ``unused`` is the bitmask of unused codes (the don't-cares).  The
-    exact minimizer is the default for ``nv <= 4``, espresso above.
-    Code spaces of up to :data:`~repro.espresso.truthtable.MAX_VARS`
-    bits are minimized on truth tables, with the same counts.
+    ``unused`` is the bitmask of unused codes (the don't-cares).  Code
+    spaces of up to :data:`~repro.espresso.truthtable.MAX_VARS` bits
+    get the minimum cover, counted on truth tables; larger ones get
+    espresso's, which may depend on the onset's order.
     """
-    if exact is None:
-        exact = nv <= 4
     if nv <= MAX_VARS:
-        return cover_size(nv, onset, unused, exact=exact, tracer=tracer)
+        return cover_size(nv, onset, unused, tracer=tracer)
     space, on, dc = _code_function(nv, onset, unused)
-    if exact:
-        try:
-            return len(exact_minimize(space, on, dc))
-        except ExactLimitError:
-            pass
     return len(espresso(space, on, dc, use_lastgasp=False, tracer=tracer))
 
 
 def cubes_for_constraint(
-    encoding: Encoding,
-    constraint: FaceConstraint,
-    *,
-    exact: Optional[bool] = None,
+    encoding: Encoding, constraint: FaceConstraint
 ) -> int:
     """Minimized product-term count for one constraint
     (:func:`cubes_for_codes` of its :func:`constraint_function`)."""
     return cubes_for_codes(
-        encoding.n_bits,
-        *_constraint_codes(encoding, constraint),
-        exact=exact,
+        encoding.n_bits, *_constraint_codes(encoding, constraint)
     )
 
 
@@ -151,19 +138,15 @@ class EvaluationReport:
 
 
 def evaluate_encoding(
-    encoding: Encoding,
-    constraints: ConstraintSet,
-    *,
-    exact: Optional[bool] = None,
+    encoding: Encoding, constraints: ConstraintSet
 ) -> EvaluationReport:
     """Score an encoding against the *original* constraint set."""
     if not encoding.is_injective():
         raise InvalidSpecError("encoding is not injective")
     report = EvaluationReport(encoding)
-    n = len(constraints.symbols)
     for constraint in constraints.nontrivial():
         intruders = tuple(encoding.intruders(constraint.symbols))
-        cubes = cubes_for_constraint(encoding, constraint, exact=exact)
+        cubes = cubes_for_constraint(encoding, constraint)
         report.scores.append(
             ConstraintScore(
                 constraint=constraint,

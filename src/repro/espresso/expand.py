@@ -99,8 +99,7 @@ def expand_with(space: Space, onset: List[int], blocked: Blocked) -> List[int]:
     swallowed yet as one int; the raise choice and the final dedup
     are cube-list primitives.
     ESPRESSO builds ``blocked`` once per off-set with
-    :func:`repro.cubes.bulk.blocker`; truth-table scoring
-    (:mod:`repro.espresso.truthtable`) passes its own.
+    :func:`repro.cubes.bulk.blocker`.
     """
     weights = bulk.popcounts(onset)
     order = sorted(range(len(onset)), key=weights.__getitem__)

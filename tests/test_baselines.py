@@ -573,9 +573,9 @@ class TestEncMemo:
 
     # (FSM, budget): nv = 3, 4, 5, 5; the two nv = 5 runs stop on
     # their budget mid-search.  On donfile, a swap of two symbols of
-    # one constraint reorders its onset and changes espresso's count,
-    # so reusing such a constraint's score across the swap, or a memo
-    # key that ignores the onset order, changes the encoding returned.
+    # one constraint reorders its onset but keeps its code set: the
+    # memo, keyed by code set, reuses the count across the swap, and
+    # the plain loop, which minimizes the reordered onset, must agree.
     CASES = [("s27", 6000), ("bbara", 6000), ("dk16", 1500),
              ("donfile", 600), ("dk16", 20000), ("donfile", 20000)]
 

@@ -8,8 +8,7 @@ the remaining rows, every candidate bit scored by a scan of that list,
 and the swallowed rows found by a containment scan after each prime.
 The tests pin the column-wise EXPAND to it, list-equal, on every EXPAND
 call of Table II's minimizations (with LASTGASP run on the same
-covers), of Table I's symbolic minimizations, of one ENC run's
-truth-table espresso and of random covers.
+covers), of Table I's symbolic minimizations and of random covers.
 """
 
 import importlib
@@ -18,7 +17,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import enc_encode
 from repro.cubes import Space, bulk, complement
 from repro.encoding import derive_face_constraints
 from repro.espresso import espresso
@@ -26,9 +24,8 @@ from repro.espresso.expand import expand_cube, expand_cubes_with, expand_with
 from repro.fsm import TABLE1_FSMS, TABLE2_FSMS, load_benchmark
 from repro.stateassign import assign_states
 
-# ``repro.espresso`` the attribute is the function, so look the modules up
+# ``repro.espresso`` the attribute is the function, so look the module up
 MINIMIZE = importlib.import_module("repro.espresso.minimize")
-TRUTHTABLE = importlib.import_module("repro.espresso.truthtable")
 
 
 # -- the row-wise oracle -------------------------------------------------
@@ -127,7 +124,7 @@ def checking_expand_cubes_with(calls):
 def checked(monkeypatch):
     """Per EXPAND entry point: one bool per call, True when the call
     was list-equal to the row-wise oracle."""
-    calls = {"expand_with": [], "expand_cubes_with": [], "truthtable": []}
+    calls = {"expand_with": [], "expand_cubes_with": []}
     monkeypatch.setattr(
         MINIMIZE, "expand_with", checking_expand_with(calls["expand_with"])
     )
@@ -135,9 +132,6 @@ def checked(monkeypatch):
         MINIMIZE,
         "expand_cubes_with",
         checking_expand_cubes_with(calls["expand_cubes_with"]),
-    )
-    monkeypatch.setattr(
-        TRUTHTABLE, "expand_with", checking_expand_with(calls["truthtable"])
     )
     return calls
 
@@ -168,14 +162,6 @@ def test_table1_symbolic_minimizations_match_rowwise(checked):
     for name in TABLE1_FSMS:
         derive_face_constraints(load_benchmark(name, seed=0))
     assert checked["expand_with"] and all(checked["expand_with"])
-
-
-def test_enc_truthtable_espresso_matches_rowwise(checked):
-    """Every EXPAND of ENC's truth-table espresso on a quick-table FSM
-    whose codes are long enough for the heuristic path (nv = 5)."""
-    cset = derive_face_constraints(load_benchmark("dk16", seed=0))
-    enc_encode(cset, seed=1, max_minimizations=400)
-    assert checked["truthtable"] and all(checked["truthtable"])
 
 
 # -- random covers ---------------------------------------------------------

@@ -1,12 +1,11 @@
 """Differential tests: truth-table scoring against :mod:`repro.espresso`.
 
 ``repro.espresso.truthtable.cover_size`` must return exactly the cube
-count the general minimizers give for the same single-output function:
-``len(exact_minimize(...))`` on the exact path and ``len(espresso(...,
-use_lastgasp=False))`` on the heuristic one.  Part (a) draws random
-functions of 1-7 variables, with random onset order and random
-don't-cares.  Part (b) replays every distinct function that quick
-Table I's ENC minimizes, over three solver seeds.
+count ``len(exact_minimize(...))`` gives for the same single-output
+function.  Part (a) draws random functions of 1-7 variables, with
+random onset order and random don't-cares.  Part (b) replays every
+distinct function that quick Table I's ENC minimizes, over three
+solver seeds.
 """
 
 import random
@@ -35,8 +34,8 @@ SETTINGS = settings(
 )
 
 
-def reference(nv, onset, dc, exact):
-    """The cube count of the general minimizer on the same function."""
+def binary_function(nv, onset, dc):
+    """(space, onset, dcset) of a function given by its codes."""
     space = Space.binary(nv)
 
     def minterm(code):
@@ -44,9 +43,12 @@ def reference(nv, onset, dc, exact):
 
     on = [minterm(code) for code in onset]
     dcset = [minterm(code) for code in range(1 << nv) if dc >> code & 1]
-    if exact:
-        return len(exact_minimize(space, on, dcset))
-    return len(espresso(space, on, dcset, use_lastgasp=False))
+    return space, on, dcset
+
+
+def reference(nv, onset, dc):
+    """The cube count of the exact minimizer on the same function."""
+    return len(exact_minimize(*binary_function(nv, onset, dc)))
 
 
 @st.composite
@@ -67,37 +69,29 @@ def functions(draw, max_vars=MAX_VARS):
 
 
 @SETTINGS
-@given(function=functions())
-def test_heuristic_matches_espresso(function):
-    nv, onset, dc = function
-    want = reference(nv, onset, dc, exact=False)
-    assert cover_size(nv, onset, dc, exact=False) == want
-
-
-@SETTINGS
 @given(function=functions(max_vars=EXACT_REFERENCE_VARS))
 def test_exact_matches_exact_minimize(function):
     nv, onset, dc = function
-    want = reference(nv, onset, dc, exact=True)
-    assert cover_size(nv, onset, dc, exact=True) == want
+    assert cover_size(nv, onset, dc) == reference(nv, onset, dc)
 
 
 @pytest.mark.parametrize(
     "nv, seed", [(6, 3), (6, 6), (6, 32), (7, 1), (7, 2), (7, 3)]
 )
 def test_exact_matches_exact_minimize_above_reference_vars(nv, seed):
-    """Fixed functions of 6 and 7 variables, each one where espresso
-    finds more cubes than the minimum, so the exact path is pinned
-    up to ``MAX_VARS`` too."""
+    """Fixed functions of 6 and 7 variables, beyond the random draw
+    above, so the exact path is pinned up to ``MAX_VARS`` too, with
+    ENC's cover bound below it."""
     rnd = random.Random(seed)
     size = 1 << nv
     onset = rnd.sample(range(size), size // 3)
     dc = sum(
         1 << c for c in range(size) if c not in onset and rnd.random() < 0.3
     )
-    want = reference(nv, onset, dc, exact=True)
-    assert want < reference(nv, onset, dc, exact=False)
-    assert cover_size(nv, onset, dc, exact=True) == want
+    want = reference(nv, onset, dc)
+    assert cover_size(nv, onset, dc) == want
+    used = ((1 << size) - 1) & ~dc
+    assert enc_module.cover_lower_bound(nv, onset, used) <= want
 
 
 def parity(nv):
@@ -125,29 +119,27 @@ def constraint_functions(draw, max_members=24):
 @example(function=(4, [1, 2], 0b1111111111110000))
 @example(function=(7, parity(7), 0))
 @example(function=(7, [127, 0, 64], 0b1010 << 60))
-# bound 3, minimum 4, espresso 5
+# bound 3, minimum 4
 @example(function=(4, [10, 8, 3, 5, 13, 2, 12, 6], 0b1000010010))
 @given(function=constraint_functions())
 def test_enc_lower_bound_below_cover_sizes(function):
-    """ENC's cover bound is at most the minimum cover, which is at
-    most espresso's: a move the bound rejects could not have been
-    accepted."""
+    """ENC's cover bound is at most the minimum cover: a move the
+    bound rejects could not have been accepted."""
     nv, onset, dc = function
     used = ((1 << (1 << nv)) - 1) & ~dc
     bound = enc_module.cover_lower_bound(nv, onset, used)
-    exact = cover_size(nv, onset, dc, exact=True)
-    assert bound <= exact <= cover_size(nv, onset, dc, exact=False)
+    assert bound <= cover_size(nv, onset, dc)
 
 
 def test_codes_beyond_truth_tables_use_espresso():
     nv = MAX_VARS + 1
     onset = [3, 200, 17, 129, 64, 250]
     unused = sum(1 << code for code in range(100, 180))
-    assert cubes_for_codes(nv, onset, unused) == reference(
-        nv, onset, unused, exact=False
-    )
+    assert cubes_for_codes(nv, onset, unused) == len(espresso(
+        *binary_function(nv, onset, unused), use_lastgasp=False
+    ))
     with pytest.raises(InvalidSpecError):
-        cover_size(nv, onset, unused, exact=False)
+        cover_size(nv, onset, unused)
 
 
 def test_quick_table1_enc_functions(monkeypatch):
@@ -169,6 +161,6 @@ def test_quick_table1_enc_functions(monkeypatch):
     wrong = [
         (key, cubes)
         for key, cubes in seen.items()
-        if reference(*key, exact=key[0] <= 4) != cubes
+        if reference(*key) != cubes
     ]
     assert not wrong, wrong[:5]
