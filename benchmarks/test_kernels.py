@@ -153,7 +153,7 @@ def _expand_raise(cover):
 
 def _containment_dedup(cover):
     """The pairwise-containment dedup closing the EXPAND pass."""
-    bulk.dedup_keep_mask(cover)
+    bulk.dedup_keep_mask(_SPACE, cover)
 
 
 def _cofactor_cube(cover):

@@ -31,6 +31,7 @@ __all__ = [
     "blocker",
     "choose_raise",
     "cofactor_cube",
+    "cofactor_rows",
     "cofactor_value",
     "columns",
     "cross_intersect",
@@ -146,6 +147,45 @@ def cofactor_cube(space: Space, cover: Sequence[int], pivot: int) -> List[int]:
     ]
 
 
+def cofactor_rows(
+    space: Space, cover: Sequence[int], cols: Sequence[int], rows: int,
+    pivot: int,
+) -> List[int]:
+    """:func:`cofactor_cube` of the rows of ``cover`` in the int mask
+    ``rows``, in row order, with ``cols`` the columns of ``cover``
+    (:func:`columns`).
+
+    A row meets ``pivot`` in a part where the pivot is not full when
+    it is in the OR of the columns of the pivot's bits there, so the
+    rows meeting the pivot are the AND of those ORs: one big-int
+    operation per literal of the pivot instead of a test per row.  A
+    part where the pivot is full is not looked at, so a surviving row
+    is kept only when it is not void.
+    """
+    for mask in space.part_masks:
+        field = pivot & mask
+        if field != mask:
+            admit = 0
+            while field:
+                bit = field & -field
+                admit |= cols[bit.bit_length() - 1]
+                field ^= bit
+            rows &= admit
+            if not rows:
+                return []
+    lifted = space.universe & ~pivot
+    tops = space.tops
+    low = space.low
+    out = []
+    while rows:
+        row = rows & -rows
+        c = cover[row.bit_length() - 1]
+        if ((c & low) + low | c) & tops == tops:
+            out.append(c | lifted)
+        rows ^= row
+    return out
+
+
 def and_rows(cover: Sequence[int], cube: int) -> List[int]:
     """AND every row with ``cube`` (rows may become void)."""
     return [c & cube for c in cover]
@@ -179,17 +219,36 @@ def absorb(cover: Sequence[int]) -> List[int]:
     return result
 
 
-def dedup_keep_mask(cover: Sequence[int]) -> List[bool]:
+def dedup_keep_mask(space: Space, cover: Sequence[int]) -> List[bool]:
     """EXPAND's final dedup: drop row ``i`` when another row ``j``
-    contains it and is either distinct or earlier (``j < i``)."""
+    contains it and is either distinct or earlier (``j < i``).
+
+    The rows containing row ``i`` are the AND of the columns
+    (:func:`columns`) of its bits; a column that every row admits
+    changes nothing and is skipped.  Only a row equal to row ``i``
+    and after it is compared as an int.
+    """
+    cols = columns(space, cover)
+    all_rows = (1 << len(cover)) - 1
+    common = 0
+    for b, col in enumerate(cols):
+        if col == all_rows:
+            common |= 1 << b
     keep = []
     for i, c in enumerate(cover):
-        drop = False
-        for j, d in enumerate(cover):
-            if j != i and not c & ~d and (d != c or j < i):
-                drop = True
-                break
-        keep.append(not drop)
+        row = 1 << i
+        over = all_rows
+        bits = c & ~common
+        while bits:
+            low = bits & -bits
+            over &= cols[low.bit_length() - 1]
+            bits ^= low
+        over ^= row
+        if not over & (row - 1):
+            # only a later row that differs from row i drops it
+            while over and cover[(over & -over).bit_length() - 1] == c:
+                over &= over - 1
+        keep.append(not over)
     return keep
 
 

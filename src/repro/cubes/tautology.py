@@ -53,7 +53,9 @@ def tautology(space: Space, cover: Sequence[int]) -> bool:
 
 
 def cover_contains_cube(space: Space, cover: Sequence[int], cube: int) -> bool:
-    """True when the union of ``cover`` contains every minterm of ``cube``."""
-    if not cube:
+    """True when the union of ``cover`` contains every minterm of
+    ``cube``; a void cube (some part empty) has none, so it is always
+    contained."""
+    if space.void_tops(cube):
         return True
     return tautology(space, bulk.cofactor_cube(space, cover, cube))

@@ -123,5 +123,5 @@ def expand_with(space: Space, onset: List[int], blocked: Blocked) -> List[int]:
         alive &= outside | row
         primes.append(prime)
     # a later prime can swallow an earlier one
-    keep = bulk.dedup_keep_mask(primes)
+    keep = bulk.dedup_keep_mask(space, primes)
     return [prime for prime, kept in zip(primes, keep) if kept]

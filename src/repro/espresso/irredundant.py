@@ -5,18 +5,23 @@ on-set; everything else is redundant relative to the current cover and
 is removed greedily (largest cubes are kept preferentially, mirroring
 ESPRESSO's minimal irredundant-cover heuristic).
 
-Containment checks are tautology checks
-(:func:`repro.cubes.tautology.cover_contains_cube`) of each cube
-against the rest of the working cover, which shrinks as redundant
-cubes are dropped.
+A cube is covered when its cofactor of the rest of the working cover
+(which shrinks as redundant cubes are dropped) is a tautology, and a
+void cube always is.  The pass holds the cover and the don't-cares
+column-wise (:func:`repro.cubes.bulk.columns`) and the rows not yet
+dropped as one int, and :func:`repro.cubes.bulk.cofactor_rows` finds
+the rows of a cube's cofactor from the columns of its literals.
+Every cofactor and cover is list-equal to the row-wise pass this
+replaced (a fresh list of the rest per cube, cofactored by a scan of
+every row), which ``tests/test_espresso_cofactor_oracle.py`` keeps as
+its oracle.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence
 
-from ..cubes import Space, bulk
-from ..cubes.tautology import cover_contains_cube
+from ..cubes import Space, bulk, tautology
 from ..obs import resolve_tracer
 
 __all__ = ["irredundant"]
@@ -38,13 +43,18 @@ def irredundant(
     )
     weights = bulk.popcounts(onset)
     order = sorted(range(len(onset)), key=weights.__getitem__)
-    keep = [onset[i] for i in order]
-    dc = list(dcset)
-    i = 0
-    while i < len(keep):
-        rest = keep[:i] + keep[i + 1 :] + dc
-        if cover_contains_cube(space, rest, keep[i]):
-            del keep[i]
+    rows = [onset[i] for i in order]
+    rows += dcset
+    cols = bulk.columns(space, rows)
+    # the rows not dropped yet
+    alive = (1 << len(rows)) - 1
+    keep = []
+    for i, cube in enumerate(rows[: len(onset)]):
+        row = 1 << i
+        if space.void_tops(cube) or tautology(
+            space, bulk.cofactor_rows(space, rows, cols, alive ^ row, cube)
+        ):
+            alive ^= row
         else:
-            i += 1
+            keep.append(cube)
     return keep

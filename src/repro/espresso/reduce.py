@@ -10,9 +10,16 @@ i.e. the smallest cube containing the part of ``c`` that no other cube
 EXPAND pass room to move to a *different* prime, which is how the
 espresso loop escapes local minima.
 
-The cofactor-against-pivot and the recursive complement are cube-list
-calls (:mod:`repro.cubes.bulk`), and the working cover is updated
-row-wise between reductions.
+The pass holds the cover and the don't-cares column-wise
+(:func:`repro.cubes.bulk.columns`):
+:func:`repro.cubes.bulk.cofactor_rows` finds the rows of a cube's
+cofactor from the columns of its literals, and a reduced cube's
+dropped bits are cleared from its columns.  Every cofactor and cover
+is list-equal to the row-wise pass this replaced (a fresh list of the
+rest per cube, cofactored by a scan of every row), which
+``tests/test_espresso_cofactor_oracle.py`` keeps as its oracle.
+:func:`reduce_cube` (LASTGASP) takes the rest as a list and scans
+it.
 """
 
 from __future__ import annotations
@@ -36,7 +43,13 @@ def reduce_cube(
     what to do; :func:`reduce_cover` keeps such cubes untouched and
     leaves their removal to IRREDUNDANT).
     """
-    comp = complement(space, bulk.cofactor_cube(space, rest, cube))
+    return _reduction(space, cube, bulk.cofactor_cube(space, rest, cube))
+
+
+def _reduction(space: Space, cube: int, cofactor: List[int]) -> int:
+    """``cube`` AND the supercube of the complement of its
+    ``cofactor`` of the rest; 0 when that complement is empty."""
+    comp = complement(space, cofactor)
     if not comp:
         return 0
     return cube & supercube(comp)
@@ -57,15 +70,27 @@ def reduce_cover(
     ``tracer`` counts the cubes visited (``espresso.reduce.cubes``).
     """
     resolve_tracer(tracer).count("espresso.reduce.cubes", len(onset))
-    cubes = list(onset)
-    dc = list(dcset)
-    weights = bulk.popcounts(cubes)
+    rows = list(onset)
+    rows += dcset
+    cols = bulk.columns(space, rows)
+    all_rows = (1 << len(rows)) - 1
+    weights = bulk.popcounts(onset)
     order = sorted(
         range(len(onset)), key=weights.__getitem__, reverse=True
     )
     for idx in order:
-        rest = cubes[:idx] + cubes[idx + 1 :] + dc
-        reduced = reduce_cube(space, cubes[idx], rest)
+        cube = rows[idx]
+        row = 1 << idx
+        reduced = _reduction(
+            space, cube,
+            bulk.cofactor_rows(space, rows, cols, all_rows ^ row, cube),
+        )
         if reduced:
-            cubes[idx] = reduced
-    return cubes
+            rows[idx] = reduced
+            # the later cofactors see the reduced row
+            dropped = cube & ~reduced
+            while dropped:
+                low = dropped & -dropped
+                cols[low.bit_length() - 1] ^= row
+                dropped ^= low
+    return rows[: len(onset)]

@@ -3,7 +3,9 @@
 ESPRESSO ships a ``-Dverify`` mode; this is ours.  All checks are
 exact (tautology-based), work on any multi-valued space, and are used
 by the test-suite and by callers that want hard guarantees after a
-minimization run.
+minimization run.  They cofactor by a scan of every row
+(:func:`repro.cubes.cover_contains_cube`) on purpose, so they stay an
+independent check of IRREDUNDANT and REDUCE's column-wise cofactors.
 """
 
 from __future__ import annotations

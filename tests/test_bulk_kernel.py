@@ -94,6 +94,16 @@ class TestLegacyEquivalence:
         assert bulk.cofactor_cube(space, cover, pivot) == [
             c | lifted for c in cover if legacy.intersect(space, c, pivot)
         ]
+        # the same cofactor of every other row, found from the columns
+        cols = bulk.columns(space, cover)
+        for rows in range(0, 1 << len(cover), 3):
+            assert bulk.cofactor_rows(space, cover, cols, rows, pivot) == (
+                bulk.cofactor_cube(
+                    space,
+                    [c for i, c in enumerate(cover) if rows >> i & 1],
+                    pivot,
+                )
+            )
         assert bulk.absorb(cover) == legacy.absorb(list(cover))
         assert cover == before  # neither sorts nor edits its argument
 

@@ -117,6 +117,15 @@ class TestCoverContainsCube:
         assert cover_contains_cube(space, cover, space.parse_cube("--1"))
         assert not cover_contains_cube(space, cover, space.parse_cube("1--"))
 
+    def test_void_cube_is_contained(self):
+        """A cube with an empty part has no minterm, so every cover
+        contains it, however many bits it sets elsewhere."""
+        space = Space([2, 2])
+        assert cover_contains_cube(space, [space.universe], 0b0010)
+        assert cover_contains_cube(space, [], 0b0010)
+        assert cover_contains_cube(space, [0b0101], 0b1100)
+        assert cover_contains_cube(space, [], 0)
+
     @settings(max_examples=150, deadline=None)
     @given(spaces_and_covers(), st.data())
     def test_matches_bruteforce(self, sc, data):

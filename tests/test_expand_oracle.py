@@ -95,7 +95,7 @@ def rowwise_expand_with(space, onset, blocked):
                 covered[j] = True
         primes.append(prime)
     # a later prime can swallow an earlier one
-    keep = bulk.dedup_keep_mask(primes)
+    keep = bulk.dedup_keep_mask(space, primes)
     return [prime for prime, kept in zip(primes, keep) if kept]
 
 
