@@ -6,14 +6,16 @@ then a minimum prime cover is found by branch-and-bound unate covering
 with essential-column and row/column dominance reductions.
 
 Used by the test-suite as ground truth for the heuristic minimizer and
-by the evaluator for tiny constraint functions.
+for :mod:`repro.espresso.truthtable`; the truth-table scorer shares
+the covering search, :func:`_min_cover`, on its own primes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from ..cubes import Space, absorb, contains, cube_size
+from ..cubes.bulk import bit_count
 
 __all__ = ["all_primes", "exact_minimize", "ExactLimitError"]
 
@@ -130,83 +132,97 @@ def exact_minimize(
     minterms = _care_minterms(space, onset, dcset, max_minterms)
     if not minterms:
         return []
-    rows: List[FrozenSet[int]] = []
+    rows: List[int] = []
     for m in minterms:
-        cols = frozenset(
-            i for i, p in enumerate(primes) if contains(p, m)
-        )
+        cols = 0
+        for i, p in enumerate(primes):
+            if contains(p, m):
+                cols |= 1 << i
         if not cols:
             raise AssertionError("care minterm not covered by any prime")
         rows.append(cols)
-    chosen = _min_cover(rows, len(primes))
-    solution = [primes[i] for i in sorted(chosen)]
-    return solution
+    chosen = _min_cover(rows)
+    return [p for i, p in enumerate(primes) if chosen >> i & 1]
 
 
-def _min_cover(rows: List[FrozenSet[int]], n_cols: int) -> Set[int]:
-    """Minimum-column cover of the rows (branch and bound)."""
-    best: List[Optional[Set[int]]] = [None]
+def _min_cover(rows: List[int]) -> int:
+    """Minimum-column cover of the rows (branch and bound).
 
-    def search(rows_left: List[FrozenSet[int]], picked: Set[int]) -> None:
-        rows_left = _reduce(rows_left, picked, best)
-        if rows_left is None:
+    A row is the bitmask of the columns that cover it; the result is
+    the bitmask of the columns picked.
+    """
+    best: List[Optional[int]] = [None]
+
+    def search(rows_left: List[int], picked: int) -> None:
+        reduced = _reduce(rows_left, picked, best)
+        if reduced is None:
             return
+        rows_left, picked = reduced
         if not rows_left:
-            if best[0] is None or len(picked) < len(best[0]):
-                best[0] = set(picked)
+            if best[0] is None or bit_count(picked) < bit_count(best[0]):
+                best[0] = picked
             return
-        if best[0] is not None and len(picked) + 1 >= len(best[0]):
-            # even one more column cannot beat the incumbent unless it
-            # finishes the job; the bound below handles that case
-            pass
         # lower bound: a set of pairwise-disjoint rows needs one column each
-        bound = len(picked) + _independent_rows(rows_left)
-        if best[0] is not None and bound >= len(best[0]):
+        bound = bit_count(picked) + _independent_rows(rows_left)
+        if best[0] is not None and bound >= bit_count(best[0]):
             return
-        # branch on the hardest row (fewest choices)
-        row = min(rows_left, key=len)
-        for col in sorted(row):
-            sub = [r for r in rows_left if col not in r]
-            search(sub, picked | {col})
+        # branch on the hardest row (fewest choices): _reduce returns
+        # the rows sorted by size, so it is the first
+        row = rows_left[0]
+        while row:
+            col = row & -row
+            row ^= col
+            sub = [r for r in rows_left if not r & col]
+            search(sub, picked | col)
 
-    search(rows, set())
+    search(rows, 0)
     assert best[0] is not None
     return best[0]
 
 
 def _reduce(
-    rows: List[FrozenSet[int]],
-    picked: Set[int],
-    best: List[Optional[Set[int]]],
-) -> Optional[List[FrozenSet[int]]]:
-    """Essential columns + row dominance until fixed point."""
+    rows: List[int], picked: int, best: List[Optional[int]]
+) -> Optional[Tuple[List[int], int]]:
+    """Essential columns + row dominance until fixed point: the rows
+    left, sorted by size, and the columns picked, or ``None`` once the
+    picked columns cannot beat ``best``."""
     rows = list(rows)
     while True:
         # essential columns: rows with a single choice
-        essentials = {next(iter(r)) for r in rows if len(r) == 1}
+        essentials = 0
+        for r in rows:
+            if not r & (r - 1):
+                essentials |= r
         if essentials:
             picked |= essentials
-            if best[0] is not None and len(picked) >= len(best[0]):
+            if best[0] is not None and (
+                bit_count(picked) >= bit_count(best[0])
+            ):
                 return None
             rows = [r for r in rows if not r & essentials]
             continue
         # row dominance: a superset row is implied by its subset row
-        rows.sort(key=len)
-        kept: List[FrozenSet[int]] = []
+        rows.sort(key=bit_count)
+        kept: List[int] = []
         for r in rows:
-            if not any(k <= r for k in kept):
+            outside = ~r
+            for k in kept:
+                if not k & outside:
+                    break
+            else:
                 kept.append(r)
         if len(kept) != len(rows):
             rows = kept
             continue
-        return rows
+        return rows, picked
 
 
-def _independent_rows(rows: List[FrozenSet[int]]) -> int:
-    """Greedy maximal set of pairwise-disjoint rows (covering lower bound)."""
-    used: Set[int] = set()
+def _independent_rows(rows: List[int]) -> int:
+    """Greedy maximal set of pairwise-disjoint rows (covering lower
+    bound); ``rows`` is sorted by size."""
+    used = 0
     count = 0
-    for r in sorted(rows, key=len):
+    for r in rows:
         if not r & used:
             count += 1
             used |= r

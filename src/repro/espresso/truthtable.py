@@ -4,27 +4,37 @@ A face constraint's function (footnote 2 of the paper) lives on the
 ``nv``-bit code space: on-set = member codes, off-set = the other used
 codes, don't-cares = the unused codes.  For ``nv <= MAX_VARS`` the
 whole function fits in one ``2**nv``-bit ``int`` whose bit ``m`` stands
-for code ``m``, and the per-``nv`` table ``tt`` maps every cube of
-``Space.binary(nv)`` to its minterm mask.  Each set-valued question the
-minimizer asks then becomes a few bitwise operations:
+for code ``m``.  A cube is a base code ``b`` and a set ``F`` of free
+variables (``b & F == 0``); its codes are ``span[F] << b``, where
+``span[F]`` is the mask of the subsets of ``F``.  The primes come one
+free set at a time, a few bitwise operations each:
 
-* off-set: ``full & ~(on | dc)``;
-* a cube is an implicant iff ``not tt[cube] & off``;
-* it is prime iff every raise bit ``b`` is blocked: ``tt[cube|b] & off``.
+* ``imp[F]``, the mask of the bases whose cube with free set ``F``
+  lies inside ``on | dc``: ``imp[0] = on | dc`` and
+  ``imp[F] = imp[F-x] & imp[F-x] >> 2**x & zero[x]``, ``zero[x]`` being
+  the codes whose bit ``x`` is 0;
+* the primes of ``F``: ``imp[F]`` minus every base of ``F`` whose cube
+  grows by one more variable ``x``, ``imp[F+x] | imp[F+x] << 2**x``;
+* a prime's column: its care codes, ``span[F] << b & care``.
 
-:func:`cover_size` returns ``len(exact_minimize(...))``: the minimum
-cover size does not depend on how it is found, so the primes are found
-on bitmasks and handed to :mod:`repro.espresso.exact`'s own
-minimum-cover search.  ``tests/test_truthtable.py`` pins it to
-:func:`~repro.espresso.exact_minimize`.
+A function whose members' face (``span[lo ^ hi] << lo``, the smallest
+cube holding every member) lies inside ``on | dc`` needs exactly one
+cube.  Otherwise :func:`cover_size` returns
+``len(exact_minimize(...))``: the minimum cover size does not depend
+on how it is found, so the primes are found on bitmasks and handed to
+:mod:`repro.espresso.exact`'s own minimum-cover search.
+``tests/test_truthtable.py`` pins it to
+:func:`~repro.espresso.exact_minimize`, and
+``tests/test_truthtable_oracle.py`` pins :func:`_prime_columns` to a
+scan of every cube.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, List, Tuple
 
-from ..cubes import Space
+from ..cubes.bulk import bit_count
 from ..obs import resolve_tracer
 from ..runtime import InvalidSpecError
 from .exact import _min_cover
@@ -32,53 +42,65 @@ from .exact import _min_cover
 __all__ = ["MAX_VARS", "cover_size"]
 
 #: the largest code space a truth table covers: 2**7 bits per function
-#: and 4**7 entries in the cube table
 MAX_VARS = 7
 
 
-class _Tables:
-    """The lookup tables of one ``nv``, built on first use."""
-
-    def __init__(self, nv: int) -> None:
-        size = 1 << nv
-        self.space = Space.binary(nv)
-        self.full = (1 << size) - 1
-        #: cube index -> minterm mask; part p's field is bits 2p, 2p+1
-        self.tt = [self.full]
-        for part in range(nv):
-            shift = nv - 1 - part  # part 0 is the code's MSB
-            ones = sum(1 << m for m in range(size) if m >> shift & 1)
-            zeros = self.full & ~ones
-            self.tt = [
-                t & field
-                for field in (0, zeros, ones, self.full)
-                for t in self.tt
-            ]
-        #: every non-void cube
-        self.cubes = [c for c, t in enumerate(self.tt) if t]
-
-    def blocked(self, off: int):
-        """``blocked(cube)``: the raise bits of ``cube`` whose grown cube
-        meets the minterm mask ``off``."""
-        tt = self.tt
-        universe = self.space.universe
-
-        def blocked(cube: int) -> int:
-            hit = 0
-            free = universe & ~cube
-            while free:
-                bit = free & -free
-                free ^= bit
-                if tt[cube | bit] & off:
-                    hit |= bit
-            return hit
-
-        return blocked
-
-
 @lru_cache(maxsize=None)
-def _tables(nv: int) -> _Tables:
-    return _Tables(nv)
+def _tables(nv: int) -> Tuple[List[int], List[Tuple[int, ...]], List[tuple]]:
+    """``(span, order, grows)`` of one ``nv``.
+
+    ``span[F]`` is the mask of the subsets of the free set ``F``.
+    ``order`` lists every nonempty free set ``F`` in increasing order
+    as ``(F, F - x, 2**x, zero[x])`` for its lowest variable ``x``,
+    ``zero[x]`` being the mask of the codes whose bit ``x`` is 0.
+    ``grows[F]`` pairs ``F + x`` with ``2**x`` for every variable
+    ``x`` outside ``F``.
+    """
+    size = 1 << nv
+    zero = [
+        sum(1 << m for m in range(size) if not m >> x & 1)
+        for x in range(nv)
+    ]
+    span = [
+        sum(1 << s for s in range(size) if not s & ~free)
+        for free in range(size)
+    ]
+    order = []
+    for free in range(1, size):
+        x = (free & -free).bit_length() - 1
+        order.append((free, free ^ 1 << x, 1 << x, zero[x]))
+    grows = [
+        tuple((free | 1 << x, 1 << x) for x in range(nv) if not free >> x & 1)
+        for free in range(size)
+    ]
+    return span, order, grows
+
+
+def _prime_columns(nv: int, inside: int, care: int) -> List[int]:
+    """The distinct nonzero care columns of the primes of ``inside``,
+    sorted: ``span[F] << b & care`` for every prime ``(b, F)``."""
+    span, order, grows = _tables(nv)
+    imp = [inside] + [0] * len(order)
+    for free, sub, step, zero in order:
+        bases = imp[sub]
+        if bases:
+            imp[free] = bases & bases >> step & zero
+    columns = set()
+    for free, bases in enumerate(imp):
+        if not bases:
+            continue
+        for grown, step in grows[free]:
+            up = imp[grown]
+            if up:
+                bases &= ~(up | up << step)
+        face = span[free]
+        while bases:
+            base = bases & -bases
+            bases ^= base
+            column = face << base.bit_length() - 1 & care
+            if column:
+                columns.add(column)
+    return sorted(columns)
 
 
 def cover_size(nv: int, onset: Iterable[int], dc: int, *, tracer=None) -> int:
@@ -87,36 +109,39 @@ def cover_size(nv: int, onset: Iterable[int], dc: int, *, tracer=None) -> int:
     ``onset`` holds the on-set codes, in any order; ``dc`` is the
     bitmask of don't-care codes.  The result equals
     ``len(exact_minimize(...))``.  ``tracer`` counts the call
-    (``truthtable.minimizations``).
+    (``truthtable.minimizations``) and, among those, the calls one
+    cube settles (``truthtable.one_cube``).
     """
     if not 1 <= nv <= MAX_VARS:
         raise InvalidSpecError(
             f"truth tables cover 1..{MAX_VARS} variables, not {nv}"
         )
-    resolve_tracer(tracer).count("truthtable.minimizations")
-    tables = _tables(nv)
-    tt = tables.tt
+    tracer = resolve_tracer(tracer)
+    tracer.count("truthtable.minimizations")
     on = 0
+    lo = (1 << nv) - 1
+    hi = 0
     for code in onset:
         on |= 1 << code
+        lo &= code
+        hi |= code
     care = on & ~dc
     if not care:
         return 0
-    outside = tables.full & ~(on | dc)
-    blocked = tables.blocked(outside)
-    universe = tables.space.universe
-    # the care minterms of every prime: an implicant no raise keeps one
-    columns = sorted({
-        tt[cube] & care
-        for cube in tables.cubes
-        if tt[cube] & care
-        and not tt[cube] & outside
-        and blocked(cube) == universe & ~cube
-    })
+    inside = on | dc
+    face = _tables(nv)[0][lo ^ hi] << lo
+    if not face & ~inside:
+        tracer.count("truthtable.one_cube")
+        return 1
+    columns = _prime_columns(nv, inside, care)
     rows = []
     bits = care
     while bits:
         bit = bits & -bits
         bits ^= bit
-        rows.append(frozenset(i for i, c in enumerate(columns) if c & bit))
-    return len(_min_cover(rows, len(columns)))
+        row = 0
+        for i, column in enumerate(columns):
+            if column & bit:
+                row |= 1 << i
+        rows.append(row)
+    return bit_count(_min_cover(rows))
