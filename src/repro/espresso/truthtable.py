@@ -17,12 +17,10 @@ free set at a time, a few bitwise operations each:
   grows by one more variable ``x``, ``imp[F+x] | imp[F+x] << 2**x``;
 * a prime's column: its care codes, ``span[F] << b & care``.
 
-A function whose members' face (``span[lo ^ hi] << lo``, the smallest
-cube holding every member) lies inside ``on | dc`` needs exactly one
-cube.  Otherwise :func:`cover_size` returns
-``len(exact_minimize(...))``: the minimum cover size does not depend
-on how it is found, so the primes are found on bitmasks and handed to
-:mod:`repro.espresso.exact`'s own minimum-cover search.
+:func:`cover_size` returns ``len(exact_minimize(...))``: the minimum
+cover size does not depend on how it is found, so the primes are found
+on bitmasks and handed to :mod:`repro.espresso.exact`'s own
+minimum-cover search.
 ``tests/test_truthtable.py`` pins it to
 :func:`~repro.espresso.exact_minimize`, and
 ``tests/test_truthtable_oracle.py`` pins :func:`_prime_columns` to a
@@ -109,31 +107,20 @@ def cover_size(nv: int, onset: Iterable[int], dc: int, *, tracer=None) -> int:
     ``onset`` holds the on-set codes, in any order; ``dc`` is the
     bitmask of don't-care codes.  The result equals
     ``len(exact_minimize(...))``.  ``tracer`` counts the call
-    (``truthtable.minimizations``) and, among those, the calls one
-    cube settles (``truthtable.one_cube``).
+    (``truthtable.minimizations``).
     """
     if not 1 <= nv <= MAX_VARS:
         raise InvalidSpecError(
             f"truth tables cover 1..{MAX_VARS} variables, not {nv}"
         )
-    tracer = resolve_tracer(tracer)
-    tracer.count("truthtable.minimizations")
+    resolve_tracer(tracer).count("truthtable.minimizations")
     on = 0
-    lo = (1 << nv) - 1
-    hi = 0
     for code in onset:
         on |= 1 << code
-        lo &= code
-        hi |= code
     care = on & ~dc
     if not care:
         return 0
-    inside = on | dc
-    face = _tables(nv)[0][lo ^ hi] << lo
-    if not face & ~inside:
-        tracer.count("truthtable.one_cube")
-        return 1
-    columns = _prime_columns(nv, inside, care)
+    columns = _prime_columns(nv, on | dc, care)
     rows = []
     bits = care
     while bits:

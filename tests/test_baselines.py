@@ -646,18 +646,6 @@ class TestEncMemo:
         # bbara's nv = 4: every real minimization is a truth-table one
         assert counters["truthtable.minimizations"] == misses
 
-    def test_one_cube_counter(self):
-        # the calls settled by the members' face are a share of the
-        # truth-table minimizations, and bbara has some
-        tracer = Tracer()
-        enc_encode(
-            reference_cset("bbara"), seed=1, max_minimizations=6000,
-            tracer=tracer,
-        )
-        counters = tracer.counters()
-        one_cube = counters["truthtable.one_cube"]
-        assert 0 < one_cube <= counters["truthtable.minimizations"]
-
     @pytest.mark.parametrize("name,minimizations",
                              [("bbara", 2532), ("ex3", 1212)])
     def test_logical_minimizations_unchanged(self, name, minimizations):

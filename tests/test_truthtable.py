@@ -5,7 +5,8 @@ count ``len(exact_minimize(...))`` gives for the same single-output
 function.  Part (a) draws random functions of 1-7 variables, with
 random onset order and random don't-cares.  Part (b) replays every
 distinct function that quick Table I's ENC minimizes, over three
-solver seeds.
+solver seeds, and pins its prime columns to the per-cube scan of
+``tests/test_truthtable_oracle.py``.
 """
 
 import random
@@ -21,6 +22,7 @@ from repro.espresso import espresso, exact_minimize
 from repro.espresso.truthtable import MAX_VARS, cover_size
 from repro.harness import QUICK_FSMS, run_table1
 from repro.runtime import InvalidSpecError
+from tests.test_truthtable_oracle import assert_columns_match
 
 #: exact_minimize's consensus gets slow beyond this many variables on
 #: random functions; fixed cases below pin 6 and 7
@@ -164,3 +166,5 @@ def test_quick_table1_enc_functions(monkeypatch):
         if reference(*key) != cubes
     ]
     assert not wrong, wrong[:5]
+    for nv, onset, unused in seen:
+        assert_columns_match(nv, onset, unused)

@@ -8,19 +8,17 @@ scan it replaced, verbatim: a table of every cube's minterm mask, and
 a pass over every cube that keeps the implicants no raise keeps inside
 the function.  The tests pin the new columns to the scan's, list-equal,
 on random functions of 1-7 variables (beyond the 5 variables
-``exact_minimize`` can check at random), on every function a quick
-Table I ENC run minimizes, and on functions one cube covers.
+``exact_minimize`` can check at random) and on functions one cube
+covers; ``tests/test_truthtable.py`` pins them on every function quick
+Table I's ENC minimizes.
 """
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import enc as enc_module
 from repro.cubes import Space
 from repro.espresso.truthtable import MAX_VARS, _prime_columns, cover_size
-from repro.harness import QUICK_FSMS, run_table1
-from repro.obs import Tracer
 
 
 # -- the per-cube scan ---------------------------------------------------
@@ -124,22 +122,6 @@ def test_random_functions(function):
     assert_columns_match(*function)
 
 
-# -- quick Table I's ENC -------------------------------------------------
-def test_quick_table1_enc_functions(monkeypatch):
-    seen = set()
-    real = enc_module.cubes_for_codes
-
-    def recording(nv, onset, unused, **kwargs):
-        seen.add((nv, frozenset(onset), unused))
-        return real(nv, onset, unused, **kwargs)
-
-    monkeypatch.setattr(enc_module, "cubes_for_codes", recording)
-    run_table1(QUICK_FSMS, seed=1)
-    assert len(seen) > 1000
-    for nv, onset, unused in seen:
-        assert_columns_match(nv, onset, unused)
-
-
 # -- one-cube functions --------------------------------------------------
 ONE_CUBE = [
     (1, [0], 0),
@@ -155,8 +137,6 @@ ONE_CUBE = [
 
 @pytest.mark.parametrize("nv, onset, dc", ONE_CUBE)
 def test_one_cube_functions(nv, onset, dc):
-    """The face test settles each one, with no prime search."""
+    """The members' face is a prime, and it alone covers them."""
     assert_columns_match(nv, onset, dc)
-    tracer = Tracer()
-    assert cover_size(nv, onset, dc, tracer=tracer) == 1
-    assert tracer.counters()["truthtable.one_cube"] == 1
+    assert cover_size(nv, onset, dc) == 1
